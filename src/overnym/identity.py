@@ -14,6 +14,9 @@ predicates ("age is at least 18") carrying the threshold but never the
 value.
 
 All values here are immutable after construction; operations are pure.
+The one exception is a private cache on IdentitySecret holding the last
+epoch's (BCADD, signing key) pair, so that repeated proofs under one
+epoch derive the Ed25519 key once; it never changes a derived value.
 """
 
 from __future__ import annotations
@@ -69,10 +72,17 @@ def _signing_key(seed: bytes, epoch: int) -> Ed25519PrivateKey:
 
 @dataclass(frozen=True)
 class IdentitySecret:
-    """Private material. Never serialized; repr is redacted."""
+    """Private material. Never serialized; repr is redacted.
+
+    _epoch_cache holds one epoch's (BCADD, signing key) pair. It takes no
+    part in equality or repr.
+    """
 
     seed: bytes
     registered_attributes: Mapping[str, int | str] = field(default_factory=dict)
+    _epoch_cache: tuple[BCADD, Ed25519PrivateKey] | None = field(
+        default=None, init=False, repr=False, compare=False,
+    )
 
     def __post_init__(self):
         if len(self.seed) != SEED_SIZE:
@@ -279,18 +289,36 @@ class AttributeAttestation:
 # Derivations
 # ---------------------------------------------------------------------------
 
-def derive_bcadd(secret: IdentitySecret, epoch: int) -> BCADD:
-    """Chain address for an epoch. Pure: same inputs, same address."""
+def _epoch_key(secret: IdentitySecret, epoch: int) -> tuple[BCADD, Ed25519PrivateKey]:
+    """The secret's BCADD and signing key for an epoch, derived once and
+    cached on the secret until another epoch is asked for."""
+    cached = secret._epoch_cache
+    if cached is not None and cached[0].epoch == epoch:
+        return cached
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    address = owf(TAG_BCADD, secret.seed, u64(epoch))
-    public = _signing_key(secret.seed, epoch).public_key().public_bytes_raw()
-    return BCADD(address=address, epoch=epoch, public_key=public)
+    key = _signing_key(secret.seed, epoch)
+    bcadd = BCADD(
+        address=owf(TAG_BCADD, secret.seed, u64(epoch)),
+        epoch=epoch,
+        public_key=key.public_key().public_bytes_raw(),
+    )
+    object.__setattr__(secret, "_epoch_cache", (bcadd, key))
+    return bcadd, key
 
 
-def _require_own_bcadd(secret: IdentitySecret, bcadd: BCADD) -> None:
-    if derive_bcadd(secret, bcadd.epoch) != bcadd:
+def derive_bcadd(secret: IdentitySecret, epoch: int) -> BCADD:
+    """Chain address for an epoch. Pure: same inputs, same address."""
+    return _epoch_key(secret, epoch)[0]
+
+
+def _require_own_bcadd(secret: IdentitySecret, bcadd: BCADD) -> Ed25519PrivateKey:
+    """The epoch signing key, if the whole BCADD (address, epoch and
+    public key) derives from this secret."""
+    own, key = _epoch_key(secret, bcadd.epoch)
+    if own != bcadd:
         raise MismatchedSecret("BCADD does not derive from this secret")
+    return key
 
 
 def appid_digest(address: bytes, service: ServiceProps, epoch: int) -> bytes:
@@ -318,12 +346,12 @@ def make_linkage_proof(
     session_nonce: bytes,
 ) -> LinkageProof:
     """Sign (address, appid, epoch, nonce) with the epoch key."""
-    _require_own_bcadd(secret, bcadd)
+    key = _require_own_bcadd(secret, bcadd)
     if appid.epoch != bcadd.epoch or appid.id != appid_digest(bcadd.address, appid.service, bcadd.epoch):
         raise MismatchedSecret("APPID does not derive from this BCADD")
     if len(session_nonce) != NONCE_SIZE:
         raise ValueError(f"session_nonce must be {NONCE_SIZE} bytes")
-    signature = _signing_key(secret.seed, bcadd.epoch).sign(
+    signature = key.sign(
         _linkage_message(bcadd.address, appid.id, bcadd.epoch, session_nonce)
     )
     return LinkageProof(

@@ -11,6 +11,11 @@ Filter index hashes are domain-separated instances of the package-wide
 hash (one primitive to audit); bloom filters cannot delete, so removal
 marks the exact map and rebuild_filter regenerates the filter over the
 live keys.
+
+A global lookup hashes the key once per filter geometry (m, k), not once
+per segment: every table with that geometry is tested against the same
+bit positions. With the usual single geometry that is k hashes per
+lookup whatever the segment count.
 """
 
 from __future__ import annotations
@@ -100,9 +105,13 @@ class BloomFilter:
         self.count += 1
 
     def might_contain(self, key: bytes) -> bool:
-        if self.count == 0:
-            return False
-        return all(self._bits[pos // 8] >> (pos % 8) & 1 for pos in self.positions(key))
+        return self.count > 0 and self.has_bits(self.positions(key))
+
+    def has_bits(self, positions: Iterable[int]) -> bool:
+        """True iff every given bit is set: might_contain for a key whose
+        positions under this filter's geometry were computed already."""
+        bits = self._bits
+        return all(bits[pos >> 3] >> (pos & 7) & 1 for pos in positions)
 
     def copy(self) -> "BloomFilter":
         dup = BloomFilter(self.m, self.k)
@@ -233,10 +242,18 @@ def lookup_global(
     else:
         ordered = sorted(tables, key=lambda t: t.segment)
     key = bytes(key)
+    positions: dict[tuple[int, int], list[int]] = {}  # (m, k) -> bit positions
     probes = 0
     result: NetworkLocator | None = None
     for table in ordered:
-        if not table.filter.might_contain(key):
+        bloom = table.filter
+        maybe = False
+        if bloom.count > 0:
+            geometry = (bloom.m, bloom.k)
+            if geometry not in positions:
+                positions[geometry] = bloom.positions(key)
+            maybe = bloom.has_bits(positions[geometry])
+        if not maybe:
             if stats is not None:
                 stats.true_negatives += 1
             continue

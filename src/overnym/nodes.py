@@ -19,7 +19,7 @@ from typing import Any
 from . import identity, neat, overlay, session
 from .hashing import TAG_NFT, owf
 from .identity import APPID, BCADD, IdentitySecret, LinkageProof, ServiceProps
-from .ledger import AssociationRecord, Ledger, NftOwnership, RegistrationTx
+from .ledger import AssociationRecord, InvalidTx, Ledger, NftOwnership, RegistrationTx
 from .neat import LookupStats, NeatTable, NetworkLocator
 from .overlay import OverlayGraph, RoutePath
 from .session import (
@@ -30,6 +30,7 @@ from .session import (
     Session,
 )
 from .simnet import Delivery, Node, Simulator, Timer
+from .wire import WireError
 
 HEARTBEAT_PERIOD = 1
 
@@ -274,7 +275,7 @@ class SequencerNode(ProtocolNode):
                     message.payload, submitter=message.submitter,
                     at_time=now, nonce=message.nonce,
                 )
-            except Exception as exc:  # InvalidTx: refused, traced, dropped
+            except (InvalidTx, WireError) as exc:  # refused, traced, dropped
                 self.sim.trace.emit("tx-refused", now, submitter=message.submitter,
                                     reason=str(exc))
 
@@ -285,7 +286,7 @@ class SequencerNode(ProtocolNode):
                 self.sim.trace.emit(
                     "commit", now,
                     count=len(entries),
-                    head=self.world.ledger.entries[-1].entry_hash.hex()[:16],
+                    head=entries[-1].entry_hash.hex()[:16],
                     seqs=[entry.seq for entry in entries],
                 )
 
@@ -380,15 +381,12 @@ class AccessPointNode(ProtocolNode):
             self._refuse(request, session.ADMIT_STALE_NONCE, now)
             return
         self.seen_nonces.add(request.nonce)
-        if not identity.verify_linkage(request.bcadd, request.appid, request.proof, request.nonce):
-            self._refuse(request, session.ADMIT_BAD_PROOF, now)
-            return
-        admitted = session.router_admit(
+        reason = session.admission(
             request.appid, request.bcadd, request.proof, request.nonce,
             self.world.ledger, require_registration=self.world.strict_registration,
         )
-        if not admitted:
-            self._refuse(request, session.ADMIT_UNREGISTERED, now)
+        if reason != session.ADMIT_OK:
+            self._refuse(request, reason, now)
             return
         self.sim.trace.emit("admit", now, router=self.name, client=request.client,
                             decision=True)

@@ -6,6 +6,13 @@ through ledger association records. Pathfinding is minimum total
 hop-cost with a fixed tie-break: among equal-cost routes, the
 lexicographically smallest segment-id sequence wins, so equal inputs
 always produce byte-identical paths.
+
+OverlayGraph keeps two indexes beside its segment and link tables, so
+Dijkstra and endpoint resolution never scan the whole graph: an
+adjacency map (segment -> neighbour -> cost), maintained by
+apply_topology, and an access-point -> segment index, maintained by
+add_segment. Whether a neighbour has an access point is still checked
+when neighbors() is called.
 """
 
 from __future__ import annotations
@@ -61,33 +68,43 @@ class OverlayGraph:
     replaces its cost. Updates at or below the current version are
     stale and only counted; links naming unknown segments are rejected
     individually while the rest of the update applies.
+
+    An access point listed in several segments belongs to the segment
+    that was added first.
     """
 
     def __init__(self):
         self._segments: dict[int, set[str]] = {}
         self._links: dict[tuple[int, int], int] = {}
+        self._adjacent: dict[int, dict[int, int]] = {}
+        self._ap_segment: dict[str, int] = {}
+        self._rank: dict[int, int] = {}  # segment -> order in which it was added
         self.version: int | None = None
         self.stale_updates = 0
         self.rejected_links: list[tuple[int, tuple[int, int, int], str]] = []
 
     def add_segment(self, segment_id: int, access_points: Iterable[str] = ()) -> None:
-        self._segments.setdefault(segment_id, set()).update(access_points)
+        if segment_id not in self._segments:
+            self._rank[segment_id] = len(self._segments)
+            self._segments[segment_id] = set()
+        rank = self._rank[segment_id]
+        for ap in access_points:
+            self._segments[segment_id].add(ap)
+            current = self._ap_segment.get(ap)
+            if current is None or rank < self._rank[current]:
+                self._ap_segment[ap] = segment_id
 
     def add_access_point(self, segment_id: int, access_point: str) -> None:
         self.add_segment(segment_id, [access_point])
 
-    @property
-    def segments(self) -> dict[int, frozenset[str]]:
-        return {seg: frozenset(aps) for seg, aps in self._segments.items()}
-
     def links(self) -> list[tuple[int, int, int]]:
         return [(a, b, cost) for (a, b), cost in sorted(self._links.items())]
 
+    def has_segment(self, segment_id: int) -> bool:
+        return segment_id in self._segments
+
     def segment_of(self, access_point: str) -> int | None:
-        for seg, aps in self._segments.items():
-            if access_point in aps:
-                return seg
-        return None
+        return self._ap_segment.get(access_point)
 
     def access_points_of(self, segment_id: int) -> frozenset[str]:
         return frozenset(self._segments.get(segment_id, ()))
@@ -108,18 +125,16 @@ class OverlayGraph:
                     self.rejected_links.append((seq, link, "invalid link"))
                     continue
                 self._links[(min(a, b), max(a, b))] = cost
+                self._adjacent.setdefault(a, {})[b] = cost
+                self._adjacent.setdefault(b, {})[a] = cost
             self.version = seq
         return self
 
     def neighbors(self, segment_id: int) -> list[tuple[int, int]]:
         """(neighbor, cost), only segments that have an access point."""
-        out = []
-        for (a, b), cost in self._links.items():
-            if a == segment_id and self._segments.get(b):
-                out.append((b, cost))
-            elif b == segment_id and self._segments.get(a):
-                out.append((a, cost))
-        return sorted(out)
+        segments = self._segments
+        return sorted((other, cost) for other, cost in self._adjacent.get(segment_id, {}).items()
+                      if segments[other])
 
     def graph_hash(self) -> bytes:
         blob = b""
@@ -148,8 +163,8 @@ def segment_route(graph: OverlayGraph, src: int, dst: int) -> tuple[tuple[int, .
     of a segment carries its minimal cost and, among equal costs, the
     lexicographically smallest sequence.
     """
-    if src not in graph.segments or dst not in graph.segments:
-        raise Disconnected(f"unknown segment {src if src not in graph.segments else dst}")
+    if not graph.has_segment(src) or not graph.has_segment(dst):
+        raise Disconnected(f"unknown segment {dst if graph.has_segment(src) else src}")
     if src == dst:
         return (src,), 0
     heap: list[tuple[int, tuple[int, ...]]] = [(0, (src,))]

@@ -177,6 +177,27 @@ class AccessDecision:
 # Admission at the first router
 # ---------------------------------------------------------------------------
 
+def admission(
+    appid: APPID,
+    bcadd: BCADD,
+    proof: LinkageProof,
+    nonce: bytes,
+    ledger: Ledger,
+    require_registration: bool = True,
+) -> str:
+    """First-router check: the APPID's holder controls a valid chain
+    address, bound to this nonce, and (in strict scenarios) that address
+    is registered on the ledger. Sees only public artifacts.
+
+    Returns ADMIT_OK, or ADMIT_BAD_PROOF / ADMIT_UNREGISTERED naming the
+    first check that failed. The proof is verified once."""
+    if not verify_linkage(bcadd, appid, proof, nonce):
+        return ADMIT_BAD_PROOF
+    if require_registration and ledger.query_registration(bcadd.address) is None:
+        return ADMIT_UNREGISTERED
+    return ADMIT_OK
+
+
 def router_admit(
     appid: APPID,
     bcadd: BCADD,
@@ -185,14 +206,8 @@ def router_admit(
     ledger: Ledger,
     require_registration: bool = True,
 ) -> bool:
-    """First-router check: the APPID's holder controls a valid chain
-    address, bound to this nonce, and (in strict scenarios) that address
-    is registered on the ledger. Sees only public artifacts."""
-    if not verify_linkage(bcadd, appid, proof, nonce):
-        return False
-    if require_registration and ledger.query_registration(bcadd.address) is None:
-        return False
-    return True
+    """True iff admission() admits."""
+    return admission(appid, bcadd, proof, nonce, ledger, require_registration) == ADMIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,43 @@
+"""Byte-level pins on the outputs of every scenario fixture.
+
+Each pin is the sha256 of the trace JSONL and of metrics.json that
+`overnym run` writes for the fixture at its own seed. A change that
+moves any byte of either file must update the pin and say in CHANGES.md
+why the bytes moved; a pure speed-up must not move them.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from overnym.runner import run_scenario, write_outputs
+from overnym.scenario import parse_scenario
+
+ROOT = Path(__file__).parent.parent
+
+# fixture -> (trace sha256, metrics.json sha256)
+PINS = {
+    "crash_server": ("54811b952e24f2a2646af9454a67877e4fb88b374c9ba6c5970961108b9ad072",
+                     "95af0d311f04446ffb084d7287c851f68dd98f5ee51ef584cfbbf3e54696f76a"),
+    "end_to_end": ("81fcf7b00064d04f1ebd7aa9cf3c0da5ae31d8bd6e81908eae595b333211a6b2",
+                   "6a90f9df5012c211aef74e069166ad50070505244ee76dc9ec391c35c70c92d0"),
+    "link_faults": ("8b7af1e68a8dcbc7bf811064215d149111e4eeda43d8eb37844bf002c30b9516",
+                    "ae9c25754647142b7de8d123ce50d5fa5d85f5bb680110fb7b75ae6363a4fa04"),
+    "strict_reject": ("765b85eca06484f2ba54905bd1351493a375d106eeb46ee97041292fd599d1a0",
+                      "1890c93feddaa00f7bcbacc8e0f4fceb6b8f41f9d0648e659d4d5f64e79d8daa"),
+}
+FIXTURES = sorted((ROOT / "scenarios").glob("*.scn"))
+
+
+def test_every_fixture_is_pinned():
+    assert sorted(path.stem for path in FIXTURES) == sorted(PINS)
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_outputs_match_pin(path, tmp_path):
+    trace, metrics = tmp_path / "trace.jsonl", tmp_path / "metrics.json"
+    write_outputs(run_scenario(parse_scenario(path.read_text())), str(trace), str(metrics))
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (trace, metrics))
+    assert digests == PINS[path.stem]
+

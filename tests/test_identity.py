@@ -14,6 +14,7 @@ from overnym.identity import (
     Regulator,
     ServiceProps,
     UnknownSubject,
+    appid_digest,
     derive_appid,
     derive_bcadd,
     make_linkage_proof,
@@ -278,3 +279,45 @@ class TestInvariantsAndSerialization:
     def test_commitment_is_claimed_bcadd(self, secret, bcadd, appid):
         proof = make_linkage_proof(secret, bcadd, appid, NONCE)
         assert proof.claimed_bcadd() == bcadd
+
+
+class TestEpochKeyCache:
+    """The secret caches one epoch's (BCADD, signing key); a cached key
+    must never let a BCADD through that a fresh derivation would refuse."""
+
+    @pytest.mark.parametrize("forge", [
+        lambda own, other: BCADD(own.address, own.epoch, other.public_key),
+        lambda own, other: BCADD(own.address, own.epoch + 1, own.public_key),
+    ], ids=["other-key", "other-epoch"])
+    def test_forged_bcadd_refused_with_warm_cache(self, secret, service, forge):
+        forged = forge(derive_bcadd(secret, 0), derive_bcadd(make_secret(99), 0))
+        # an APPID consistent with the forgery, so only the BCADD check can refuse
+        forged_appid = APPID(appid_digest(forged.address, service, forged.epoch),
+                             service, forged.epoch)
+        for attempt in (
+            lambda: derive_appid(secret, forged, service),
+            lambda: make_linkage_proof(secret, forged, forged_appid, NONCE),
+            lambda: rotate(secret, forged, [service]),
+        ):
+            derive_bcadd(secret, 0)  # the cache holds the genuine epoch-0 pair
+            with pytest.raises(MismatchedSecret):
+                attempt()
+
+    def test_cached_signatures_match_fresh_ones(self, service):
+        warm = make_secret(7)
+        proofs = []
+        for epoch in (0, 1, 0, 2, 2):  # hits, misses and re-derivations
+            bcadd = derive_bcadd(warm, epoch)
+            appid = derive_appid(warm, bcadd, service)
+            proofs.append((epoch, make_linkage_proof(warm, bcadd, appid, NONCE)))
+        for epoch, proof in proofs:
+            fresh = make_secret(7)  # nothing cached yet
+            bcadd = derive_bcadd(fresh, epoch)
+            expected = make_linkage_proof(fresh, bcadd, derive_appid(fresh, bcadd, service), NONCE)
+            assert proof.to_bytes() == expected.to_bytes()
+
+    def test_cache_stays_out_of_repr_and_equality(self, secret):
+        cold = make_secret()
+        derive_bcadd(secret, 3)
+        assert secret._epoch_cache is not None and cold._epoch_cache is None
+        assert secret == cold and repr(secret) == repr(cold)

@@ -1,0 +1,132 @@
+"""Node-level protocol checks: the first router's admission and the
+sequencer's handling of submissions and commits."""
+
+import pytest
+
+from overnym import identity, session
+from overnym.identity import ServiceProps, derive_appid, make_linkage_proof
+from overnym.ledger import RegistrationTx
+from overnym.nodes import AccessPointNode, ConnectRequest, SubmitTx
+from overnym.runner import _ActionDriver, _schedule_actions, build_simulation
+from overnym.scenario import parse_scenario
+
+SCENARIO = """
+seed 3
+segment 1
+node ap router 1
+node seq sequencer 1
+node u user 1
+node s app-server 1 service=echo
+at 1 register s open-access
+at 3 bind s
+"""
+
+
+def settled(strict=False, register_user=False):
+    text = SCENARIO.replace("at 3", "at 1 register u\nat 3") if register_user else SCENARIO
+    sc = parse_scenario(text)
+    built = build_simulation(sc, strict=strict)
+    _ActionDriver(built)
+    _schedule_actions(built, sc)
+    built.sim.run_until_idle()
+    return built
+
+
+def connect(built, nonce, proof_nonce=None):
+    """Deliver one ConnectRequest from u to its router; return the router's
+    admission record for it."""
+    user, server = built.users["u"], built.servers["s"]
+    appid = derive_appid(user.secret, user.bcadd, ServiceProps("echo"))
+    proof = make_linkage_proof(user.secret, user.bcadd, appid, proof_nonce or nonce)
+    built.sim.send("u", "ap", ConnectRequest(
+        client="u", server_key=server.appid.id, bcadd=user.bcadd,
+        appid=appid, proof=proof, nonce=nonce,
+    ))
+    before = len(built.sim.trace.find("admit"))
+    built.sim.run_until_idle()
+    admits = built.sim.trace.find("admit")
+    assert len(admits) == before + 1
+    return admits[-1]
+
+
+@pytest.fixture
+def router_verifies(monkeypatch):
+    """Number of verify_linkage calls made inside each router connect."""
+    calls, per_connect = [0], []
+    original = identity.verify_linkage
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(identity, "verify_linkage", counting)
+    monkeypatch.setattr(session, "verify_linkage", counting)
+    handle_connect = AccessPointNode._handle_connect
+
+    def measured(self, request, now):
+        start = calls[0]
+        handle_connect(self, request, now)
+        per_connect.append(calls[0] - start)
+
+    monkeypatch.setattr(AccessPointNode, "_handle_connect", measured)
+    return per_connect
+
+
+class TestRouterAdmission:
+    def test_admitted_request_verifies_proof_once(self, router_verifies):
+        built = settled()
+        record = connect(built, b"n" * 16)
+        assert record["decision"] is True
+        assert router_verifies == [1]
+
+    def test_bad_proof_traced(self, router_verifies):
+        built = settled()
+        record = connect(built, b"n" * 16, proof_nonce=b"o" * 16)
+        assert (record["decision"], record["reason"]) == (False, session.ADMIT_BAD_PROOF)
+        assert router_verifies == [1]
+        assert built.world.metrics.admissions_rejected == {"bad-proof": 1}
+
+    def test_unregistered_traced_in_strict_mode(self, router_verifies):
+        built = settled(strict=True)
+        record = connect(built, b"n" * 16)
+        assert (record["decision"], record["reason"]) == (False, session.ADMIT_UNREGISTERED)
+        assert router_verifies == [1]
+        assert connect(settled(strict=True, register_user=True), b"m" * 16)["decision"] is True
+
+    def test_stale_nonce_traced_without_verifying(self, router_verifies):
+        built = settled()
+        assert connect(built, b"n" * 16)["decision"] is True
+        record = connect(built, b"n" * 16)
+        assert (record["decision"], record["reason"]) == (False, session.ADMIT_STALE_NONCE)
+        assert router_verifies == [1, 0]
+
+
+class TestSequencer:
+    def submit(self, built, payload):
+        sequencer = built.sim.nodes[built.world.sequencer]
+        sequencer.on_message("u", SubmitTx(payload=payload, nonce=b"x" * 16, submitter="u"),
+                             now=built.sim.now, sent_at=built.sim.now)
+
+    def test_invalid_tx_is_refused_and_traced(self):
+        built = settled()
+        self.submit(built, RegistrationTx(kind="bogus", subject=bytes(32), public_key=b""))
+        refused = built.sim.trace.find("tx-refused")
+        assert len(refused) == 1 and "unknown registration kind" in refused[0]["reason"]
+
+    def test_unrelated_error_propagates(self):
+        class Broken(RegistrationTx):
+            def validate(self):
+                raise RuntimeError("bug in a payload type")
+
+        built = settled()
+        with pytest.raises(RuntimeError, match="bug in a payload type"):
+            self.submit(built, Broken(kind="user", subject=bytes(32), public_key=b""))
+        assert built.sim.trace.find("tx-refused") == []
+
+    def test_commit_head_is_last_committed_entry(self):
+        built = settled(register_user=True)
+        by_seq = {entry.seq: entry for entry in built.world.ledger.entries}
+        commits = built.sim.trace.find("commit")
+        assert commits
+        for record in commits:
+            assert record["head"] == by_seq[record["seqs"][-1]].entry_hash.hex()[:16]

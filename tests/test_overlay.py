@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overnym.identity import derive_bcadd
 from overnym.ledger import AssociationRecord, Ledger, TopologyUpdate
@@ -210,3 +212,66 @@ class TestOracleEquivalence:
             best_cost, best_path = enumerate_best_path(nodes, edges, src, dst)
             assert cost == best_cost
             assert segments == best_path
+
+
+class ScanGraph:
+    """Brute-force reference for OverlayGraph's indexes: segment_of scans
+    segments in the order they were added and neighbors scans every
+    link, as the graph did before it kept an adjacency map."""
+
+    def __init__(self):
+        self.segments: dict[int, set[str]] = {}
+        self.links: dict[tuple[int, int], int] = {}
+
+    def add_segment(self, seg, aps):
+        self.segments.setdefault(seg, set()).update(aps)
+
+    def apply(self, links):
+        for a, b, cost in links:
+            if a in self.segments and b in self.segments and a != b and cost >= 1:
+                self.links[(min(a, b), max(a, b))] = cost
+
+    def segment_of(self, ap):
+        for seg, aps in self.segments.items():
+            if ap in aps:
+                return seg
+        return None
+
+    def neighbors(self, seg):
+        out = []
+        for (a, b), cost in self.links.items():
+            if a == seg and self.segments.get(b):
+                out.append((b, cost))
+            elif b == seg and self.segments.get(a):
+                out.append((a, cost))
+        return sorted(out)
+
+
+SEGMENT_IDS = st.integers(0, 6)
+AP_NAMES = st.sampled_from(["a", "b", "c", "d"])
+OPS = st.lists(st.one_of(
+    # segments may come without access points, or gain them after links
+    st.tuples(st.just("segment"), SEGMENT_IDS, st.lists(AP_NAMES, max_size=2)),
+    # links may name unknown segments, loop, cost < 1 or re-announce a pair
+    st.tuples(st.just("links"), st.lists(
+        st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 4)), max_size=4)),
+), max_size=14)
+
+
+@settings(max_examples=150, deadline=None)
+@given(OPS)
+def test_indexes_match_brute_force_scan(ops):
+    graph, reference = OverlayGraph(), ScanGraph()
+    for seq, op in enumerate(ops):
+        if op[0] == "segment":
+            graph.add_segment(op[1], op[2])
+            reference.add_segment(op[1], op[2])
+        else:
+            graph.apply_topology([(seq, TopologyUpdate(links=tuple(op[1]), origin="x"))])
+            reference.apply(op[1])
+        for seg in range(8):
+            assert graph.neighbors(seg) == reference.neighbors(seg)
+            assert graph.has_segment(seg) == (seg in reference.segments)
+        for ap in "abcdz":
+            assert graph.segment_of(ap) == reference.segment_of(ap)
+    assert graph.links() == sorted((a, b, c) for (a, b), c in reference.links.items())
