@@ -217,6 +217,11 @@ class RotationEnvelope:
 class ProtocolNode(Node):
     """Node with an identity, ledger access, and tx-submission plumbing."""
 
+    # Runs the scenario's scripted actions: an object whose
+    # run_action(node, action, now) each Timer("action", (index, action))
+    # goes to. The runner sets it; without one, actions are ignored.
+    action_driver: Any = None
+
     def __init__(self, name: str, segment: int, world: World):
         super().__init__(name, segment)
         self.world = world
@@ -247,7 +252,10 @@ class ProtocolNode(Node):
             else:
                 self.on_message(payload.src, message, now, payload.sent_at)
         elif isinstance(payload, Timer):
-            self.on_timer(payload.tag, payload.data, now)
+            if payload.tag != "action":
+                self.on_timer(payload.tag, payload.data, now)
+            elif self.action_driver is not None:
+                self.action_driver.run_action(self, payload.data[1], now)
 
     def on_routed(self, envelope: Envelope, now: int) -> None:
         self.on_message(envelope.src, envelope.inner, now, envelope.origin_time)
@@ -343,7 +351,11 @@ class AccessPointNode(ProtocolNode):
             self.world.graph.apply_topology(updates)
 
     def on_message(self, src, message, now, sent_at):
-        if isinstance(message, BindRequest):
+        # Forwards are nearly every router delivery, so test for them first;
+        # the message types are disjoint, so the order changes nothing else.
+        if isinstance(message, Envelope):
+            self._forward(message)
+        elif isinstance(message, BindRequest):
             self._handle_bind(message, now)
         elif isinstance(message, UnbindRequest):
             table = self._table()
@@ -356,8 +368,6 @@ class AccessPointNode(ProtocolNode):
             self.remote_filters[message.segment] = message.snapshot
         elif isinstance(message, ConnectRequest):
             self._handle_connect(message, now)
-        elif isinstance(message, Envelope):
-            self._forward(message)
 
     def _handle_bind(self, message: BindRequest, now: int) -> None:
         table = self._table()
@@ -380,11 +390,14 @@ class AccessPointNode(ProtocolNode):
         if request.nonce in self.seen_nonces:
             self._refuse(request, session.ADMIT_STALE_NONCE, now)
             return
-        self.seen_nonces.add(request.nonce)
         reason = session.admission(
             request.appid, request.bcadd, request.proof, request.nonce,
             self.world.ledger, require_registration=self.world.strict_registration,
         )
+        # A bad proof does not consume the nonce: anyone can send one, so
+        # it must not be able to lock the honest holder out.
+        if reason != session.ADMIT_BAD_PROOF:
+            self.seen_nonces.add(request.nonce)
         if reason != session.ADMIT_OK:
             self._refuse(request, reason, now)
             return
@@ -497,7 +510,6 @@ class UserNode(_SessionEnd):
         self.pending: dict[bytes, ClientHandshake] = {}        # server key -> machine
         self.pending_meta: dict[bytes, tuple[str, tuple[str, ...], str]] = {}
         self.next_seq: dict[bytes, int] = {}
-        self.sent_log: dict[bytes, list[int]] = {}
 
     def attach(self, sim: Simulator) -> None:
         super().attach(sim)
@@ -547,7 +559,6 @@ class UserNode(_SessionEnd):
             body = b"payload-" + str(seq).encode()
             tag = session.message_tag(sess.key, seq, body)
             self.world.metrics.payloads_sent += 1
-            self.sent_log.setdefault(sess.session_id, []).append(seq)
             self.send_routed(sess.session_id, AppPayload(sess.session_id, seq, body, tag))
 
     def do_rotate(self, now: int) -> None:
@@ -668,7 +679,6 @@ class AppServerNode(_SessionEnd):
         self.pending: dict[bytes, ServerHandshake] = {}
         self.pending_meta: dict[bytes, tuple[tuple[str, ...], str]] = {}
         self.delivered: dict[bytes, list[int]] = {}
-        self.access_log: list[tuple[int, bool, str]] = []
 
     def attach(self, sim: Simulator) -> None:
         super().attach(sim)
@@ -763,7 +773,6 @@ class AppServerNode(_SessionEnd):
 
     def _evaluate_access(self, sess: Session, now: int, probe: bool = False):
         decision = session.authorize(sess, self.world.ledger)
-        self.access_log.append((now, decision.allowed, decision.reason))
         self.sim.trace.emit("access", now, node=self.name,
                             session=sess.session_id.hex()[:16],
                             allowed=decision.allowed, reason=decision.reason,

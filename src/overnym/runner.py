@@ -156,21 +156,14 @@ def _action_host(built: _Built, action) -> str:
 
 
 class _ActionDriver:
-    """Installs an action dispatcher on every protocol node."""
+    """Runs the scripted actions: becomes every protocol node's
+    ``action_driver``."""
 
     def __init__(self, built: _Built):
         self.built = built
         self.token_owner: dict[str, str] = {}
         for node in built.sim.nodes.values():
-            original = node.on_timer
-
-            def dispatch(tag, data, now, _node=node, _orig=original):
-                if tag == "action":
-                    self.run_action(_node, data[1], now)
-                else:
-                    _orig(tag, data, now)
-
-            node.on_timer = dispatch
+            node.action_driver = self
 
     def run_action(self, node, action, now: int) -> None:
         built = self.built

@@ -18,6 +18,7 @@ import hashlib
 import heapq
 import itertools
 import json
+import json.encoder
 from dataclasses import dataclass
 from random import Random
 from typing import Any
@@ -35,14 +36,6 @@ class UnknownTarget(Exception):
 
 class StepCapExceeded(Exception):
     """The event loop hit its step cap; the scenario is livelocked."""
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time: int
-    seq: int
-    target: str
-    payload: Any
 
 
 @dataclass(frozen=True)
@@ -75,10 +68,16 @@ class Trace:
         self.records.append(record)
 
     def to_jsonl(self) -> str:
-        return "".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-            for record in self.records
+        # The bytes of json.dumps(record, sort_keys=True, separators=(",", ":"))
+        # per record, from one C encoder built with the arguments json.dumps
+        # gives it, instead of one encoder per record. One per call, not per
+        # module: a failed encode leaves ids in the markers dict, and a shared
+        # encoder would then report a false circular reference.
+        encode = json.encoder.c_make_encoder(
+            {}, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+            None, ":", ",", True, False, True,
         )
+        return "".join("".join(encode(record, 0)) + "\n" for record in self.records)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
@@ -163,7 +162,9 @@ class Simulator:
         self.links = LinkModel()
         self.nodes: dict[str, Node] = {}
         self.crashed: set[str] = set()
-        self._queue: list[tuple[int, int, SimEvent]] = []
+        # (time, seq, target, payload); seq is unique, so the heap never
+        # compares targets or payloads.
+        self._queue: list[tuple[int, int, str, Any]] = []
         self._seq = itertools.count()
         self._link_rngs: dict[tuple[str, str], Random] = {}
 
@@ -191,25 +192,25 @@ class Simulator:
 
     # -- scheduling and delivery ---------------------------------------------
 
-    def schedule(self, time: int, target: str, payload: Any) -> SimEvent:
+    def schedule(self, time: int, target: str, payload: Any) -> None:
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
         if target not in self.nodes:
             raise UnknownTarget(target)
-        event = SimEvent(time=time, seq=next(self._seq), target=target, payload=payload)
-        heapq.heappush(self._queue, (event.time, event.seq, event))
-        return event
+        heapq.heappush(self._queue, (time, next(self._seq), target, payload))
 
-    def schedule_timer(self, delay: int, target: str, tag: str, data: Any = None) -> SimEvent:
-        return self.schedule(self.now + delay, target, Timer(tag, data))
+    def schedule_timer(self, delay: int, target: str, tag: str, data: Any = None) -> None:
+        self.schedule(self.now + delay, target, Timer(tag, data))
 
     def send(self, src: str, dst: str, message: Any, note: str | None = None) -> None:
         """Send over the link model: latency, drop draw, trace record."""
         if dst not in self.nodes:
             raise UnknownTarget(dst)
         kind = type(message).__name__
-        self.trace.emit("send", self.now, src=src, dst=dst, msg=kind,
-                        **({"note": note} if note else {}))
+        if note:
+            self.trace.emit("send", self.now, src=src, dst=dst, msg=kind, note=note)
+        else:
+            self.trace.emit("send", self.now, src=src, dst=dst, msg=kind)
         drop_p = self.links.drop_probability(src, dst)
         if drop_p > 0.0 and self._link_rng(src, dst).random() < drop_p:
             self.trace.emit("drop", self.now, src=src, dst=dst, msg=kind)
@@ -220,26 +221,27 @@ class Simulator:
     def run_until_idle(self) -> Trace:
         """Drain the queue in (time, seq) order. Raises StepCapExceeded
         if the scenario never settles."""
+        queue, nodes, crashed = self._queue, self.nodes, self.crashed
+        pop = heapq.heappop
         steps = 0
-        while self._queue:
+        while queue:
             steps += 1
             if steps > self.step_cap:
                 raise StepCapExceeded(f"exceeded {self.step_cap} events")
-            _, _, event = heapq.heappop(self._queue)
-            self.now = event.time
-            if event.target == _CONTROL:
-                arm = event.payload
-                self._apply_fault(arm.kind, arm.params)
+            now, _, target, payload = pop(queue)
+            self.now = now
+            if target == _CONTROL:
+                self._apply_fault(payload.kind, payload.params)
                 continue
-            if event.target in self.crashed:
-                if isinstance(event.payload, Delivery):
-                    self.trace.emit("discard", self.now, dst=event.target,
-                                    msg=type(event.payload.message).__name__)
+            if target in crashed:
+                if isinstance(payload, Delivery):
+                    self.trace.emit("discard", now, dst=target,
+                                    msg=type(payload.message).__name__)
                 continue
-            node = self.nodes.get(event.target)
+            node = nodes.get(target)
             if node is None:
-                raise UnknownTarget(event.target)
-            node.handle(event.payload, self.now)
+                raise UnknownTarget(target)
+            node.handle(payload, now)
         return self.trace
 
     # -- faults ----------------------------------------------------------------
@@ -258,9 +260,8 @@ class Simulator:
                     raise UnknownTarget(end)
         if at_time < self.now:
             raise ValueError("fault time is in the past")
-        event = SimEvent(time=at_time, seq=next(self._seq), target=_CONTROL,
-                         payload=_FaultArm(kind, dict(params)))
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+        heapq.heappush(self._queue, (at_time, next(self._seq), _CONTROL,
+                                     _FaultArm(kind, dict(params))))
 
     def _apply_fault(self, kind: str, params: dict) -> None:
         if kind == "crash-node":

@@ -100,6 +100,14 @@ class TestRouterAdmission:
         assert (record["decision"], record["reason"]) == (False, session.ADMIT_STALE_NONCE)
         assert router_verifies == [1, 0]
 
+    def test_bad_proof_does_not_burn_the_nonce(self):
+        built = settled()
+        forged = connect(built, b"n" * 16, proof_nonce=b"o" * 16)
+        assert (forged["decision"], forged["reason"]) == (False, session.ADMIT_BAD_PROOF)
+        assert connect(built, b"n" * 16)["decision"] is True
+        replay = connect(built, b"n" * 16)
+        assert (replay["decision"], replay["reason"]) == (False, session.ADMIT_STALE_NONCE)
+
 
 class TestSequencer:
     def submit(self, built, payload):

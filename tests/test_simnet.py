@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overnym.simnet import (
     Delivery,
@@ -43,11 +47,20 @@ def two_node_sim(seed=1):
 
 class TestEventOrder:
     def test_equal_time_lower_seq_first(self):
+        # One tick holding timers, a fault arm and a delivery runs them in
+        # the order they were scheduled, whatever their kind.
         sim, a, _ = two_node_sim()
+        sim.links.set_latency("a", "b", 5)
+        a.handle = lambda payload, now: sim.trace.emit(
+            "handled", now, what=payload.tag if isinstance(payload, Timer) else payload.message)
         sim.schedule(5, "a", Timer("first"))
+        sim.inject_fault("delay-link", {"a": "a", "b": "b", "extra": 1}, at_time=5)
+        sim.send("b", "a", "ping")  # arrives at 5
         sim.schedule(5, "a", Timer("second"))
         sim.run_until_idle()
-        assert [p.tag for _, p in a.log] == ["first", "second"]
+        order = [(r["time"], r.get("what", r.get("fault"))) for r in sim.trace.records
+                 if r["kind"] in ("handled", "fault")]
+        assert order == [(5, "first"), (5, "delay-link"), (5, "ping"), (5, "second")]
 
     def test_time_orders_over_insertion(self):
         sim, a, _ = two_node_sim()
@@ -192,3 +205,41 @@ class TestRngAndTrace:
         lines = trace.to_jsonl().strip().splitlines()
         assert len(lines) == 2
         assert all(line.startswith("{") for line in lines)
+
+
+# Values the trace can hold: everything JSON encodes, including non-ASCII
+# text and the non-finite floats json.dumps writes as NaN and Infinity.
+json_keys = st.text(max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(json_keys, children, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.dictionaries(json_keys, json_values, max_size=4), max_size=4))
+def test_to_jsonl_matches_json_dumps(records):
+    trace = Trace()
+    trace.records.extend(records)
+    reference = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                        for r in records)
+    assert trace.to_jsonl() == reference
+
+
+def test_to_jsonl_unserialisable_value_raises_like_json_dumps():
+    trace = Trace()
+    trace.emit("ok", 0, value=[1, {"x": "y"}])
+    trace.emit("bad", 1, nested={"blob": [b"raw"]})
+    with pytest.raises(TypeError) as expected:
+        json.dumps(trace.records[1], sort_keys=True, separators=(",", ":"))
+    with pytest.raises(TypeError) as got:
+        trace.to_jsonl()
+    assert str(got.value) == str(expected.value)
+    assert getattr(got.value, "__notes__", None) == getattr(expected.value, "__notes__", None)
+    # The containers open when encoding failed encode again once fixed:
+    # the failed call leaves no false "circular reference" behind.
+    trace.records[1]["nested"]["blob"][0] = "raw"
+    assert trace.to_jsonl() == ('{"kind":"ok","time":0,"value":[1,{"x":"y"}]}\n'
+                                '{"kind":"bad","nested":{"blob":["raw"]},"time":1}\n')

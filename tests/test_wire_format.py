@@ -1,4 +1,5 @@
-"""docs/wire-format.md must describe every domain-separation tag."""
+"""docs/wire-format.md must describe every domain-separation tag and
+every trace record kind."""
 
 import re
 from pathlib import Path
@@ -15,3 +16,14 @@ def test_doc_names_every_tag_constant_and_value():
     for name, value in tags.items():
         assert f"`{name}`" in doc, name
         assert f"`{value.decode()}`" in doc, name
+
+
+def test_trace_section_names_every_emitted_kind():
+    doc = DOC.read_text()
+    section = doc.split("## Trace records", 1)[1].split("\n## ", 1)[0]
+    source = Path(hashing.__file__).parent
+    kinds = {kind for path in source.glob("*.py")
+             for kind in re.findall(r'\.emit\(\s*"([^"]+)"', path.read_text())}
+    assert "commit" in kinds  # a kind whose literal sits on the next line
+    for kind in kinds:
+        assert f"| `{kind}` |" in section, kind
