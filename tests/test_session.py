@@ -3,12 +3,20 @@ from dataclasses import replace
 
 import pytest
 
-from overnym.hashing import owf
-from overnym.identity import derive_appid, derive_bcadd, make_linkage_proof, ServiceProps
+from overnym.hashing import TAG_ROT_AUTH, TAG_TRANSCRIPT, owf
+from overnym.identity import (
+    LinkageProof,
+    ServiceProps,
+    derive_appid,
+    derive_bcadd,
+    make_linkage_proof,
+    rotate,
+)
 from overnym.ledger import Ledger, NftOwnership, RegistrationTx
 from overnym.overlay import RoutePath
 from overnym.session import (
     AuthFailed,
+    ClientHandshake,
     ContinuityRejected,
     PeerCredentials,
     RotationNotice,
@@ -22,6 +30,7 @@ from overnym.session import (
     rotate_session,
     rotation_nonce,
     router_admit,
+    ServerHandshake,
     verify_message,
 )
 
@@ -247,7 +256,6 @@ class TestAuthorize:
 
 class TestRotation:
     def rotated(self, client):
-        from overnym.identity import rotate
         new_bcadd, (new_appid,) = rotate(client.secret, client.bcadd, [SERVICE])
         return new_bcadd, new_appid
 
@@ -335,3 +343,123 @@ class TestStatus:
         assert sess.key is None
         with pytest.raises(ValueError):
             sess.key_check()
+
+
+
+# ---------------------------------------------------------------------------
+# Every failure reason, pinned: each case drives the state machines (or a
+# rotation) into one refusal and names the exact (phase, reason) or text.
+# ---------------------------------------------------------------------------
+
+ZERO_HASH = bytes(32)
+
+
+class _Steps:
+    """A client and server machine pair, run up to the server's reply."""
+
+    def __init__(self, client, server, ledger):
+        rng = random.Random(5)
+        self.server_creds, self.ledger = server, ledger
+        self.client = ClientHandshake(client, ROUTE, ledger, rng)
+        self.server = ServerHandshake(server, ROUTE, ledger, rng)
+        self.hello = self.client.hello()
+        self.challenge, self.response = self.server.on_hello(self.hello)
+
+    def fresh_server(self):
+        return ServerHandshake(self.server_creds, ROUTE, self.ledger, random.Random(9))
+
+    def respond(self, **changes):
+        self.client.on_challenge(self.challenge)
+        self.client.on_response(replace(self.response, **changes))
+
+    def confirm(self):
+        self.respond()
+        return self.client.confirm()
+
+
+def _bad_key_share(h):
+    # A challenge whose share is not an X25519 key, with a response that
+    # matches the transcript the client then holds: only the key
+    # exchange in confirm can refuse it.
+    challenge = replace(h.challenge, ephemeral_public=b"")
+    h.client.on_challenge(challenge)
+    seen = owf(TAG_TRANSCRIPT)
+    for message in (h.hello, challenge):
+        seen = owf(TAG_TRANSCRIPT, seen, message.to_bytes())
+    h.client.on_response(replace(h.response, transcript_hash=seen))
+    h.client.confirm()
+
+
+HANDSHAKE_FAILURES = {
+    "hello-unexpected-phase": ("hello", "unexpected phase confirm",
+        lambda h: h.fresh_server().on_hello(replace(h.hello, phase="confirm"))),
+    "challenge-unexpected-phase": ("challenge", "unexpected phase response",
+        lambda h: h.client.on_challenge(h.response)),
+    "response-out-of-order": ("response", "out-of-order message",
+        lambda h: h.client.on_response(h.response)),
+    "confirm-out-of-order": ("confirm", "out-of-order message",
+        lambda h: h.fresh_server().on_confirm(h.confirm())),
+    "hello-transcript-mismatch": ("hello", "transcript-mismatch",
+        lambda h: h.fresh_server().on_hello(replace(h.hello, transcript_hash=ZERO_HASH))),
+    "challenge-transcript-mismatch": ("challenge", "transcript-mismatch",
+        lambda h: h.client.on_challenge(replace(h.challenge, transcript_hash=ZERO_HASH))),
+    "response-transcript-mismatch": ("response", "transcript-mismatch",
+        lambda h: h.respond(transcript_hash=ZERO_HASH)),
+    "confirm-transcript-mismatch": ("confirm", "transcript-mismatch",
+        lambda h: h.server.on_confirm(replace(h.confirm(), transcript_hash=ZERO_HASH))),
+    "response-missing-proof": ("response", "missing-proof",
+        lambda h: h.respond(linkage=None)),
+    "response-malformed-commitment": ("response", "bad-proof",
+        lambda h: h.respond(linkage=LinkageProof(b"junk", b"", bytes(16)))),
+    "response-sender-swapped": ("response", "bad-proof",
+        lambda h: h.respond(sender_appid=h.hello.sender_appid)),
+    "confirm-sender-swapped": ("confirm", "bad-proof",
+        lambda h: h.server.on_confirm(replace(h.confirm(), sender_appid=h.challenge.sender_appid))),
+    "confirm-bad-key-share": ("confirm", "bad-key-share", _bad_key_share),
+    "confirm-before-response": ("confirm", "server not yet authenticated",
+        lambda h: h.client.confirm()),
+    "client-session-before-confirm": ("confirm", "handshake not complete",
+        lambda h: h.client.session()),
+    "server-session-before-confirm": ("confirm", "handshake not complete",
+        lambda h: h.server.session()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HANDSHAKE_FAILURES))
+def test_every_handshake_failure_reason(case, ledger, client, server):
+    phase, reason, drive = HANDSHAKE_FAILURES[case]
+    with pytest.raises(AuthFailed) as err:
+        drive(_Steps(client, server, ledger))
+    assert (err.value.phase, err.value.reason) == (phase, reason)
+
+
+def _tagged(sess, new_appid, proof):
+    body = RotationNotice(new_appid, proof, b"").body_bytes()
+    return RotationNotice(new_appid, proof, owf(TAG_ROT_AUTH, sess.key, body))
+
+
+def _proof(creds, bcadd, appid, sess, index):
+    return make_linkage_proof(creds.secret, bcadd, appid, rotation_nonce(sess.session_id, index))
+
+
+ROTATION_FAILURES = {
+    "untagged": ("notice was not delivered inside this session",
+        lambda sess, creds, bcadd, appid: RotationNotice(
+            appid, _proof(creds, bcadd, appid, sess, 1), b"\x00" * 32)),
+    "malformed-proof": ("malformed continuity proof",
+        lambda sess, creds, bcadd, appid: _tagged(
+            sess, appid, LinkageProof(b"junk", b"", bytes(16)))),
+    "wrong-nonce": ("continuity proof does not verify",
+        lambda sess, creds, bcadd, appid: _tagged(
+            sess, appid, _proof(creds, bcadd, appid, sess, 2))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROTATION_FAILURES))
+def test_every_rotation_refusal(case, ledger, client, server):
+    text, make_notice = ROTATION_FAILURES[case]
+    sess = run_handshake(client, server, ledger).server
+    new_bcadd, (new_appid,) = rotate(client.secret, client.bcadd, [SERVICE])
+    with pytest.raises(ContinuityRejected) as err:
+        rotate_session(sess, make_notice(sess, client, new_bcadd, new_appid))
+    assert str(err.value) == text
