@@ -49,10 +49,6 @@ NONCE_SIZE = 16
 
 COMPARISONS = (">=", "<=", "==")
 
-# Named slot for a verifiable-random-function derivation path. Only the
-# hash path is implemented; registering anything else raises.
-VRF_EXTENSION_POINT = "vrf-derivation"
-
 
 class MismatchedSecret(Exception):
     """A BCADD or APPID was paired with a secret it does not derive from."""
@@ -91,11 +87,6 @@ class IdentitySecret:
             self, "registered_attributes",
             MappingProxyType(dict(self.registered_attributes)),
         )
-
-    @property
-    def signing_key(self) -> Ed25519PrivateKey:
-        """Root signing key, a pure function of the seed (epoch 0)."""
-        return _signing_key(self.seed, 0)
 
     def __repr__(self) -> str:  # keep the seed out of logs and tracebacks
         return f"IdentitySecret(seed=<{SEED_SIZE} bytes>, attributes={len(self.registered_attributes)})"
@@ -325,6 +316,13 @@ def appid_digest(address: bytes, service: ServiceProps, epoch: int) -> bytes:
     return owf(TAG_APPID, address, service.to_bytes(), u64(epoch))
 
 
+def _derives_from(appid: APPID, bcadd: BCADD) -> bool:
+    """True iff the APPID re-derives from the BCADD: same epoch, and its
+    id is the digest of the address, its service and that epoch."""
+    return appid.epoch == bcadd.epoch and appid.id == appid_digest(
+        bcadd.address, appid.service, bcadd.epoch)
+
+
 def derive_appid(secret: IdentitySecret, bcadd: BCADD, service: ServiceProps) -> APPID:
     """Service identity under the given BCADD; epoch carried over."""
     _require_own_bcadd(secret, bcadd)
@@ -347,7 +345,7 @@ def make_linkage_proof(
 ) -> LinkageProof:
     """Sign (address, appid, epoch, nonce) with the epoch key."""
     key = _require_own_bcadd(secret, bcadd)
-    if appid.epoch != bcadd.epoch or appid.id != appid_digest(bcadd.address, appid.service, bcadd.epoch):
+    if not _derives_from(appid, bcadd):
         raise MismatchedSecret("APPID does not derive from this BCADD")
     if len(session_nonce) != NONCE_SIZE:
         raise ValueError(f"session_nonce must be {NONCE_SIZE} bytes")
@@ -377,9 +375,7 @@ def verify_linkage(
     try:
         if proof.commitment != bcadd.to_bytes():
             return False
-        if appid.epoch != bcadd.epoch:
-            return False
-        if appid.id != appid_digest(bcadd.address, appid.service, appid.epoch):
+        if not _derives_from(appid, bcadd):
             return False
         verifier = Ed25519PublicKey.from_public_bytes(bcadd.public_key)
         verifier.verify(
@@ -422,9 +418,6 @@ class Regulator:
         if len(subject_address) != ADDRESS_SIZE:
             raise ValueError("subject must be a 32-byte address")
         self._registry[bytes(subject_address)] = dict(attributes)
-
-    def knows(self, subject_address: bytes) -> bool:
-        return bytes(subject_address) in self._registry
 
     def issue_attestation(self, subject: BCADD, predicate: Predicate) -> AttributeAttestation:
         """Attest iff the registered value satisfies the predicate.

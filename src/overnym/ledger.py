@@ -277,20 +277,33 @@ def make_entry(seq: int, prev_hash: bytes, payload: Payload) -> LedgerEntry:
     )
 
 
+def _check_link(entry: LedgerEntry, seq: int, prev: bytes) -> None:
+    """The chain-link rule: entry extends a chain whose next seq is seq
+    and whose head hash is prev, and both its hashes recompute. Raises
+    ValueError naming the first check that fails; an entry that cannot
+    be encoded fails too."""
+    if entry.seq != seq or entry.prev_hash != prev:
+        raise ValueError(f"entry {entry.seq} does not extend the chain at {seq}")
+    try:
+        payload_hash = _payload_hash(entry.payload)
+        entry_hash = _entry_hash(seq, prev, entry.payload_hash)
+    except (InvalidTx, TypeError, OverflowError) as exc:
+        raise ValueError(f"entry {seq} cannot be encoded: {exc}") from None
+    if payload_hash != entry.payload_hash:
+        raise ValueError(f"payload hash mismatch at seq {seq}")
+    if entry_hash != entry.entry_hash:
+        raise ValueError(f"entry hash mismatch at seq {seq}")
+
+
 def verify_chain(entries: Sequence[LedgerEntry]) -> bool:
     """True iff the chain links from genesis and every hash recomputes."""
     prev = GENESIS_PREV
-    for index, entry in enumerate(entries):
-        try:
-            if entry.seq != index or entry.prev_hash != prev:
-                return False
-            if _payload_hash(entry.payload) != entry.payload_hash:
-                return False
-            if _entry_hash(entry.seq, entry.prev_hash, entry.payload_hash) != entry.entry_hash:
-                return False
-        except (InvalidTx, WireError, TypeError):
-            return False
-        prev = entry.entry_hash
+    try:
+        for seq, entry in enumerate(entries):
+            _check_link(entry, seq, prev)
+            prev = entry.entry_hash
+    except ValueError:
+        return False
     return True
 
 
@@ -368,10 +381,11 @@ class Ledger:
             committed.append(self._append(item.payload))
         return committed
 
+    def _head_hash(self) -> bytes:
+        return self._entries[-1].entry_hash if self._entries else GENESIS_PREV
+
     def _append(self, payload: Payload) -> LedgerEntry:
-        seq = len(self._entries)
-        prev = self._entries[-1].entry_hash if self._entries else GENESIS_PREV
-        entry = make_entry(seq, prev, payload)
+        entry = make_entry(len(self._entries), self._head_hash(), payload)
         self._entries.append(entry)
         self._apply(entry)
         return entry
@@ -379,17 +393,11 @@ class Ledger:
     def apply_entries(self, entries: Iterable[LedgerEntry]) -> None:
         """Replica path: verify each entry extends the chain, then apply.
 
-        Raises ValueError on any hash or linkage mismatch.
+        Raises ValueError on any hash or linkage mismatch, and on an
+        entry that cannot be encoded.
         """
         for entry in entries:
-            seq = len(self._entries)
-            prev = self._entries[-1].entry_hash if self._entries else GENESIS_PREV
-            if entry.seq != seq or entry.prev_hash != prev:
-                raise ValueError(f"entry {entry.seq} does not extend the chain at {seq}")
-            if _payload_hash(entry.payload) != entry.payload_hash:
-                raise ValueError(f"payload hash mismatch at seq {seq}")
-            if _entry_hash(seq, prev, entry.payload_hash) != entry.entry_hash:
-                raise ValueError(f"entry hash mismatch at seq {seq}")
+            _check_link(entry, len(self._entries), self._head_hash())
             self._entries.append(entry)
             self._apply(entry)
 
@@ -413,9 +421,6 @@ class Ledger:
     @property
     def head_seq(self) -> int:
         return len(self._entries) - 1
-
-    def pending_count(self) -> int:
-        return len(self._queue)
 
     def query_registration(self, subject: bytes) -> RegistrationTx | None:
         found = self._registrations.get(bytes(subject))

@@ -42,7 +42,6 @@ class NetworkLocator:
     device_id: str
     port: int
     segment: int
-    domain_name: str | None = None
 
     def __post_init__(self):
         if not self.device_id:

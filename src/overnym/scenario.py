@@ -102,12 +102,6 @@ class Scenario:
     actions: list[Action] = field(default_factory=list)
     expectations: list[Expectation] = field(default_factory=list)
 
-    def node(self, name: str) -> NodeDecl | None:
-        for decl in self.nodes:
-            if decl.name == name:
-                return decl
-        return None
-
     def last_time(self) -> int:
         times = [a.time for a in self.actions]
         for e in self.expectations:

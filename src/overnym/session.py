@@ -174,6 +174,41 @@ class AccessDecision:
 
 
 # ---------------------------------------------------------------------------
+# Linkage and ledger anchor, shared by admission, handshake and rotation
+# ---------------------------------------------------------------------------
+
+class _Unproven(Exception):
+    """A linkage proof failed; malformed: its commitment did not decode."""
+
+    def __init__(self, malformed: bool):
+        super().__init__()
+        self.malformed = malformed
+
+
+def _proven_bcadd(appid: APPID, proof: LinkageProof, nonce: bytes) -> BCADD:
+    """The chain address the proof commits to, once the proof shows that
+    appid's holder controls it, bound to nonce. Raises _Unproven."""
+    try:
+        claimed = proof.claimed_bcadd()
+    except (WireError, ValueError):
+        raise _Unproven(malformed=True) from None
+    if not verify_linkage(claimed, appid, proof, nonce):
+        raise _Unproven(malformed=False)
+    return claimed
+
+
+def _anchor(bcadd: BCADD, ledger: Ledger) -> str:
+    """ADMIT_OK iff the ledger registers bcadd's address under bcadd's own
+    key; ADMIT_UNREGISTERED, or ADMIT_BAD_PROOF for another key."""
+    registration = ledger.query_registration(bcadd.address)
+    if registration is None:
+        return ADMIT_UNREGISTERED
+    if registration.public_key != bcadd.public_key:
+        return ADMIT_BAD_PROOF
+    return ADMIT_OK
+
+
+# ---------------------------------------------------------------------------
 # Admission at the first router
 # ---------------------------------------------------------------------------
 
@@ -186,16 +221,14 @@ def admission(
     require_registration: bool = True,
 ) -> str:
     """First-router check: the APPID's holder controls a valid chain
-    address, bound to this nonce, and (in strict scenarios) that address
-    is registered on the ledger. Sees only public artifacts.
+    address, bound to this nonce, and (in strict scenarios) the ledger
+    anchors that address to the same key. Sees only public artifacts.
 
     Returns ADMIT_OK, or ADMIT_BAD_PROOF / ADMIT_UNREGISTERED naming the
     first check that failed. The proof is verified once."""
     if not verify_linkage(bcadd, appid, proof, nonce):
         return ADMIT_BAD_PROOF
-    if require_registration and ledger.query_registration(bcadd.address) is None:
-        return ADMIT_UNREGISTERED
-    return ADMIT_OK
+    return _anchor(bcadd, ledger) if require_registration else ADMIT_OK
 
 
 def router_admit(
@@ -239,216 +272,162 @@ def _absorb(transcript: bytes, message: HandshakeMessage) -> bytes:
     return owf(TAG_TRANSCRIPT, transcript, message.to_bytes())
 
 
-def _verify_peer(
-    message: HandshakeMessage,
-    session_nonce: bytes,
-    ledger: Ledger,
-) -> BCADD:
-    """Check a proof-bearing message: recover the claimed BCADD from the
-    commitment, verify the linkage, and anchor it to the ledger-registered
-    key for that address. Raises AuthFailed tagged with the phase."""
-    proof = message.linkage
-    if proof is None:
-        raise AuthFailed(message.phase, "missing-proof")
-    try:
-        claimed = proof.claimed_bcadd()
-    except (WireError, ValueError):
-        raise AuthFailed(message.phase, "bad-proof") from None
-    if not verify_linkage(claimed, message.sender_appid, proof, session_nonce):
-        raise AuthFailed(message.phase, "bad-proof")
-    registration = ledger.query_registration(claimed.address)
-    if registration is None:
-        raise AuthFailed(message.phase, "unregistered")
-    if registration.public_key != claimed.public_key:
-        raise AuthFailed(message.phase, "bad-proof")
-    return claimed
-
-
 def _rng_bytes(rng: Random, n: int) -> bytes:
     return rng.getrandbits(8 * n).to_bytes(n, "big")
 
 
-class ClientHandshake:
+class _Handshake:
+    """What both sides of the handshake hold, and the steps they share:
+    sending and checking messages, and opening the session. Each side
+    sends its nonce and key share first (hello, challenge), then its
+    linkage proof (response, confirm)."""
+
+    _CLIENT: bool
+
+    def __init__(self, creds: PeerCredentials, route: RoutePath, ledger: Ledger,
+                 rng: Random, heartbeat_timeout: int = DEFAULT_HEARTBEAT_TIMEOUT):
+        self._creds = creds
+        self._route = route
+        self._ledger = ledger
+        self._timeout = heartbeat_timeout
+        self._nonce = _rng_bytes(rng, NONCE_SIZE)
+        self._ephemeral = X25519PrivateKey.from_private_bytes(_rng_bytes(rng, 32))
+        self._transcript = _initial_transcript()
+        self._peer_nonce: bytes | None = None
+        self._peer_share: bytes | None = None
+        self._peer_appid: APPID | None = None
+        self._peer_bcadd: BCADD | None = None
+        self._session: Session | None = None
+
+    def _pair(self, own, peer):
+        """(client's, server's), given this side's and the peer's."""
+        return (own, peer) if self._CLIENT else (peer, own)
+
+    def _proof_nonce(self) -> bytes:
+        return _session_nonce(*self._pair(self._nonce, self._peer_nonce))
+
+    def _send(self, phase: str) -> HandshakeMessage:
+        """This side's next message, absorbed into the transcript: hello
+        and challenge carry the key share, response and confirm the
+        linkage proof bound to the session nonce."""
+        creds = self._creds
+        if phase in ("hello", "challenge"):
+            share, proof = self._ephemeral.public_key().public_bytes_raw(), None
+        else:
+            share, proof = b"", make_linkage_proof(
+                creds.secret, creds.bcadd, creds.appid, self._proof_nonce())
+        message = HandshakeMessage(phase, creds.appid, self._nonce, share, self._transcript, proof)
+        self._transcript = _absorb(self._transcript, message)
+        return message
+
+    def _take_share(self, message: HandshakeMessage, phase: str) -> None:
+        """Accept the peer's hello or challenge: its nonce, share and APPID."""
+        if message.phase != phase:
+            raise AuthFailed(phase, f"unexpected phase {message.phase}")
+        if message.transcript_hash != self._transcript:
+            raise AuthFailed(phase, "transcript-mismatch")
+        self._peer_nonce = message.nonce
+        self._peer_share = message.ephemeral_public
+        self._peer_appid = message.sender_appid
+        self._transcript = _absorb(self._transcript, message)
+
+    def _take_proof(self, message: HandshakeMessage, phase: str) -> None:
+        """Accept the peer's response or confirm: a linkage proof for the
+        APPID it opened with, bound to the session nonce, whose chain
+        address the ledger anchors to the same key."""
+        if message.phase != phase or self._peer_nonce is None:
+            raise AuthFailed(phase, "out-of-order message")
+        if message.transcript_hash != self._transcript:
+            raise AuthFailed(phase, "transcript-mismatch")
+        if message.sender_appid != self._peer_appid:
+            raise AuthFailed(phase, "bad-proof")
+        if message.linkage is None:
+            raise AuthFailed(phase, "missing-proof")
+        try:
+            claimed = _proven_bcadd(message.sender_appid, message.linkage, self._proof_nonce())
+        except _Unproven:
+            raise AuthFailed(phase, "bad-proof") from None
+        anchored = _anchor(claimed, self._ledger)
+        if anchored != ADMIT_OK:
+            raise AuthFailed(phase, anchored)
+        self._peer_bcadd = claimed
+        self._transcript = _absorb(self._transcript, message)
+
+    def _establish(self) -> Session:
+        """Key from the X25519 exchange and the whole transcript; the
+        client's session keeps the route, the server's its reverse."""
+        try:
+            shared = self._ephemeral.exchange(
+                X25519PublicKey.from_public_bytes(self._peer_share)
+            )
+        except ValueError:
+            raise AuthFailed("confirm", "bad-key-share") from None
+        client_appid, server_appid = self._pair(self._creds.appid, self._peer_appid)
+        client_bcadd, server_bcadd = self._pair(self._creds.bcadd, self._peer_bcadd)
+        self._session = Session(
+            session_id=_session_id(*self._pair(self._nonce, self._peer_nonce)),
+            client_appid=client_appid,
+            server_appid=server_appid,
+            route=self._route if self._CLIENT else self._route.reversed(),
+            key=owf(TAG_SESSION_KEY, shared, self._transcript),
+            state="established",
+            client_bcadd=client_bcadd,
+            server_bcadd=server_bcadd,
+            heartbeat_timeout=self._timeout,
+        )
+        return self._session
+
+    def session(self) -> Session:
+        if self._session is None:
+            raise AuthFailed("confirm", "handshake not complete")
+        return self._session
+
+
+# The public steps and session() sit in each class's own body, where a
+# profiler that wraps vars(cls) finds them.
+
+class ClientHandshake(_Handshake):
     """Client side: emits hello and confirm, consumes challenge and
     response. session() is available once confirm has been sent."""
 
-    def __init__(self, creds: PeerCredentials, route: RoutePath, ledger: Ledger,
-                 rng: Random, heartbeat_timeout: int = DEFAULT_HEARTBEAT_TIMEOUT):
-        self._creds = creds
-        self._route = route
-        self._ledger = ledger
-        self._timeout = heartbeat_timeout
-        self._nonce = _rng_bytes(rng, NONCE_SIZE)
-        self._ephemeral = X25519PrivateKey.from_private_bytes(_rng_bytes(rng, 32))
-        self._transcript = _initial_transcript()
-        self._server_nonce: bytes | None = None
-        self._server_share: bytes | None = None
-        self._server_appid: APPID | None = None
-        self._server_bcadd: BCADD | None = None
-        self._session: Session | None = None
+    _CLIENT = True
 
     def hello(self) -> HandshakeMessage:
-        message = HandshakeMessage(
-            phase="hello",
-            sender_appid=self._creds.appid,
-            nonce=self._nonce,
-            ephemeral_public=self._ephemeral.public_key().public_bytes_raw(),
-            transcript_hash=self._transcript,
-        )
-        self._transcript = _absorb(self._transcript, message)
-        return message
+        return self._send("hello")
 
     def on_challenge(self, message: HandshakeMessage) -> None:
-        if message.phase != "challenge":
-            raise AuthFailed("challenge", f"unexpected phase {message.phase}")
-        if message.transcript_hash != self._transcript:
-            raise AuthFailed("challenge", "transcript-mismatch")
-        self._server_nonce = message.nonce
-        self._server_share = message.ephemeral_public
-        self._server_appid = message.sender_appid
-        self._transcript = _absorb(self._transcript, message)
+        self._take_share(message, "challenge")
 
     def on_response(self, message: HandshakeMessage) -> None:
-        if message.phase != "response" or self._server_nonce is None:
-            raise AuthFailed("response", "out-of-order message")
-        if message.transcript_hash != self._transcript:
-            raise AuthFailed("response", "transcript-mismatch")
-        if message.sender_appid != self._server_appid:
-            raise AuthFailed("response", "bad-proof")
-        session_nonce = _session_nonce(self._nonce, self._server_nonce)
-        self._server_bcadd = _verify_peer(message, session_nonce, self._ledger)
-        self._transcript = _absorb(self._transcript, message)
+        self._take_proof(message, "response")
 
     def confirm(self) -> HandshakeMessage:
-        if self._server_bcadd is None or self._server_nonce is None:
+        if self._peer_bcadd is None:
             raise AuthFailed("confirm", "server not yet authenticated")
-        session_nonce = _session_nonce(self._nonce, self._server_nonce)
-        proof = make_linkage_proof(
-            self._creds.secret, self._creds.bcadd, self._creds.appid, session_nonce
-        )
-        message = HandshakeMessage(
-            phase="confirm",
-            sender_appid=self._creds.appid,
-            nonce=self._nonce,
-            ephemeral_public=b"",
-            transcript_hash=self._transcript,
-            linkage=proof,
-        )
-        self._transcript = _absorb(self._transcript, message)
-        try:
-            shared = self._ephemeral.exchange(
-                X25519PublicKey.from_public_bytes(self._server_share)
-            )
-        except ValueError:
-            raise AuthFailed("confirm", "bad-key-share") from None
-        key = owf(TAG_SESSION_KEY, shared, self._transcript)
-        self._session = Session(
-            session_id=_session_id(self._nonce, self._server_nonce),
-            client_appid=self._creds.appid,
-            server_appid=self._server_appid,
-            route=self._route,
-            key=key,
-            state="established",
-            client_bcadd=self._creds.bcadd,
-            server_bcadd=self._server_bcadd,
-            heartbeat_timeout=self._timeout,
-        )
+        message = self._send("confirm")
+        self._establish()
         return message
 
-    def session(self) -> Session:
-        if self._session is None:
-            raise AuthFailed("confirm", "handshake not complete")
-        return self._session
+    session = _Handshake.session
 
 
-class ServerHandshake:
+class ServerHandshake(_Handshake):
     """Server side: consumes hello and confirm, emits challenge and
-    response (its own proof). The route parameter is the server's view
-    of the tunnel, i.e. the reply path."""
+    response (its own proof). The route parameter is the path the
+    client's messages took; the server's session holds its reverse."""
 
-    def __init__(self, creds: PeerCredentials, route: RoutePath, ledger: Ledger,
-                 rng: Random, heartbeat_timeout: int = DEFAULT_HEARTBEAT_TIMEOUT):
-        self._creds = creds
-        self._route = route
-        self._ledger = ledger
-        self._timeout = heartbeat_timeout
-        self._nonce = _rng_bytes(rng, NONCE_SIZE)
-        self._ephemeral = X25519PrivateKey.from_private_bytes(_rng_bytes(rng, 32))
-        self._transcript = _initial_transcript()
-        self._client_nonce: bytes | None = None
-        self._client_share: bytes | None = None
-        self._client_appid: APPID | None = None
-        self._session: Session | None = None
+    _CLIENT = False
 
     def on_hello(self, message: HandshakeMessage) -> tuple[HandshakeMessage, HandshakeMessage]:
         """Consume hello, emit (challenge, response)."""
-        if message.phase != "hello":
-            raise AuthFailed("hello", f"unexpected phase {message.phase}")
-        if message.transcript_hash != _initial_transcript():
-            raise AuthFailed("hello", "transcript-mismatch")
-        self._client_nonce = message.nonce
-        self._client_share = message.ephemeral_public
-        self._client_appid = message.sender_appid
-        self._transcript = _absorb(self._transcript, message)
-
-        challenge = HandshakeMessage(
-            phase="challenge",
-            sender_appid=self._creds.appid,
-            nonce=self._nonce,
-            ephemeral_public=self._ephemeral.public_key().public_bytes_raw(),
-            transcript_hash=self._transcript,
-        )
-        self._transcript = _absorb(self._transcript, challenge)
-
-        session_nonce = _session_nonce(self._client_nonce, self._nonce)
-        proof = make_linkage_proof(
-            self._creds.secret, self._creds.bcadd, self._creds.appid, session_nonce
-        )
-        response = HandshakeMessage(
-            phase="response",
-            sender_appid=self._creds.appid,
-            nonce=self._nonce,
-            ephemeral_public=b"",
-            transcript_hash=self._transcript,
-            linkage=proof,
-        )
-        self._transcript = _absorb(self._transcript, response)
-        return challenge, response
+        self._take_share(message, "hello")
+        return self._send("challenge"), self._send("response")
 
     def on_confirm(self, message: HandshakeMessage) -> Session:
-        if message.phase != "confirm" or self._client_nonce is None:
-            raise AuthFailed("confirm", "out-of-order message")
-        if message.transcript_hash != self._transcript:
-            raise AuthFailed("confirm", "transcript-mismatch")
-        if message.sender_appid != self._client_appid:
-            raise AuthFailed("confirm", "bad-proof")
-        session_nonce = _session_nonce(self._client_nonce, self._nonce)
-        client_bcadd = _verify_peer(message, session_nonce, self._ledger)
-        self._transcript = _absorb(self._transcript, message)
-        try:
-            shared = self._ephemeral.exchange(
-                X25519PublicKey.from_public_bytes(self._client_share)
-            )
-        except ValueError:
-            raise AuthFailed("confirm", "bad-key-share") from None
-        key = owf(TAG_SESSION_KEY, shared, self._transcript)
-        self._session = Session(
-            session_id=_session_id(self._client_nonce, self._nonce),
-            client_appid=self._client_appid,
-            server_appid=self._creds.appid,
-            route=self._route.reversed(),
-            key=key,
-            state="established",
-            client_bcadd=client_bcadd,
-            server_bcadd=self._creds.bcadd,
-            heartbeat_timeout=self._timeout,
-        )
-        return self._session
+        self._take_proof(message, "confirm")
+        return self._establish()
 
-    def session(self) -> Session:
-        if self._session is None:
-            raise AuthFailed("confirm", "handshake not complete")
-        return self._session
+    session = _Handshake.session
 
 
 @dataclass(frozen=True)
@@ -574,11 +553,10 @@ def rotate_session(session: Session, notice: RotationNotice) -> Session:
         raise ContinuityRejected("notice was not delivered inside this session")
     nonce = rotation_nonce(session.session_id, session.rotation_count + 1)
     try:
-        claimed = notice.proof.claimed_bcadd()
-    except (WireError, ValueError):
-        raise ContinuityRejected("malformed continuity proof") from None
-    if not verify_linkage(claimed, notice.new_appid, notice.proof, nonce):
-        raise ContinuityRejected("continuity proof does not verify")
+        claimed = _proven_bcadd(notice.new_appid, notice.proof, nonce)
+    except _Unproven as exc:
+        raise ContinuityRejected("malformed continuity proof" if exc.malformed
+                                 else "continuity proof does not verify") from None
     if notice.new_appid == session.client_appid:
         raise ContinuityRejected("new APPID equals the current one")
     session.state = "rotating"

@@ -1,8 +1,19 @@
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from overnym.identity import IdentitySecret, derive_appid, derive_bcadd, ServiceProps
+from overnym.identity import (
+    APPID,
+    BCADD,
+    IdentitySecret,
+    LinkageProof,
+    ServiceProps,
+    _linkage_message,
+    appid_digest,
+    derive_appid,
+    derive_bcadd,
+)
 from overnym.ledger import Ledger, RegistrationTx
 
 
@@ -41,3 +52,14 @@ def register_identity(ledger: Ledger, bcadd, *, kind="user", at_time=0,
                   nonce=nonce or bcadd.address[:16])
     ledger.commit_round()
     return tx
+
+
+def forge_key_linkage(victim: BCADD, service: ServiceProps, nonce: bytes):
+    """(BCADD, APPID, LinkageProof) pairing the victim's chain address with
+    an attacker's own key. The proof verifies; only the ledger, which
+    registers the address under the victim's key, can tell."""
+    key = Ed25519PrivateKey.from_private_bytes(bytes(range(32)))
+    forged = BCADD(victim.address, victim.epoch, key.public_key().public_bytes_raw())
+    appid = APPID(appid_digest(forged.address, service, forged.epoch), service, forged.epoch)
+    signature = key.sign(_linkage_message(forged.address, appid.id, forged.epoch, nonce))
+    return forged, appid, LinkageProof(forged.to_bytes(), signature, nonce)

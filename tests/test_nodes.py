@@ -10,6 +10,8 @@ from overnym.nodes import AccessPointNode, ConnectRequest, SubmitTx
 from overnym.runner import _ActionDriver, _schedule_actions, build_simulation
 from overnym.scenario import parse_scenario
 
+from conftest import forge_key_linkage
+
 SCENARIO = """
 seed 3
 segment 1
@@ -32,14 +34,18 @@ def settled(strict=False, register_user=False):
     return built
 
 
-def connect(built, nonce, proof_nonce=None):
+def connect(built, nonce, proof_nonce=None, credentials=None):
     """Deliver one ConnectRequest from u to its router; return the router's
-    admission record for it."""
+    admission record for it. credentials: (bcadd, appid, proof) to send in
+    place of u's own."""
     user, server = built.users["u"], built.servers["s"]
-    appid = derive_appid(user.secret, user.bcadd, ServiceProps("echo"))
-    proof = make_linkage_proof(user.secret, user.bcadd, appid, proof_nonce or nonce)
+    if credentials is None:
+        appid = derive_appid(user.secret, user.bcadd, ServiceProps("echo"))
+        proof = make_linkage_proof(user.secret, user.bcadd, appid, proof_nonce or nonce)
+        credentials = (user.bcadd, appid, proof)
+    bcadd, appid, proof = credentials
     built.sim.send("u", "ap", ConnectRequest(
-        client="u", server_key=server.appid.id, bcadd=user.bcadd,
+        client="u", server_key=server.appid.id, bcadd=bcadd,
         appid=appid, proof=proof, nonce=nonce,
     ))
     before = len(built.sim.trace.find("admit"))
@@ -107,6 +113,15 @@ class TestRouterAdmission:
         assert connect(built, b"n" * 16)["decision"] is True
         replay = connect(built, b"n" * 16)
         assert (replay["decision"], replay["reason"]) == (False, session.ADMIT_STALE_NONCE)
+
+    def test_forged_key_is_bad_proof_and_does_not_burn_the_nonce(self):
+        built = settled(strict=True, register_user=True)
+        victim = built.users["u"].bcadd
+        forged = connect(built, b"n" * 16,
+                         credentials=forge_key_linkage(victim, ServiceProps("echo"), b"n" * 16))
+        assert (forged["decision"], forged["reason"]) == (False, session.ADMIT_BAD_PROOF)
+        assert built.world.metrics.admissions_rejected == {"bad-proof": 1}
+        assert connect(built, b"n" * 16)["decision"] is True
 
 
 class TestSequencer:

@@ -2,7 +2,9 @@
 round-trip, filters never lose live keys, chains reject any bit flip."""
 
 import random
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,13 @@ from overnym.identity import (
     make_linkage_proof,
     verify_linkage,
 )
-from overnym.ledger import Ledger, LedgerEntry, RegistrationTx, verify_chain
+from overnym.ledger import (
+    AssociationRecord,
+    Ledger,
+    LedgerEntry,
+    RegistrationTx,
+    verify_chain,
+)
 from overnym.neat import BloomFilter, NeatTable, NetworkLocator
 from overnym.wire import Reader, pack_bytes, pack_str, pack_u64
 
@@ -119,6 +127,17 @@ def test_chain_rejects_any_single_bit_flip(entry_index, byte_seed):
     entries = list(ledger.entries)
     assert verify_chain(entries)
 
+    def rejected(mutated: LedgerEntry) -> None:
+        # verify_chain and the replica path apply one rule, so they refuse
+        # the same chains, and the replica only with ValueError.
+        chain = entries[:entry_index] + [mutated] + entries[entry_index + 1:]
+        assert not verify_chain(chain)
+        with pytest.raises(ValueError):
+            Ledger().apply_entries(chain)
+
+    rejected(replace(entries[entry_index],
+                     payload=AssociationRecord(subject=None, attachment="ap", segment=0)))
+
     blob = bytearray(entries[entry_index].to_bytes())
     flip = random.Random(byte_seed)
     blob[flip.randrange(len(blob))] ^= 1 << flip.randrange(8)
@@ -126,5 +145,4 @@ def test_chain_rejects_any_single_bit_flip(entry_index, byte_seed):
         mutated = LedgerEntry.from_bytes(bytes(blob))
     except ValueError:
         return  # malformed: detected at decode
-    entries[entry_index] = mutated
-    assert not verify_chain(entries)
+    rejected(mutated)

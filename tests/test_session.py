@@ -11,15 +11,19 @@ from overnym.identity import (
     derive_bcadd,
     make_linkage_proof,
     rotate,
+    verify_linkage,
 )
 from overnym.ledger import Ledger, NftOwnership, RegistrationTx
 from overnym.overlay import RoutePath
 from overnym.session import (
+    ADMIT_BAD_PROOF,
     AuthFailed,
     ClientHandshake,
     ContinuityRejected,
     PeerCredentials,
     RotationNotice,
+    ServerHandshake,
+    admission,
     authorize,
     check_alive,
     handshake,
@@ -30,11 +34,10 @@ from overnym.session import (
     rotate_session,
     rotation_nonce,
     router_admit,
-    ServerHandshake,
     verify_message,
 )
 
-from conftest import make_secret, register_identity
+from conftest import forge_key_linkage, make_secret, register_identity
 
 ROUTE = RoutePath(("ap1", "ap2"), 1)
 SERVICE = ServiceProps("storefront")
@@ -101,6 +104,13 @@ class TestRouterAdmit:
         proof = make_linkage_proof(client.secret, client.bcadd, client.appid, old_nonce)
         current = b"c" * 16
         assert not router_admit(client.appid, client.bcadd, proof, current, ledger)
+
+    def test_registered_address_with_another_key_is_bad_proof(self, ledger, client):
+        nonce = b"n" * 16
+        forged, appid, proof = forge_key_linkage(client.bcadd, SERVICE, nonce)
+        assert verify_linkage(forged, appid, proof, nonce)
+        assert admission(appid, forged, proof, nonce, ledger) == ADMIT_BAD_PROOF
+        assert not router_admit(appid, forged, proof, nonce, ledger)
 
 
 class TestHandshake:
