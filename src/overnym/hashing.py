@@ -50,10 +50,6 @@ def owf(tag: bytes, *parts: bytes) -> bytes:
     return h.digest()
 
 
-def u16(value: int) -> bytes:
-    return value.to_bytes(2, "big")
-
-
 def u32(value: int) -> bytes:
     return value.to_bytes(4, "big")
 

@@ -88,10 +88,6 @@ class BloomFilter:
         self.count = 0
         self._bits = bytearray((m + 7) // 8)
 
-    @classmethod
-    def sized_for(cls, n: int, target_fpr: float = DEFAULT_TARGET_FPR) -> "BloomFilter":
-        return cls(*filter_params(n, target_fpr))
-
     def positions(self, key: bytes) -> list[int]:
         return [
             int.from_bytes(owf(TAG_BLOOM, u32(i), key)[:8], "big") % self.m
@@ -111,12 +107,6 @@ class BloomFilter:
         positions under this filter's geometry were computed already."""
         bits = self._bits
         return all(bits[pos >> 3] >> (pos & 7) & 1 for pos in positions)
-
-    def copy(self) -> "BloomFilter":
-        dup = BloomFilter(self.m, self.k)
-        dup.count = self.count
-        dup._bits = bytearray(self._bits)
-        return dup
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BloomFilter):

@@ -445,12 +445,13 @@ class AccessPointNode(ProtocolNode):
 
 
 class _SessionEnd(ProtocolNode):
-    """Session-endpoint behavior shared by users and app servers."""
+    """Session-endpoint behavior shared by users and app servers. Each
+    session holds the route its messages take; a session without a key
+    is closed."""
 
     def __init__(self, name: str, segment: int, world: World):
         super().__init__(name, segment, world)
         self.sessions: dict[bytes, Session] = {}
-        self.routes: dict[bytes, tuple[str, ...]] = {}
         self.peers: dict[bytes, str] = {}
 
     def session_with(self, peer: str) -> Session | None:
@@ -460,15 +461,14 @@ class _SessionEnd(ProtocolNode):
         return None
 
     def send_routed(self, session_id: bytes, message: Any) -> None:
-        route = self.routes[session_id]
+        route = self.sessions[session_id].route.hops
         self.sim.send(self.name, route[0], Envelope(
             route=route, hop=0, src=self.name, dst=self.peers[session_id],
             inner=message, origin_time=self.sim.now,
         ))
 
-    def adopt_session(self, sess: Session, route: tuple[str, ...], peer: str, now: int) -> None:
+    def adopt_session(self, sess: Session, peer: str, now: int) -> None:
         self.sessions[sess.session_id] = sess
-        self.routes[sess.session_id] = route
         self.peers[sess.session_id] = peer
         session.heartbeat(sess, now)
         self.sim.schedule(now + HEARTBEAT_PERIOD, self.name,
@@ -477,7 +477,7 @@ class _SessionEnd(ProtocolNode):
     def on_timer(self, tag, data, now):
         if tag == "heartbeat":
             sess = self.sessions.get(data)
-            if sess is None or sess.state == "closed" or now > self.world.horizon:
+            if sess is None or sess.key is None or now > self.world.horizon:
                 return
             self.send_routed(data, Heartbeat(session_id=data))
             self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, Timer("heartbeat", data))
@@ -485,14 +485,14 @@ class _SessionEnd(ProtocolNode):
             peer, label = data
             sess = self.session_with(peer)
             alive = False
-            if sess is not None and sess.state != "closed":
+            if sess is not None and sess.key is not None:
                 alive = session.check_alive(sess, now).alive
             self.sim.trace.emit("probe", now, node=self.name, peer=peer,
                                 label=label, alive=alive)
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
         sess = self.sessions.get(session_id)
-        if sess is None or sess.state == "closed":
+        if sess is None or sess.key is None:
             return
         session.heartbeat(sess, now)
         session.record_delivery(sess, now - sent_at)
@@ -507,8 +507,9 @@ class UserNode(_SessionEnd):
         self.access_point = access_point
         self.attributes = dict(attributes or {})
         self.appids: dict[str, APPID] = {}
-        self.pending: dict[bytes, ClientHandshake] = {}        # server key -> machine
-        self.pending_meta: dict[bytes, tuple[str, tuple[str, ...], str]] = {}
+        # Handshakes in flight: server key -> (service id, machine, server
+        # device); the machine and device arrive with the router's grant.
+        self.pending: dict[bytes, tuple[str, ClientHandshake | None, str]] = {}
         self.next_seq: dict[bytes, int] = {}
 
     def attach(self, sim: Simulator) -> None:
@@ -542,7 +543,7 @@ class UserNode(_SessionEnd):
         nonce = bytes(self.rng.getrandbits(8) for _ in range(identity.NONCE_SIZE))
         proof = identity.make_linkage_proof(self.secret, self.bcadd, appid, nonce)
         self.world.metrics.handshakes_attempted += 1
-        self.pending_meta[server_key] = (service_id, (), "")
+        self.pending[server_key] = (service_id, None, "")
         self.sim.send(self.name, self.access_point, ConnectRequest(
             client=self.name, server_key=server_key,
             bcadd=self.bcadd, appid=appid, proof=proof, nonce=nonce,
@@ -586,7 +587,7 @@ class UserNode(_SessionEnd):
                                   epoch=new_bcadd.epoch))
         self.appids.update(by_service)
         for session_id, sess in self.sessions.items():
-            if sess.state != "established":
+            if sess.key is None:
                 continue
             new_appid = by_service.get(sess.client_appid.service.service_id)
             if new_appid is None:
@@ -605,7 +606,6 @@ class UserNode(_SessionEnd):
         elif isinstance(message, ConnectRefused):
             self.sim.trace.emit("connect-refused", now, client=self.name,
                                 reason=message.reason)
-            self.pending_meta.pop(message.server_key, None)
         elif isinstance(message, HandshakeEnvelope):
             self._continue_handshake(message.message, now)
         elif isinstance(message, Heartbeat):
@@ -617,16 +617,14 @@ class UserNode(_SessionEnd):
                 self.world.metrics.payloads_denied += 1
 
     def _start_handshake(self, grant: ConnectGrant, now: int) -> None:
-        meta = self.pending_meta.get(grant.server_key)
-        if meta is None:
+        entry = self.pending.get(grant.server_key)
+        if entry is None:
             return
-        service_id = meta[0]
-        appid = self.appids[service_id]
-        creds = PeerCredentials(self.secret, self.bcadd, appid)
+        service_id = entry[0]
+        creds = PeerCredentials(self.secret, self.bcadd, self.appids[service_id])
         route = RoutePath(grant.route, grant.cost)
         machine = ClientHandshake(creds, route, self.world.ledger, self.rng)
-        self.pending[grant.server_key] = machine
-        self.pending_meta[grant.server_key] = (service_id, grant.route, grant.server_device)
+        self.pending[grant.server_key] = (service_id, machine, grant.server_device)
         hello = machine.hello()
         self.sim.trace.emit("handshake", now, phase="hello", node=self.name)
         self.sim.send(self.name, grant.route[0], Envelope(
@@ -636,10 +634,9 @@ class UserNode(_SessionEnd):
 
     def _continue_handshake(self, message: HandshakeMessage, now: int) -> None:
         server_key = message.sender_appid.id
-        machine = self.pending.get(server_key)
+        _, machine, device = self.pending.get(server_key, (None, None, None))
         if machine is None:
             return
-        _, route, device = self.pending_meta[server_key]
         try:
             if message.phase == "challenge":
                 machine.on_challenge(message)
@@ -649,21 +646,21 @@ class UserNode(_SessionEnd):
                 confirm = machine.confirm()
                 sess = machine.session()
                 del self.pending[server_key]
-                del self.pending_meta[server_key]
+                route = sess.route.hops
                 self.sim.send(self.name, route[0], Envelope(
                     route=route, hop=0, src=self.name, dst=device,
                     inner=HandshakeEnvelope(confirm), origin_time=now,
                 ))
                 self.world.metrics.handshakes_succeeded += 1
-                self.adopt_session(sess, route, device, now)
+                self.adopt_session(sess, device, now)
                 self.sim.trace.emit(
                     "handshake", now, phase="established", node=self.name,
                     session=sess.session_id.hex()[:16],
                     key_check=sess.key_check().hex(),
                 )
         except session.AuthFailed as exc:
-            self.pending.pop(server_key, None)
-            self.pending_meta.pop(server_key, None)
+            # The handshake stays open: a refused message proves nothing
+            # about the server, since anyone can send one under its APPID.
             self.sim.trace.emit("handshake-failed", now, node=self.name,
                                 phase=exc.phase, reason=exc.reason)
 
@@ -676,8 +673,8 @@ class AppServerNode(_SessionEnd):
         super().__init__(name, segment, world)
         self.access_point = access_point
         self.service = ServiceProps(service_id)
-        self.pending: dict[bytes, ServerHandshake] = {}
-        self.pending_meta: dict[bytes, tuple[tuple[str, ...], str]] = {}
+        # Handshakes in flight: client APPID id -> (machine, client device).
+        self.pending: dict[bytes, tuple[ServerHandshake, str]] = {}
         self.delivered: dict[bytes, list[int]] = {}
 
     def attach(self, sim: Simulator) -> None:
@@ -742,8 +739,7 @@ class AppServerNode(_SessionEnd):
                                 phase=exc.phase, reason=exc.reason)
             return
         reply = tuple(reversed(envelope.route))
-        self.pending[message.sender_appid.id] = machine
-        self.pending_meta[message.sender_appid.id] = (reply, envelope.src)
+        self.pending[message.sender_appid.id] = (machine, envelope.src)
         for out in (challenge, response):
             self.sim.send(self.name, reply[0], Envelope(
                 route=reply, hop=0, src=self.name, dst=envelope.src,
@@ -752,19 +748,21 @@ class AppServerNode(_SessionEnd):
         self.sim.trace.emit("handshake", now, phase="challenge", node=self.name)
 
     def _handle_confirm(self, message: HandshakeMessage, now: int) -> None:
-        machine = self.pending.pop(message.sender_appid.id, None)
-        if machine is None:
+        entry = self.pending.get(message.sender_appid.id)
+        if entry is None:
             self.sim.trace.emit("handshake-failed", now, node=self.name,
                                 phase="confirm", reason="no-pending-handshake")
             return
-        reply, client = self.pending_meta.pop(message.sender_appid.id)
+        machine, client = entry
         try:
             sess = machine.on_confirm(message)
         except session.AuthFailed as exc:
+            # The handshake stays open for the client's own confirm.
             self.sim.trace.emit("handshake-failed", now, node=self.name,
                                 phase=exc.phase, reason=exc.reason)
             return
-        self.adopt_session(sess, reply, client, now)
+        del self.pending[message.sender_appid.id]
+        self.adopt_session(sess, client, now)
         self.sim.trace.emit(
             "handshake", now, phase="established", node=self.name,
             session=sess.session_id.hex()[:16], key_check=sess.key_check().hex(),
@@ -781,7 +779,7 @@ class AppServerNode(_SessionEnd):
 
     def _handle_payload(self, payload: AppPayload, now: int, sent_at: int) -> None:
         sess = self.sessions.get(payload.session_id)
-        if sess is None or sess.key is None or payload.session_id not in self.routes:
+        if sess is None or sess.key is None:
             return
         if not session.verify_message(sess, payload.seq, payload.body, payload.tag):
             self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq,

@@ -35,12 +35,6 @@ class Disconnected(Exception):
 
 
 @dataclass(frozen=True)
-class Segment:
-    id: int
-    access_points: frozenset[str]
-
-
-@dataclass(frozen=True)
 class RoutePath:
     """Access-point hops, source-serving first, destination-serving last."""
 

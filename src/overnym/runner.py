@@ -248,7 +248,7 @@ def _evaluate_one(built: _Built, exp, trace: Trace, metrics: Metrics) -> tuple[b
     if exp.kind == "handshake":
         user, server, wanted = exp.args
         sess = built.users[user].session_with(server)
-        established = sess is not None and sess.state in ("established", "rotating")
+        established = sess is not None and sess.key is not None
         if wanted == "success":
             return established, "session established" if established else "no established session"
         return (not established,

@@ -38,14 +38,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .simnet import FAULT_KINDS
+
 NODE_KINDS = ("user", "router", "app-server", "regulator", "sequencer")
 
 ACTION_KINDS = (
     "register", "bind", "mint-nft", "transfer-nft", "connect",
     "rotate", "send", "authorize", "fault",
 )
-
-FAULTS = ("crash-node", "drop-link", "delay-link")
 
 EXPECT_KINDS = ("handshake", "authorize", "session", "payloads", "rotations", "admitted")
 
@@ -300,7 +300,7 @@ def _check_action(sc: Scenario, kind: str, args: tuple[str, ...],
         if not args:
             raise ParseError(line_no, "fault needs a kind")
         fault = args[0]
-        if fault not in FAULTS:
+        if fault not in FAULT_KINDS:
             raise ParseError(line_no, f"unknown fault {fault!r}")
         if fault == "crash-node":
             if len(args) != 2:

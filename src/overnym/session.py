@@ -12,6 +12,9 @@ running transcript hash; no message field carries key material. APPID
 rotation rides inside the established session: the notice is
 authenticated with the old key, the key is re-derived, and the old
 key stops verifying anything.
+
+A session is open exactly while it holds a key: the handshake gives it
+one, rotation replaces it, and close() drops it.
 """
 
 from __future__ import annotations
@@ -51,10 +54,8 @@ from .ledger import Ledger
 from .overlay import RoutePath
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8
 
-PHASES = ("hello", "challenge", "response", "confirm")
-STATES = ("handshaking", "established", "rotating", "closed")
-
-DEFAULT_HEARTBEAT_TIMEOUT = 5
+# A peer is alive while its last heartbeat is at most this many ticks old.
+HEARTBEAT_TIMEOUT = 5
 
 ADMIT_OK = "admitted"
 ADMIT_BAD_PROOF = "bad-proof"
@@ -133,10 +134,11 @@ class ServiceStatus:
 
 @dataclass
 class Session:
-    """One endpoint's view of an established tunnel.
+    """One endpoint's view of an established tunnel: the path its
+    messages take to the peer, and the client's proven chain address.
 
-    Both endpoints hold equal keys after a successful handshake; the key
-    exists exactly while the state is established or rotating.
+    Both endpoints hold equal keys after a successful handshake. The
+    session is open iff it holds a key; close() drops the key.
     """
 
     session_id: bytes
@@ -144,22 +146,18 @@ class Session:
     server_appid: APPID
     route: RoutePath
     key: bytes | None
-    state: str
+    client_bcadd: BCADD
     status: ServiceStatus = field(default_factory=ServiceStatus)
-    client_bcadd: BCADD | None = None
-    server_bcadd: BCADD | None = None
-    heartbeat_timeout: int = DEFAULT_HEARTBEAT_TIMEOUT
     rotation_count: int = 0
 
     def key_check(self) -> bytes:
         """Safe-to-compare digest of the key; never put the key itself
         on the wire or in a trace."""
         if self.key is None:
-            raise ValueError("no key in state " + self.state)
+            raise ValueError("no key: the session is closed")
         return owf(TAG_KEYCHECK, self.key)[:16]
 
     def close(self) -> None:
-        self.state = "closed"
         self.key = None
 
 
@@ -284,12 +282,10 @@ class _Handshake:
 
     _CLIENT: bool
 
-    def __init__(self, creds: PeerCredentials, route: RoutePath, ledger: Ledger,
-                 rng: Random, heartbeat_timeout: int = DEFAULT_HEARTBEAT_TIMEOUT):
+    def __init__(self, creds: PeerCredentials, route: RoutePath, ledger: Ledger, rng: Random):
         self._creds = creds
         self._route = route
         self._ledger = ledger
-        self._timeout = heartbeat_timeout
         self._nonce = _rng_bytes(rng, NONCE_SIZE)
         self._ephemeral = X25519PrivateKey.from_private_bytes(_rng_bytes(rng, 32))
         self._transcript = _initial_transcript()
@@ -363,17 +359,13 @@ class _Handshake:
         except ValueError:
             raise AuthFailed("confirm", "bad-key-share") from None
         client_appid, server_appid = self._pair(self._creds.appid, self._peer_appid)
-        client_bcadd, server_bcadd = self._pair(self._creds.bcadd, self._peer_bcadd)
         self._session = Session(
             session_id=_session_id(*self._pair(self._nonce, self._peer_nonce)),
             client_appid=client_appid,
             server_appid=server_appid,
             route=self._route if self._CLIENT else self._route.reversed(),
             key=owf(TAG_SESSION_KEY, shared, self._transcript),
-            state="established",
-            client_bcadd=client_bcadd,
-            server_bcadd=server_bcadd,
-            heartbeat_timeout=self._timeout,
+            client_bcadd=self._creds.bcadd if self._CLIENT else self._peer_bcadd,
         )
         return self._session
 
@@ -443,13 +435,12 @@ def handshake(
     route: RoutePath,
     ledger: Ledger,
     rng: Random,
-    heartbeat_timeout: int = DEFAULT_HEARTBEAT_TIMEOUT,
 ) -> HandshakeResult:
     """Run the 4-phase exchange in memory and return both endpoints'
     sessions plus the wire transcript. Raises AuthFailed (and retains no
     session state) if either side rejects the other."""
-    client_side = ClientHandshake(client, route, ledger, rng, heartbeat_timeout)
-    server_side = ServerHandshake(server, route, ledger, rng, heartbeat_timeout)
+    client_side = ClientHandshake(client, route, ledger, rng)
+    server_side = ServerHandshake(server, route, ledger, rng)
     hello = client_side.hello()
     challenge, response = server_side.on_hello(hello)
     client_side.on_challenge(challenge)
@@ -470,8 +461,8 @@ def handshake(
 def authorize(session: Session, ledger: Ledger) -> AccessDecision:
     """Evaluate the server's access-control list against current ledger
     state. Always re-reads the ledger: a token transfer between calls
-    changes the answer."""
-    if session.state not in ("established", "rotating") or session.client_bcadd is None:
+    changes the answer. A closed session (no key) is denied as bad-proof."""
+    if session.key is None:
         return AccessDecision(False, "bad-proof")
     registration = ledger.query_registration(session.server_appid.id)
     if registration is None:
@@ -528,9 +519,10 @@ def make_rotation_notice(
     new_appid: APPID,
 ) -> RotationNotice:
     """Client side: prove the new APPID against the new BCADD, bound to
-    this session's next rotation nonce, and tag with the old key."""
-    if session.state != "established" or session.key is None:
-        raise ContinuityRejected(f"session is {session.state}")
+    this session's next rotation nonce, and tag with the old key. The
+    session must be open (hold a key)."""
+    if session.key is None:
+        raise ContinuityRejected("session is closed")
     nonce = rotation_nonce(session.session_id, session.rotation_count + 1)
     proof = make_linkage_proof(secret, new_bcadd, new_appid, nonce)
     notice = RotationNotice(new_appid, proof, b"")
@@ -541,13 +533,13 @@ def make_rotation_notice(
 def rotate_session(session: Session, notice: RotationNotice) -> Session:
     """Apply a rotation notice to either endpoint's session.
 
-    The notice must carry a tag under the current key (in-session
-    delivery) and a valid linkage proof for the new APPID under the new
-    chain address. On success the session keeps its id and status but
-    speaks only the new APPID and a re-derived key.
+    The session must be open, and the notice must carry a tag under its
+    current key (in-session delivery) and a valid linkage proof for the
+    new APPID under the new chain address. On success the session keeps
+    its id and status but speaks only the new APPID and a re-derived key.
     """
-    if session.state not in ("established", "rotating") or session.key is None:
-        raise ContinuityRejected(f"session is {session.state}")
+    if session.key is None:
+        raise ContinuityRejected("session is closed")
     expected_tag = owf(TAG_ROT_AUTH, session.key, notice.body_bytes())
     if notice.auth_tag != expected_tag:
         raise ContinuityRejected("notice was not delivered inside this session")
@@ -559,12 +551,10 @@ def rotate_session(session: Session, notice: RotationNotice) -> Session:
                                  else "continuity proof does not verify") from None
     if notice.new_appid == session.client_appid:
         raise ContinuityRejected("new APPID equals the current one")
-    session.state = "rotating"
     session.client_appid = notice.new_appid
     session.client_bcadd = claimed
     session.key = owf(TAG_REKEY, session.key, owf(TAG_TRANSCRIPT, session.session_id, notice.body_bytes()))
     session.rotation_count += 1
-    session.state = "established"
     return session
 
 
@@ -586,16 +576,18 @@ def verify_message(session: Session, seq: int, payload: bytes, tag: bytes) -> bo
 
 
 def heartbeat(session: Session, now: int) -> ServiceStatus:
-    if session.state not in ("established", "rotating"):
-        raise ValueError(f"heartbeat on {session.state} session")
+    """Record a heartbeat at now; only an open session (one holding a
+    key) takes one."""
+    if session.key is None:
+        raise ValueError("heartbeat on a closed session")
     session.status.beat(now)
     return session.status
 
 
 def check_alive(session: Session, now: int) -> ServiceStatus:
-    """alive iff the heartbeat gap is within the timeout (boundary
+    """alive iff the heartbeat gap is within HEARTBEAT_TIMEOUT (boundary
     inclusive: a gap of exactly the timeout is still alive)."""
-    session.status.check(now, session.heartbeat_timeout)
+    session.status.check(now, HEARTBEAT_TIMEOUT)
     return session.status
 
 

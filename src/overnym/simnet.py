@@ -25,8 +25,6 @@ from typing import Any
 
 from .hashing import TAG_RNG, owf
 
-NODE_KINDS = ("user", "router", "app-server", "regulator", "sequencer")
-
 FAULT_KINDS = ("drop-link", "delay-link", "crash-node")
 
 
@@ -119,10 +117,6 @@ class LinkModel:
         for pair in ((src, dst), (dst, src)):
             self._extra[pair] = self._extra.get(pair, 0) + extra
 
-    def clear_delay(self, src: str, dst: str) -> None:
-        self._extra.pop((src, dst), None)
-        self._extra.pop((dst, src), None)
-
     def drop_probability(self, src: str, dst: str) -> float:
         return self._drop.get((src, dst), 0.0)
 
@@ -198,9 +192,6 @@ class Simulator:
         if target not in self.nodes:
             raise UnknownTarget(target)
         heapq.heappush(self._queue, (time, next(self._seq), target, payload))
-
-    def schedule_timer(self, delay: int, target: str, tag: str, data: Any = None) -> None:
-        self.schedule(self.now + delay, target, Timer(tag, data))
 
     def send(self, src: str, dst: str, message: Any, note: str | None = None) -> None:
         """Send over the link model: latency, drop draw, trace record."""

@@ -1,7 +1,7 @@
 """Canonical byte encoding shared by every public type.
 
 Rules (cross-replica hash agreement depends on these):
-  - integers are big-endian fixed width (u8 / u16 / u32 / u64);
+  - integers are big-endian fixed width (u8 / u32 / u64);
   - variable-length byte strings carry a u32 big-endian length prefix;
   - strings are UTF-8 and encoded like byte strings;
   - fields appear in the documented order with no padding;
@@ -23,12 +23,6 @@ def pack_u8(value: int) -> bytes:
     if not 0 <= value < 1 << 8:
         raise WireError(f"u8 out of range: {value}")
     return value.to_bytes(1, "big")
-
-
-def pack_u16(value: int) -> bytes:
-    if not 0 <= value < 1 << 16:
-        raise WireError(f"u16 out of range: {value}")
-    return value.to_bytes(2, "big")
 
 
 def pack_u32(value: int) -> bytes:
@@ -67,9 +61,6 @@ class Reader:
 
     def u8(self) -> int:
         return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")

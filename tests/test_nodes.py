@@ -1,14 +1,24 @@
-"""Node-level protocol checks: the first router's admission and the
-sequencer's handling of submissions and commits."""
+"""Node-level protocol checks: the first router's admission, the
+sequencer's handling of submissions and commits, and handshakes in
+flight at the session ends."""
+
+from dataclasses import replace
 
 import pytest
 
 from overnym import identity, session
 from overnym.identity import ServiceProps, derive_appid, make_linkage_proof
 from overnym.ledger import RegistrationTx
-from overnym.nodes import AccessPointNode, ConnectRequest, SubmitTx
+from overnym.nodes import (
+    AccessPointNode,
+    ConnectRefused,
+    ConnectRequest,
+    HandshakeEnvelope,
+    SubmitTx,
+)
 from overnym.runner import _ActionDriver, _schedule_actions, build_simulation
 from overnym.scenario import parse_scenario
+from overnym.session import HandshakeMessage
 
 from conftest import forge_key_linkage
 
@@ -153,3 +163,69 @@ class TestSequencer:
         assert commits
         for record in commits:
             assert record["head"] == by_seq[record["seqs"][-1]].entry_hash.hex()[:16]
+
+
+class TestRefusedHandshakeMessage:
+    """A message the handshake refuses, or a refusal that arrives after
+    the router's grant, leaves it open: anyone can send one under the
+    peer's name."""
+
+    def connect(self, built):
+        user, server = built.users["u"], built.servers["s"]
+        user.do_connect(server.appid.id, "echo", built.sim.now)
+        built.sim.run_until_idle()
+        return user, server
+
+    def established(self, built, node):
+        return built.sim.trace.find("handshake", phase="established", node=node)
+
+    def failures(self, built, node):
+        return [(r["phase"], r["reason"])
+                for r in built.sim.trace.find("handshake-failed", node=node)]
+
+    def test_forged_confirm_leaves_the_server_handshake_open(self):
+        built = settled(register_user=True)
+        server = built.servers["s"]
+        accept_hello = server._handle_hello
+
+        def then_forge(hello, envelope, now):
+            accept_hello(hello, envelope, now)
+            built.sim.send("ap", "s", HandshakeEnvelope(replace(hello, phase="confirm")))
+
+        server._handle_hello = then_forge
+        user, server = self.connect(built)
+        assert self.failures(built, "s") == [("confirm", "transcript-mismatch")]
+        assert len(self.established(built, "s")) == 1
+        assert server.pending == {} and user.pending == {}
+        assert user.session_with("s").key_check() == server.session_with("u").key_check()
+
+    def test_forged_challenge_leaves_the_client_handshake_open(self):
+        built = settled(register_user=True)
+        user, server = built.users["u"], built.servers["s"]
+        start = user._start_handshake
+
+        def then_forge(grant, now):
+            start(grant, now)
+            forged = HandshakeMessage("challenge", server.appid, bytes(16), bytes(32), bytes(32))
+            built.sim.send("ap", "u", HandshakeEnvelope(forged))
+
+        user._start_handshake = then_forge
+        self.connect(built)
+        assert self.failures(built, "u") == [("challenge", "transcript-mismatch")]
+        assert len(self.established(built, "u")) == 1
+        assert user.pending == {}
+        assert user.session_with("s").key_check() == server.session_with("u").key_check()
+
+    def test_refusal_after_the_grant_leaves_the_client_handshake_open(self):
+        built = settled(register_user=True)
+        user = built.users["u"]
+        start = user._start_handshake
+
+        def then_refuse(grant, now):
+            start(grant, now)
+            built.sim.send("ap", "u", ConnectRefused(grant.server_key, "not-found"))
+
+        user._start_handshake = then_refuse
+        self.connect(built)
+        assert len(built.sim.trace.find("connect-refused", client="u")) == 1
+        assert len(self.established(built, "u")) == 1

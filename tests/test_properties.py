@@ -1,5 +1,6 @@
 """Property tests for the cross-cutting invariants: canonical codecs
-round-trip, filters never lose live keys, chains reject any bit flip."""
+round-trip, filters never lose live keys, chains reject any bit flip,
+and decoders refuse arbitrary bytes only with ValueError."""
 
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from overnym.identity import (
     APPID,
     BCADD,
+    AttributeAttestation,
     IdentitySecret,
     LinkageProof,
     Predicate,
@@ -21,13 +23,16 @@ from overnym.identity import (
     verify_linkage,
 )
 from overnym.ledger import (
+    CHAIN_MAGIC,
     AssociationRecord,
     Ledger,
     LedgerEntry,
     RegistrationTx,
+    decode_payload,
     verify_chain,
 )
 from overnym.neat import BloomFilter, NeatTable, NetworkLocator
+from overnym.session import HandshakeMessage, RotationNotice
 from overnym.wire import Reader, pack_bytes, pack_str, pack_u64
 
 keys32 = st.binary(min_size=32, max_size=32)
@@ -146,3 +151,32 @@ def test_chain_rejects_any_single_bit_flip(entry_index, byte_seed):
     except ValueError:
         return  # malformed: detected at decode
     rejected(mutated)
+
+
+# Every decoder of outside bytes. WireError is a ValueError, so a decoder
+# that refuses bytes with anything else is a bug the fuzz test reports.
+DECODERS = {
+    "APPID": APPID.from_bytes,
+    "AttributeAttestation": AttributeAttestation.from_bytes,
+    "BCADD": BCADD.from_bytes,
+    "BloomFilter": BloomFilter.from_bytes,
+    "HandshakeMessage": HandshakeMessage.from_bytes,
+    "LedgerEntry": LedgerEntry.from_bytes,
+    "LinkageProof": LinkageProof.from_bytes,
+    "Predicate": Predicate.from_bytes,
+    "RotationNotice": RotationNotice.from_bytes,
+    "ServiceProps": ServiceProps.from_bytes,
+    "decode_payload": decode_payload,
+    "import_chain": Ledger.import_chain,
+    "import_chain after CHAIN_MAGIC": lambda data: Ledger.import_chain(CHAIN_MAGIC + data),
+}
+
+
+@pytest.mark.parametrize("decoder", sorted(DECODERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.binary(max_size=512))
+def test_decoders_refuse_arbitrary_bytes_only_with_value_error(decoder, data):
+    try:
+        DECODERS[decoder](data)
+    except ValueError:
+        pass
