@@ -439,28 +439,27 @@ class Ledger:
 
     def state_hash(self) -> bytes:
         """Canonical digest of the derived state, for replica comparison."""
-        blob = b""
+        parts = []
         for subject in sorted(self._registrations):
             seq, tx = self._registrations[subject]
-            blob += u64(seq) + pack_bytes(encode_payload(tx))
+            parts += (u64(seq), pack_bytes(encode_payload(tx)))
         for subject in sorted(self._associations):
-            blob += pack_bytes(encode_payload(self._associations[subject]))
+            parts.append(pack_bytes(encode_payload(self._associations[subject])))
         for token in sorted(self._owners):
             seq, owner = self._owners[token]
-            blob += token + u64(seq) + owner
+            parts += (token, u64(seq), owner)
         for seq, update in self._topology:
-            blob += u64(seq) + pack_bytes(encode_payload(update))
-        return owf(TAG_LEDGER_STATE, blob)
+            parts += (u64(seq), pack_bytes(encode_payload(update)))
+        return owf(TAG_LEDGER_STATE, b"".join(parts))
 
     # -- export / import ----------------------------------------------------
 
     def export_chain(self) -> bytes:
         """Canonical binary chain: magic, entry count, length-prefixed
         entries (layout documented in docs/wire-format.md)."""
-        blob = CHAIN_MAGIC + pack_u32(len(self._entries))
-        for entry in self._entries:
-            blob += pack_bytes(entry.to_bytes())
-        return blob
+        parts = [CHAIN_MAGIC, pack_u32(len(self._entries))]
+        parts += (pack_bytes(entry.to_bytes()) for entry in self._entries)
+        return b"".join(parts)
 
     @classmethod
     def import_chain(cls, blob: bytes) -> "Ledger":

@@ -14,7 +14,7 @@ material never appears in a trace or on the wire.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import identity, neat, overlay, session
 from .hashing import TAG_NFT, owf
@@ -115,11 +115,10 @@ class SubmitTx:
     submitter: str
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """Data-plane wrapper forwarded hop by hop along an access-point
     route; origin_time is when the originator sent it, for end-to-end
-    latency."""
+    latency. A NamedTuple, because every hop builds one."""
 
     route: tuple[str, ...]
     hop: int

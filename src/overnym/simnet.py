@@ -21,11 +21,14 @@ import json
 import json.encoder
 from dataclasses import dataclass
 from random import Random
-from typing import Any
+from typing import Any, NamedTuple
 
 from .hashing import TAG_RNG, owf
 
 FAULT_KINDS = ("drop-link", "delay-link", "crash-node")
+
+# The keys of a send record without a note, the records Trace.to_jsonl caches.
+_SEND_KEYS = frozenset(("kind", "time", "src", "dst", "msg"))
 
 
 class UnknownTarget(Exception):
@@ -36,9 +39,9 @@ class StepCapExceeded(Exception):
     """The event loop hit its step cap; the scenario is livelocked."""
 
 
-@dataclass(frozen=True)
-class Delivery:
-    """A message as it arrives: who sent it and when."""
+class Delivery(NamedTuple):
+    """A message as it arrives: who sent it and when. A NamedTuple,
+    because every send builds one."""
 
     src: str
     message: Any
@@ -71,11 +74,30 @@ class Trace:
         # gives it, instead of one encoder per record. One per call, not per
         # module: a failed encode leaves ids in the markers dict, and a shared
         # encoder would then report a false circular reference.
+        quote = json.encoder.encode_basestring_ascii
         encode = json.encoder.c_make_encoder(
-            {}, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-            None, ":", ",", True, False, True,
+            {}, json.JSONEncoder().default, quote, None, ":", ",", True, False, True,
         )
-        return "".join("".join(encode(record, 0)) + "\n" for record in self.records)
+        # Send records are most of a trace and repeat their src, dst and msg.
+        # Sorted, "time" is their last key, so a send record is a prefix
+        # cached per (src, dst, msg), then str(time), then "}". The exact
+        # types matter: True, 1 and 1.0 hash alike but encode differently.
+        prefixes: dict[tuple[str, str, str], str] = {}
+        lines = []
+        for record in self.records:
+            if (record.get("kind") == "send" and record.keys() == _SEND_KEYS
+                    and type(record["time"]) is int):
+                src, dst, msg = key = (record["src"], record["dst"], record["msg"])
+                if type(src) is str and type(dst) is str and type(msg) is str:
+                    prefix = prefixes.get(key)
+                    if prefix is None:
+                        prefix = prefixes[key] = (
+                            f'{{"dst":{quote(dst)},"kind":"send","msg":{quote(msg)},'
+                            f'"src":{quote(src)},"time":')
+                    lines.append(f"{prefix}{record['time']}}}\n")
+                    continue
+            lines.append("".join(encode(record, 0)) + "\n")
+        return "".join(lines)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
@@ -101,11 +123,16 @@ class LinkModel:
         self._extra: dict[tuple[str, str], int] = {}
         self._drop: dict[tuple[str, str], float] = {}
 
-    def latency(self, src: str, dst: str) -> int:
+    def link(self, src: str, dst: str) -> tuple[int, float]:
+        """(latency, drop probability) of the ordered pair src -> dst."""
+        if not (self._latency or self._extra or self._drop):
+            return (0 if src == dst else self.default_latency), 0.0
+        pair = (src, dst)
+        drop = self._drop.get(pair, 0.0)
         if src == dst:
-            return 0
-        base = self._latency.get((src, dst), self.default_latency)
-        return max(1, base + self._extra.get((src, dst), 0))
+            return 0, drop
+        base = self._latency.get(pair, self.default_latency)
+        return max(1, base + self._extra.get(pair, 0)), drop
 
     def set_latency(self, src: str, dst: str, latency: int) -> None:
         if latency < 1:
@@ -116,9 +143,6 @@ class LinkModel:
     def add_delay(self, src: str, dst: str, extra: int) -> None:
         for pair in ((src, dst), (dst, src)):
             self._extra[pair] = self._extra.get(pair, 0) + extra
-
-    def drop_probability(self, src: str, dst: str) -> float:
-        return self._drop.get((src, dst), 0.0)
 
     def set_drop(self, src: str, dst: str, probability: float) -> None:
         if not 0.0 <= probability <= 1.0:
@@ -197,17 +221,17 @@ class Simulator:
         """Send over the link model: latency, drop draw, trace record."""
         if dst not in self.nodes:
             raise UnknownTarget(dst)
+        now = self.now
         kind = type(message).__name__
         if note:
-            self.trace.emit("send", self.now, src=src, dst=dst, msg=kind, note=note)
+            self.trace.emit("send", now, src=src, dst=dst, msg=kind, note=note)
         else:
-            self.trace.emit("send", self.now, src=src, dst=dst, msg=kind)
-        drop_p = self.links.drop_probability(src, dst)
+            self.trace.emit("send", now, src=src, dst=dst, msg=kind)
+        latency, drop_p = self.links.link(src, dst)
         if drop_p > 0.0 and self._link_rng(src, dst).random() < drop_p:
-            self.trace.emit("drop", self.now, src=src, dst=dst, msg=kind)
+            self.trace.emit("drop", now, src=src, dst=dst, msg=kind)
             return
-        latency = self.links.latency(src, dst)
-        self.schedule(self.now + latency, dst, Delivery(src=src, message=message, sent_at=self.now))
+        self.schedule(now + latency, dst, Delivery(src, message, now))
 
     def run_until_idle(self) -> Trace:
         """Drain the queue in (time, seq) order. Raises StepCapExceeded

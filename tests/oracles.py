@@ -9,8 +9,6 @@ relaxation plus, for small graphs, exhaustive simple-path enumeration.
 
 from __future__ import annotations
 
-import itertools
-
 
 # ---------------------------------------------------------------------------
 # SHA-256, from the standard: constants generated from prime roots

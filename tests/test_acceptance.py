@@ -6,7 +6,6 @@ values marked as derived were computed with the independent oracles in
 oracles.py before the implementation existed.
 """
 
-import math
 import random
 import time
 from pathlib import Path

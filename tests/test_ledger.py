@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,28 @@ def filled_ledger(n: int = 20, seed: int = 0) -> Ledger:
     for i in range(n):
         ledger.submit(reg(1000 + seed * 1000 + i), submitter=f"n{rng.randrange(6)}",
                       at_time=i, nonce=i.to_bytes(16, "big"))
+    ledger.commit_round()
+    return ledger
+
+
+def mixed_ledger(n: int) -> Ledger:
+    """n entries cycling through every payload kind, committed in rounds of
+    500; associations and token owners are superseded along the way."""
+    ledger = Ledger()
+    for i in range(n):
+        kind = i % 4
+        if kind == 0:
+            payload = reg(5000 + i // 4)
+        elif kind == 1:
+            payload = AssociationRecord(subject=bytes([i % 251]) * 32,
+                                        attachment=f"ap{i % 7}", segment=i % 5, epoch=i % 3)
+        elif kind == 2:
+            payload = NftOwnership(token_id=bytes([i % 241]) * 32, owner=bytes([i % 13]) * 32)
+        else:
+            payload = TopologyUpdate(links=((i % 9, i % 9 + 1, 1 + i % 3),), origin=f"ap{i % 7}")
+        ledger.submit(payload, submitter=f"n{i % 6}", at_time=i, nonce=i.to_bytes(16, "big"))
+        if i % 500 == 499:
+            ledger.commit_round()
     ledger.commit_round()
     return ledger
 
@@ -238,6 +261,16 @@ class TestReplication:
         restored = Ledger.import_chain(primary.export_chain())
         assert restored.state_hash() == primary.state_hash()
         assert verify_chain(restored.entries)
+
+    def test_export_and_state_hash_bytes_pinned(self):
+        # Pinned from the quadratic bytes += encoders these replaced; the
+        # chain export and the replica state hash must not move a byte.
+        ledger = mixed_ledger(4000)
+        assert len(ledger.entries) == 4000
+        assert hashlib.sha256(ledger.export_chain()).hexdigest() == (
+            "20651fdeb60731c5516735019a2bb09655ad2d78cef063fa1bb4337735156230")
+        assert ledger.state_hash().hex() == (
+            "17813297895bdf5635caeeb39d5648d90c4a0596e1b5a36fdce16646ed4196ed")
 
     def test_jsonl_dump_one_line_per_entry(self):
         ledger = filled_ledger(8)

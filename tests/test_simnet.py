@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overnym.simnet import (
@@ -243,3 +243,109 @@ def test_to_jsonl_unserialisable_value_raises_like_json_dumps():
     trace.records[1]["nested"]["blob"][0] = "raw"
     assert trace.to_jsonl() == ('{"kind":"ok","time":0,"value":[1,{"x":"y"}]}\n'
                                 '{"kind":"bad","nested":{"blob":["raw"]},"time":1}\n')
+
+
+# Send-shaped records: most take the cached-prefix path in to_jsonl, and
+# the rest are one key short, carry a note, hold a time that is not an
+# int, or hold values that are not strings. 1, True and 1.0 hash alike,
+# so a cache that skipped the type checks would mix them up. A small text
+# pool makes prefixes repeat.
+send_text = (st.sampled_from(["ap1", "u", 'q"uote', "back\\slash", "caf\u00e9", "\u2603"])
+             | st.text(max_size=6))
+send_values = send_text | st.sampled_from([1, True, 1.0, None])
+send_times = (st.integers(min_value=0, max_value=10**6) | st.booleans() | st.floats()
+              | st.integers(min_value=2**64, max_value=2**200))
+
+
+@st.composite
+def send_records(draw):
+    record = {"kind": draw(st.sampled_from(["send", "send", "drop"])), "time": draw(send_times),
+              "src": draw(send_values), "dst": draw(send_values), "msg": draw(send_values)}
+    if draw(st.integers(min_value=0, max_value=5)) == 0:
+        record["note"] = draw(send_text)
+    missing = draw(st.sampled_from([None, None, None, "kind", "time", "src", "dst", "msg"]))
+    if missing is not None:
+        del record[missing]
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(send_records(), max_size=12))
+@example([{"kind": "send", "time": t, "src": src, "dst": "b", "msg": "m"}
+          for t in (3, True, 2.0) for src in ("1", 1, True, 1.0)])
+def test_to_jsonl_send_records_match_json_dumps(records):
+    trace = Trace()
+    trace.records.extend(records)
+    reference = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+                        for r in records)
+    assert trace.to_jsonl() == reference
+
+
+class ReferenceLinks:
+    """The per-pair rules LinkModel applied before latency and drop
+    probability were read in one call."""
+
+    def __init__(self):
+        self.latency_of, self.extra, self.drop = {}, {}, {}
+
+    def set_latency(self, src, dst, latency):
+        self.latency_of[(src, dst)] = latency
+        self.latency_of[(dst, src)] = latency
+
+    def add_delay(self, src, dst, extra):
+        for pair in ((src, dst), (dst, src)):
+            self.extra[pair] = self.extra.get(pair, 0) + extra
+
+    def set_drop(self, src, dst, probability):
+        self.drop[(src, dst)] = probability
+        self.drop[(dst, src)] = probability
+
+    def latency(self, src, dst):
+        if src == dst:
+            return 0
+        base = self.latency_of.get((src, dst), 1)
+        return max(1, base + self.extra.get((src, dst), 0))
+
+    def drop_probability(self, src, dst):
+        return self.drop.get((src, dst), 0.0)
+
+
+link_names = st.sampled_from(["a", "b", "c"])
+link_steps = st.one_of(
+    st.tuples(st.just("set_latency"), link_names, link_names, st.integers(1, 6)),
+    st.tuples(st.just("add_delay"), link_names, link_names, st.integers(-3, 4)),
+    st.tuples(st.just("set_drop"), link_names, link_names, st.sampled_from([0.0, 0.3, 0.7, 1.0])),
+    st.tuples(st.just("send"), link_names, link_names),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.lists(link_steps, max_size=30))
+def test_send_matches_reference_link_rules(seed, steps):
+    sim = Simulator(seed)
+    nodes = {name: sim.add_node(Recorder(name)) for name in "abc"}
+    reference, draws = ReferenceLinks(), Simulator(seed)
+    rngs = {}
+    expected = {name: [] for name in nodes}
+    dropped = []
+    for index, (op, src, dst, *arg) in enumerate(steps):
+        if op != "send":
+            getattr(sim.links, op)(src, dst, *arg)
+            getattr(reference, op)(src, dst, *arg)
+            continue
+        message = f"m{index}"
+        sim.send(src, dst, message)
+        # The old order: one draw from the pair's stream only when the
+        # drop probability is positive, then the latency.
+        p = reference.drop_probability(src, dst)
+        if p > 0.0:
+            rng = rngs.setdefault((src, dst), draws.fork_rng(f"link|{src}|{dst}"))
+            if rng.random() < p:
+                dropped.append((src, dst))
+                continue
+        expected[dst].append((reference.latency(src, dst), index, src, message))
+    sim.run_until_idle()
+    for name, node in nodes.items():
+        assert [(now, d.src, d.message, d.sent_at) for now, d in node.log] == [
+            (tick, src, message, 0) for tick, _, src, message in sorted(expected[name])]
+    assert [(r["src"], r["dst"]) for r in sim.trace.find("drop")] == dropped
