@@ -1,13 +1,13 @@
 """Command line: run scenarios, check them, compare bloom FPR.
 
     overnym run <scenario> [--seed N] [--trace PATH] [--metrics PATH]
-                [--strict-registration]
     overnym check <scenario>
     overnym fpr --m M --k K --n N [--trials T] [--seed S]
 
-Every flag has an environment override with the OVERNYM_ prefix:
-OVERNYM_SEED, OVERNYM_TRACE, OVERNYM_METRICS, OVERNYM_STRICT_REGISTRATION
-(the last is truthy when set to 1/true/on). Flags beat the environment.
+Every flag of run has an environment override with the OVERNYM_ prefix:
+OVERNYM_SEED, OVERNYM_TRACE, OVERNYM_METRICS. Flags beat the environment.
+Strict registration is a property of the scenario, set by its
+`option strict-registration on` line.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-def _env_flag(name: str) -> bool:
-    value = (_env(name) or "").strip().lower()
-    return value in ("1", "true", "on", "yes")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="overnym",
@@ -46,8 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run.add_argument("--trace", default=None, help="trace output path (JSON lines)")
     run.add_argument("--metrics", default=None, help="metrics output path (JSON)")
-    run.add_argument("--strict-registration", action="store_true", default=None,
-                     help="routers reject unregistered chain addresses")
 
     check = sub.add_parser("check", help="parse and validate a scenario only")
     check.add_argument("scenario", help="scenario file")
@@ -81,15 +74,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     seed = args.seed
     if seed is None and _env("SEED") is not None:
         seed = int(_env("SEED"))
-    strict = args.strict_registration
-    if strict is None and _env("STRICT_REGISTRATION") is not None:
-        strict = _env_flag("STRICT_REGISTRATION")
 
     stem = Path(args.scenario).stem
     trace_path = args.trace or _env("TRACE") or f"{stem}.trace.jsonl"
     metrics_path = args.metrics or _env("METRICS") or f"{stem}.metrics.json"
 
-    result = run_scenario(sc, seed=seed, strict=strict)
+    result = run_scenario(sc, seed=seed)
     write_outputs(result, trace_path, metrics_path)
 
     for text, passed, detail in result.checks:

@@ -28,7 +28,6 @@ TAG_NFT = b"nft:"
 TAG_PAYLOAD = b"payload:"
 TAG_ENTRY = b"entry:"
 TAG_LEDGER_STATE = b"ledger-state:"
-TAG_GRAPH = b"graph:"
 TAG_TRANSCRIPT = b"transcript:"
 TAG_HS_NONCE = b"hs-nonce:"
 TAG_SESSION_ID = b"session-id:"

@@ -220,16 +220,13 @@ class LookupStats:
 
 
 def lookup_global(
-    tables: Mapping[int, NeatTable] | Iterable[NeatTable],
+    tables: Mapping[int, NeatTable],
     key: bytes,
     stats: LookupStats | None = None,
 ) -> GlobalLookup:
     """Probe segments in id order, exact map only where the filter says
     maybe; first exact hit wins. probes counts exact-map consultations."""
-    if isinstance(tables, Mapping):
-        ordered = [tables[segment] for segment in sorted(tables)]
-    else:
-        ordered = sorted(tables, key=lambda t: t.segment)
+    ordered = [tables[segment] for segment in sorted(tables)]
     key = bytes(key)
     positions: dict[tuple[int, int], list[int]] = {}  # (m, k) -> bit positions
     probes = 0

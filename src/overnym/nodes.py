@@ -217,7 +217,7 @@ class ProtocolNode(Node):
     """Node with an identity, ledger access, and tx-submission plumbing."""
 
     # Runs the scenario's scripted actions: an object whose
-    # run_action(node, action, now) each Timer("action", (index, action))
+    # run_action(node, action, now) each Timer("action", action)
     # goes to. The runner sets it; without one, actions are ignored.
     action_driver: Any = None
 
@@ -254,7 +254,7 @@ class ProtocolNode(Node):
             if payload.tag != "action":
                 self.on_timer(payload.tag, payload.data, now)
             elif self.action_driver is not None:
-                self.action_driver.run_action(self, payload.data[1], now)
+                self.action_driver.run_action(self, payload.data, now)
 
     def on_routed(self, envelope: Envelope, now: int) -> None:
         self.on_message(envelope.src, envelope.inner, now, envelope.origin_time)
@@ -510,12 +510,6 @@ class UserNode(_SessionEnd):
         # device); the machine and device arrive with the router's grant.
         self.pending: dict[bytes, tuple[str, ClientHandshake | None, str]] = {}
         self.next_seq: dict[bytes, int] = {}
-
-    def attach(self, sim: Simulator) -> None:
-        super().attach(sim)
-        if self.attributes:
-            self.secret = IdentitySecret(self.secret.seed, self.attributes)
-            self.bcadd = identity.derive_bcadd(self.secret, 0)
 
     # -- scripted actions -----------------------------------------------------
 

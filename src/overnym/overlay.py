@@ -7,12 +7,12 @@ hop-cost with a fixed tie-break: among equal-cost routes, the
 lexicographically smallest segment-id sequence wins, so equal inputs
 always produce byte-identical paths.
 
-OverlayGraph keeps two indexes beside its segment and link tables, so
-Dijkstra and endpoint resolution never scan the whole graph: an
-adjacency map (segment -> neighbour -> cost), maintained by
-apply_topology, and an access-point -> segment index, maintained by
-add_segment. Whether a neighbour has an access point is still checked
-when neighbors() is called.
+OverlayGraph holds its links once, in an adjacency map (segment ->
+neighbour -> cost) maintained by apply_topology, and keeps an
+access-point -> segment index beside its segment table, maintained by
+add_segment, so Dijkstra and endpoint resolution never scan the whole
+graph. Whether a neighbour has an access point is still checked when
+neighbors() is called.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .hashing import TAG_GRAPH, owf, u64
 from .ledger import Ledger, TopologyUpdate
-from .wire import pack_str, pack_u64
 
 
 class Unresolvable(Exception):
@@ -45,12 +43,6 @@ class RoutePath:
         if not self.hops:
             raise ValueError("a route has at least one hop")
 
-    def to_bytes(self) -> bytes:
-        body = pack_u64(self.total_cost) + pack_u64(len(self.hops))
-        for hop in self.hops:
-            body += pack_str(hop)
-        return body
-
     def reversed(self) -> "RoutePath":
         return RoutePath(tuple(reversed(self.hops)), self.total_cost)
 
@@ -58,10 +50,11 @@ class RoutePath:
 class OverlayGraph:
     """Undirected segment graph versioned by ledger seq.
 
-    Links are stored once per unordered pair; re-announcing a pair
-    replaces its cost. Updates at or below the current version are
-    stale and only counted; links naming unknown segments are rejected
-    individually while the rest of the update applies.
+    A link is one unordered pair, held under both of its ends;
+    re-announcing a pair replaces its cost. Updates at or below the
+    current version are stale and only counted; links naming unknown
+    segments are rejected individually while the rest of the update
+    applies.
 
     An access point listed in several segments belongs to the segment
     that was added first.
@@ -69,7 +62,6 @@ class OverlayGraph:
 
     def __init__(self):
         self._segments: dict[int, set[str]] = {}
-        self._links: dict[tuple[int, int], int] = {}
         self._adjacent: dict[int, dict[int, int]] = {}
         self._ap_segment: dict[str, int] = {}
         self._rank: dict[int, int] = {}  # segment -> order in which it was added
@@ -92,7 +84,8 @@ class OverlayGraph:
         self.add_segment(segment_id, [access_point])
 
     def links(self) -> list[tuple[int, int, int]]:
-        return [(a, b, cost) for (a, b), cost in sorted(self._links.items())]
+        return sorted((a, b, cost) for a, adjacent in self._adjacent.items()
+                      for b, cost in adjacent.items() if a < b)
 
     def has_segment(self, segment_id: int) -> bool:
         return segment_id in self._segments
@@ -118,7 +111,6 @@ class OverlayGraph:
                 if a == b or cost < 1:
                     self.rejected_links.append((seq, link, "invalid link"))
                     continue
-                self._links[(min(a, b), max(a, b))] = cost
                 self._adjacent.setdefault(a, {})[b] = cost
                 self._adjacent.setdefault(b, {})[a] = cost
             self.version = seq
@@ -129,17 +121,6 @@ class OverlayGraph:
         segments = self._segments
         return sorted((other, cost) for other, cost in self._adjacent.get(segment_id, {}).items()
                       if segments[other])
-
-    def graph_hash(self) -> bytes:
-        blob = b""
-        for seg in sorted(self._segments):
-            blob += pack_u64(seg)
-            for ap in sorted(self._segments[seg]):
-                blob += pack_str(ap)
-        for (a, b), cost in sorted(self._links.items()):
-            blob += pack_u64(a) + pack_u64(b) + pack_u64(cost)
-        blob += u64(self.version + 1 if self.version is not None else 0)
-        return owf(TAG_GRAPH, blob)
 
     def dump(self) -> dict:
         return {

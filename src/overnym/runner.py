@@ -12,7 +12,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 
-from .ledger import Ledger, NftOwnership, TopologyUpdate
+from .ledger import MAX_PAYLOAD_BYTES, Ledger, NftOwnership, TopologyUpdate, encode_payload
 from .neat import NeatTable
 from .nodes import (
     AccessPointNode,
@@ -25,7 +25,7 @@ from .nodes import (
     token_id_for,
 )
 from .overlay import OverlayGraph
-from .scenario import Scenario, ValidationError
+from .scenario import Scenario
 from .simnet import Simulator, Timer, Trace
 
 
@@ -49,10 +49,8 @@ class _Built:
     routers: dict[str, AccessPointNode]
 
 
-def build_simulation(sc: Scenario, *, seed: int | None = None,
-                     strict: bool | None = None) -> _Built:
+def build_simulation(sc: Scenario, *, seed: int | None = None) -> _Built:
     seed = sc.seed if seed is None else seed
-    strict = sc.strict_registration if strict is None else strict
     horizon = sc.effective_horizon()
 
     sim = Simulator(seed)
@@ -63,7 +61,7 @@ def build_simulation(sc: Scenario, *, seed: int | None = None,
         metrics=Metrics(),
         sequencer="",
         regulator="",
-        strict_registration=strict,
+        strict_registration=sc.strict_registration,
         horizon=horizon,
     )
 
@@ -84,11 +82,9 @@ def build_simulation(sc: Scenario, *, seed: int | None = None,
             routers[decl.name] = node
             world.graph.add_access_point(decl.segment, decl.name)
 
-    def ap_for(segment: int, name: str) -> str:
-        aps = world.graph.access_points_of(segment)
-        if not aps:
-            raise ValidationError(name, f"segment {segment} has no router")
-        return min(aps)
+    def ap_for(segment: int) -> str:
+        # parse_scenario refuses a user or server on a segment without a router
+        return min(world.graph.access_points_of(segment))
 
     for decl in sc.nodes:
         if decl.kind == "router":
@@ -104,14 +100,14 @@ def build_simulation(sc: Scenario, *, seed: int | None = None,
         elif decl.kind == "user":
             attributes = {k: _coerce(v) for k, v in decl.props}
             node = UserNode(decl.name, decl.segment, world,
-                            access_point=ap_for(decl.segment, decl.name),
+                            access_point=ap_for(decl.segment),
                             attributes=attributes)
             sim.add_node(node)
             users[decl.name] = node
         elif decl.kind == "app-server":
             service = decl.prop("service", decl.name)
             node = AppServerNode(decl.name, decl.segment, world,
-                                 access_point=ap_for(decl.segment, decl.name),
+                                 access_point=ap_for(decl.segment),
                                  service_id=service)
             sim.add_node(node)
             servers[decl.name] = node
@@ -137,10 +133,27 @@ def _schedule_actions(built: _Built, sc: Scenario) -> None:
         built.routers[name].register_self()
     if sc.links:
         origin = min(built.routers) if built.routers else ""
-        built.routers[origin].submit_tx(TopologyUpdate(links=tuple(sc.links), origin=origin))
+        for update in _topology_updates(sc.links, origin):
+            built.routers[origin].submit_tx(update)
 
-    for idx, action in enumerate(sc.actions):
-        sim.schedule(action.time, _action_host(built, action), Timer("action", (idx, action)))
+    for action in sc.actions:
+        sim.schedule(action.time, _action_host(built, action), Timer("action", action))
+
+
+def _topology_updates(links: list[tuple[int, int, int]], origin: str) -> list[TopologyUpdate]:
+    """The declared links as TopologyUpdates the ledger accepts: in
+    declaration order, each within MAX_PAYLOAD_BYTES, and only one when
+    they all fit in one."""
+    # Each link adds three u64s to the encoded update.
+    per_update = (MAX_PAYLOAD_BYTES - len(encode_payload(TopologyUpdate((), origin)))) // 24
+    if len(links) > per_update:
+        # The updates commit in one round, ordered by nonce, not in the order
+        # sent. Keep only each pair's last declaration, so its later cost wins.
+        pairs = [(min(a, b), max(a, b)) for a, b, _ in links]
+        last = {pair: i for i, pair in enumerate(pairs)}
+        links = [link for i, (link, pair) in enumerate(zip(links, pairs)) if last[pair] == i]
+    return [TopologyUpdate(tuple(links[i:i + per_update]), origin)
+            for i in range(0, len(links), per_update)]
 
 
 def _action_host(built: _Built, action) -> str:
@@ -305,9 +318,8 @@ def _evaluate_one(built: _Built, exp, trace: Trace, metrics: Metrics) -> tuple[b
     return False, f"unknown expectation {exp.kind}"
 
 
-def run_scenario(sc: Scenario, *, seed: int | None = None,
-                 strict: bool | None = None) -> RunResult:
-    built = build_simulation(sc, seed=seed, strict=strict)
+def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
+    built = build_simulation(sc, seed=seed)
     _ActionDriver(built)
     _schedule_actions(built, sc)
     _schedule_probes(built, sc)

@@ -113,12 +113,10 @@ class Trace:
 
 
 class LinkModel:
-    """Per-ordered-pair latency, extra delay, and drop probability."""
+    """Per-ordered-pair latency, extra delay, and drop probability.
+    Distinct nodes are 1 tick apart until set_latency says otherwise."""
 
-    def __init__(self, default_latency: int = 1):
-        if default_latency < 1:
-            raise ValueError("latency between distinct nodes is at least 1")
-        self.default_latency = default_latency
+    def __init__(self):
         self._latency: dict[tuple[str, str], int] = {}
         self._extra: dict[tuple[str, str], int] = {}
         self._drop: dict[tuple[str, str], float] = {}
@@ -126,12 +124,12 @@ class LinkModel:
     def link(self, src: str, dst: str) -> tuple[int, float]:
         """(latency, drop probability) of the ordered pair src -> dst."""
         if not (self._latency or self._extra or self._drop):
-            return (0 if src == dst else self.default_latency), 0.0
+            return (0 if src == dst else 1), 0.0
         pair = (src, dst)
         drop = self._drop.get(pair, 0.0)
         if src == dst:
             return 0, drop
-        base = self._latency.get(pair, self.default_latency)
+        base = self._latency.get(pair, 1)
         return max(1, base + self._extra.get(pair, 0)), drop
 
     def set_latency(self, src: str, dst: str, latency: int) -> None:
@@ -167,16 +165,13 @@ class Node:
     def handle(self, payload: Any, now: int) -> None:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        return {"name": self.name, "kind": self.kind, "segment": self.segment}
-
 
 class Simulator:
-    def __init__(self, seed: int, *, step_cap: int = 1_000_000, trace: Trace | None = None):
+    def __init__(self, seed: int, *, step_cap: int = 1_000_000):
         self.seed = seed
         self.now = 0
         self.step_cap = step_cap
-        self.trace = trace if trace is not None else Trace()
+        self.trace = Trace()
         self.links = LinkModel()
         self.nodes: dict[str, Node] = {}
         self.crashed: set[str] = set()

@@ -37,7 +37,7 @@ at 3 bind s
 def settled(strict=False, register_user=False):
     text = SCENARIO.replace("at 3", "at 1 register u\nat 3") if register_user else SCENARIO
     sc = parse_scenario(text)
-    built = build_simulation(sc, strict=strict)
+    built = build_simulation(replace(sc, strict_registration=strict))
     _ActionDriver(built)
     _schedule_actions(built, sc)
     built.sim.run_until_idle()

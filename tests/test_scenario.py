@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from overnym.cli import main
-from overnym.runner import run_scenario, write_outputs
+from overnym.ledger import MAX_PAYLOAD_BYTES, encode_payload
+from overnym.overlay import OverlayGraph
+from overnym.runner import _topology_updates, run_scenario, write_outputs
 from overnym.scenario import (
     ParseError,
     ValidationError,
@@ -116,7 +118,7 @@ class TestRun:
         # no register action: permissive admits, strict refuses
         text = """
 seed 5
-segment 1
+{option}segment 1
 node ap router 1
 node seq sequencer 1
 node u user 1
@@ -125,9 +127,10 @@ at 1 register s open-access
 at 3 bind s
 at 6 connect u s
 """
-        permissive = run_scenario(parse_scenario(text), strict=False)
+        permissive = run_scenario(parse_scenario(text.format(option="")))
         assert permissive.metrics.handshakes_succeeded == 1
-        strict = run_scenario(parse_scenario(text), strict=True)
+        strict = run_scenario(parse_scenario(
+            text.format(option="option strict-registration on\n")))
         assert strict.metrics.handshakes_succeeded == 0
         assert strict.metrics.admissions_rejected.get("unregistered") == 1
 
@@ -187,6 +190,45 @@ expect handshake u s success
                     if r["time"] < cutoff]
 
         assert commit_heads(crashed, 26) == commit_heads(calm, 26)
+
+    def test_links_beyond_one_update_all_reach_the_graph(self):
+        # 201 segments in a line: more links than one ledger payload carries.
+        # Pair (1, 2) is declared again last, so in another update, at cost 3;
+        # pair (2, 3) is declared twice in the first update and ends at cost 1.
+        links = [(2, 3, 9)] + [(i, i + 1, 1) for i in range(1, 201)] + [(2, 1, 3)]
+        text = "\n".join(
+            ["seed 4"] + [f"segment {i}" for i in range(1, 202)]
+            + [f"link {a} {b} {cost}" for a, b, cost in links]
+            + ["node ap1 router 1", "node ap2 router 2", "node ap3 router 3",
+               "node seq sequencer 1", "node u user 1", "node s app-server 3 service=echo",
+               "at 1 register u", "at 1 register s open-access",
+               "at 3 bind u", "at 3 bind s", "at 6 connect u s",
+               "expect handshake u s success"])
+        result = run_scenario(parse_scenario(text))
+        assert result.exit_code == 0
+        assert result.trace.find("tx-refused") == []
+        kinds = [r["payload_kind"] for r in result.trace.find("ledger-entry")]
+        assert kinds.count("TopologyUpdate") == 2
+        [graph] = result.trace.find("graph")
+        expected = {(i, i + 1): 1 for i in range(1, 201)} | {(1, 2): 3}
+        assert {(a, b): cost for a, b, cost in graph["links"]} == expected
+
+    def test_links_that_fit_one_update_submit_one(self):
+        line = [(i, i + 1, 1) for i in range(1, 180)]
+        # three u64s per link; tag, count and origin take the other 12 bytes
+        assert len(_topology_updates(line[:170], "ap1")) == 1
+        updates = _topology_updates(line[:171], "ap1")
+        assert [len(u.links) for u in updates] == [170, 1]
+        assert all(len(encode_payload(u)) <= MAX_PAYLOAD_BYTES for u in updates)
+        # A pair is in one update only, so the commit order of the updates
+        # cannot change its final cost.
+        updates = _topology_updates([(1, 2, 5)] + line + [(2, 1, 7)], "ap1")
+        for order in (updates, updates[::-1]):
+            graph = OverlayGraph()
+            for seg in range(1, 181):
+                graph.add_segment(seg)
+            graph.apply_topology(enumerate(order))
+            assert graph.links()[0] == (1, 2, 7)
 
 
 class TestCli:
@@ -248,8 +290,9 @@ class TestCli:
     def test_strict_registration_flag(self, tmp_path, capsys):
         text = MINIMAL.replace("at 1 register u\n", "")
         scenario = tmp_path / "strict.scn"
-        scenario.write_text(text.replace("expect handshake u s success",
-                                         "expect handshake u s failure"))
-        assert main(["run", str(scenario), "--strict-registration",
+        scenario.write_text("option strict-registration on\n"
+                            + text.replace("expect handshake u s success",
+                                           "expect handshake u s failure"))
+        assert main(["run", str(scenario),
                      "--trace", str(tmp_path / "t.jsonl"),
                      "--metrics", str(tmp_path / "m.json")]) == 0

@@ -1,5 +1,5 @@
-"""docs/wire-format.md must describe every domain-separation tag and
-every trace record kind."""
+"""docs/wire-format.md must describe every domain-separation tag, name
+no tag that does not exist, and describe every trace record kind."""
 
 import re
 from pathlib import Path
@@ -16,6 +16,15 @@ def test_doc_names_every_tag_constant_and_value():
     for name, value in tags.items():
         assert f"`{name}`" in doc, name
         assert f"`{value.decode()}`" in doc, name
+
+
+def test_tag_table_names_only_existing_constants():
+    doc = DOC.read_text()
+    section = doc.split("## Tagged preimages", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(TAG_\w+)` \|", section, re.MULTILINE)
+    assert "TAG_BCADD" in rows
+    for name in rows:
+        assert isinstance(getattr(hashing, name, None), bytes), name
 
 
 def test_trace_section_names_every_emitted_kind():
