@@ -10,7 +10,9 @@ filter's false-positive rate.
 Filter index hashes are domain-separated instances of the package-wide
 hash (one primitive to audit); bloom filters cannot delete, so removal
 marks the exact map and rebuild_filter regenerates the filter over the
-live keys.
+live keys. A table hashes each key once: it keeps the bit positions that
+BloomFilter.add returned for every live key and forgets them on remove,
+so a rebuild sets bits from those positions and hashes nothing.
 
 A global lookup hashes the key once per filter geometry (m, k), not once
 per segment: every table with that geometry is tested against the same
@@ -94,10 +96,23 @@ class BloomFilter:
             for i in range(self.k)
         ]
 
-    def add(self, key: bytes) -> None:
-        for pos in self.positions(key):
-            self._bits[pos // 8] |= 1 << (pos % 8)
-        self.count += 1
+    def add(self, key: bytes) -> list[int]:
+        """Hash key into the filter; returns its bit positions, which
+        add_positions can set again without hashing."""
+        positions = self.positions(key)
+        self.add_positions((positions,))
+        return positions
+
+    def add_positions(self, keys: Iterable[list[int]]) -> None:
+        """Add keys given by the positions add returned for them under
+        this geometry: the same bits and count, and no hashing."""
+        bits = self._bits
+        added = 0
+        for positions in keys:
+            for pos in positions:
+                bits[pos >> 3] |= 1 << (pos & 7)
+            added += 1
+        self.count += added
 
     def might_contain(self, key: bytes) -> bool:
         return self.count > 0 and self.has_bits(self.positions(key))
@@ -156,6 +171,8 @@ class NeatTable:
             m, k = filter_params(capacity, target_fpr)
         self.filter = BloomFilter(m, k)
         self._exact: dict[bytes, NetworkLocator] = {}
+        # Live key -> its bit positions in self.filter; the same keys as _exact.
+        self._positions: dict[bytes, list[int]] = {}
         self.exact_probes = 0
 
     def __len__(self) -> int:
@@ -175,7 +192,7 @@ class NeatTable:
             )
         key = bytes(key)
         if key not in self._exact:
-            self.filter.add(key)
+            self._positions[key] = self.filter.add(key)
         self._exact[key] = locator
 
     def lookup_local(self, key: bytes) -> NetworkLocator | None:
@@ -186,14 +203,18 @@ class NeatTable:
         return self._exact.get(bytes(key))
 
     def remove(self, key: bytes) -> None:
-        """Unbind; stale filter bits persist until rebuild_filter."""
-        self._exact.pop(bytes(key), None)
+        """Unbind and forget the key's cached bit positions; stale filter
+        bits persist until rebuild_filter."""
+        key = bytes(key)
+        self._exact.pop(key, None)
+        self._positions.pop(key, None)
 
     def rebuild_filter(self) -> None:
-        """Regenerate the filter over live keys only (same geometry)."""
+        """Regenerate the filter over live keys only (same geometry), from
+        their cached bit positions: the filter that adding each live key
+        afresh would give, with no key hashed again."""
         fresh = BloomFilter(self.filter.m, self.filter.k)
-        for key in self._exact:
-            fresh.add(key)
+        fresh.add_positions(self._positions.values())
         self.filter = fresh
 
     def snapshot(self) -> bytes:

@@ -33,6 +33,7 @@ from .simnet import Delivery, Node, Simulator, Timer
 from .wire import WireError
 
 HEARTBEAT_PERIOD = 1
+_PUSH_SUMMARY = Timer("push-summary")
 
 
 def token_id_for(name: str) -> bytes:
@@ -326,6 +327,8 @@ class AccessPointNode(ProtocolNode):
         super().__init__(name, segment, world)
         self.seen_nonces: set[bytes] = set()
         self.remote_filters: dict[int, bytes] = {}
+        self._summary_dirty = False  # a push is scheduled for this tick
+        self._peers: list[str] | None = None  # the other routers, on first push
 
     def register_self(self) -> None:
         self.submit_tx(RegistrationTx(
@@ -336,11 +339,22 @@ class AccessPointNode(ProtocolNode):
     def _table(self) -> NeatTable:
         return self.world.tables[self.segment]
 
+    def _mark_summary_dirty(self, now: int) -> None:
+        """Push the table's summary once this tick's other events are done:
+        at most one push per tick, however many binds and unbinds."""
+        if not self._summary_dirty:
+            self._summary_dirty = True
+            self.sim.schedule(now, self.name, _PUSH_SUMMARY)
+
     def _push_snapshot(self) -> None:
+        if self._peers is None:
+            # Every router is added before the run starts, in declaration order.
+            self._peers = [node.name for node in self.sim.nodes.values()
+                           if isinstance(node, AccessPointNode) and node is not self]
         snapshot = FilterSnapshot(self.segment, self._table().snapshot())
-        for node in self.sim.nodes.values():
-            if isinstance(node, AccessPointNode) and node.name != self.name:
-                self.sim.send(self.name, node.name, snapshot)
+        send, name = self.sim.send, self.name
+        for peer in self._peers:
+            send(name, peer, snapshot)
 
     def _refresh_graph(self) -> None:
         applied = self.world.graph.version
@@ -362,11 +376,16 @@ class AccessPointNode(ProtocolNode):
             table.rebuild_filter()
             self.sim.trace.emit("neat-unbind", now, segment=self.segment,
                                 key=message.subject.hex()[:16])
-            self._push_snapshot()
+            self._mark_summary_dirty(now)
         elif isinstance(message, FilterSnapshot):
             self.remote_filters[message.segment] = message.snapshot
         elif isinstance(message, ConnectRequest):
             self._handle_connect(message, now)
+
+    def on_timer(self, tag, data, now):
+        if tag == "push-summary":
+            self._summary_dirty = False
+            self._push_snapshot()
 
     def _handle_bind(self, message: BindRequest, now: int) -> None:
         table = self._table()
@@ -382,7 +401,7 @@ class AccessPointNode(ProtocolNode):
             subject=message.subject, attachment=self.name,
             segment=self.segment, epoch=message.epoch,
         ))
-        self._push_snapshot()
+        self._mark_summary_dirty(now)
 
     def _handle_connect(self, request: ConnectRequest, now: int) -> None:
         self._refresh_graph()

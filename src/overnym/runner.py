@@ -132,7 +132,7 @@ def _schedule_actions(built: _Built, sc: Scenario) -> None:
     for name in sorted(built.routers):
         built.routers[name].register_self()
     if sc.links:
-        origin = min(built.routers) if built.routers else ""
+        origin = min(built.routers)  # parse_scenario refuses links without a router
         for update in _topology_updates(sc.links, origin):
             built.routers[origin].submit_tx(update)
 

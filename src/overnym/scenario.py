@@ -372,6 +372,8 @@ def _validate(sc: Scenario) -> None:
     if len(regulators) > 1:
         raise ValidationError("regulator", "at most one regulator")
     routable = {n.segment for n in sc.nodes if n.kind == "router"}
+    if sc.links and not routable:
+        raise ValidationError("link", "links are declared but no router publishes them")
     for decl in sc.nodes:
         if decl.kind in ("user", "app-server") and decl.segment not in routable:
             raise ValidationError(decl.name, f"segment {decl.segment} has no router")

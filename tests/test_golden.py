@@ -18,13 +18,13 @@ ROOT = Path(__file__).parent.parent
 
 # fixture -> (trace sha256, metrics.json sha256)
 PINS = {
-    "crash_server": ("54811b952e24f2a2646af9454a67877e4fb88b374c9ba6c5970961108b9ad072",
+    "crash_server": ("84048da090197301dcf41f1cd37dfe91c6fc7e45f0dd38bed3f9b0b5ee2caefb",
                      "95af0d311f04446ffb084d7287c851f68dd98f5ee51ef584cfbbf3e54696f76a"),
-    "end_to_end": ("81fcf7b00064d04f1ebd7aa9cf3c0da5ae31d8bd6e81908eae595b333211a6b2",
+    "end_to_end": ("509fd00f467a6eec9ffdede9004e1c1c3ea16e95622d80fe85c1412f3d202fa8",
                    "6a90f9df5012c211aef74e069166ad50070505244ee76dc9ec391c35c70c92d0"),
-    "link_faults": ("8b7af1e68a8dcbc7bf811064215d149111e4eeda43d8eb37844bf002c30b9516",
+    "link_faults": ("81b75394365562443e8fb51e035ea91274ee96555b5360eecd22458d340ee74d",
                     "ae9c25754647142b7de8d123ce50d5fa5d85f5bb680110fb7b75ae6363a4fa04"),
-    "strict_reject": ("765b85eca06484f2ba54905bd1351493a375d106eeb46ee97041292fd599d1a0",
+    "strict_reject": ("60eaec9c15c538fd50f0652f1d6fbdcbf57c11723d5753f3cf7b287f960de488",
                       "1890c93feddaa00f7bcbacc8e0f4fceb6b8f41f9d0648e659d4d5f64e79d8daa"),
 }
 FIXTURES = sorted((ROOT / "scenarios").glob("*.scn"))

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overnym.neat import (
     BloomFilter,
@@ -178,6 +180,33 @@ class TestNeatTable:
                 table.rebuild_filter()
         for k in live:
             assert table.lookup_local(k) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(("insert", "remove", "rebuild")),
+                              st.integers(0, 11)), max_size=60))
+    def test_cached_positions_give_the_rehashed_filter(self, steps):
+        # Reference: the filter that hashes every key with BloomFilter.add,
+        # over the live keys again on each rebuild. A small filter makes
+        # keys share bits, so a bit cleared or kept wrongly shows.
+        table = NeatTable(1, m=64, k=3)
+        reference = BloomFilter(64, 3)
+        live = set()
+        for op, i in steps:
+            if op == "insert":
+                if key(i) not in live:
+                    reference.add(key(i))
+                table.insert(key(i), locator(1))
+                live.add(key(i))
+            elif op == "remove":
+                table.remove(key(i))
+                live.discard(key(i))
+            else:
+                table.rebuild_filter()
+                reference = BloomFilter(64, 3)
+                for k in live:
+                    reference.add(k)
+            assert table.snapshot() == reference.to_bytes()
+            assert table._positions == {k: reference.positions(k) for k in live}
 
 
 class TestGlobalLookup:

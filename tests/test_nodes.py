@@ -9,16 +9,20 @@ import pytest
 from overnym import identity, session
 from overnym.identity import ServiceProps, derive_appid, make_linkage_proof
 from overnym.ledger import RegistrationTx
+from overnym.neat import NetworkLocator
 from overnym.nodes import (
     AccessPointNode,
+    BindRequest,
     ConnectRefused,
     ConnectRequest,
     HandshakeEnvelope,
     SubmitTx,
+    UnbindRequest,
 )
 from overnym.runner import _ActionDriver, _schedule_actions, build_simulation
 from overnym.scenario import parse_scenario
 from overnym.session import HandshakeMessage
+from overnym.simnet import Delivery
 
 from conftest import forge_key_linkage
 
@@ -229,3 +233,58 @@ class TestRefusedHandshakeMessage:
         self.connect(built)
         assert len(built.sim.trace.find("connect-refused", client="u")) == 1
         assert len(self.established(built, "u")) == 1
+
+
+class TestRouterSummaryPush:
+    """A router pushes its table's summary at most once per tick."""
+
+    TEXT = """
+seed 6
+segment 1
+segment 2
+segment 3
+link 1 2 1
+link 2 3 1
+node ap1 router 1
+node ap2 router 2
+node ap3 router 3
+node seq sequencer 1
+"""
+
+    def test_binds_and_unbinds_in_one_tick_push_once(self):
+        sc = parse_scenario(self.TEXT)
+        built = build_simulation(sc)
+        _ActionDriver(built)
+        _schedule_actions(built, sc)
+        built.sim.run_until_idle()
+        sim, start = built.sim, built.sim.now + 1
+
+        def deliver(at, router, message):
+            sim.schedule(at, router, Delivery("d", message, at - 1))
+
+        def bind(subject, segment):
+            locator = NetworkLocator(device_id="d", port=1, segment=segment)
+            return BindRequest(subject=bytes([subject]) * 32, locator=locator)
+
+        for subject in (1, 2, 3):  # three binds in one tick
+            deliver(start, "ap1", bind(subject, 1))
+        deliver(start + 2, "ap1", bind(4, 1))  # a bind and an unbind in one tick
+        deliver(start + 2, "ap1", UnbindRequest(subject=bytes([1]) * 32))
+        deliver(start + 4, "ap1", bind(5, 1))  # a later tick pushes again
+        deliver(start + 4, "ap2", bind(6, 2))
+        sim.run_until_idle()
+
+        pushes = {}
+        for record in sim.trace.find("send", msg="FilterSnapshot"):
+            pushes.setdefault((record["src"], record["time"]), []).append(record["dst"])
+        assert pushes == {
+            ("ap1", start): ["ap2", "ap3"],
+            ("ap1", start + 2): ["ap2", "ap3"],
+            ("ap1", start + 4): ["ap2", "ap3"],
+            ("ap2", start + 4): ["ap1", "ap3"],
+        }
+        tables = built.world.tables
+        assert len(tables[1]) == 4
+        for name, router in built.routers.items():
+            pushed = {1, 2} - {router.segment}
+            assert router.remote_filters == {s: tables[s].snapshot() for s in pushed}

@@ -64,6 +64,13 @@ class TestParse:
         with pytest.raises(ParseError, match="not declared"):
             parse_scenario(text)
 
+    def test_links_without_a_router_rejected(self):
+        # A router publishes the declared links; without one, run had
+        # nothing to publish them from, so check must refuse the file too.
+        text = "seed 1\nsegment 1\nsegment 2\nlink 1 2 1\nnode seq sequencer 1\n"
+        with pytest.raises(ValidationError, match="no router"):
+            parse_scenario(text)
+
     def test_comments_and_blanks_ignored(self):
         sc = parse_scenario("# header\n\nseed 4 # trailing\nsegment 1\nnode ap router 1\nnode q sequencer 1\n")
         assert sc.seed == 4
