@@ -9,6 +9,10 @@ hop along computed access-point routes.
 
 Traces record message kinds, decisions, and key-check digests; key
 material never appears in a trace or on the wire.
+
+Nodes model the protocol only. The scenario's script (its actions and
+the probes behind its expectations) is run by the runner as simulator
+control events, which call the `do_*` steps here and enter no node.
 """
 
 from __future__ import annotations
@@ -111,9 +115,10 @@ class World:
 
 @dataclass(frozen=True)
 class SubmitTx:
+    """A ledger write; the sequencer takes its submitter from the sender."""
+
     payload: Any
     nonce: bytes
-    submitter: str
 
 
 class Envelope(NamedTuple):
@@ -132,7 +137,8 @@ class Envelope(NamedTuple):
 
 @dataclass(frozen=True)
 class ConnectRequest:
-    client: str
+    """Sent by the client to its own router, which answers the sender."""
+
     server_key: bytes  # APPID id to discover
     bcadd: BCADD
     appid: APPID
@@ -217,11 +223,6 @@ class RotationEnvelope:
 class ProtocolNode(Node):
     """Node with an identity, ledger access, and tx-submission plumbing."""
 
-    # Runs the scenario's scripted actions: an object whose
-    # run_action(node, action, now) each Timer("action", action)
-    # goes to. The runner sets it; without one, actions are ignored.
-    action_driver: Any = None
-
     def __init__(self, name: str, segment: int, world: World):
         super().__init__(name, segment)
         self.world = world
@@ -237,27 +238,32 @@ class ProtocolNode(Node):
     def submit_tx(self, payload: Any) -> None:
         self._tx_counter += 1
         nonce = owf(b"txnonce:", self.name.encode(), self._tx_counter.to_bytes(8, "big"))[:16]
-        self.sim.send(self.name, self.world.sequencer,
-                      SubmitTx(payload=payload, nonce=nonce, submitter=self.name))
+        self.sim.send(self.name, self.world.sequencer, SubmitTx(payload=payload, nonce=nonce))
 
-    def my_locator(self) -> NetworkLocator:
-        return NetworkLocator(device_id=self.name, port=9000, segment=self.segment)
+    def _register(self, kind: str, subject: bytes | None = None, **access: Any) -> None:
+        """Register subject (by default the current chain address) under
+        the current key and epoch."""
+        bcadd = self.bcadd
+        self.submit_tx(RegistrationTx(
+            kind=kind, subject=bcadd.address if subject is None else subject,
+            public_key=bcadd.public_key, epoch=bcadd.epoch, **access,
+        ))
 
     def handle(self, payload: Any, now: int) -> None:
+        # Subclasses override the on_* hooks, never handle: the benchmark's
+        # tracer rebinds handle on every node class to this one.
         if isinstance(payload, Delivery):
             message = payload.message
-            if isinstance(message, Envelope) and not isinstance(self, AccessPointNode):
-                # terminal hop: unwrap and keep provenance for replies
+            if isinstance(message, Envelope):
                 self.on_routed(message, now)
             else:
                 self.on_message(payload.src, message, now, payload.sent_at)
         elif isinstance(payload, Timer):
-            if payload.tag != "action":
-                self.on_timer(payload.tag, payload.data, now)
-            elif self.action_driver is not None:
-                self.action_driver.run_action(self, payload.data, now)
+            self.on_timer(payload.tag, payload.data, now)
 
     def on_routed(self, envelope: Envelope, now: int) -> None:
+        """An Envelope arrived. At a session end it is the last hop:
+        unwrap it and keep its provenance for replies."""
         self.on_message(envelope.src, envelope.inner, now, envelope.origin_time)
 
     def on_message(self, src: str, message: Any, now: int, sent_at: int) -> None:
@@ -279,13 +285,10 @@ class SequencerNode(ProtocolNode):
     def on_message(self, src, message, now, sent_at):
         if isinstance(message, SubmitTx):
             try:
-                self.world.ledger.submit(
-                    message.payload, submitter=message.submitter,
-                    at_time=now, nonce=message.nonce,
-                )
+                self.world.ledger.submit(message.payload, submitter=src,
+                                         at_time=now, nonce=message.nonce)
             except (InvalidTx, WireError) as exc:  # refused, traced, dropped
-                self.sim.trace.emit("tx-refused", now, submitter=message.submitter,
-                                    reason=str(exc))
+                self.sim.trace.emit("tx-refused", now, submitter=src, reason=str(exc))
 
     def on_timer(self, tag, data, now):
         if tag == "commit":
@@ -331,10 +334,7 @@ class AccessPointNode(ProtocolNode):
         self._peers: list[str] | None = None  # the other routers, on first push
 
     def register_self(self) -> None:
-        self.submit_tx(RegistrationTx(
-            kind="overlay-node", subject=self.bcadd.address,
-            public_key=self.bcadd.public_key, epoch=self.bcadd.epoch,
-        ))
+        self._register("overlay-node")
 
     def _table(self) -> NeatTable:
         return self.world.tables[self.segment]
@@ -363,12 +363,18 @@ class AccessPointNode(ProtocolNode):
         if updates:
             self.world.graph.apply_topology(updates)
 
+    def on_routed(self, envelope: Envelope, now: int) -> None:
+        if envelope.hop + 1 < len(envelope.route):
+            nxt = envelope.route[envelope.hop + 1]
+            self.sim.send(self.name, nxt, Envelope(
+                envelope.route, envelope.hop + 1, envelope.src, envelope.dst,
+                envelope.inner, envelope.origin_time, envelope.route_cost,
+            ))
+        else:
+            self.sim.send(self.name, envelope.dst, envelope)
+
     def on_message(self, src, message, now, sent_at):
-        # Forwards are nearly every router delivery, so test for them first;
-        # the message types are disjoint, so the order changes nothing else.
-        if isinstance(message, Envelope):
-            self._forward(message)
-        elif isinstance(message, BindRequest):
+        if isinstance(message, BindRequest):
             self._handle_bind(message, now)
         elif isinstance(message, UnbindRequest):
             table = self._table()
@@ -380,7 +386,7 @@ class AccessPointNode(ProtocolNode):
         elif isinstance(message, FilterSnapshot):
             self.remote_filters[message.segment] = message.snapshot
         elif isinstance(message, ConnectRequest):
-            self._handle_connect(message, now)
+            self._handle_connect(src, message, now)
 
     def on_timer(self, tag, data, now):
         if tag == "push-summary":
@@ -403,10 +409,10 @@ class AccessPointNode(ProtocolNode):
         ))
         self._mark_summary_dirty(now)
 
-    def _handle_connect(self, request: ConnectRequest, now: int) -> None:
+    def _handle_connect(self, client: str, request: ConnectRequest, now: int) -> None:
         self._refresh_graph()
         if request.nonce in self.seen_nonces:
-            self._refuse(request, session.ADMIT_STALE_NONCE, now)
+            self._refuse(client, request, session.ADMIT_STALE_NONCE, now)
             return
         reason = session.admission(
             request.appid, request.bcadd, request.proof, request.nonce,
@@ -417,10 +423,9 @@ class AccessPointNode(ProtocolNode):
         if reason != session.ADMIT_BAD_PROOF:
             self.seen_nonces.add(request.nonce)
         if reason != session.ADMIT_OK:
-            self._refuse(request, reason, now)
+            self._refuse(client, request, reason, now)
             return
-        self.sim.trace.emit("admit", now, router=self.name, client=request.client,
-                            decision=True)
+        self.sim.trace.emit("admit", now, router=self.name, client=client, decision=True)
 
         found, probes = neat.lookup_global(
             self.world.tables, request.server_key, self.world.metrics.lookup_stats
@@ -428,38 +433,26 @@ class AccessPointNode(ProtocolNode):
         self.sim.trace.emit("lookup", now, key=request.server_key.hex()[:16],
                             probes=probes, found=found is not None)
         if found is None:
-            self.sim.send(self.name, request.client,
-                          ConnectRefused(request.server_key, "not-found"))
+            self.sim.send(self.name, client, ConnectRefused(request.server_key, "not-found"))
             return
         try:
             route = overlay.route_to_segment(self.world.graph, self.name, found.segment)
         except (overlay.Unresolvable, overlay.Disconnected) as exc:
             self.sim.trace.emit("route-failed", now, reason=str(exc))
-            self.sim.send(self.name, request.client,
-                          ConnectRefused(request.server_key, "no-route"))
+            self.sim.send(self.name, client, ConnectRefused(request.server_key, "no-route"))
             return
         self.world.metrics.record_path(route.total_cost)
         self.sim.trace.emit("route", now, hops=list(route.hops), cost=route.total_cost)
-        self.sim.send(self.name, request.client, ConnectGrant(
+        self.sim.send(self.name, client, ConnectGrant(
             server_key=request.server_key, route=route.hops,
             cost=route.total_cost, server_device=found.device_id,
         ))
 
-    def _refuse(self, request: ConnectRequest, reason: str, now: int) -> None:
+    def _refuse(self, client: str, request: ConnectRequest, reason: str, now: int) -> None:
         self.world.metrics.reject_admission(reason)
-        self.sim.trace.emit("admit", now, router=self.name, client=request.client,
+        self.sim.trace.emit("admit", now, router=self.name, client=client,
                             decision=False, reason=reason)
-        self.sim.send(self.name, request.client, ConnectRefused(request.server_key, reason))
-
-    def _forward(self, envelope: Envelope) -> None:
-        if envelope.hop + 1 < len(envelope.route):
-            nxt = envelope.route[envelope.hop + 1]
-            self.sim.send(self.name, nxt, Envelope(
-                envelope.route, envelope.hop + 1, envelope.src, envelope.dst,
-                envelope.inner, envelope.origin_time, envelope.route_cost,
-            ))
-        else:
-            self.sim.send(self.name, envelope.dst, envelope)
+        self.sim.send(self.name, client, ConnectRefused(request.server_key, reason))
 
 
 class _SessionEnd(ProtocolNode):
@@ -467,8 +460,9 @@ class _SessionEnd(ProtocolNode):
     session holds the route its messages take; a session without a key
     is closed."""
 
-    def __init__(self, name: str, segment: int, world: World):
+    def __init__(self, name: str, segment: int, world: World, access_point: str):
         super().__init__(name, segment, world)
+        self.access_point = access_point
         self.sessions: dict[bytes, Session] = {}
         self.peers: dict[bytes, str] = {}
 
@@ -478,35 +472,41 @@ class _SessionEnd(ProtocolNode):
                 return self.sessions.get(session_id)
         return None
 
-    def send_routed(self, session_id: bytes, message: Any) -> None:
-        route = self.sessions[session_id].route.hops
-        self.sim.send(self.name, route[0], Envelope(
-            route=route, hop=0, src=self.name, dst=self.peers[session_id],
-            inner=message, origin_time=self.sim.now,
-        ))
+    def _bind(self, subject: bytes) -> None:
+        locator = NetworkLocator(device_id=self.name, port=9000, segment=self.segment)
+        self.sim.send(self.name, self.access_point,
+                      BindRequest(subject=subject, locator=locator, epoch=self.bcadd.epoch))
+
+    def send_routed(self, route: tuple[str, ...], dst: str, inner: Any, cost: int = 0) -> None:
+        """Wrap inner in an Envelope to dst and send it to the route's first hop."""
+        self.sim.send(self.name, route[0],
+                      Envelope(route, 0, self.name, dst, inner, self.sim.now, cost))
+
+    def send_in_session(self, session_id: bytes, message: Any) -> None:
+        self.send_routed(self.sessions[session_id].route.hops, self.peers[session_id], message)
 
     def adopt_session(self, sess: Session, peer: str, now: int) -> None:
+        """Open an established session with peer and start its heartbeats."""
         self.sessions[sess.session_id] = sess
         self.peers[sess.session_id] = peer
         session.heartbeat(sess, now)
         self.sim.schedule(now + HEARTBEAT_PERIOD, self.name,
                           Timer("heartbeat", sess.session_id))
+        self.sim.trace.emit(
+            "handshake", now, phase="established", node=self.name,
+            session=sess.session_id.hex()[:16], key_check=sess.key_check().hex(),
+        )
+
+    def _handshake_failed(self, phase: str, reason: str, now: int) -> None:
+        self.sim.trace.emit("handshake-failed", now, node=self.name, phase=phase, reason=reason)
 
     def on_timer(self, tag, data, now):
         if tag == "heartbeat":
             sess = self.sessions.get(data)
             if sess is None or sess.key is None or now > self.world.horizon:
                 return
-            self.send_routed(data, Heartbeat(session_id=data))
+            self.send_in_session(data, Heartbeat(session_id=data))
             self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, Timer("heartbeat", data))
-        elif tag == "probe-alive":
-            peer, label = data
-            sess = self.session_with(peer)
-            alive = False
-            if sess is not None and sess.key is not None:
-                alive = session.check_alive(sess, now).alive
-            self.sim.trace.emit("probe", now, node=self.name, peer=peer,
-                                label=label, alive=alive)
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
         sess = self.sessions.get(session_id)
@@ -521,8 +521,7 @@ class UserNode(_SessionEnd):
 
     def __init__(self, name: str, segment: int, world: World,
                  access_point: str, attributes: dict[str, int | str] | None = None):
-        super().__init__(name, segment, world)
-        self.access_point = access_point
+        super().__init__(name, segment, world, access_point)
         self.attributes = dict(attributes or {})
         self.appids: dict[str, APPID] = {}
         # Handshakes in flight: server key -> (service id, machine, server
@@ -533,18 +532,13 @@ class UserNode(_SessionEnd):
     # -- scripted actions -----------------------------------------------------
 
     def do_register(self, now: int) -> None:
-        self.submit_tx(RegistrationTx(
-            kind="user", subject=self.bcadd.address,
-            public_key=self.bcadd.public_key, epoch=self.bcadd.epoch,
-        ))
+        self._register("user")
         if self.attributes:
             self.sim.send(self.name, self.world.regulator,
                           RegisterAttributes(self.bcadd.address, dict(self.attributes)))
 
     def do_bind(self, now: int) -> None:
-        self.sim.send(self.name, self.access_point,
-                      BindRequest(subject=self.bcadd.address, locator=self.my_locator(),
-                                  epoch=self.bcadd.epoch))
+        self._bind(self.bcadd.address)
 
     def do_connect(self, server_key: bytes, service_id: str, now: int) -> None:
         service = ServiceProps(service_id)
@@ -557,8 +551,7 @@ class UserNode(_SessionEnd):
         self.world.metrics.handshakes_attempted += 1
         self.pending[server_key] = (service_id, None, "")
         self.sim.send(self.name, self.access_point, ConnectRequest(
-            client=self.name, server_key=server_key,
-            bcadd=self.bcadd, appid=appid, proof=proof, nonce=nonce,
+            server_key=server_key, bcadd=self.bcadd, appid=appid, proof=proof, nonce=nonce,
         ))
 
     def do_send_payloads(self, server: str, count: int, now: int) -> None:
@@ -572,7 +565,7 @@ class UserNode(_SessionEnd):
             body = b"payload-" + str(seq).encode()
             tag = session.message_tag(sess.key, seq, body)
             self.world.metrics.payloads_sent += 1
-            self.send_routed(sess.session_id, AppPayload(sess.session_id, seq, body, tag))
+            self.send_in_session(sess.session_id, AppPayload(sess.session_id, seq, body, tag))
 
     def do_rotate(self, now: int) -> None:
         """Advance the epoch: register and bind the new chain address,
@@ -583,10 +576,7 @@ class UserNode(_SessionEnd):
         new_bcadd, new_appids = identity.rotate(self.secret, old_bcadd, services)
         self.bcadd = new_bcadd
         by_service = {a.service.service_id: a for a in new_appids}
-        self.submit_tx(RegistrationTx(
-            kind="user", subject=new_bcadd.address,
-            public_key=new_bcadd.public_key, epoch=new_bcadd.epoch,
-        ))
+        self._register("user")
         for token in sorted(self.tokens):
             # ledger-kept assets follow the holder across epochs
             self.submit_tx(NftOwnership(token_id=token, owner=new_bcadd.address))
@@ -594,9 +584,7 @@ class UserNode(_SessionEnd):
             self.sim.send(self.name, self.world.regulator,
                           RegisterAttributes(new_bcadd.address, dict(self.attributes)))
         self.sim.send(self.name, self.access_point, UnbindRequest(subject=old_bcadd.address))
-        self.sim.send(self.name, self.access_point,
-                      BindRequest(subject=new_bcadd.address, locator=self.my_locator(),
-                                  epoch=new_bcadd.epoch))
+        self._bind(new_bcadd.address)
         self.appids.update(by_service)
         for session_id, sess in self.sessions.items():
             if sess.key is None:
@@ -605,7 +593,7 @@ class UserNode(_SessionEnd):
             if new_appid is None:
                 continue
             notice = session.make_rotation_notice(sess, self.secret, new_bcadd, new_appid)
-            self.send_routed(session_id, RotationEnvelope(session_id, notice))
+            self.send_in_session(session_id, RotationEnvelope(session_id, notice))
             session.rotate_session(sess, notice)  # sender switches immediately
             self.sim.trace.emit("rotation-sent", now, node=self.name,
                                 session=session_id.hex()[:16], epoch=new_bcadd.epoch)
@@ -639,10 +627,7 @@ class UserNode(_SessionEnd):
         self.pending[grant.server_key] = (service_id, machine, grant.server_device)
         hello = machine.hello()
         self.sim.trace.emit("handshake", now, phase="hello", node=self.name)
-        self.sim.send(self.name, grant.route[0], Envelope(
-            route=grant.route, hop=0, src=self.name, dst=grant.server_device,
-            inner=HandshakeEnvelope(hello), origin_time=now, route_cost=grant.cost,
-        ))
+        self.send_routed(grant.route, grant.server_device, HandshakeEnvelope(hello), grant.cost)
 
     def _continue_handshake(self, message: HandshakeMessage, now: int) -> None:
         server_key = message.sender_appid.id
@@ -658,23 +643,13 @@ class UserNode(_SessionEnd):
                 confirm = machine.confirm()
                 sess = machine.session()
                 del self.pending[server_key]
-                route = sess.route.hops
-                self.sim.send(self.name, route[0], Envelope(
-                    route=route, hop=0, src=self.name, dst=device,
-                    inner=HandshakeEnvelope(confirm), origin_time=now,
-                ))
+                self.send_routed(sess.route.hops, device, HandshakeEnvelope(confirm))
                 self.world.metrics.handshakes_succeeded += 1
                 self.adopt_session(sess, device, now)
-                self.sim.trace.emit(
-                    "handshake", now, phase="established", node=self.name,
-                    session=sess.session_id.hex()[:16],
-                    key_check=sess.key_check().hex(),
-                )
         except session.AuthFailed as exc:
             # The handshake stays open: a refused message proves nothing
             # about the server, since anyone can send one under its APPID.
-            self.sim.trace.emit("handshake-failed", now, node=self.name,
-                                phase=exc.phase, reason=exc.reason)
+            self._handshake_failed(exc.phase, exc.reason, now)
 
 
 class AppServerNode(_SessionEnd):
@@ -682,12 +657,10 @@ class AppServerNode(_SessionEnd):
 
     def __init__(self, name: str, segment: int, world: World,
                  access_point: str, service_id: str):
-        super().__init__(name, segment, world)
-        self.access_point = access_point
+        super().__init__(name, segment, world, access_point)
         self.service = ServiceProps(service_id)
         # Handshakes in flight: client APPID id -> (machine, client device).
         self.pending: dict[bytes, tuple[ServerHandshake, str]] = {}
-        self.delivered: dict[bytes, list[int]] = {}
 
     def attach(self, sim: Simulator) -> None:
         super().attach(sim)
@@ -699,17 +672,12 @@ class AppServerNode(_SessionEnd):
         # access-control list; identity-facing registration (subject =
         # chain address) anchors handshake verification.
         for subject in (self.appid.id, self.bcadd.address):
-            self.submit_tx(RegistrationTx(
-                kind="app-server", subject=subject,
-                public_key=self.bcadd.public_key, epoch=self.bcadd.epoch,
-                access_control=tokens, open_access=open_access,
-            ))
+            self._register("app-server", subject,
+                           access_control=tokens, open_access=open_access)
 
     def do_bind(self, now: int) -> None:
         for subject in (self.appid.id, self.bcadd.address):
-            self.sim.send(self.name, self.access_point,
-                          BindRequest(subject=subject, locator=self.my_locator(),
-                                      epoch=self.bcadd.epoch))
+            self._bind(subject)
 
     def on_routed(self, envelope: Envelope, now: int) -> None:
         inner = envelope.inner
@@ -729,17 +697,6 @@ class AppServerNode(_SessionEnd):
         elif isinstance(message, RotationEnvelope):
             self._handle_rotation(message, now)
 
-    def on_timer(self, tag, data, now):
-        if tag == "authorize-probe":
-            sess = self.session_with(data)
-            if sess is None:
-                self.sim.trace.emit("access", now, node=self.name, peer=data,
-                                    allowed=False, reason="bad-proof", probe=True)
-                return
-            self._evaluate_access(sess, now, probe=True)
-        else:
-            super().on_timer(tag, data, now)
-
     def _handle_hello(self, message: HandshakeMessage, envelope: Envelope, now: int) -> None:
         creds = PeerCredentials(self.secret, self.bcadd, self.appid)
         forward = RoutePath(envelope.route, envelope.route_cost)
@@ -747,41 +704,31 @@ class AppServerNode(_SessionEnd):
         try:
             challenge, response = machine.on_hello(message)
         except session.AuthFailed as exc:
-            self.sim.trace.emit("handshake-failed", now, node=self.name,
-                                phase=exc.phase, reason=exc.reason)
+            self._handshake_failed(exc.phase, exc.reason, now)
             return
         reply = tuple(reversed(envelope.route))
         self.pending[message.sender_appid.id] = (machine, envelope.src)
         for out in (challenge, response):
-            self.sim.send(self.name, reply[0], Envelope(
-                route=reply, hop=0, src=self.name, dst=envelope.src,
-                inner=HandshakeEnvelope(out), origin_time=now,
-            ))
+            self.send_routed(reply, envelope.src, HandshakeEnvelope(out))
         self.sim.trace.emit("handshake", now, phase="challenge", node=self.name)
 
     def _handle_confirm(self, message: HandshakeMessage, now: int) -> None:
         entry = self.pending.get(message.sender_appid.id)
         if entry is None:
-            self.sim.trace.emit("handshake-failed", now, node=self.name,
-                                phase="confirm", reason="no-pending-handshake")
+            self._handshake_failed("confirm", "no-pending-handshake", now)
             return
         machine, client = entry
         try:
             sess = machine.on_confirm(message)
         except session.AuthFailed as exc:
             # The handshake stays open for the client's own confirm.
-            self.sim.trace.emit("handshake-failed", now, node=self.name,
-                                phase=exc.phase, reason=exc.reason)
+            self._handshake_failed(exc.phase, exc.reason, now)
             return
         del self.pending[message.sender_appid.id]
         self.adopt_session(sess, client, now)
-        self.sim.trace.emit(
-            "handshake", now, phase="established", node=self.name,
-            session=sess.session_id.hex()[:16], key_check=sess.key_check().hex(),
-        )
-        self._evaluate_access(sess, now)
+        self.evaluate_access(sess, now)
 
-    def _evaluate_access(self, sess: Session, now: int, probe: bool = False):
+    def evaluate_access(self, sess: Session, now: int, probe: bool = False):
         decision = session.authorize(sess, self.world.ledger)
         self.sim.trace.emit("access", now, node=self.name,
                             session=sess.session_id.hex()[:16],
@@ -794,24 +741,24 @@ class AppServerNode(_SessionEnd):
         if sess is None or sess.key is None:
             return
         if not session.verify_message(sess, payload.seq, payload.body, payload.tag):
+            refused = "bad-tag"
+        elif payload.seq <= sess.highest_seq:
+            refused = "replay"
+        else:
+            decision = self.evaluate_access(sess, now)
+            refused = None if decision.allowed else decision.reason
+        if refused is not None:
             self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq,
-                                accepted=False, reason="bad-tag")
-            self.send_routed(payload.session_id,
-                             PayloadReceipt(payload.session_id, payload.seq, False, "bad-tag"))
+                                accepted=False, reason=refused)
+            self.send_in_session(payload.session_id,
+                                 PayloadReceipt(payload.session_id, payload.seq, False, refused))
             return
-        decision = self._evaluate_access(sess, now)
-        if not decision.allowed:
-            self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq,
-                                accepted=False, reason=decision.reason)
-            self.send_routed(payload.session_id,
-                             PayloadReceipt(payload.session_id, payload.seq, False,
-                                            decision.reason))
-            return
-        self.delivered.setdefault(payload.session_id, []).append(payload.seq)
+        sess.payloads_accepted += 1
+        sess.highest_seq = payload.seq
         session.record_delivery(sess, now - sent_at)
         self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq, accepted=True)
-        self.send_routed(payload.session_id,
-                         PayloadReceipt(payload.session_id, payload.seq, True, "ok"))
+        self.send_in_session(payload.session_id,
+                             PayloadReceipt(payload.session_id, payload.seq, True, "ok"))
 
     def _handle_rotation(self, envelope: RotationEnvelope, now: int) -> None:
         sess = self.sessions.get(envelope.session_id)

@@ -1,6 +1,12 @@
 """Scenario execution: build the simulated network, script the actions,
 run to idle, evaluate expectations, write trace and metrics.
 
+The runner owns the scenario's script. Each action, and each probe an
+expectation needs, is a simulator control event (Simulator.call_at): it
+calls a node's `do_*` step or reads its state, and nothing is delivered
+to the node. An action or probe whose acting node has crashed by then is
+skipped without a record; a fault has no acting node, so it always arms.
+
 A run is a pure function of (scenario text, seed): traces and metrics
 files are byte-identical across repeat runs.
 """
@@ -11,7 +17,9 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 
+from . import session
 from .ledger import MAX_PAYLOAD_BYTES, Ledger, NftOwnership, TopologyUpdate, encode_payload
 from .neat import NeatTable
 from .nodes import (
@@ -26,7 +34,7 @@ from .nodes import (
 )
 from .overlay import OverlayGraph
 from .scenario import Scenario
-from .simnet import Simulator, Timer, Trace
+from .simnet import Simulator, Trace
 
 
 @dataclass
@@ -136,8 +144,9 @@ def _schedule_actions(built: _Built, sc: Scenario) -> None:
         for update in _topology_updates(sc.links, origin):
             built.routers[origin].submit_tx(update)
 
+    driver = _ActionDriver(built)
     for action in sc.actions:
-        sim.schedule(action.time, _action_host(built, action), Timer("action", action))
+        sim.call_at(action.time, partial(driver.run_action, action))
 
 
 def _topology_updates(links: list[tuple[int, int, int]], origin: str) -> list[TopologyUpdate]:
@@ -156,33 +165,32 @@ def _topology_updates(links: list[tuple[int, int, int]], origin: str) -> list[To
             for i in range(0, len(links), per_update)]
 
 
-def _action_host(built: _Built, action) -> str:
-    # Most actions run on the acting node; token actions run on the
-    # owner named in the action; faults arm from the sequencer.
-    if action.kind in ("mint-nft", "transfer-nft"):
-        return action.args[1]
-    if action.kind == "authorize":
-        return action.args[1]
+def _actor(action) -> str | None:
+    """The node an action acts as: the owner named in a token action, the
+    server of an authorize probe, else the first argument. A fault has none."""
     if action.kind == "fault":
-        return built.world.sequencer
+        return None
+    if action.kind in ("mint-nft", "transfer-nft", "authorize"):
+        return action.args[1]
     return action.args[0]
 
 
 class _ActionDriver:
-    """Runs the scripted actions: becomes every protocol node's
-    ``action_driver``."""
+    """Runs the scripted actions, one control event each."""
 
     def __init__(self, built: _Built):
         self.built = built
         self.token_owner: dict[str, str] = {}
-        for node in built.sim.nodes.values():
-            node.action_driver = self
 
-    def run_action(self, node, action, now: int) -> None:
+    def run_action(self, action) -> None:
         built = self.built
         sim = built.sim
+        if _actor(action) in sim.crashed:
+            return
+        now = sim.now
         sim.trace.emit("action", now, action=action.kind, args=list(action.args))
         if action.kind == "register":
+            node = sim.nodes[action.args[0]]
             if isinstance(node, UserNode):
                 node.do_register(now)
             else:
@@ -194,7 +202,7 @@ class _ActionDriver:
                     tokens = tuple(token_id_for(t) for t in action.args[2:])
                 node.do_register(now, tokens=tokens, open_access=open_access)
         elif action.kind == "bind":
-            node.do_bind(now)
+            sim.nodes[action.args[0]].do_bind(now)
         elif action.kind in ("mint-nft", "transfer-nft"):
             token, owner = action.args
             owner_node = sim.nodes[owner]
@@ -214,13 +222,13 @@ class _ActionDriver:
                 service = action.args[2].split("=", 1)[1]
             built.users[user].do_connect(server_node.appid.id, service, now)
         elif action.kind == "rotate":
-            node.do_rotate(now)
+            built.users[action.args[0]].do_rotate(now)
         elif action.kind == "send":
             user, server, count = action.args
             built.users[user].do_send_payloads(server, int(count), now)
         elif action.kind == "authorize":
             user, server = action.args
-            sim.schedule(now, server, Timer("authorize-probe", user))
+            sim.call_at(now, partial(_probe_access, built, user, server))
         elif action.kind == "fault":
             fault = action.args[0]
             if fault == "crash-node":
@@ -237,14 +245,40 @@ class _ActionDriver:
                 }, now)
 
 
+def _probe_access(built: _Built, user: str, server: str) -> None:
+    """The server's access decision for its session with user, traced as
+    a probe; with no session there is nothing to authorize."""
+    sim = built.sim
+    if server in sim.crashed:
+        return
+    server_node = built.servers[server]
+    sess = server_node.session_with(user)
+    if sess is None:
+        sim.trace.emit("access", sim.now, node=server, peer=user,
+                       allowed=False, reason="bad-proof", probe=True)
+    else:
+        server_node.evaluate_access(sess, sim.now, probe=True)
+
+
+def _probe_session(built: _Built, user: str, server: str, label: str) -> None:
+    """Trace whether user's session with server is alive now."""
+    sim = built.sim
+    if user in sim.crashed:
+        return
+    sess = built.users[user].session_with(server)
+    alive = (sess is not None and sess.key is not None
+             and session.check_alive(sess, sim.now).alive)
+    sim.trace.emit("probe", sim.now, node=user, peer=server, label=label, alive=alive)
+
+
 def _schedule_probes(built: _Built, sc: Scenario) -> None:
     # session-alive expectations observe through a scheduled probe so the
     # answer is part of the deterministic trace.
     for exp in sc.expectations:
         if exp.kind == "session":
             user, server, _state, _at, t = exp.args
-            label = " ".join(exp.args)
-            built.sim.schedule(int(t), user, Timer("probe-alive", (server, label)))
+            built.sim.call_at(int(t), partial(_probe_session, built, user, server,
+                                              " ".join(exp.args)))
 
 
 def _evaluate(built: _Built, sc: Scenario) -> list[tuple[str, bool, str]]:
@@ -293,14 +327,14 @@ def _evaluate_one(built: _Built, exp, trace: Trace, metrics: Metrics) -> tuple[b
 
     if exp.kind == "payloads":
         user, server, n, _ = exp.args
-        server_node = built.servers[server]
-        sess = server_node.session_with(user)
+        sess = built.servers[server].session_with(user)
         if sess is None:
             return False, "no session between the pair"
-        got = server_node.delivered.get(sess.session_id, [])
-        expected = list(range(int(n)))
-        ok = got == expected
-        return ok, f"accepted seqs {got[:8]}{'...' if len(got) > 8 else ''} vs 0..{int(n) - 1}"
+        # Accepted seqs strictly increase, so n of them ending at n - 1 are 0..n-1.
+        n = int(n)
+        ok = sess.payloads_accepted == n and sess.highest_seq == n - 1
+        return ok, (f"accepted {sess.payloads_accepted} payloads up to seq "
+                    f"{sess.highest_seq} vs {n} up to {n - 1}")
 
     if exp.kind == "rotations":
         wanted = int(exp.args[0])
@@ -320,7 +354,6 @@ def _evaluate_one(built: _Built, exp, trace: Trace, metrics: Metrics) -> tuple[b
 
 def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
     built = build_simulation(sc, seed=seed)
-    _ActionDriver(built)
     _schedule_actions(built, sc)
     _schedule_probes(built, sc)
     built.sim.run_until_idle()

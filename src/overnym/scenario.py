@@ -233,15 +233,20 @@ def parse_scenario(text: str) -> Scenario:
     return sc
 
 
+def _need_node(nodes: dict[str, NodeDecl], name: str, line_no: int,
+               kinds: tuple[str, ...] | None = None) -> NodeDecl:
+    decl = nodes.get(name)
+    if decl is None:
+        raise ValidationError(name, f"line {line_no}: node not declared")
+    if kinds and decl.kind not in kinds:
+        raise ValidationError(name, f"line {line_no}: is a {decl.kind}, expected {kinds}")
+    return decl
+
+
 def _check_action(sc: Scenario, kind: str, args: tuple[str, ...],
                   nodes: dict[str, NodeDecl], tokens: set[str], line_no: int) -> None:
     def need_node(name: str, kinds: tuple[str, ...] | None = None) -> NodeDecl:
-        decl = nodes.get(name)
-        if decl is None:
-            raise ValidationError(name, f"line {line_no}: node not declared")
-        if kinds and decl.kind not in kinds:
-            raise ValidationError(name, f"line {line_no}: is a {decl.kind}, expected {kinds}")
-        return decl
+        return _need_node(nodes, name, line_no, kinds)
 
     if kind == "register":
         if not args:
@@ -328,31 +333,27 @@ def _check_action(sc: Scenario, kind: str, args: tuple[str, ...],
 
 def _check_expectation(kind: str, args: tuple[str, ...],
                        nodes: dict[str, NodeDecl], line_no: int) -> None:
-    def need_node(name: str) -> None:
-        if name not in nodes:
-            raise ValidationError(name, f"line {line_no}: node not declared")
+    def need_pair() -> None:
+        _need_node(nodes, args[0], line_no, ("user",))
+        _need_node(nodes, args[1], line_no, ("app-server",))
 
     if kind == "handshake":
         if len(args) != 3 or args[2] not in ("success", "failure"):
             raise ParseError(line_no, "expected: expect handshake <user> <server> success|failure")
-        need_node(args[0])
-        need_node(args[1])
+        need_pair()
     elif kind == "authorize":
         if len(args) != 3 or args[2] not in ("allowed", "denied"):
             raise ParseError(line_no, "expected: expect authorize <user> <server> allowed|denied")
-        need_node(args[0])
-        need_node(args[1])
+        need_pair()
     elif kind == "session":
         if (len(args) != 5 or args[2] not in ("alive", "not-alive") or args[3] != "at"):
             raise ParseError(line_no, "expected: expect session <user> <server> alive|not-alive at <t>")
-        need_node(args[0])
-        need_node(args[1])
+        need_pair()
         _int(args[4], line_no, "probe time")
     elif kind == "payloads":
         if len(args) != 4 or args[3] != "complete":
             raise ParseError(line_no, "expected: expect payloads <user> <server> <n> complete")
-        need_node(args[0])
-        need_node(args[1])
+        need_pair()
         _int(args[2], line_no, "payload count")
     elif kind == "rotations":
         if len(args) != 1:
@@ -361,7 +362,7 @@ def _check_expectation(kind: str, args: tuple[str, ...],
     elif kind == "admitted":
         if len(args) != 2 or args[1] not in ("true", "false"):
             raise ParseError(line_no, "expected: expect admitted <user> true|false")
-        need_node(args[0])
+        _need_node(nodes, args[0], line_no, ("user",))
 
 
 def _validate(sc: Scenario) -> None:

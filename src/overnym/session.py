@@ -149,6 +149,10 @@ class Session:
     client_bcadd: BCADD
     status: ServiceStatus = field(default_factory=ServiceStatus)
     rotation_count: int = 0
+    # Receiving end of in-session payloads: how many were accepted, and the
+    # highest accepted seq; a seq at or below it is a replay.
+    payloads_accepted: int = 0
+    highest_seq: int = -1
 
     def key_check(self) -> bytes:
         """Safe-to-compare digest of the key; never put the key itself

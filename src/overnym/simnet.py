@@ -7,9 +7,13 @@ else's draws and a (scenario, seed) pair always yields a byte-identical
 trace.
 
 Sim-time is integer ticks. Message latency is at least 1 between
-distinct nodes and 0 for self-delivery; faults (drop-link, delay-link,
-crash-node) activate at their scheduled time through the same event
-queue as everything else.
+distinct nodes and 0 for self-delivery.
+
+Besides deliveries and timers, which go to a node, the queue holds
+control events: harness callbacks scheduled with call_at. They enter no
+node and run even when every node has crashed. Faults (drop-link,
+delay-link, crash-node) activate through them, and a scenario's script
+runs as them.
 """
 
 from __future__ import annotations
@@ -20,8 +24,9 @@ import itertools
 import json
 import json.encoder
 from dataclasses import dataclass
+from functools import partial
 from random import Random
-from typing import Any, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 from .hashing import TAG_RNG, owf
 
@@ -208,9 +213,14 @@ class Simulator:
     def schedule(self, time: int, target: str, payload: Any) -> None:
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
-        if target not in self.nodes:
+        if target not in self.nodes and target != _CONTROL:
             raise UnknownTarget(target)
         heapq.heappush(self._queue, (time, next(self._seq), target, payload))
+
+    def call_at(self, time: int, fn: Callable[[], Any]) -> None:
+        """Run fn() at time as a control event: after the events already
+        queued for that tick, in no node, whichever nodes have crashed."""
+        self.schedule(time, _CONTROL, fn)
 
     def send(self, src: str, dst: str, message: Any, note: str | None = None) -> None:
         """Send over the link model: latency, drop draw, trace record."""
@@ -241,7 +251,7 @@ class Simulator:
             now, _, target, payload = pop(queue)
             self.now = now
             if target == _CONTROL:
-                self._apply_fault(payload.kind, payload.params)
+                payload()
                 continue
             if target in crashed:
                 if isinstance(payload, Delivery):
@@ -270,8 +280,7 @@ class Simulator:
                     raise UnknownTarget(end)
         if at_time < self.now:
             raise ValueError("fault time is in the past")
-        heapq.heappush(self._queue, (at_time, next(self._seq), _CONTROL,
-                                     _FaultArm(kind, dict(params))))
+        self.call_at(at_time, partial(self._apply_fault, kind, dict(params)))
 
     def _apply_fault(self, kind: str, params: dict) -> None:
         if kind == "crash-node":
@@ -283,12 +292,6 @@ class Simulator:
         self.trace.emit("fault", self.now, fault=kind, **dict(params))
 
 
-# Synthetic target for fault-control events, consumed by the loop itself
-# so faults land even when every protocol node has crashed.
+# Synthetic target of control events, consumed by the loop itself, so they
+# run even when every protocol node has crashed.
 _CONTROL = "\x00control"
-
-
-@dataclass(frozen=True)
-class _FaultArm:
-    kind: str
-    params: dict

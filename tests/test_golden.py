@@ -24,6 +24,8 @@ PINS = {
                    "6a90f9df5012c211aef74e069166ad50070505244ee76dc9ec391c35c70c92d0"),
     "link_faults": ("81b75394365562443e8fb51e035ea91274ee96555b5360eecd22458d340ee74d",
                     "ae9c25754647142b7de8d123ce50d5fa5d85f5bb680110fb7b75ae6363a4fa04"),
+    "sequencer_crash": ("7054db6f22227355786832ac7284309695dc8ed0e953e568d4c1e28f54d4965b",
+                        "7111d79f58443bbc4042502c2f5852ebd44250ab3bd206c069e783ce9de1729c"),
     "strict_reject": ("60eaec9c15c538fd50f0652f1d6fbdcbf57c11723d5753f3cf7b287f960de488",
                       "1890c93feddaa00f7bcbacc8e0f4fceb6b8f41f9d0648e659d4d5f64e79d8daa"),
 }

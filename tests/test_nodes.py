@@ -7,14 +7,17 @@ from dataclasses import replace
 import pytest
 
 from overnym import identity, session
+from overnym.hashing import owf
 from overnym.identity import ServiceProps, derive_appid, make_linkage_proof
 from overnym.ledger import RegistrationTx
 from overnym.neat import NetworkLocator
 from overnym.nodes import (
     AccessPointNode,
+    AppPayload,
     BindRequest,
     ConnectRefused,
     ConnectRequest,
+    Envelope,
     HandshakeEnvelope,
     SubmitTx,
     UnbindRequest,
@@ -59,8 +62,7 @@ def connect(built, nonce, proof_nonce=None, credentials=None):
         credentials = (user.bcadd, appid, proof)
     bcadd, appid, proof = credentials
     built.sim.send("u", "ap", ConnectRequest(
-        client="u", server_key=server.appid.id, bcadd=bcadd,
-        appid=appid, proof=proof, nonce=nonce,
+        server_key=server.appid.id, bcadd=bcadd, appid=appid, proof=proof, nonce=nonce,
     ))
     before = len(built.sim.trace.find("admit"))
     built.sim.run_until_idle()
@@ -83,9 +85,9 @@ def router_verifies(monkeypatch):
     monkeypatch.setattr(session, "verify_linkage", counting)
     handle_connect = AccessPointNode._handle_connect
 
-    def measured(self, request, now):
+    def measured(self, client, request, now):
         start = calls[0]
-        handle_connect(self, request, now)
+        handle_connect(self, client, request, now)
         per_connect.append(calls[0] - start)
 
     monkeypatch.setattr(AccessPointNode, "_handle_connect", measured)
@@ -141,7 +143,7 @@ class TestRouterAdmission:
 class TestSequencer:
     def submit(self, built, payload):
         sequencer = built.sim.nodes[built.world.sequencer]
-        sequencer.on_message("u", SubmitTx(payload=payload, nonce=b"x" * 16, submitter="u"),
+        sequencer.on_message("u", SubmitTx(payload=payload, nonce=b"x" * 16),
                              now=built.sim.now, sent_at=built.sim.now)
 
     def test_invalid_tx_is_refused_and_traced(self):
@@ -167,6 +169,65 @@ class TestSequencer:
         assert commits
         for record in commits:
             assert record["head"] == by_seq[record["seqs"][-1]].entry_hash.hex()[:16]
+
+
+class TestSenderIsTheSubmitter:
+    """The sequencer and the router take who is asking from the delivery,
+    so no node can act under another's name."""
+
+    def test_a_copied_tx_nonce_does_not_drop_the_owners_tx(self):
+        built = settled()
+        user, server = built.users["u"], built.servers["s"]
+        # u's first tx nonce, which anyone can compute
+        nonce = owf(b"txnonce:", b"u", (1).to_bytes(8, "big"))[:16]
+        forged = RegistrationTx(kind="user", subject=bytes([7]) * 32,
+                                public_key=server.bcadd.public_key)
+        built.sim.send("s", "seq", SubmitTx(payload=forged, nonce=nonce))
+        user.do_register(built.sim.now)
+        built.sim.run_until_idle()
+        ledger = built.world.ledger
+        ledger.commit_round()  # the scripted commit ticks are over
+        assert ledger.query_registration(user.bcadd.address) is not None
+        assert ledger.query_registration(bytes([7]) * 32) is not None
+        assert built.sim.trace.find("tx-refused") == []
+
+    def test_the_router_answers_the_sender(self):
+        built = settled()
+        admits = len(built.sim.trace.find("admit"))
+        user, server = built.users["u"], built.servers["s"]
+        appid = derive_appid(user.secret, user.bcadd, ServiceProps("echo"))
+        nonce = b"n" * 16
+        built.sim.send("s", "ap", ConnectRequest(
+            server_key=server.appid.id, bcadd=user.bcadd, appid=appid,
+            proof=make_linkage_proof(user.secret, user.bcadd, appid, nonce), nonce=nonce,
+        ))
+        built.sim.run_until_idle()
+        assert [r["client"] for r in built.sim.trace.find("admit")[admits:]] == ["s"]
+        assert [r["dst"] for r in built.sim.trace.find("send", msg="ConnectGrant")] == ["s"]
+
+
+class TestPayloadReplay:
+    def test_a_replayed_payload_is_refused(self):
+        built = settled(register_user=True)
+        user, server = built.users["u"], built.servers["s"]
+        user.do_connect(server.appid.id, "echo", built.sim.now)
+        built.sim.run_until_idle()
+        user.do_send_payloads("s", 1, built.sim.now)
+        built.sim.run_until_idle()
+        # The last router on the path sends a captured payload again.
+        sess = server.session_with("u")
+        body = b"payload-0"
+        captured = AppPayload(sess.session_id, 0, body, session.message_tag(sess.key, 0, body))
+        route = sess.route.hops
+        built.sim.send(route[-1], "s", Envelope(route, len(route) - 1, "u", "s",
+                                                captured, built.sim.now))
+        built.sim.run_until_idle()
+        payloads = [(r["seq"], r["accepted"], r.get("reason"))
+                    for r in built.sim.trace.find("payload", node="s")]
+        assert payloads == [(0, True, None), (0, False, "replay")]
+        assert (sess.payloads_accepted, sess.highest_seq) == (1, 0)
+        metrics = built.world.metrics
+        assert (metrics.payloads_accepted, metrics.payloads_denied) == (1, 1)
 
 
 class TestRefusedHandshakeMessage:

@@ -84,6 +84,18 @@ class TestParse:
         with pytest.raises(ValidationError, match="never minted"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize("line", [
+        "expect handshake ap s success",
+        "expect payloads s u 1 complete",
+        "expect authorize u ap allowed",
+        "expect session u seq alive at 9",
+        "expect admitted s true",
+    ])
+    def test_expectation_nodes_of_the_wrong_kind_rejected(self, line):
+        # run looks the user and the server up among nodes of those kinds
+        with pytest.raises(ValidationError, match="expected"):
+            parse_scenario(MINIMAL + line + "\n")
+
     @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
     def test_round_trip(self, path):
         sc = parse_scenario(path.read_text())

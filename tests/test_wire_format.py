@@ -1,12 +1,16 @@
 """docs/wire-format.md must describe every domain-separation tag, name
-no tag that does not exist, and describe every trace record kind."""
+no tag that does not exist, and describe every trace record kind and
+every field the shipped scenarios emit."""
 
 import re
 from pathlib import Path
 
 from overnym import hashing
+from overnym.runner import run_scenario
+from overnym.scenario import parse_scenario
 
-DOC = Path(__file__).parent.parent / "docs" / "wire-format.md"
+ROOT = Path(__file__).parent.parent
+DOC = ROOT / "docs" / "wire-format.md"
 
 
 def test_doc_names_every_tag_constant_and_value():
@@ -36,3 +40,15 @@ def test_trace_section_names_every_emitted_kind():
     assert "commit" in kinds  # a kind whose literal sits on the next line
     for kind in kinds:
         assert f"| `{kind}` |" in section, kind
+
+
+def test_trace_section_documents_every_emitted_field():
+    section = DOC.read_text().split("## Trace records", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([^`]+)` \|(.*)$", section, re.MULTILINE))
+    undocumented = set()
+    for path in sorted((ROOT / "scenarios").glob("*.scn")):
+        for record in run_scenario(parse_scenario(path.read_text())).trace.records:
+            row = rows[record["kind"]]
+            undocumented.update((record["kind"], key) for key in record
+                                if key not in ("kind", "time") and f"`{key}`" not in row)
+    assert not undocumented
