@@ -465,6 +465,9 @@ class _SessionEnd(ProtocolNode):
         self.access_point = access_point
         self.sessions: dict[bytes, Session] = {}
         self.peers: dict[bytes, str] = {}
+        # Per session, its heartbeat timer and message: built once when the
+        # session opens, sent and rescheduled as they are every period.
+        self.heartbeats: dict[bytes, tuple[Timer, Heartbeat]] = {}
 
     def session_with(self, peer: str) -> Session | None:
         for session_id, device in self.peers.items():
@@ -490,8 +493,9 @@ class _SessionEnd(ProtocolNode):
         self.sessions[sess.session_id] = sess
         self.peers[sess.session_id] = peer
         session.heartbeat(sess, now)
-        self.sim.schedule(now + HEARTBEAT_PERIOD, self.name,
-                          Timer("heartbeat", sess.session_id))
+        timer = Timer("heartbeat", sess.session_id)
+        self.heartbeats[sess.session_id] = (timer, Heartbeat(sess.session_id))
+        self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, timer)
         self.sim.trace.emit(
             "handshake", now, phase="established", node=self.name,
             session=sess.session_id.hex()[:16], key_check=sess.key_check().hex(),
@@ -505,8 +509,9 @@ class _SessionEnd(ProtocolNode):
             sess = self.sessions.get(data)
             if sess is None or sess.key is None or now > self.world.horizon:
                 return
-            self.send_in_session(data, Heartbeat(session_id=data))
-            self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, Timer("heartbeat", data))
+            timer, beat = self.heartbeats[data]
+            self.send_in_session(data, beat)
+            self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, timer)
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
         sess = self.sessions.get(session_id)
@@ -594,7 +599,9 @@ class UserNode(_SessionEnd):
                 continue
             notice = session.make_rotation_notice(sess, self.secret, new_bcadd, new_appid)
             self.send_in_session(session_id, RotationEnvelope(session_id, notice))
-            session.rotate_session(sess, notice)  # sender switches immediately
+            # The sender switches at once, to the chain address it derived:
+            # the notice is its own, so it has nothing to verify.
+            session.switch_session(sess, notice, new_bcadd)
             self.sim.trace.emit("rotation-sent", now, node=self.name,
                                 session=session_id.hex()[:16], epoch=new_bcadd.epoch)
 

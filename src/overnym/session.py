@@ -19,6 +19,7 @@ one, rotation replaces it, and close() drops it.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass, field
 from random import Random
 
@@ -535,17 +536,18 @@ def make_rotation_notice(
 
 
 def rotate_session(session: Session, notice: RotationNotice) -> Session:
-    """Apply a rotation notice to either endpoint's session.
+    """Apply a rotation notice received in-session.
 
     The session must be open, and the notice must carry a tag under its
     current key (in-session delivery) and a valid linkage proof for the
     new APPID under the new chain address. On success the session keeps
-    its id and status but speaks only the new APPID and a re-derived key.
+    its id and status but speaks only the new APPID and a re-derived key
+    (switch_session).
     """
     if session.key is None:
         raise ContinuityRejected("session is closed")
     expected_tag = owf(TAG_ROT_AUTH, session.key, notice.body_bytes())
-    if notice.auth_tag != expected_tag:
+    if not hmac.compare_digest(notice.auth_tag, expected_tag):
         raise ContinuityRejected("notice was not delivered inside this session")
     nonce = rotation_nonce(session.session_id, session.rotation_count + 1)
     try:
@@ -555,8 +557,16 @@ def rotate_session(session: Session, notice: RotationNotice) -> Session:
                                  else "continuity proof does not verify") from None
     if notice.new_appid == session.client_appid:
         raise ContinuityRejected("new APPID equals the current one")
+    return switch_session(session, notice, claimed)
+
+
+def switch_session(session: Session, notice: RotationNotice, new_bcadd: BCADD) -> Session:
+    """Switch an open session to the notice's APPID, new_bcadd and a key
+    re-derived from the notice, with no check. The sender calls it with the
+    notice it just made and the chain address it derived; a receiver goes
+    through rotate_session."""
     session.client_appid = notice.new_appid
-    session.client_bcadd = claimed
+    session.client_bcadd = new_bcadd
     session.key = owf(TAG_REKEY, session.key, owf(TAG_TRANSCRIPT, session.session_id, notice.body_bytes()))
     session.rotation_count += 1
     return session
@@ -576,7 +586,7 @@ def verify_message(session: Session, seq: int, payload: bytes, tag: bytes) -> bo
     tag made with a superseded (pre-rotation) key fails."""
     if session.key is None:
         return False
-    return message_tag(session.key, seq, payload) == tag
+    return hmac.compare_digest(message_tag(session.key, seq, payload), tag)
 
 
 def heartbeat(session: Session, now: int) -> ServiceStatus:

@@ -1,10 +1,15 @@
 """Deterministic discrete-event network harness.
 
-Events execute in (time, schedule-seq) order from a single sequential
-loop; all randomness comes from per-node and per-link streams forked
-from the scenario seed by name, so adding a node never perturbs anyone
-else's draws and a (scenario, seed) pair always yields a byte-identical
-trace.
+Events execute from a single sequential loop in (time, schedule order)
+order: ticks ascend, and within a tick events run in the order they were
+scheduled. The queue is one FIFO per tick plus a heap of the ticks that
+have one, so the usual event, one tick ahead, costs O(1) (a calendar
+queue; R. Brown, CACM 1988). An event scheduled for the tick that is
+running joins the end of its FIFO: it runs in that tick, after every
+event already queued for it. All randomness comes from per-node and
+per-link streams forked from the scenario seed by name, so adding a node
+never perturbs anyone else's draws and a (scenario, seed) pair always
+yields a byte-identical trace.
 
 Sim-time is integer ticks. Message latency is at least 1 between
 distinct nodes and 0 for self-delivery.
@@ -20,9 +25,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import itertools
 import json
 import json.encoder
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from random import Random
@@ -31,9 +36,6 @@ from typing import Any, Callable, NamedTuple
 from .hashing import TAG_RNG, owf
 
 FAULT_KINDS = ("drop-link", "delay-link", "crash-node")
-
-# The keys of a send record without a note, the records Trace.to_jsonl caches.
-_SEND_KEYS = frozenset(("kind", "time", "src", "dst", "msg"))
 
 
 class UnknownTarget(Exception):
@@ -69,9 +71,7 @@ class Trace:
         self.records: list[dict] = []
 
     def emit(self, kind: str, time: int, **fields: Any) -> None:
-        record = {"kind": kind, "time": time}
-        record.update(fields)
-        self.records.append(record)
+        self.records.append({"kind": kind, "time": time, **fields})
 
     def to_jsonl(self) -> str:
         # The bytes of json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -90,16 +90,21 @@ class Trace:
         prefixes: dict[tuple[str, str, str], str] = {}
         lines = []
         for record in self.records:
-            if (record.get("kind") == "send" and record.keys() == _SEND_KEYS
-                    and type(record["time"]) is int):
-                src, dst, msg = key = (record["src"], record["dst"], record["msg"])
-                if type(src) is str and type(dst) is str and type(msg) is str:
+            # A plain send record has exactly these five keys. Any other
+            # five-key record lacks one of them, which reads None and fails
+            # its type check.
+            if len(record) == 5 and record.get("kind") == "send":
+                time, src, dst, msg = (record.get("time"), record.get("src"),
+                                       record.get("dst"), record.get("msg"))
+                if (type(time) is int and type(src) is str and type(dst) is str
+                        and type(msg) is str):
+                    key = (src, dst, msg)
                     prefix = prefixes.get(key)
                     if prefix is None:
                         prefix = prefixes[key] = (
                             f'{{"dst":{quote(dst)},"kind":"send","msg":{quote(msg)},'
                             f'"src":{quote(src)},"time":')
-                    lines.append(f"{prefix}{record['time']}}}\n")
+                    lines.append(f"{prefix}{time}}}\n")
                     continue
             lines.append("".join(encode(record, 0)) + "\n")
         return "".join(lines)
@@ -180,10 +185,12 @@ class Simulator:
         self.links = LinkModel()
         self.nodes: dict[str, Node] = {}
         self.crashed: set[str] = set()
-        # (time, seq, target, payload); seq is unique, so the heap never
-        # compares targets or payloads.
-        self._queue: list[tuple[int, int, str, Any]] = []
-        self._seq = itertools.count()
+        # One FIFO of (target, payload) per tick with events, and a heap of
+        # exactly those ticks. schedule appends to its tick's FIFO, so a tick
+        # runs its events in the order they were scheduled, those scheduled
+        # while it runs included: the order one (time, seq) heap would give.
+        self._buckets: dict[int, deque[tuple[str, Any]]] = {}
+        self._ticks: list[int] = []
         self._link_rngs: dict[tuple[str, str], Random] = {}
 
     # -- randomness ----------------------------------------------------------
@@ -215,7 +222,12 @@ class Simulator:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
         if target not in self.nodes and target != _CONTROL:
             raise UnknownTarget(target)
-        heapq.heappush(self._queue, (time, next(self._seq), target, payload))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            self._buckets[time] = deque(((target, payload),))
+            heapq.heappush(self._ticks, time)
+        else:
+            bucket.append((target, payload))
 
     def call_at(self, time: int, fn: Callable[[], Any]) -> None:
         """Run fn() at time as a control event: after the events already
@@ -239,29 +251,36 @@ class Simulator:
         self.schedule(now + latency, dst, Delivery(src, message, now))
 
     def run_until_idle(self) -> Trace:
-        """Drain the queue in (time, seq) order. Raises StepCapExceeded
-        if the scenario never settles."""
-        queue, nodes, crashed = self._queue, self.nodes, self.crashed
-        pop = heapq.heappop
+        """Drain the queue in (time, schedule order) order. Raises
+        StepCapExceeded if the scenario never settles. An event whose
+        handler raises is spent; the events after it stay queued."""
+        buckets, ticks, nodes, crashed = self._buckets, self._ticks, self.nodes, self.crashed
+        step_cap = self.step_cap
         steps = 0
-        while queue:
-            steps += 1
-            if steps > self.step_cap:
-                raise StepCapExceeded(f"exceeded {self.step_cap} events")
-            now, _, target, payload = pop(queue)
+        while ticks:
+            now = ticks[0]
             self.now = now
-            if target == _CONTROL:
-                payload()
-                continue
-            if target in crashed:
-                if isinstance(payload, Delivery):
-                    self.trace.emit("discard", now, dst=target,
-                                    msg=type(payload.message).__name__)
-                continue
-            node = nodes.get(target)
-            if node is None:
-                raise UnknownTarget(target)
-            node.handle(payload, now)
+            bucket = buckets[now]
+            # Events scheduled for now while it runs join this bucket.
+            while bucket:
+                steps += 1
+                if steps > step_cap:
+                    raise StepCapExceeded(f"exceeded {step_cap} events")
+                target, payload = bucket.popleft()
+                if target == _CONTROL:
+                    payload()
+                    continue
+                if target in crashed:
+                    if isinstance(payload, Delivery):
+                        self.trace.emit("discard", now, dst=target,
+                                        msg=type(payload.message).__name__)
+                    continue
+                node = nodes.get(target)
+                if node is None:
+                    raise UnknownTarget(target)
+                node.handle(payload, now)
+            del buckets[now]
+            heapq.heappop(ticks)
         return self.trace
 
     # -- faults ----------------------------------------------------------------

@@ -230,6 +230,35 @@ class TestPayloadReplay:
         assert (metrics.payloads_accepted, metrics.payloads_denied) == (1, 1)
 
 
+class TestRotatingSender:
+    def test_the_sender_switches_to_the_receivers_session_without_verifying(self, monkeypatch):
+        built = settled(register_user=True)
+        user, server = built.users["u"], built.servers["s"]
+        user.do_connect(server.appid.id, "echo", built.sim.now)
+        built.sim.run_until_idle()
+        calls = []
+        original = identity.verify_linkage
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(identity, "verify_linkage", counting)
+        monkeypatch.setattr(session, "verify_linkage", counting)
+        user.do_rotate(built.sim.now)
+        assert calls == []
+        built.sim.run_until_idle()
+        assert len(calls) == 1  # the server's check of the notice
+        assert len(built.sim.trace.find("rotation", node="s")) == 1
+        sent, received = user.session_with("s"), server.session_with("u")
+
+        def switched(sess):
+            return sess.key, sess.client_appid, sess.client_bcadd, sess.rotation_count
+
+        assert switched(sent) == switched(received)
+        assert (sent.client_bcadd, sent.rotation_count) == (user.bcadd, 1)
+
+
 class TestRefusedHandshakeMessage:
     """A message the handshake refuses, or a refusal that arrives after
     the router's grant, leaves it open: anyone can send one under the

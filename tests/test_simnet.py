@@ -1,3 +1,4 @@
+import heapq
 import json
 
 import pytest
@@ -93,6 +94,139 @@ class TestEventOrder:
         sim.schedule(0, "loop", Timer("start"))
         with pytest.raises(StepCapExceeded):
             sim.run_until_idle()
+
+
+    def test_a_raising_handler_leaves_the_rest_of_its_tick_queued(self):
+        # The event that raised is spent; the next one runs exactly once, on
+        # the next drain, and a same-tick event scheduled in between still
+        # runs in that tick, after it.
+        sim, a, b = two_node_sim()
+        sim.schedule(1, "a", Timer("boom"))
+        sim.schedule(1, "b", Timer("next"))
+        sim.schedule(2, "b", Timer("later"))
+
+        def handle(payload, now):
+            if payload.tag == "boom":
+                raise RuntimeError("handler failed")
+
+        a.handle = handle
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run_until_idle()
+        assert b.log == [] and sim.now == 1
+        sim.schedule(1, "b", Timer("same-tick"))
+        sim.run_until_idle()
+        sim.run_until_idle()
+        assert [(now, p.tag) for now, p in b.log] == [(1, "next"), (1, "same-tick"), (2, "later")]
+
+    def test_a_raising_last_event_of_a_tick_leaves_nothing_behind(self):
+        sim, a, b = two_node_sim()
+        sim.schedule(1, "a", Timer("boom"))
+        sim.schedule(3, "b", Timer("later"))
+        a.handle = lambda payload, now: 1 / 0
+        with pytest.raises(ZeroDivisionError):
+            sim.run_until_idle()
+        sim.run_until_idle()
+        assert [(now, p.tag) for now, p in b.log] == [(3, "later")]
+
+
+# An action is (kind, src, dst, delay, children). kind "schedule" queues a
+# Timer for dst at now + delay, "send" sends from src to dst over the link
+# model, "call_at" queues a control event at now + delay. children are the
+# actions the resulting event performs when it runs, so handlers and control
+# events schedule too, same-tick ones (delay 0, self-sends) included.
+event_names = st.sampled_from("abc")
+
+
+def event_actions(children):
+    return st.tuples(st.sampled_from(["schedule", "send", "call_at"]), event_names,
+                     event_names, st.integers(0, 2), children)
+
+
+event_leaf = event_actions(st.just(()))
+event_mid = event_actions(st.lists(event_leaf, max_size=3).map(tuple))
+event_top = event_actions(st.lists(event_mid | event_leaf, max_size=3).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(event_top | event_mid | event_leaf, max_size=6),
+       st.none() | st.integers(0, 4),
+       st.integers(1, 3), st.integers(1, 3))
+def test_events_run_in_reference_time_seq_order(actions, crash_at, ab_latency, bc_latency):
+    sim = Simulator(7)
+    nodes = {name: sim.add_node(Recorder(name)) for name in "abc"}
+    sim.links.set_latency("a", "b", ab_latency)
+    sim.links.set_latency("b", "c", bc_latency)
+    plans = {}
+
+    # The reference: every accepted schedule call, keyed by (time, call
+    # order), popped from a heap of its own once the simulator is idle.
+    reference, schedule = [], sim.schedule
+
+    def recording(time, target, payload):
+        schedule(time, target, payload)
+        heapq.heappush(reference, (time, len(reference), target, payload))
+
+    sim.schedule = recording
+
+    def perform(action, now):
+        kind, src, dst, delay, children = action
+        label = f"e{len(plans)}"
+        plans[label] = children
+        if kind == "schedule":
+            sim.schedule(now + delay, dst, Timer(label))
+        elif kind == "send":
+            sim.send(src, dst, label)
+        else:
+            def control():
+                sim.trace.emit("control", sim.now, label=label)
+                for child in children:
+                    perform(child, sim.now)
+            control.label = label
+            sim.call_at(now + delay, control)
+
+    def handle(name):
+        def run(payload, now):
+            label = payload.tag if isinstance(payload, Timer) else payload.message
+            sim.trace.emit("handled", now, node=name, label=label)
+            for child in plans[label]:
+                perform(child, now)
+        return run
+
+    for name, node in nodes.items():
+        node.handle = handle(name)
+    if crash_at is not None:
+        sim.inject_fault("crash-node", {"node": "c"}, at_time=crash_at)
+    for action in actions:
+        perform(action, 0)
+    sim.run_until_idle()
+
+    expected, crashed = [], False
+    while reference:
+        time, _, target, payload = heapq.heappop(reference)
+        if target not in nodes:
+            label = getattr(payload, "label", None)
+            if label is None:  # the crash fault's control event
+                crashed = True
+                expected.append(("fault", time, "c"))
+            else:
+                expected.append(("control", time, label))
+        elif crashed and target == "c":
+            if isinstance(payload, Delivery):  # a timer vanishes untraced
+                expected.append(("discard", time, "c"))
+        else:
+            label = payload.tag if isinstance(payload, Timer) else payload.message
+            expected.append(("handled", time, target, label))
+    observed = []
+    for r in sim.trace.records:
+        if r["kind"] == "handled":
+            observed.append(("handled", r["time"], r["node"], r["label"]))
+        elif r["kind"] == "control":
+            observed.append(("control", r["time"], r["label"]))
+        elif r["kind"] == "fault":
+            observed.append(("fault", r["time"], r["node"]))
+        elif r["kind"] == "discard":
+            observed.append(("discard", r["time"], r["dst"]))
+    assert observed == expected
 
 
 class TestLinks:
