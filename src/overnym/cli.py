@@ -73,7 +73,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     seed = args.seed
     if seed is None and _env("SEED") is not None:
-        seed = int(_env("SEED"))
+        try:
+            seed = int(_env("SEED"))
+        except ValueError:
+            print(f"error: {ENV_PREFIX}SEED must be an integer", file=sys.stderr)
+            return 2
 
     stem = Path(args.scenario).stem
     trace_path = args.trace or _env("TRACE") or f"{stem}.trace.jsonl"

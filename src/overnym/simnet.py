@@ -28,6 +28,7 @@ import heapq
 import json
 import json.encoder
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from random import Random
@@ -63,63 +64,125 @@ class Timer:
     data: Any = None
 
 
+class TraceRecords(Sequence):
+    """A trace read back as dicts, in emission order: len, iteration and
+    indexing, negative indexes included. A send record's dict is rebuilt
+    from its line each time it is read; nothing is cached."""
+
+    __slots__ = ("_lines", "_emitted", "_send_fields")
+
+    def __init__(self, lines: list[str], emitted: dict[int, dict],
+                 send_fields: dict[str, tuple[str, str, str]]):
+        self._lines = lines
+        self._emitted = emitted
+        self._send_fields = send_fields
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, index: int) -> dict:
+        line = self._lines[index]
+        record = self._emitted.get(index % len(self._lines))
+        return self._send_record(line) if record is None else record
+
+    def __iter__(self):
+        emitted, send_record = self._emitted, self._send_record
+        for i, line in enumerate(self._lines):
+            record = emitted.get(i)
+            yield send_record(line) if record is None else record
+
+    def _send_record(self, line: str) -> dict:
+        # The line is its (src, dst, msg) prefix, the colon after "time",
+        # the time, then "}\n". The time holds no colon.
+        prefix, _, time = line.rpartition(":")
+        src, dst, msg = self._send_fields[prefix]
+        return {"kind": "send", "time": int(time[:-2]), "src": src, "dst": dst, "msg": msg}
+
+
 class Trace:
-    """Ordered record of everything observable. Serialized as JSON
-    lines with sorted keys, so equal runs are byte-identical."""
+    """Ordered record of everything observable, held as the JSON lines it
+    is written as: per record the bytes of json.dumps(record,
+    sort_keys=True, separators=(",", ":")) and a newline, so equal runs are
+    byte-identical.
+
+    Each record is encoded once, when it is emitted. A plain send record
+    (emit_send) is kept only as its line: a prefix cached per (src, dst,
+    msg) for the whole trace, then ":", the time and "}". Sorted, "time"
+    is the last of its keys. Every other record goes through emit, which
+    encodes it with the one C encoder the trace owns and keeps its dict,
+    indexed by kind for find. records reads the whole trace back as dicts.
+    Records are not to be mutated once emitted: their line is already
+    written."""
 
     def __init__(self):
-        self.records: list[dict] = []
+        self._lines: list[str] = []
+        # Line index -> record, for every line that emit wrote.
+        self._emitted: dict[int, dict] = {}
+        self._by_kind: dict[str, list[dict]] = {}
+        self._send_prefixes: dict[tuple[str, str, str], str] = {}
+        self._send_fields: dict[str, tuple[str, str, str]] = {}
+        self._records = TraceRecords(self._lines, self._emitted, self._send_fields)
+        # The encoder json.dumps builds for these arguments, built once, by
+        # position, as json.JSONEncoder.iterencode builds it. It notes the
+        # ids of the containers it is inside in markers; a failed encode
+        # leaves them there, so emit clears them.
+        self._markers: dict[int, Any] = {}
+        self._encode = json.encoder.c_make_encoder(
+            self._markers, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+            None, ":", ",", True, False, True,
+        )
+
+    @property
+    def records(self) -> TraceRecords:
+        return self._records
 
     def emit(self, kind: str, time: int, **fields: Any) -> None:
-        self.records.append({"kind": kind, "time": time, **fields})
+        """Append a record. One that JSON cannot encode raises here, with
+        the error json.dumps gives, and leaves nothing behind."""
+        record = {"kind": kind, "time": time, **fields}
+        try:
+            chunks = self._encode(record, 0)
+        except BaseException:
+            self._markers.clear()
+            raise
+        self._emitted[len(self._lines)] = record
+        self._lines.append("".join(chunks) + "\n")
+        self._by_kind.setdefault(kind, []).append(record)
+
+    def emit_send(self, time: int, src: str, dst: str, msg: str) -> None:
+        """Append a send record: the bytes emit("send", time, src=src,
+        dst=dst, msg=msg) would give, kept as a line only."""
+        prefix = self._send_prefixes.get((src, dst, msg))
+        if prefix is None or type(time) is not int:
+            # The exact types matter: True, 1 and 1.0 hash alike but encode
+            # differently, so only str fields are cached, and only an int
+            # time is written by str().
+            if not (type(src) is str and type(dst) is str and type(msg) is str
+                    and type(time) is int):
+                self.emit("send", time, src=src, dst=dst, msg=msg)
+                return
+            quote = json.encoder.encode_basestring_ascii
+            prefix = self._send_prefixes[(src, dst, msg)] = (
+                f'{{"dst":{quote(dst)},"kind":"send","msg":{quote(msg)},'
+                f'"src":{quote(src)},"time"')
+            self._send_fields[prefix] = (src, dst, msg)
+        self._lines.append(f"{prefix}:{time}}}\n")
 
     def to_jsonl(self) -> str:
-        # The bytes of json.dumps(record, sort_keys=True, separators=(",", ":"))
-        # per record, from one C encoder built with the arguments json.dumps
-        # gives it, instead of one encoder per record. One per call, not per
-        # module: a failed encode leaves ids in the markers dict, and a shared
-        # encoder would then report a false circular reference.
-        quote = json.encoder.encode_basestring_ascii
-        encode = json.encoder.c_make_encoder(
-            {}, json.JSONEncoder().default, quote, None, ":", ",", True, False, True,
-        )
-        # Send records are most of a trace and repeat their src, dst and msg.
-        # Sorted, "time" is their last key, so a send record is a prefix
-        # cached per (src, dst, msg), then str(time), then "}". The exact
-        # types matter: True, 1 and 1.0 hash alike but encode differently.
-        prefixes: dict[tuple[str, str, str], str] = {}
-        lines = []
-        for record in self.records:
-            # A plain send record has exactly these five keys. Any other
-            # five-key record lacks one of them, which reads None and fails
-            # its type check.
-            if len(record) == 5 and record.get("kind") == "send":
-                time, src, dst, msg = (record.get("time"), record.get("src"),
-                                       record.get("dst"), record.get("msg"))
-                if (type(time) is int and type(src) is str and type(dst) is str
-                        and type(msg) is str):
-                    key = (src, dst, msg)
-                    prefix = prefixes.get(key)
-                    if prefix is None:
-                        prefix = prefixes[key] = (
-                            f'{{"dst":{quote(dst)},"kind":"send","msg":{quote(msg)},'
-                            f'"src":{quote(src)},"time":')
-                    lines.append(f"{prefix}{time}}}\n")
-                    continue
-            lines.append("".join(encode(record, 0)) + "\n")
-        return "".join(lines)
+        return "".join(self._lines)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
 
     def find(self, kind: str, **match: Any) -> list[dict]:
-        out = []
-        for record in self.records:
-            if record["kind"] != kind:
-                continue
-            if all(record.get(k) == v for k, v in match.items()):
-                out.append(record)
-        return out
+        """The records of this kind whose fields equal match, in emission
+        order. Every kind but "send" reads its index; plain send records
+        have no dict to index, so "send" scans the trace."""
+        if kind == "send":
+            candidates = (r for r in self.records if r["kind"] == "send")
+        else:
+            candidates = self._by_kind.get(kind, ())
+        return [r for r in candidates if all(r.get(k) == v for k, v in match.items())]
 
 
 class LinkModel:
@@ -235,7 +298,12 @@ class Simulator:
         self.schedule(time, _CONTROL, fn)
 
     def send(self, src: str, dst: str, message: Any, note: str | None = None) -> None:
-        """Send over the link model: latency, drop draw, trace record."""
+        """Send over the link model: latency, drop draw, trace record.
+
+        A send with a note goes through Trace.emit; without one, through
+        Trace.emit_send. No caller in this package passes a note, but the
+        parameter stays: the benchmark's tracer (perfbench/tracer.py)
+        wraps send and passes note by position."""
         if dst not in self.nodes:
             raise UnknownTarget(dst)
         now = self.now
@@ -243,7 +311,7 @@ class Simulator:
         if note:
             self.trace.emit("send", now, src=src, dst=dst, msg=kind, note=note)
         else:
-            self.trace.emit("send", now, src=src, dst=dst, msg=kind)
+            self.trace.emit_send(now, src, dst, kind)
         latency, drop_p = self.links.link(src, dst)
         if drop_p > 0.0 and self._link_rng(src, dst).random() < drop_p:
             self.trace.emit("drop", now, src=src, dst=dst, msg=kind)

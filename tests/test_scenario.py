@@ -109,6 +109,31 @@ class TestRun:
         result = run_scenario(sc)
         assert result.exit_code == 0, result.checks
 
+    # The kinds and match keys that the runner's expectations, and tests,
+    # look up with find.
+    FINDS = (("access", ("session",)), ("probe", ("node", "label")),
+             ("admit", ("client",)), ("send", ("msg",)))
+
+    @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+    def test_trace_lines_records_and_find_agree(self, path):
+        trace = run_scenario(parse_scenario(path.read_text())).trace
+        records = list(trace.records)
+        lines = trace.to_jsonl().splitlines(keepends=True)
+        assert len(lines) == len(records) == len(trace.records)
+        for record, line in zip(records, lines):
+            assert json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n" == line
+
+        def scan(kind, **match):
+            return [r for r in records
+                    if r["kind"] == kind and all(r.get(k) == v for k, v in match.items())]
+
+        for kind in {r["kind"] for r in records} | {"send"}:
+            assert trace.find(kind) == scan(kind)
+        for kind, keys in self.FINDS:
+            for values in {tuple(r.get(k) for k in keys) for r in scan(kind)}:
+                match = dict(zip(keys, values))
+                assert trace.find(kind, **match) == scan(kind, **match)
+
     def test_failed_expectation_nonzero_exit(self):
         # alive probe scheduled long after the server crashed
         text = MINIMAL + "at 10 fault crash-node s\nexpect session u s alive at 50\n"
@@ -285,6 +310,17 @@ class TestCli:
         monkeypatch.setenv("OVERNYM_SEED", "123")
         assert main(["run", str(scenario)]) == 0
         assert trace.exists() and metrics.exists()
+
+    def test_run_env_seed_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        scenario = tmp_path / "env.scn"
+        scenario.write_text(MINIMAL)
+        trace = tmp_path / "env.trace.jsonl"
+        monkeypatch.setenv("OVERNYM_TRACE", str(trace))
+        monkeypatch.setenv("OVERNYM_METRICS", str(tmp_path / "env.metrics.json"))
+        monkeypatch.setenv("OVERNYM_SEED", "twelve")
+        assert main(["run", str(scenario)]) == 2
+        assert capsys.readouterr().err == "error: OVERNYM_SEED must be an integer\n"
+        assert not trace.exists()
 
     def test_run_flag_beats_env(self, tmp_path, monkeypatch, capsys):
         scenario = tmp_path / "pref.scn"

@@ -352,35 +352,74 @@ json_values = st.recursive(
 )
 
 
+def assert_reads_back(trace: Trace, records: list[dict]) -> None:
+    """The trace's lines are the records' json.dumps bytes, and records
+    gives the same dicts back by iteration and by either sign of index."""
+    assert trace.to_jsonl() == "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    assert len(trace.records) == len(records)
+    assert list(trace.records) == records
+    assert [trace.records[i] for i in range(len(records))] == records
+    assert [trace.records[i - len(records)] for i in range(len(records))] == records
+
+
+field_keys = json_keys.filter(lambda key: key not in ("kind", "time"))
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.dictionaries(json_keys, json_values, max_size=4), max_size=4))
-def test_to_jsonl_matches_json_dumps(records):
+@given(st.lists(st.tuples(st.text(max_size=8), json_values,
+                          st.dictionaries(field_keys, json_values, max_size=4)), max_size=4))
+def test_to_jsonl_matches_json_dumps(emitted):
     trace = Trace()
-    trace.records.extend(records)
-    reference = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                        for r in records)
-    assert trace.to_jsonl() == reference
+    for kind, time, fields in emitted:
+        trace.emit(kind, time, **fields)
+    assert_reads_back(trace, [{"kind": kind, "time": time, **fields}
+                              for kind, time, fields in emitted])
 
 
 def test_to_jsonl_unserialisable_value_raises_like_json_dumps():
     trace = Trace()
     trace.emit("ok", 0, value=[1, {"x": "y"}])
-    trace.emit("bad", 1, nested={"blob": [b"raw"]})
+    nested = {"blob": [b"raw"]}
     with pytest.raises(TypeError) as expected:
-        json.dumps(trace.records[1], sort_keys=True, separators=(",", ":"))
+        json.dumps({"kind": "bad", "time": 1, "nested": nested},
+                   sort_keys=True, separators=(",", ":"))
     with pytest.raises(TypeError) as got:
-        trace.to_jsonl()
+        trace.emit("bad", 1, nested=nested)
     assert str(got.value) == str(expected.value)
     assert getattr(got.value, "__notes__", None) == getattr(expected.value, "__notes__", None)
     # The containers open when encoding failed encode again once fixed:
-    # the failed call leaves no false "circular reference" behind.
-    trace.records[1]["nested"]["blob"][0] = "raw"
+    # the failed emit leaves no false "circular reference" behind.
+    nested["blob"][0] = "raw"
+    trace.emit("bad", 1, nested=nested)
     assert trace.to_jsonl() == ('{"kind":"ok","time":0,"value":[1,{"x":"y"}]}\n'
                                 '{"kind":"bad","nested":{"blob":["raw"]},"time":1}\n')
 
 
-# Send-shaped records: most take the cached-prefix path in to_jsonl, and
-# the rest are one key short, carry a note, hold a time that is not an
+def test_a_failed_emit_leaves_nothing_behind():
+    trace = Trace()
+    trace.emit_send(0, "a", "b", "m")
+    trace.emit("ok", 0, value=1)
+    before, count = trace.to_jsonl(), len(trace.records)
+    loop: list = []
+    loop.append(loop)
+    with pytest.raises(ValueError, match="Circular reference"):
+        trace.emit("loop", 1, value=loop)
+    value = [[1], object()]
+    with pytest.raises(TypeError):
+        trace.emit("bad", 1, value=value)
+    assert len(trace.records) == count and trace.to_jsonl() == before
+    assert trace.find("loop") == [] and trace.find("bad") == []
+    value[1] = 2
+    trace.emit("bad", 2, value=value)
+    trace.emit_send(2, "a", "b", "m")
+    assert trace.to_jsonl() == before + ('{"kind":"bad","time":2,"value":[[1],2]}\n'
+                                         '{"dst":"b","kind":"send","msg":"m","src":"a","time":2}\n')
+    assert trace.find("bad") == [trace.records[-2]]
+
+
+# Send-shaped records: most are written as a cached prefix by emit_send,
+# and the rest are one key short, carry a note, hold a time that is not an
 # int, or hold values that are not strings. 1, True and 1.0 hash alike,
 # so a cache that skipped the type checks would mix them up. A small text
 # pool makes prefixes repeat.
@@ -397,7 +436,7 @@ def send_records(draw):
               "src": draw(send_values), "dst": draw(send_values), "msg": draw(send_values)}
     if draw(st.integers(min_value=0, max_value=5)) == 0:
         record["note"] = draw(send_text)
-    missing = draw(st.sampled_from([None, None, None, "kind", "time", "src", "dst", "msg"]))
+    missing = draw(st.sampled_from([None, None, None, "src", "dst", "msg"]))
     if missing is not None:
         del record[missing]
     return record
@@ -409,10 +448,27 @@ def send_records(draw):
           for t in (3, True, 2.0) for src in ("1", 1, True, 1.0)])
 def test_to_jsonl_send_records_match_json_dumps(records):
     trace = Trace()
-    trace.records.extend(records)
-    reference = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-                        for r in records)
-    assert trace.to_jsonl() == reference
+    for record in records:
+        fields = dict(record)
+        kind, time = fields.pop("kind"), fields.pop("time")
+        if kind == "send" and fields.keys() == {"src", "dst", "msg"}:
+            trace.emit_send(time, **fields)
+        else:
+            trace.emit(kind, time, **fields)
+    assert_reads_back(trace, records)
+    for kind in ("send", "drop"):
+        assert trace.find(kind) == [r for r in records if r["kind"] == kind]
+
+
+def test_send_with_a_note_is_recorded_with_it():
+    sim, a, b = two_node_sim(3)
+    sim.send("a", "b", "m", "why")
+    sim.send("a", "b", "m")
+    assert list(sim.trace.records) == [
+        {"kind": "send", "time": 0, "src": "a", "dst": "b", "msg": "str", "note": "why"},
+        {"kind": "send", "time": 0, "src": "a", "dst": "b", "msg": "str"},
+    ]
+    assert sim.trace.find("send", note="why") == [sim.trace.records[0]]
 
 
 class ReferenceLinks:
