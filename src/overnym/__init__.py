@@ -4,7 +4,7 @@ Layers, bottom up:
 
   identity  three-tier derivation (secret -> chain address -> service id),
             linkage proofs, regulator attestations
-  ledger    hash-chained registration / association / topology / token log
+  ledger    hash-chained registration / topology / token log
   neat      bloom-fronted per-segment address translation tables
   overlay   segment graph from ledger topology, deterministic routing
   session   mutual-auth handshake, NFT access control, in-session rotation
@@ -55,8 +55,6 @@ from .overlay import (
     OverlayGraph,
     RoutePath,
     Unresolvable,
-    find_path,
-    resolve_access_point,
     segment_route,
 )
 from .session import (

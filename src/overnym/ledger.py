@@ -6,8 +6,8 @@ nonce) and appends hash-chained entries. What the rest of the stack
 relies on is exactly what this gives: tamper evidence, total order,
 replica determinism, and latest-record-wins state queries.
 
-Payloads are capped at 4 KiB; the chain carries registrations, identity
-associations, topology updates, and token ownership, nothing bulkier.
+Payloads are capped at 4 KiB; the chain carries registrations, topology
+updates, and token ownership, nothing bulkier.
 """
 
 from __future__ import annotations
@@ -103,7 +103,9 @@ class RegistrationTx:
 
 @dataclass(frozen=True)
 class AssociationRecord:
-    """Binding of a subject address to its serving access point.
+    """Binding of a subject address to its serving access point. No
+    simulator node writes one (routers keep bindings in their NEAT
+    tables); the payload kind stays so that chains holding one decode.
 
     seq is 0 at submission and carries the ledger sequence once
     committed; the highest-seq record per subject is live.

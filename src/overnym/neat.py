@@ -182,8 +182,8 @@ class NeatTable:
         return self._exact.keys()
 
     def insert(self, key: bytes, locator: NetworkLocator) -> None:
-        """Bind key -> locator; re-inserting overwrites (newest
-        attachment wins, mirroring association supersession)."""
+        """Bind key -> locator; re-inserting overwrites (the newest
+        attachment wins)."""
         if len(key) != KEY_SIZE:
             raise ValueError("keys are 32 bytes")
         if locator.segment != self.segment:

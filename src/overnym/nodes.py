@@ -2,10 +2,11 @@
 
 Users, access points (routers), application servers, the regulator, and
 the single sequencer exchange the messages defined here. Control-plane
-writes (registrations, associations, token ownership, topology) travel
-to the sequencer and commit in rounds; the committed ledger is readable
-by every node between rounds. Data-plane messages ride Envelopes hop by
-hop along computed access-point routes.
+writes (registrations, token ownership, topology) travel to the
+sequencer and commit in rounds; the committed ledger is readable by
+every node between rounds. A router keeps who is bound where in its
+segment's NEAT table only, never on the ledger. Data-plane messages
+ride Envelopes hop by hop along computed access-point routes.
 
 Traces record message kinds, decisions, and key-check digests; key
 material never appears in a trace or on the wire.
@@ -23,7 +24,7 @@ from typing import Any, NamedTuple
 from . import identity, neat, overlay, session
 from .hashing import TAG_NFT, owf
 from .identity import APPID, BCADD, IdentitySecret, LinkageProof, ServiceProps
-from .ledger import AssociationRecord, InvalidTx, Ledger, NftOwnership, RegistrationTx
+from .ledger import InvalidTx, Ledger, NftOwnership, RegistrationTx
 from .neat import LookupStats, NeatTable, NetworkLocator
 from .overlay import OverlayGraph, RoutePath
 from .session import (
@@ -164,7 +165,6 @@ class ConnectRefused:
 class BindRequest:
     subject: bytes
     locator: NetworkLocator
-    epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -403,10 +403,6 @@ class AccessPointNode(ProtocolNode):
         self.sim.trace.emit("neat-bind", now, segment=self.segment,
                             key=message.subject.hex()[:16],
                             device=message.locator.device_id)
-        self.submit_tx(AssociationRecord(
-            subject=message.subject, attachment=self.name,
-            segment=self.segment, epoch=message.epoch,
-        ))
         self._mark_summary_dirty(now)
 
     def _handle_connect(self, client: str, request: ConnectRequest, now: int) -> None:
@@ -477,8 +473,7 @@ class _SessionEnd(ProtocolNode):
 
     def _bind(self, subject: bytes) -> None:
         locator = NetworkLocator(device_id=self.name, port=9000, segment=self.segment)
-        self.sim.send(self.name, self.access_point,
-                      BindRequest(subject=subject, locator=locator, epoch=self.bcadd.epoch))
+        self.sim.send(self.name, self.access_point, BindRequest(subject, locator))
 
     def send_routed(self, route: tuple[str, ...], dst: str, inner: Any, cost: int = 0) -> None:
         """Wrap inner in an Envelope to dst and send it to the route's first hop."""

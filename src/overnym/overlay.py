@@ -1,16 +1,16 @@
 """Entity discovery and inter-segment routing.
 
 The segment graph is built from ledger topology updates (applied in seq
-order, idempotently); identities resolve to their serving access points
-through ledger association records. Pathfinding is minimum total
-hop-cost with a fixed tie-break: among equal-cost routes, the
-lexicographically smallest segment-id sequence wins, so equal inputs
-always produce byte-identical paths.
+order, idempotently). Discovery (the NEAT tables) yields the segment
+that serves an identity; a router then routes from itself to that
+segment. Pathfinding is minimum total hop-cost with a fixed tie-break:
+among equal-cost routes, the lexicographically smallest segment-id
+sequence wins, so equal inputs always produce byte-identical paths.
 
 OverlayGraph holds its links once, in an adjacency map (segment ->
 neighbour -> cost) maintained by apply_topology, and keeps an
 access-point -> segment index beside its segment table, maintained by
-add_segment, so Dijkstra and endpoint resolution never scan the whole
+add_segment, so Dijkstra and route endpoints never scan the whole
 graph. Whether a neighbour has an access point is still checked when
 neighbors() is called.
 """
@@ -21,11 +21,12 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ledger import Ledger, TopologyUpdate
+from .ledger import TopologyUpdate
 
 
 class Unresolvable(Exception):
-    """An endpoint has no live association record."""
+    """A route endpoint has no access point: the source serves no
+    segment, or the destination segment has none."""
 
 
 class Disconnected(Exception):
@@ -158,12 +159,6 @@ def segment_route(graph: OverlayGraph, src: int, dst: int) -> tuple[tuple[int, .
     raise Disconnected(f"no path between segments {src} and {dst}")
 
 
-def resolve_access_point(ledger: Ledger, subject: bytes) -> str | None:
-    """Serving access point per the latest association record, if any."""
-    record = ledger.query_association(subject)
-    return record.attachment if record is not None else None
-
-
 def _hops_for(graph: OverlayGraph, segments: Sequence[int],
               first_ap: str, last_ap: str) -> tuple[str, ...]:
     if len(segments) == 1:
@@ -175,31 +170,11 @@ def _hops_for(graph: OverlayGraph, segments: Sequence[int],
     return tuple(hops)
 
 
-def find_path(graph: OverlayGraph, ledger: Ledger, src: bytes, dst: bytes) -> RoutePath:
-    """Route between the access points serving two associated addresses.
-
-    Endpoint hops are the recorded attachments; intermediate segments
-    contribute their lowest-id access point. Both endpoints on one access
-    point is the identity route: a single hop at cost 0.
-    """
-    src_ap = resolve_access_point(ledger, src)
-    dst_ap = resolve_access_point(ledger, dst)
-    if src_ap is None or dst_ap is None:
-        missing = "source" if src_ap is None else "destination"
-        raise Unresolvable(f"{missing} address has no association record")
-    if src_ap == dst_ap:
-        return RoutePath((src_ap,), 0)
-    src_seg = graph.segment_of(src_ap)
-    dst_seg = graph.segment_of(dst_ap)
-    if src_seg is None or dst_seg is None:
-        raise Unresolvable("an endpoint's access point is not in the graph")
-    segments, cost = segment_route(graph, src_seg, dst_seg)
-    return RoutePath(_hops_for(graph, segments, src_ap, dst_ap), cost)
-
-
 def route_to_segment(graph: OverlayGraph, src_ap: str, dst_segment: int) -> RoutePath:
     """Route from a known access point to a segment's lowest-id access
-    point; used when discovery yields only the destination's locator."""
+    point. Intermediate segments contribute their lowest-id access point;
+    a source that is that access point is the identity route: one hop at
+    cost 0."""
     src_seg = graph.segment_of(src_ap)
     if src_seg is None:
         raise Unresolvable(f"access point {src_ap!r} serves no segment")

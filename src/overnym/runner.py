@@ -376,7 +376,11 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
                          ledger_head=built.world.ledger.head_seq,
                          state_hash=built.world.ledger.state_hash().hex()[:16])
     exit_code = 0 if all(p for _, p, _ in checks) else 1
-    return RunResult(built.sim.trace, metrics, checks, exit_code)
+    result = RunResult(built.sim.trace, metrics, checks, exit_code)
+    # Each node holds the simulator (Node.attach); drop the simulator's
+    # hold on them so the finished run is freed without a cyclic GC pass.
+    built.sim.nodes.clear()
+    return result
 
 
 def write_atomic(path: str, content: str) -> None:

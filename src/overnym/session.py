@@ -517,6 +517,11 @@ def rotation_nonce(session_id: bytes, rotation_index: int) -> bytes:
     return owf(TAG_ROT_NONCE, session_id, u32(rotation_index))[:NONCE_SIZE]
 
 
+def rotation_tag(key: bytes, body: bytes) -> bytes:
+    """A rotation notice's tag: its body under the session's current key."""
+    return owf(TAG_ROT_AUTH, key, body)
+
+
 def make_rotation_notice(
     session: Session,
     secret: IdentitySecret,
@@ -530,9 +535,8 @@ def make_rotation_notice(
         raise ContinuityRejected("session is closed")
     nonce = rotation_nonce(session.session_id, session.rotation_count + 1)
     proof = make_linkage_proof(secret, new_bcadd, new_appid, nonce)
-    notice = RotationNotice(new_appid, proof, b"")
-    tag = owf(TAG_ROT_AUTH, session.key, notice.body_bytes())
-    return RotationNotice(new_appid, proof, tag)
+    body = RotationNotice(new_appid, proof, b"").body_bytes()
+    return RotationNotice(new_appid, proof, rotation_tag(session.key, body))
 
 
 def rotate_session(session: Session, notice: RotationNotice) -> Session:
@@ -546,7 +550,7 @@ def rotate_session(session: Session, notice: RotationNotice) -> Session:
     """
     if session.key is None:
         raise ContinuityRejected("session is closed")
-    expected_tag = owf(TAG_ROT_AUTH, session.key, notice.body_bytes())
+    expected_tag = rotation_tag(session.key, notice.body_bytes())
     if not hmac.compare_digest(notice.auth_tag, expected_tag):
         raise ContinuityRejected("notice was not delivered inside this session")
     nonce = rotation_nonce(session.session_id, session.rotation_count + 1)

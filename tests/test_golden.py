@@ -18,15 +18,15 @@ ROOT = Path(__file__).parent.parent
 
 # fixture -> (trace sha256, metrics.json sha256)
 PINS = {
-    "crash_server": ("84048da090197301dcf41f1cd37dfe91c6fc7e45f0dd38bed3f9b0b5ee2caefb",
+    "crash_server": ("df32d0a36c95e3ada9dce9f38eea22db0dfce9e335f1b5b18f04b313e4775297",
                      "95af0d311f04446ffb084d7287c851f68dd98f5ee51ef584cfbbf3e54696f76a"),
-    "end_to_end": ("509fd00f467a6eec9ffdede9004e1c1c3ea16e95622d80fe85c1412f3d202fa8",
+    "end_to_end": ("6e62fd2d1e3f51bfaab5ab07feb3f8c05d5aa238357d3cbd2c075db6338e5af0",
                    "6a90f9df5012c211aef74e069166ad50070505244ee76dc9ec391c35c70c92d0"),
-    "link_faults": ("81b75394365562443e8fb51e035ea91274ee96555b5360eecd22458d340ee74d",
+    "link_faults": ("f57f5f561715827626fbf78fed310529312eaf4dde2c43471e6cada15aa6a59c",
                     "ae9c25754647142b7de8d123ce50d5fa5d85f5bb680110fb7b75ae6363a4fa04"),
-    "sequencer_crash": ("7054db6f22227355786832ac7284309695dc8ed0e953e568d4c1e28f54d4965b",
+    "sequencer_crash": ("0fb40b0def8558e1a02e6d4e4ad1b5615fd7caf6ef801e5ea3c301477a2f350b",
                         "7111d79f58443bbc4042502c2f5852ebd44250ab3bd206c069e783ce9de1729c"),
-    "strict_reject": ("60eaec9c15c538fd50f0652f1d6fbdcbf57c11723d5753f3cf7b287f960de488",
+    "strict_reject": ("4c470cd7a37cc2611a958f1ddb7b769a93f5131f2da9b3db6d7e14d372612e2e",
                       "1890c93feddaa00f7bcbacc8e0f4fceb6b8f41f9d0648e659d4d5f64e79d8daa"),
 }
 FIXTURES = sorted((ROOT / "scenarios").glob("*.scn"))

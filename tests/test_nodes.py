@@ -325,6 +325,20 @@ class TestRefusedHandshakeMessage:
         assert len(self.established(built, "u")) == 1
 
 
+class TestRouterBind:
+    def test_a_bind_submits_nothing_to_the_ledger(self):
+        # The binding lives in the segment's NEAT table; the router puts no
+        # association of the subject with itself on the shared ledger.
+        built = settled()
+        sim = built.sim
+        before = len(sim.trace.find("send", src="ap", msg="SubmitTx"))
+        locator = NetworkLocator(device_id="u", port=9000, segment=1)
+        sim.schedule(sim.now + 1, "ap", Delivery("u", BindRequest(b"b" * 32, locator), sim.now))
+        sim.run_until_idle()
+        assert len(sim.trace.find("neat-bind", key=(b"b" * 32).hex()[:16])) == 1
+        assert len(sim.trace.find("send", src="ap", msg="SubmitTx")) == before
+
+
 class TestRouterSummaryPush:
     """A router pushes its table's summary at most once per tick."""
 

@@ -4,20 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overnym.identity import derive_bcadd
-from overnym.ledger import AssociationRecord, Ledger, TopologyUpdate
+from overnym.ledger import TopologyUpdate
 from overnym.overlay import (
     Disconnected,
     OverlayGraph,
     RoutePath,
     Unresolvable,
-    find_path,
-    resolve_access_point,
     route_to_segment,
     segment_route,
 )
 
-from conftest import make_secret
 from oracles import bellman_ford_cost, connected_random_graph, enumerate_best_path
 
 
@@ -27,14 +23,6 @@ def graph_with(segments, links, aps=None):
         graph.add_segment(seg, (aps or {}).get(seg, [f"ap{seg}"]))
     graph.apply_topology([(0, TopologyUpdate(links=tuple(links), origin="ap"))])
     return graph
-
-
-def associate(ledger: Ledger, subject: bytes, attachment: str, segment: int, at_time=0):
-    ledger.submit(AssociationRecord(subject=subject, attachment=attachment,
-                                    segment=segment),
-                  submitter=attachment, at_time=at_time,
-                  nonce=(subject[:8] + at_time.to_bytes(8, "big")))
-    ledger.commit_round()
 
 
 class TestApplyTopology:
@@ -81,47 +69,19 @@ class TestApplyTopology:
         assert one.dump() == two.dump()
 
 
-class TestResolveAccessPoint:
-    def test_associated_subject_resolves(self):
-        ledger = Ledger()
-        bcadd = derive_bcadd(make_secret(40), 0)
-        associate(ledger, bcadd.address, "ap7", 7)
-        assert resolve_access_point(ledger, bcadd.address) == "ap7"
-
-    def test_rotated_address_unassociated(self):
-        ledger = Ledger()
-        secret = make_secret(41)
-        associate(ledger, derive_bcadd(secret, 0).address, "ap1", 1)
-        assert resolve_access_point(ledger, derive_bcadd(secret, 1).address) is None
-
-    def test_latest_association_wins(self):
-        ledger = Ledger()
-        bcadd = derive_bcadd(make_secret(42), 0)
-        associate(ledger, bcadd.address, "ap1", 1, at_time=1)
-        associate(ledger, bcadd.address, "ap2", 2, at_time=2)
-        assert resolve_access_point(ledger, bcadd.address) == "ap2"
-
-
 class TestFindPath:
-    def setup_pair(self, graph, src_seg, dst_seg):
-        ledger = Ledger()
-        src = derive_bcadd(make_secret(50), 0)
-        dst = derive_bcadd(make_secret(51), 0)
-        associate(ledger, src.address, f"ap{src_seg}", src_seg, at_time=1)
-        associate(ledger, dst.address, f"ap{dst_seg}", dst_seg, at_time=2)
-        return ledger, src.address, dst.address
+    """Path finding as a router does it: from itself to the segment that
+    discovery names."""
 
     def test_same_access_point_zero_cost(self):
         graph = graph_with([1], [])
-        ledger, src, dst = self.setup_pair(graph, 1, 1)
-        path = find_path(graph, ledger, src, dst)
+        path = route_to_segment(graph, "ap1", 1)
         assert path == RoutePath(("ap1",), 0)
 
     def test_line_graph_matches_bfs_oracle(self):
         links = [(1, 2, 1), (2, 3, 1)]
         graph = graph_with([1, 2, 3], links)
-        ledger, src, dst = self.setup_pair(graph, 1, 3)
-        path = find_path(graph, ledger, src, dst)
+        path = route_to_segment(graph, "ap1", 3)
         oracle_cost = bellman_ford_cost([1, 2, 3], links, 1, 3)
         assert path.total_cost == oracle_cost == 2
         assert path.hops == ("ap1", "ap2", "ap3")
@@ -130,47 +90,36 @@ class TestFindPath:
         # 1-2-5 and 1-4-5 both cost 2; the 2-route wins.
         links = [(1, 2, 1), (2, 5, 1), (1, 4, 1), (4, 5, 1)]
         graph = graph_with([1, 2, 4, 5], links)
-        ledger, src, dst = self.setup_pair(graph, 1, 5)
-        path = find_path(graph, ledger, src, dst)
+        path = route_to_segment(graph, "ap1", 5)
         assert path.total_cost == 2
         assert path.hops == ("ap1", "ap2", "ap5")
 
-    def test_unassociated_endpoint_unresolvable(self):
-        graph = graph_with([1], [])
-        ledger = Ledger()
-        with pytest.raises(Unresolvable):
-            find_path(graph, ledger, b"a" * 32, b"b" * 32)
-
     def test_disconnected_graph(self):
         graph = graph_with([1, 2], [])
-        ledger, src, dst = self.setup_pair(graph, 1, 2)
         with pytest.raises(Disconnected):
-            find_path(graph, ledger, src, dst)
+            route_to_segment(graph, "ap1", 2)
 
     def test_same_segment_distinct_aps(self):
         graph = graph_with([1], [], aps={1: ["apA", "apB"]})
-        ledger = Ledger()
-        src = derive_bcadd(make_secret(52), 0)
-        dst = derive_bcadd(make_secret(53), 0)
-        associate(ledger, src.address, "apA", 1, at_time=1)
-        associate(ledger, dst.address, "apB", 1, at_time=2)
-        path = find_path(graph, ledger, src.address, dst.address)
-        assert path == RoutePath(("apA", "apB"), 0)
+        path = route_to_segment(graph, "apB", 1)
+        assert path == RoutePath(("apB", "apA"), 0)
+
+    def test_lowest_ap_of_its_own_segment_is_the_identity_route(self):
+        graph = graph_with([1], [], aps={1: ["apA", "apB"]})
+        assert route_to_segment(graph, "apA", 1) == RoutePath(("apA",), 0)
 
     def test_intermediate_segment_uses_lowest_ap(self):
         graph = graph_with([1, 2, 3], [(1, 2, 1), (2, 3, 1)],
                            aps={2: ["apZ", "apA"]})
-        ledger, src, dst = self.setup_pair(graph, 1, 3)
-        path = find_path(graph, ledger, src, dst)
+        path = route_to_segment(graph, "ap1", 3)
         assert path.hops[1] == "apA"
 
     def test_deterministic_and_byte_identical(self):
         # 1-2-3-4, 1-2-4 and 1-3-4 all cost 4; the smallest sequence wins
         links = [(1, 2, 2), (2, 3, 1), (1, 3, 3), (3, 4, 1), (2, 4, 2)]
         graph = graph_with([1, 2, 3, 4], links)
-        ledger, src, dst = self.setup_pair(graph, 1, 4)
-        one = find_path(graph, ledger, src, dst)
-        two = find_path(graph, ledger, src, dst)
+        one = route_to_segment(graph, "ap1", 4)
+        two = route_to_segment(graph, "ap1", 4)
         assert one == two == RoutePath(("ap1", "ap2", "ap3", "ap4"), 4)
 
     def test_route_to_segment_lowest_destination_ap(self):
@@ -183,8 +132,10 @@ class TestFindPath:
         graph.add_segment(1, ["ap1"])
         graph.add_segment(2)
         graph.apply_topology([(0, TopologyUpdate(links=((1, 2, 1),), origin="x"))])
-        with pytest.raises(Unresolvable):
+        with pytest.raises(Unresolvable, match="segment 2 has no access points"):
             route_to_segment(graph, "ap1", 2)
+        with pytest.raises(Unresolvable, match="'ap9' serves no segment"):
+            route_to_segment(graph, "ap9", 1)
 
 
 class TestOracleEquivalence:

@@ -1,3 +1,4 @@
+import gc
 import json
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from overnym.scenario import (
     format_scenario,
     parse_scenario,
 )
+from overnym.simnet import Simulator
 
 SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
 FIXTURES = sorted(SCENARIOS_DIR.glob("*.scn"))
@@ -192,6 +194,39 @@ at 6 connect u s
         graph = result.trace.find("graph")
         assert len(graph) == 1
         assert graph[0]["segments"] == {"1": ["ap"]}
+
+    def test_no_committed_entry_is_an_association(self):
+        # Routers keep bindings in their NEAT tables only: neither the
+        # first binds nor alice's rebind after her rotation at t=26 put a
+        # chain address's router on the ledger.
+        result = run_scenario(parse_scenario((SCENARIOS_DIR / "end_to_end.scn").read_text()))
+        assert result.trace.find("rotation-sent", node="alice")
+        assert [r for r in result.trace.find("neat-bind", device="alice") if r["time"] >= 26]
+        kinds = {r["payload_kind"] for r in result.trace.find("ledger-entry")}
+        assert "RegistrationTx" in kinds and "AssociationRecord" not in kinds
+
+    def test_binding_leaves_the_ledger_unchanged(self):
+        # Where a chain address attaches is not written to the shared
+        # ledger, so a run with u's bind ends on the same chain as one
+        # without it.
+        def chain(text):
+            summary = run_scenario(parse_scenario(text)).trace.find("summary")[0]
+            return summary["ledger_head"], summary["state_hash"]
+
+        assert "at 3 bind u\n" in MINIMAL
+        assert chain(MINIMAL) == chain(MINIMAL.replace("at 3 bind u\n", ""))
+
+    def test_finished_run_frees_its_simulator_without_the_cycle_collector(self):
+        sc = parse_scenario((SCENARIOS_DIR / "end_to_end.scn").read_text())
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_scenario(sc)
+            left = [obj for obj in gc.get_objects() if isinstance(obj, Simulator)]
+        finally:
+            gc.enable()
+        assert result.exit_code == 0
+        assert left == []
 
     def test_filter_snapshots_disseminated(self):
         # two routers: binds on one segment push byte-exact snapshots to

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from overnym.hashing import TAG_ROT_AUTH, TAG_TRANSCRIPT, owf
+from overnym.hashing import TAG_TRANSCRIPT, owf
 from overnym.identity import (
     LinkageProof,
     ServiceProps,
@@ -34,6 +34,7 @@ from overnym.session import (
     record_delivery,
     rotate_session,
     rotation_nonce,
+    rotation_tag,
     router_admit,
     verify_message,
 )
@@ -446,7 +447,7 @@ def test_every_handshake_failure_reason(case, ledger, client, server):
 
 def _tagged(sess, new_appid, proof):
     body = RotationNotice(new_appid, proof, b"").body_bytes()
-    return RotationNotice(new_appid, proof, owf(TAG_ROT_AUTH, sess.key, body))
+    return RotationNotice(new_appid, proof, rotation_tag(sess.key, body))
 
 
 def _proof(creds, bcadd, appid, sess, index):
