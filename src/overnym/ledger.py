@@ -12,7 +12,6 @@ updates, and token ownership, nothing bulkier.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -478,16 +477,3 @@ class Ledger:
         ledger = cls()
         ledger.apply_entries(entries)
         return ledger
-
-    def dump_jsonl(self) -> str:
-        """Human-readable chain dump, one JSON object per line."""
-        lines = []
-        for entry in self._entries:
-            lines.append(json.dumps({
-                "seq": entry.seq,
-                "prev_hash": entry.prev_hash.hex(),
-                "payload_kind": type(entry.payload).__name__,
-                "payload_hash": entry.payload_hash.hex(),
-                "entry_hash": entry.entry_hash.hex(),
-            }, sort_keys=True, separators=(",", ":")))
-        return "\n".join(lines) + ("\n" if lines else "")

@@ -81,9 +81,6 @@ class OverlayGraph:
             if current is None or rank < self._rank[current]:
                 self._ap_segment[ap] = segment_id
 
-    def add_access_point(self, segment_id: int, access_point: str) -> None:
-        self.add_segment(segment_id, [access_point])
-
     def links(self) -> list[tuple[int, int, int]]:
         return sorted((a, b, cost) for a, adjacent in self._adjacent.items()
                       for b, cost in adjacent.items() if a < b)

@@ -33,7 +33,7 @@ from .nodes import (
     token_id_for,
 )
 from .overlay import OverlayGraph
-from .scenario import Scenario
+from .scenario import Action, Expectation, Scenario
 from .simnet import Simulator, Trace
 
 
@@ -88,7 +88,7 @@ def build_simulation(sc: Scenario, *, seed: int | None = None) -> _Built:
             node = AccessPointNode(decl.name, decl.segment, world)
             sim.add_node(node)
             routers[decl.name] = node
-            world.graph.add_access_point(decl.segment, decl.name)
+            world.graph.add_segment(decl.segment, [decl.name])
 
     def ap_for(segment: int) -> str:
         # parse_scenario refuses a user or server on a segment without a router
@@ -106,28 +106,19 @@ def build_simulation(sc: Scenario, *, seed: int | None = None) -> _Built:
             sim.add_node(node)
             world.regulator = decl.name
         elif decl.kind == "user":
-            attributes = {k: _coerce(v) for k, v in decl.props}
             node = UserNode(decl.name, decl.segment, world,
                             access_point=ap_for(decl.segment),
-                            attributes=attributes)
+                            attributes=dict(decl.attributes))
             sim.add_node(node)
             users[decl.name] = node
         elif decl.kind == "app-server":
-            service = decl.prop("service", decl.name)
             node = AppServerNode(decl.name, decl.segment, world,
                                  access_point=ap_for(decl.segment),
-                                 service_id=service)
+                                 service_id=decl.service)
             sim.add_node(node)
             servers[decl.name] = node
 
     return _Built(sim, world, users, servers, routers)
-
-
-def _coerce(value: str) -> int | str:
-    try:
-        return int(value)
-    except ValueError:
-        return value
 
 
 def _schedule_actions(built: _Built, sc: Scenario) -> None:
@@ -165,16 +156,6 @@ def _topology_updates(links: list[tuple[int, int, int]], origin: str) -> list[To
             for i in range(0, len(links), per_update)]
 
 
-def _actor(action) -> str | None:
-    """The node an action acts as: the owner named in a token action, the
-    server of an authorize probe, else the first argument. A fault has none."""
-    if action.kind == "fault":
-        return None
-    if action.kind in ("mint-nft", "transfer-nft", "authorize"):
-        return action.args[1]
-    return action.args[0]
-
-
 class _ActionDriver:
     """Runs the scripted actions, one control event each."""
 
@@ -182,29 +163,26 @@ class _ActionDriver:
         self.built = built
         self.token_owner: dict[str, str] = {}
 
-    def run_action(self, action) -> None:
+    def run_action(self, action: Action) -> None:
         built = self.built
         sim = built.sim
-        if _actor(action) in sim.crashed:
+        if action.actor in sim.crashed:
             return
         now = sim.now
         sim.trace.emit("action", now, action=action.kind, args=list(action.args))
-        if action.kind == "register":
-            node = sim.nodes[action.args[0]]
+        kind, values = action.kind, action.values
+        if kind == "register":
+            node = sim.nodes[action.actor]
             if isinstance(node, UserNode):
                 node.do_register(now)
             else:
-                tokens = ()
-                open_access = False
-                if len(action.args) >= 2 and action.args[1] == "open-access":
-                    open_access = True
-                elif len(action.args) >= 2 and action.args[1] == "tokens":
-                    tokens = tuple(token_id_for(t) for t in action.args[2:])
-                node.do_register(now, tokens=tokens, open_access=open_access)
-        elif action.kind == "bind":
-            sim.nodes[action.args[0]].do_bind(now)
-        elif action.kind in ("mint-nft", "transfer-nft"):
-            token, owner = action.args
+                _, open_access, tokens = values
+                node.do_register(now, tokens=tuple(token_id_for(t) for t in tokens),
+                                 open_access=open_access)
+        elif kind == "bind":
+            sim.nodes[action.actor].do_bind(now)
+        elif kind in ("mint-nft", "transfer-nft"):
+            token, owner = values
             owner_node = sim.nodes[owner]
             previous = self.token_owner.get(token)
             if previous is not None and previous in sim.nodes:
@@ -214,35 +192,20 @@ class _ActionDriver:
             owner_node.submit_tx(NftOwnership(
                 token_id=token_id_for(token), owner=owner_node.bcadd.address,
             ))
-        elif action.kind == "connect":
-            user, server = action.args[0], action.args[1]
-            server_node = built.servers[server]
-            service = server_node.service.service_id
-            if len(action.args) == 3:
-                service = action.args[2].split("=", 1)[1]
-            built.users[user].do_connect(server_node.appid.id, service, now)
-        elif action.kind == "rotate":
-            built.users[action.args[0]].do_rotate(now)
-        elif action.kind == "send":
-            user, server, count = action.args
-            built.users[user].do_send_payloads(server, int(count), now)
-        elif action.kind == "authorize":
-            user, server = action.args
+        elif kind == "connect":
+            user, server, service = values
+            built.users[user].do_connect(built.servers[server].appid.id, service, now)
+        elif kind == "rotate":
+            built.users[action.actor].do_rotate(now)
+        elif kind == "send":
+            user, server, count = values
+            built.users[user].do_send_payloads(server, count, now)
+        elif kind == "authorize":
+            user, server = values
             sim.call_at(now, partial(_probe_access, built, user, server))
-        elif action.kind == "fault":
-            fault = action.args[0]
-            if fault == "crash-node":
-                sim.inject_fault("crash-node", {"node": action.args[1]}, now)
-            elif fault == "drop-link":
-                params = {"a": action.args[1], "b": action.args[2]}
-                if len(action.args) == 4:
-                    params["p"] = float(action.args[3])
-                sim.inject_fault("drop-link", params, now)
-            elif fault == "delay-link":
-                sim.inject_fault("delay-link", {
-                    "a": action.args[1], "b": action.args[2],
-                    "extra": int(action.args[3]),
-                }, now)
+        elif kind == "fault":
+            fault, params = values
+            sim.inject_fault(fault, dict(params), now)
 
 
 def _probe_access(built: _Built, user: str, server: str) -> None:
@@ -275,34 +238,23 @@ def _schedule_probes(built: _Built, sc: Scenario) -> None:
     # session-alive expectations observe through a scheduled probe so the
     # answer is part of the deterministic trace.
     for exp in sc.expectations:
-        if exp.kind == "session":
-            user, server, _state, _at, t = exp.args
-            built.sim.call_at(int(t), partial(_probe_session, built, user, server,
-                                              " ".join(exp.args)))
+        if exp.at is not None:
+            user, server, _ = exp.values
+            built.sim.call_at(exp.at, partial(_probe_session, built, user, server, exp.label))
 
 
-def _evaluate(built: _Built, sc: Scenario) -> list[tuple[str, bool, str]]:
+def _evaluate(built: _Built, exp: Expectation) -> tuple[bool, str]:
+    """Whether the run meets exp, and what it saw."""
     trace, metrics = built.sim.trace, built.world.metrics
-    results: list[tuple[str, bool, str]] = []
-    for exp in sc.expectations:
-        text = f"expect {exp.kind} " + " ".join(exp.args)
-        passed, detail = _evaluate_one(built, exp, trace, metrics)
-        results.append((text, passed, detail))
-    return results
-
-
-def _evaluate_one(built: _Built, exp, trace: Trace, metrics: Metrics) -> tuple[bool, str]:
     if exp.kind == "handshake":
-        user, server, wanted = exp.args
+        user, server, success = exp.values
         sess = built.users[user].session_with(server)
         established = sess is not None and sess.key is not None
-        if wanted == "success":
-            return established, "session established" if established else "no established session"
-        return (not established,
-                "no established session" if not established else "session established")
+        return (established == success,
+                "session established" if established else "no established session")
 
     if exp.kind == "authorize":
-        user, server, wanted = exp.args
+        user, server, wanted = exp.values
         server_node = built.servers[server]
         sess = server_node.session_with(user)
         if sess is None:
@@ -312,44 +264,38 @@ def _evaluate_one(built: _Built, exp, trace: Trace, metrics: Metrics) -> tuple[b
             return False, "no access decisions recorded"
         last = records[-1]
         allowed = bool(last["allowed"])
-        ok = allowed == (wanted == "allowed")
-        return ok, f"last access decision: allowed={allowed} reason={last['reason']}"
+        return (allowed == wanted,
+                f"last access decision: allowed={allowed} reason={last['reason']}")
 
     if exp.kind == "session":
-        user, server, state, _at, t = exp.args
-        label = " ".join(exp.args)
-        probes = trace.find("probe", node=user, label=label)
+        user, _server, wanted = exp.values
+        probes = trace.find("probe", node=user, label=exp.label)
         if not probes:
             return False, "probe never fired"
         alive = bool(probes[-1]["alive"])
-        ok = alive == (state == "alive")
-        return ok, f"probe at t={t}: alive={alive}"
+        return alive == wanted, f"probe at t={exp.at}: alive={alive}"
 
     if exp.kind == "payloads":
-        user, server, n, _ = exp.args
+        user, server, n = exp.values
         sess = built.servers[server].session_with(user)
         if sess is None:
             return False, "no session between the pair"
         # Accepted seqs strictly increase, so n of them ending at n - 1 are 0..n-1.
-        n = int(n)
         ok = sess.payloads_accepted == n and sess.highest_seq == n - 1
         return ok, (f"accepted {sess.payloads_accepted} payloads up to seq "
                     f"{sess.highest_seq} vs {n} up to {n - 1}")
 
     if exp.kind == "rotations":
-        wanted = int(exp.args[0])
+        (wanted,) = exp.values
         return (metrics.rotations_completed == wanted,
                 f"rotations_completed={metrics.rotations_completed}")
 
-    if exp.kind == "admitted":
-        user, wanted = exp.args
-        records = trace.find("admit", client=user)
-        if not records:
-            return False, "no admission decisions recorded"
-        decision = bool(records[-1]["decision"])
-        return decision == (wanted == "true"), f"last admission decision={decision}"
-
-    return False, f"unknown expectation {exp.kind}"
+    user, wanted = exp.values  # admitted
+    records = trace.find("admit", client=user)
+    if not records:
+        return False, "no admission decisions recorded"
+    decision = bool(records[-1]["decision"])
+    return decision == wanted, f"last admission decision={decision}"
 
 
 def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
@@ -358,7 +304,7 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
     _schedule_probes(built, sc)
     built.sim.run_until_idle()
 
-    checks = _evaluate(built, sc)
+    checks = [(exp.text, *_evaluate(built, exp)) for exp in sc.expectations]
     metrics = built.world.metrics
 
     # Close the trace stream with the chain dump (one entry per line),

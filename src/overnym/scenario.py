@@ -30,6 +30,66 @@ show for exit status 0.
     expect payloads alice shop 5 complete
     expect session alice shop alive at 16
 
+Statements. `<int>` is an integer; `<id>` is a segment id in 0..2**64-1,
+a u64 on the ledger; a time `<t>` is an int in 0..STEP_CAP (1,000,000),
+the simulator's event cap, since a longer run cannot stay under it:
+
+    seed <int>
+    horizon <t>                        default: last scripted time + 15
+    option strict-registration on|off
+    segment <id>
+    link <id> <id> <cost>              declared and distinct; cost in 1..2**64-1
+    node <name> <kind> <id> [<k>=<v> ...]
+    at <t> <action> ...                non-decreasing
+    expect <expectation> ...
+
+A node's kind is user, router, app-server, regulator or sequencer. A
+user's distinct k=v words are its attributes, a value an int where it
+reads as one, and need a regulator. An app-server takes at most
+`service=<id>`, its non-empty service id, by default its name. Other
+kinds take none. A user or app-server needs a router on its segment;
+there is one sequencer and at most one regulator.
+
+Actions. `<user>`, `<server>` (app-server), `<holder>` (user or
+app-server) and `<node>` (any) name declared nodes. The bracketed actor
+is the node the action acts as; once it has crashed the action is
+skipped. A fault has no actor.
+
+    register <user>                          [user]
+    register <server> open-access            [server]
+    register <server> tokens <token>...      [server]
+    bind <holder>                            [holder]
+    mint-nft <token> <holder>                [holder]
+    transfer-nft <token> <holder>            [holder] token listed or minted before
+    connect <user> <server> [service=<id>]   [user] default: the server's service id
+    rotate <user>                            [user]
+    send <user> <server> <count>             [user] count in 1..STEP_CAP
+    authorize <user> <server>                [server]
+    fault crash-node <node>
+    fault drop-link <node> <node> [<p>]      p: float in [0, 1], default 1
+    fault delay-link <node> <node> <extra>   extra: int >= 0, in ticks
+
+Expectations:
+
+    handshake <user> <server> success|failure
+    authorize <user> <server> allowed|denied
+    session <user> <server> alive|not-alive at <t>
+    payloads <user> <server> <n> complete            n: int
+    rotations <n>                                    n: int
+    admitted <user> true|false
+
+The parser converts each word once. The `values` of an Action or
+Expectation are its arguments in the order written, converted to the
+types above, without fixed words; a choice of two words is a bool, True
+for the first. So `register shop tokens gold-pass` gives ("shop", False,
+("gold-pass",)) and `register shop open-access` ("shop", True, ()). A
+session expectation's probe time is its `at`; a fault's values are
+(kind, params) as Simulator.inject_fault takes them. `args` keep the
+words as written, for the trace and format_scenario. The runner runs the
+values as given, so a file that parse_scenario (and `overnym check`)
+accepts runs to the end without raising, unless it exceeds the
+simulator's event cap (StepCapExceeded).
+
 The grammar is deliberately flat: it diffs cleanly and round-trips
 through format_scenario byte-for-byte up to comments and spacing.
 """
@@ -38,16 +98,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .simnet import FAULT_KINDS
+from .simnet import STEP_CAP
 
 NODE_KINDS = ("user", "router", "app-server", "regulator", "sequencer")
 
-ACTION_KINDS = (
-    "register", "bind", "mint-nft", "transfer-nft", "connect",
-    "rotate", "send", "authorize", "fault",
-)
+U64_MAX = 2**64 - 1
 
-EXPECT_KINDS = ("handshake", "authorize", "session", "payloads", "rotations", "admitted")
+# The two words an outcome expectation chooses from, the first meaning True.
+_OUTCOMES = {"handshake": ("success", "failure"), "authorize": ("allowed", "denied")}
 
 
 class ParseError(ValueError):
@@ -64,31 +122,46 @@ class ValidationError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
+@dataclass
 class NodeDecl:
+    """A declared node: `props` as written, and what the run uses of
+    them, a user's `attributes` and an app-server's `service` id."""
+
     name: str
     kind: str
     segment: int
     props: tuple[tuple[str, str], ...] = ()
-
-    def prop(self, key: str, default: str | None = None) -> str | None:
-        for k, v in self.props:
-            if k == key:
-                return v
-        return default
+    attributes: tuple[tuple[str, int | str], ...] = ()
+    service: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass
 class Action:
+    """A scripted action; `args` and `values` as the module docstring says."""
+
     time: int
     kind: str
     args: tuple[str, ...]
+    actor: str | None
+    values: tuple
 
 
-@dataclass(frozen=True)
+@dataclass
 class Expectation:
+    """An expectation; `args` and `values` as the module docstring says."""
+
     kind: str
     args: tuple[str, ...]
+    values: tuple
+    at: int | None = None
+
+    @property
+    def label(self) -> str:
+        return " ".join(self.args)
+
+    @property
+    def text(self) -> str:
+        return f"expect {self.kind} {self.label}"
 
 
 @dataclass
@@ -103,11 +176,8 @@ class Scenario:
     expectations: list[Expectation] = field(default_factory=list)
 
     def last_time(self) -> int:
-        times = [a.time for a in self.actions]
-        for e in self.expectations:
-            if e.kind == "session" and len(e.args) >= 5:
-                times.append(int(e.args[4]))
-        return max(times, default=0)
+        return max([a.time for a in self.actions]
+                   + [e.at for e in self.expectations if e.at is not None], default=0)
 
     def effective_horizon(self) -> int:
         if self.horizon is not None:
@@ -115,254 +185,252 @@ class Scenario:
         return self.last_time() + 15  # drain window past the last scripted event
 
 
-def _int(token: str, line_no: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
+class _Parser:
+    """What converting a word needs: the declarations read so far, and
+    the number of the line being read, which each refusal names."""
+
+    def __init__(self):
+        self.line_no = 0
+        self.nodes: dict[str, NodeDecl] = {}
+        self.segments: set[int] = set()
+        self.tokens: set[str] = set()
+
+    def fail(self, reason: str) -> ParseError:
+        return ParseError(self.line_no, reason)
+
+    def shape(self, words, usage: str, lo: int, hi: int | None = None):
+        """words, if there are lo to hi (default: lo) of them."""
+        if not lo <= len(words) <= (hi or lo):
+            raise self.fail(f"expected: {usage}")
+        return words
+
+    def choice(self, word: str, *options: str) -> bool:
+        """Whether word is the first of options; a word not among them is refused."""
+        if word not in options:
+            raise self.fail(f"expected {' or '.join(options)}, got {word!r}")
+        return word == options[0]
+
+    def number(self, word: str, what: str, lo=None, hi=None, kind=int):
+        try:
+            value = kind(word)
+        except ValueError:
+            raise self.fail(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                            f"got {word!r}") from None
+        if not ((lo is None or value >= lo) and (hi is None or value <= hi)):
+            raise self.fail(f"{what} must be {f'>= {lo}' if hi is None else f'in {lo}..{hi}'}")
+        return value
+
+    def segment(self, word: str) -> int:
+        seg = self.number(word, "segment id", 0, U64_MAX)
+        if seg not in self.segments:
+            raise self.fail(f"segment {seg} not declared")
+        return seg
+
+    def node(self, name: str, *kinds: str) -> str:
+        decl = self.nodes.get(name)
+        if decl is None:
+            raise ValidationError(name, f"line {self.line_no}: node not declared")
+        if kinds and decl.kind not in kinds:
+            raise ValidationError(name, f"line {self.line_no}: is a {decl.kind}, expected {kinds}")
+        return name
+
+    def service(self, word: str) -> str:
+        if not word.startswith("service=") or word == "service=":
+            raise self.fail(f"expected service=<id> with a non-empty id, got {word!r}")
+        return word[len("service="):]
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate; raises ParseError / ValidationError with the
-    offending line or name."""
+    """Parse, validate and convert; raises ParseError / ValidationError
+    with the offending line or name."""
     sc = Scenario()
-    declared_nodes: dict[str, NodeDecl] = {}
-    declared_segments: set[int] = set()
-    declared_tokens: set[str] = set()
+    p = _Parser()
     last_action_time = 0
     seen_seed = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        words = raw.split("#", 1)[0].split()
+        if not words:
             continue
-        tokens = line.split()
-        head, rest = tokens[0], tokens[1:]
+        p.line_no = line_no
+        head, rest = words[0], words[1:]
 
-        if head == "seed":
-            if len(rest) != 1:
-                raise ParseError(line_no, "seed takes one integer")
-            if seen_seed:
-                raise ParseError(line_no, "duplicate seed line")
-            sc.seed = _int(rest[0], line_no, "seed")
-            seen_seed = True
-
-        elif head == "horizon":
-            if len(rest) != 1:
-                raise ParseError(line_no, "horizon takes one integer")
-            sc.horizon = _int(rest[0], line_no, "horizon")
-
-        elif head == "option":
-            if len(rest) != 2 or rest[0] != "strict-registration" or rest[1] not in ("on", "off"):
-                raise ParseError(line_no, "expected: option strict-registration on|off")
-            sc.strict_registration = rest[1] == "on"
-
-        elif head == "segment":
-            if len(rest) != 1:
-                raise ParseError(line_no, "segment takes one id")
-            seg = _int(rest[0], line_no, "segment id")
-            if seg in declared_segments:
-                raise ParseError(line_no, f"segment {seg} already declared")
-            declared_segments.add(seg)
-            sc.segments.append(seg)
-
-        elif head == "link":
-            if len(rest) != 3:
-                raise ParseError(line_no, "expected: link <a> <b> <cost>")
-            a = _int(rest[0], line_no, "segment id")
-            b = _int(rest[1], line_no, "segment id")
-            cost = _int(rest[2], line_no, "cost")
-            for seg in (a, b):
-                if seg not in declared_segments:
-                    raise ParseError(line_no, f"segment {seg} not declared")
-            if a == b:
-                raise ParseError(line_no, "links cannot be self-loops")
-            if cost < 1:
-                raise ParseError(line_no, "cost must be >= 1")
-            sc.links.append((a, b, cost))
-
-        elif head == "node":
-            if len(rest) < 3:
-                raise ParseError(line_no, "expected: node <name> <kind> <segment> [k=v ...]")
-            name, kind = rest[0], rest[1]
-            segment = _int(rest[2], line_no, "segment id")
-            if kind not in NODE_KINDS:
-                raise ParseError(line_no, f"unknown node kind {kind!r}")
-            if name in declared_nodes:
-                raise ParseError(line_no, f"node {name!r} already declared")
-            if segment not in declared_segments:
-                raise ParseError(line_no, f"segment {segment} not declared")
-            props = []
-            for extra in rest[3:]:
-                if "=" not in extra:
-                    raise ParseError(line_no, f"node property must be k=v, got {extra!r}")
-                k, v = extra.split("=", 1)
-                props.append((k, v))
-            decl = NodeDecl(name, kind, segment, tuple(props))
-            declared_nodes[name] = decl
-            sc.nodes.append(decl)
-
-        elif head == "at":
+        if head == "at":
             if len(rest) < 2:
-                raise ParseError(line_no, "expected: at <t> <action> ...")
-            t = _int(rest[0], line_no, "time")
+                raise p.fail("expected: at <t> <action> ...")
+            t = p.number(rest[0], "time", 0, STEP_CAP)
             if t < last_action_time:
                 raise ValidationError(
                     "time", f"line {line_no}: action times must be non-decreasing "
                             f"({t} after {last_action_time})")
             last_action_time = t
             kind, args = rest[1], tuple(rest[2:])
-            if kind not in ACTION_KINDS:
-                raise ParseError(line_no, f"unknown action {kind!r}")
-            _check_action(sc, kind, args, declared_nodes, declared_tokens, line_no)
-            sc.actions.append(Action(t, kind, args))
+            sc.actions.append(Action(t, kind, args, *_action(p, kind, args)))
 
         elif head == "expect":
             if not rest:
-                raise ParseError(line_no, "empty expectation")
+                raise p.fail("empty expectation")
             kind, args = rest[0], tuple(rest[1:])
-            if kind not in EXPECT_KINDS:
-                raise ParseError(line_no, f"unknown expectation {kind!r}")
-            _check_expectation(kind, args, declared_nodes, line_no)
-            sc.expectations.append(Expectation(kind, args))
+            sc.expectations.append(Expectation(kind, args, *_expectation(p, kind, args)))
+
+        elif head == "node":
+            if len(rest) < 3:
+                raise p.fail("expected: node <name> <kind> <id> [<k>=<v> ...]")
+            name, kind, seg = rest[:3]
+            if kind not in NODE_KINDS:
+                raise p.fail(f"unknown node kind {kind!r}")
+            if name in p.nodes:
+                raise p.fail(f"node {name!r} already declared")
+            p.nodes[name] = _node(p, name, kind, p.segment(seg), rest[3:])
+            sc.nodes.append(p.nodes[name])
+
+        elif head == "seed":
+            (word,) = p.shape(rest, "seed <int>", 1)
+            if seen_seed:
+                raise p.fail("duplicate seed line")
+            sc.seed = p.number(word, "seed")
+            seen_seed = True
+
+        elif head == "horizon":
+            (word,) = p.shape(rest, "horizon <t>", 1)
+            sc.horizon = p.number(word, "horizon", 0, STEP_CAP)
+
+        elif head == "option":
+            if rest not in (["strict-registration", "on"], ["strict-registration", "off"]):
+                raise p.fail("expected: option strict-registration on|off")
+            sc.strict_registration = rest[1] == "on"
+
+        elif head == "segment":
+            (word,) = p.shape(rest, "segment <id>", 1)
+            seg = p.number(word, "segment id", 0, U64_MAX)
+            if seg in p.segments:
+                raise p.fail(f"segment {seg} already declared")
+            p.segments.add(seg)
+            sc.segments.append(seg)
+
+        elif head == "link":
+            a, b, cost = p.shape(rest, "link <id> <id> <cost>", 3)
+            a, b, cost = p.segment(a), p.segment(b), p.number(cost, "cost", 1, U64_MAX)
+            if a == b:
+                raise p.fail("links cannot be self-loops")
+            sc.links.append((a, b, cost))
 
         else:
-            raise ParseError(line_no, f"unknown statement {head!r}")
+            raise p.fail(f"unknown statement {head!r}")
 
     _validate(sc)
     return sc
 
 
-def _need_node(nodes: dict[str, NodeDecl], name: str, line_no: int,
-               kinds: tuple[str, ...] | None = None) -> NodeDecl:
-    decl = nodes.get(name)
-    if decl is None:
-        raise ValidationError(name, f"line {line_no}: node not declared")
-    if kinds and decl.kind not in kinds:
-        raise ValidationError(name, f"line {line_no}: is a {decl.kind}, expected {kinds}")
-    return decl
+def _node(p: _Parser, name: str, kind: str, segment: int, props: list[str]) -> NodeDecl:
+    if kind == "app-server":
+        if not props:
+            return NodeDecl(name, kind, segment, service=name)
+        (word,) = p.shape(props, "node <name> app-server <id> [service=<id>]", 1)
+        service = p.service(word)
+        return NodeDecl(name, kind, segment, (("service", service),), service=service)
+    if kind != "user":
+        p.shape(props, f"node <name> {kind} <id>", 0)
+        return NodeDecl(name, kind, segment)
+    pairs = tuple(word.partition("=")[::2] for word in props)
+    if not all("=" in word for word in props) or len(dict(pairs)) < len(pairs):
+        raise p.fail("a user's attributes are k=v words with distinct keys")
+    attributes = tuple((k, _attribute(v)) for k, v in pairs)
+    return NodeDecl(name, kind, segment, pairs, attributes=attributes)
 
 
-def _check_action(sc: Scenario, kind: str, args: tuple[str, ...],
-                  nodes: dict[str, NodeDecl], tokens: set[str], line_no: int) -> None:
-    def need_node(name: str, kinds: tuple[str, ...] | None = None) -> NodeDecl:
-        return _need_node(nodes, name, line_no, kinds)
+def _attribute(value: str) -> int | str:
+    """A user attribute's value: an int where the word reads as one."""
+    try:
+        return int(value)
+    except ValueError:
+        return value
 
+
+def _action(p: _Parser, kind: str, args: tuple[str, ...]) -> tuple[str | None, tuple]:
+    """The actor and the converted arguments of one action."""
     if kind == "register":
+        usage = "register <user> | register <server> open-access|tokens <token>..."
         if not args:
-            raise ParseError(line_no, "register needs a node")
-        decl = need_node(args[0], ("user", "app-server"))
-        if decl.kind == "app-server":
-            if len(args) >= 2 and args[1] == "open-access":
-                pass
-            elif len(args) >= 2 and args[1] == "tokens":
-                if len(args) < 3:
-                    raise ParseError(line_no, "tokens needs at least one token name")
-                tokens.update(args[2:])
-            else:
-                raise ParseError(line_no, "app-server register needs 'open-access' or 'tokens <t...>'")
-        elif len(args) > 1:
-            raise ParseError(line_no, "user register takes no extra arguments")
-    elif kind == "bind":
-        if len(args) != 1:
-            raise ParseError(line_no, "bind takes one node")
-        need_node(args[0], ("user", "app-server"))
-    elif kind == "mint-nft":
-        if len(args) != 2:
-            raise ParseError(line_no, "expected: mint-nft <token> <owner>")
-        need_node(args[1], ("user", "app-server"))
-        tokens.add(args[0])
-    elif kind == "transfer-nft":
-        if len(args) != 2:
-            raise ParseError(line_no, "expected: transfer-nft <token> <new-owner>")
-        if args[0] not in tokens:
-            raise ValidationError(args[0], f"line {line_no}: token was never minted or listed")
-        need_node(args[1], ("user", "app-server"))
-    elif kind == "connect":
-        if len(args) not in (2, 3):
-            raise ParseError(line_no, "expected: connect <user> <server> [service=<id>]")
-        need_node(args[0], ("user",))
-        need_node(args[1], ("app-server",))
-        if len(args) == 3 and not args[2].startswith("service="):
-            raise ParseError(line_no, "third argument must be service=<id>")
-    elif kind == "rotate":
-        if len(args) != 1:
-            raise ParseError(line_no, "rotate takes one user")
-        need_node(args[0], ("user",))
-    elif kind == "send":
-        if len(args) != 3:
-            raise ParseError(line_no, "expected: send <user> <server> <count>")
-        need_node(args[0], ("user",))
-        need_node(args[1], ("app-server",))
-        if _int(args[2], line_no, "count") < 1:
-            raise ParseError(line_no, "count must be >= 1")
-    elif kind == "authorize":
-        if len(args) != 2:
-            raise ParseError(line_no, "expected: authorize <user> <server>")
-        need_node(args[0], ("user",))
-        need_node(args[1], ("app-server",))
-    elif kind == "fault":
-        if not args:
-            raise ParseError(line_no, "fault needs a kind")
-        fault = args[0]
-        if fault not in FAULT_KINDS:
-            raise ParseError(line_no, f"unknown fault {fault!r}")
-        if fault == "crash-node":
-            if len(args) != 2:
-                raise ParseError(line_no, "expected: fault crash-node <node>")
-            need_node(args[1])
-        elif fault == "drop-link":
-            if len(args) not in (3, 4):
-                raise ParseError(line_no, "expected: fault drop-link <a> <b> [p]")
-            need_node(args[1])
-            need_node(args[2])
-            if len(args) == 4:
-                try:
-                    p = float(args[3])
-                except ValueError:
-                    raise ParseError(line_no, "drop probability must be a number") from None
-                if not 0.0 <= p <= 1.0:
-                    raise ParseError(line_no, "drop probability must be in [0,1]")
-        elif fault == "delay-link":
-            if len(args) != 4:
-                raise ParseError(line_no, "expected: fault delay-link <a> <b> <extra>")
-            need_node(args[1])
-            need_node(args[2])
-            _int(args[3], line_no, "extra delay")
+            raise p.fail(f"expected: {usage}")
+        name, policy = p.node(args[0], "user", "app-server"), args[1:]
+        is_server = p.nodes[name].kind == "app-server"
+        if not is_server and not policy:
+            return name, (name,)
+        if is_server and policy == ("open-access",):
+            return name, (name, True, ())
+        if is_server and policy[:1] == ("tokens",) and policy[1:]:
+            p.tokens.update(policy[1:])
+            return name, (name, False, policy[1:])
+        raise p.fail(f"expected: {usage}")
+    if kind == "bind":
+        (name,) = p.shape(args, "bind <user|server>", 1)
+        return p.node(name, "user", "app-server"), (name,)
+    if kind in ("mint-nft", "transfer-nft"):
+        token, owner = p.shape(args, f"{kind} <token> <user|server>", 2)
+        if kind == "transfer-nft" and token not in p.tokens:
+            raise ValidationError(token, f"line {p.line_no}: token was never minted or listed")
+        p.tokens.add(token)
+        return p.node(owner, "user", "app-server"), (token, owner)
+    if kind == "rotate":
+        (user,) = p.shape(args, "rotate <user>", 1)
+        return p.node(user, "user"), (user,)
+    if kind == "connect":
+        user, server, *service = p.shape(args, "connect <user> <server> [service=<id>]", 2, 3)
+        user, server = p.node(user, "user"), p.node(server, "app-server")
+        service = p.service(service[0]) if service else p.nodes[server].service
+        return user, (user, server, service)
+    if kind == "send":
+        user, server, count = p.shape(args, "send <user> <server> <count>", 3)
+        user, server = p.node(user, "user"), p.node(server, "app-server")
+        return user, (user, server, p.number(count, "count", 1, STEP_CAP))
+    if kind == "authorize":
+        user, server = p.shape(args, "authorize <user> <server>", 2)
+        return p.node(server, "app-server"), (p.node(user, "user"), server)
+    if kind != "fault":
+        raise p.fail(f"unknown action {kind!r}")
+    fault = args[0] if args else None
+    if fault == "crash-node":
+        _, node = p.shape(args, "fault crash-node <node>", 2)
+        return None, (fault, (("node", p.node(node)),))
+    if fault == "delay-link":
+        _, a, b, extra = p.shape(args, "fault delay-link <a> <b> <extra>", 4)
+        return None, (fault, (("a", p.node(a)), ("b", p.node(b)),
+                              ("extra", p.number(extra, "extra delay", 0))))
+    if fault == "drop-link":
+        _, a, b, *drop = p.shape(args, "fault drop-link <a> <b> [p]", 3, 4)
+        params = (("a", p.node(a)), ("b", p.node(b)))
+        if drop:
+            params += (("p", p.number(drop[0], "drop probability", 0.0, 1.0, float)),)
+        return None, (fault, params)
+    raise p.fail(f"unknown fault {fault!r}")
 
 
-def _check_expectation(kind: str, args: tuple[str, ...],
-                       nodes: dict[str, NodeDecl], line_no: int) -> None:
-    def need_pair() -> None:
-        _need_node(nodes, args[0], line_no, ("user",))
-        _need_node(nodes, args[1], line_no, ("app-server",))
-
-    if kind == "handshake":
-        if len(args) != 3 or args[2] not in ("success", "failure"):
-            raise ParseError(line_no, "expected: expect handshake <user> <server> success|failure")
-        need_pair()
-    elif kind == "authorize":
-        if len(args) != 3 or args[2] not in ("allowed", "denied"):
-            raise ParseError(line_no, "expected: expect authorize <user> <server> allowed|denied")
-        need_pair()
-    elif kind == "session":
-        if (len(args) != 5 or args[2] not in ("alive", "not-alive") or args[3] != "at"):
-            raise ParseError(line_no, "expected: expect session <user> <server> alive|not-alive at <t>")
-        need_pair()
-        _int(args[4], line_no, "probe time")
-    elif kind == "payloads":
-        if len(args) != 4 or args[3] != "complete":
-            raise ParseError(line_no, "expected: expect payloads <user> <server> <n> complete")
-        need_pair()
-        _int(args[2], line_no, "payload count")
-    elif kind == "rotations":
-        if len(args) != 1:
-            raise ParseError(line_no, "expected: expect rotations <n>")
-        _int(args[0], line_no, "rotation count")
-    elif kind == "admitted":
-        if len(args) != 2 or args[1] not in ("true", "false"):
-            raise ParseError(line_no, "expected: expect admitted <user> true|false")
-        _need_node(nodes, args[0], line_no, ("user",))
+def _expectation(p: _Parser, kind: str, args: tuple[str, ...]) -> tuple[tuple, int | None]:
+    """The converted arguments of one expectation, and its probe time."""
+    if kind == "rotations":
+        (n,) = p.shape(args, "expect rotations <n>", 1)
+        return (p.number(n, "rotation count"),), None
+    if kind == "admitted":
+        user, word = p.shape(args, "expect admitted <user> true|false", 2)
+        return (p.node(user, "user"), p.choice(word, "true", "false")), None
+    if kind in _OUTCOMES:
+        yes, no = _OUTCOMES[kind]
+        user, server, word = p.shape(args, f"expect {kind} <user> <server> {yes}|{no}", 3)
+        return (p.node(user, "user"), p.node(server, "app-server"), p.choice(word, yes, no)), None
+    if kind == "payloads":
+        user, server, n, word = p.shape(args, "expect payloads <user> <server> <n> complete", 4)
+        p.choice(word, "complete")
+        return (p.node(user, "user"), p.node(server, "app-server"),
+                p.number(n, "payload count")), None
+    if kind != "session":
+        raise p.fail(f"unknown expectation {kind!r}")
+    user, server, word, at, t = p.shape(
+        args, "expect session <user> <server> alive|not-alive at <t>", 5)
+    p.choice(at, "at")
+    alive = p.choice(word, "alive", "not-alive")
+    t = p.number(t, "probe time", 0, STEP_CAP)
+    return (p.node(user, "user"), p.node(server, "app-server"), alive), t
 
 
 def _validate(sc: Scenario) -> None:
@@ -378,6 +446,8 @@ def _validate(sc: Scenario) -> None:
     for decl in sc.nodes:
         if decl.kind in ("user", "app-server") and decl.segment not in routable:
             raise ValidationError(decl.name, f"segment {decl.segment} has no router")
+        if decl.attributes and not regulators:
+            raise ValidationError(decl.name, "attributes need a regulator to register with")
     for action in sc.actions:
         if sc.horizon is not None and action.time > sc.horizon:
             raise ValidationError("horizon", f"action at t={action.time} is past the horizon")
@@ -400,7 +470,5 @@ def format_scenario(sc: Scenario) -> str:
     for action in sc.actions:
         args = "".join(f" {a}" for a in action.args)
         lines.append(f"at {action.time} {action.kind}{args}")
-    for exp in sc.expectations:
-        args = "".join(f" {a}" for a in exp.args)
-        lines.append(f"expect {exp.kind}{args}")
+    lines.extend(exp.text for exp in sc.expectations)
     return "\n".join(lines) + "\n"

@@ -37,6 +37,7 @@ from typing import Any, Callable, NamedTuple
 from .hashing import TAG_RNG, owf
 
 FAULT_KINDS = ("drop-link", "delay-link", "crash-node")
+STEP_CAP = 1_000_000  # events a run may take, by default
 
 
 class UnknownTarget(Exception):
@@ -240,7 +241,7 @@ class Node:
 
 
 class Simulator:
-    def __init__(self, seed: int, *, step_cap: int = 1_000_000):
+    def __init__(self, seed: int, *, step_cap: int = STEP_CAP):
         self.seed = seed
         self.now = 0
         self.step_cap = step_cap

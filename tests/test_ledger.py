@@ -271,8 +271,3 @@ class TestReplication:
             "20651fdeb60731c5516735019a2bb09655ad2d78cef063fa1bb4337735156230")
         assert ledger.state_hash().hex() == (
             "17813297895bdf5635caeeb39d5648d90c4a0596e1b5a36fdce16646ed4196ed")
-
-    def test_jsonl_dump_one_line_per_entry(self):
-        ledger = filled_ledger(8)
-        lines = ledger.dump_jsonl().strip().splitlines()
-        assert len(lines) == 8

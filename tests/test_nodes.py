@@ -22,7 +22,7 @@ from overnym.nodes import (
     SubmitTx,
     UnbindRequest,
 )
-from overnym.runner import _ActionDriver, _schedule_actions, build_simulation
+from overnym.runner import _schedule_actions, build_simulation
 from overnym.scenario import parse_scenario
 from overnym.session import HandshakeMessage
 from overnym.simnet import Delivery
@@ -45,7 +45,6 @@ def settled(strict=False, register_user=False):
     text = SCENARIO.replace("at 3", "at 1 register u\nat 3") if register_user else SCENARIO
     sc = parse_scenario(text)
     built = build_simulation(replace(sc, strict_registration=strict))
-    _ActionDriver(built)
     _schedule_actions(built, sc)
     built.sim.run_until_idle()
     return built
@@ -358,7 +357,6 @@ node seq sequencer 1
     def test_binds_and_unbinds_in_one_tick_push_once(self):
         sc = parse_scenario(self.TEXT)
         built = build_simulation(sc)
-        _ActionDriver(built)
         _schedule_actions(built, sc)
         built.sim.run_until_idle()
         sim, start = built.sim, built.sim.now + 1

@@ -1,12 +1,14 @@
 """Property tests for the cross-cutting invariants: canonical codecs
 round-trip, filters never lose live keys, chains reject any bit flip,
-and decoders refuse arbitrary bytes only with ValueError."""
+decoders refuse arbitrary bytes only with ValueError, and a scenario
+the parser accepts runs without raising."""
 
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overnym.identity import (
@@ -32,6 +34,8 @@ from overnym.ledger import (
     verify_chain,
 )
 from overnym.neat import BloomFilter, NeatTable, NetworkLocator
+from overnym.runner import run_scenario
+from overnym.scenario import ParseError, ValidationError, parse_scenario
 from overnym.session import HandshakeMessage, RotationNotice
 from overnym.wire import Reader, pack_bytes, pack_str, pack_u64
 
@@ -180,3 +184,34 @@ def test_decoders_refuse_arbitrary_bytes_only_with_value_error(decoder, data):
         DECODERS[decoder](data)
     except ValueError:
         pass
+
+
+FIXTURES = {path.stem: path.read_text()
+            for path in sorted((Path(__file__).parent.parent / "scenarios").glob("*.scn"))}
+# Words that land in any argument position; a declared node name is drawn too.
+MUTANT_WORDS = ("service=", "-3", "0", "1.5", "junk", "open-access")
+
+
+@st.composite
+def one_word_replaced(draw) -> str:
+    """A shipped fixture with one word of one statement replaced."""
+    lines = FIXTURES[draw(st.sampled_from(sorted(FIXTURES)))].splitlines()
+    statements = [i for i, line in enumerate(lines) if line.split("#", 1)[0].split()]
+    i = draw(st.sampled_from(statements))
+    words = lines[i].split("#", 1)[0].split()
+    names = [line.split()[1] for line in lines if line.startswith("node ")]
+    words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(MUTANT_WORDS + tuple(names)))
+    lines[i] = " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(text=one_word_replaced())
+@example(text=FIXTURES["end_to_end"].replace("service=storefront", "service="))
+@example(text=FIXTURES["end_to_end"].replace("alive at 40", "alive at -3"))
+def test_a_scenario_the_parser_accepts_runs_without_raising(text):
+    try:
+        sc = parse_scenario(text)
+    except (ParseError, ValidationError):
+        return
+    assert run_scenario(sc).exit_code in (0, 1)

@@ -98,6 +98,33 @@ class TestParse:
         with pytest.raises(ValidationError, match="expected"):
             parse_scenario(MINIMAL + line + "\n")
 
+    @pytest.mark.parametrize("old, new, line_no", [
+        ("at 6 connect u s", "at 6 connect u s service=", 12),
+        ("service=echo", "service=", 7),
+        ("expect handshake u s success", "expect session u s alive at -3", 13),
+        ("segment 1\n", "segment 1\nsegment -1\n", 4),
+        ("segment 1\n", "segment 1\nsegment 18446744073709551616\n", 4),
+        ("segment 1\n", "segment 1\nsegment 2\nlink 1 2 18446744073709551616\n", 5),
+        ("register s open-access", "register s open-access junk", 9),
+        ("node ap router 1", "node ap router 1 x=1", 4),
+        ("at 6 connect u s", "at 1000001 connect u s", 12),
+        ("at 6 connect u s", "at 6 connect u s\nat 7 fault delay-link u s -3", 13),
+    ], ids=["connect-service=", "node-service=", "probe-at-minus-3", "segment-minus-1",
+            "segment-2**64", "link-cost-2**64", "word-after-open-access", "router-property",
+            "time-past-the-event-cap", "negative-delay"])
+    def test_refuses_at_its_line_what_run_would_fail_on(self, old, new, line_no):
+        # Each was accepted, then raised in run, had its topology refused by
+        # the ledger, was silently ignored (the extra words), could not
+        # finish under the simulator's event cap, or sped a link up.
+        with pytest.raises(ParseError) as err:
+            parse_scenario(MINIMAL.replace(old, new))
+        assert err.value.line_no == line_no
+
+    def test_attributes_need_a_regulator(self):
+        # the user's registration sends its attributes to the regulator
+        with pytest.raises(ValidationError, match="regulator"):
+            parse_scenario(MINIMAL.replace("node u user 1", "node u user 1 age=25"))
+
     @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
     def test_round_trip(self, path):
         sc = parse_scenario(path.read_text())
@@ -189,7 +216,9 @@ at 6 connect u s
     def test_trace_carries_chain_and_graph_dumps(self):
         result = run_scenario(parse_scenario(MINIMAL))
         entries = result.trace.find("ledger-entry")
-        assert entries and entries[0]["seq"] == 0
+        # one record per chain entry, in chain order
+        [summary] = result.trace.find("summary")
+        assert [e["seq"] for e in entries] == list(range(summary["ledger_head"] + 1))
         assert entries[0]["prev_hash"] == "00" * 32
         graph = result.trace.find("graph")
         assert len(graph) == 1
@@ -249,9 +278,8 @@ at 6 connect u s
 expect handshake u s success
 """
         sc = parse_scenario(text)
-        from overnym.runner import build_simulation, _ActionDriver, _schedule_actions
+        from overnym.runner import build_simulation, _schedule_actions
         built = build_simulation(sc)
-        _ActionDriver(built)
         _schedule_actions(built, sc)
         built.sim.run_until_idle()
         ap1, ap2 = built.routers["ap1"], built.routers["ap2"]
