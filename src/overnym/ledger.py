@@ -96,8 +96,7 @@ class RegistrationTx:
                 acl.append(r.str_())
             else:
                 raise WireError(f"bad access_control tag {tag}")
-        open_access = bool(r.u8())
-        return cls(kind, subject, public_key, epoch, tuple(acl), open_access)
+        return cls(kind, subject, public_key, epoch, tuple(acl), r.flag())
 
 
 @dataclass(frozen=True)
@@ -216,12 +215,16 @@ def encode_payload(payload: Payload) -> bytes:
     return pack_u8(tag) + payload.to_bytes()
 
 
-def decode_payload(data: bytes) -> Payload:
-    r = Reader(data)
+def _read_payload(r: Reader) -> Payload:
     reader = _PAYLOAD_READERS.get(r.u8())
     if reader is None:
         raise WireError("unknown payload tag")
-    payload = reader(r)
+    return reader(r)
+
+
+def decode_payload(data: bytes) -> Payload:
+    r = Reader(data)
+    payload = _read_payload(r)
     r.expect_end()
     return payload
 
@@ -239,60 +242,66 @@ class LedgerEntry:
     entry_hash: bytes
 
     def to_bytes(self) -> bytes:
-        return (
-            u64(self.seq)
-            + self.prev_hash
-            + pack_bytes(encode_payload(self.payload))
-            + self.payload_hash
-            + self.entry_hash
-        )
+        return _entry_bytes(self, pack_bytes(encode_payload(self.payload)))
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "LedgerEntry":
         r = Reader(data)
-        seq = r.u64()
-        prev_hash = r.take(32)
-        payload = decode_payload(r.bytes_())
-        payload_hash = r.take(32)
-        entry_hash = r.take(32)
+        entry, _ = _read_entry(r)
         r.expect_end()
-        return cls(seq, prev_hash, payload, payload_hash, entry_hash)
+        return entry
 
 
-def _payload_hash(payload: Payload) -> bytes:
-    return owf(TAG_PAYLOAD, encode_payload(payload))
+def _entry_bytes(entry: LedgerEntry, payload_frame: bytes) -> bytes:
+    """The entry's encoding, given its payload as ``bytes(payload)``."""
+    return b"".join((u64(entry.seq), entry.prev_hash, payload_frame,
+                     entry.payload_hash, entry.entry_hash))
+
+
+def _read_entry(r: Reader) -> tuple[LedgerEntry, bytes]:
+    """Decodes one entry in place; returns it with its payload's frame,
+    ``bytes(payload)``, as carried."""
+    seq = r.u64()
+    prev_hash = r.take(32)
+    payload, payload_frame = r.framed(_read_payload)
+    payload_hash = r.take(32)
+    entry_hash = r.take(32)
+    return LedgerEntry(seq, prev_hash, payload, payload_hash, entry_hash), payload_frame
 
 
 def _entry_hash(seq: int, prev_hash: bytes, payload_hash: bytes) -> bytes:
     return owf(TAG_ENTRY, u64(seq), prev_hash, payload_hash)
 
 
+def _new_entry(seq: int, prev_hash: bytes, payload: Payload, encoded: bytes) -> LedgerEntry:
+    payload_hash = owf(TAG_PAYLOAD, encoded)
+    return LedgerEntry(seq, prev_hash, payload, payload_hash,
+                       _entry_hash(seq, prev_hash, payload_hash))
+
+
 def make_entry(seq: int, prev_hash: bytes, payload: Payload) -> LedgerEntry:
-    payload_hash = _payload_hash(payload)
-    return LedgerEntry(
-        seq=seq,
-        prev_hash=prev_hash,
-        payload=payload,
-        payload_hash=payload_hash,
-        entry_hash=_entry_hash(seq, prev_hash, payload_hash),
-    )
+    return _new_entry(seq, prev_hash, payload, encode_payload(payload))
 
 
-def _check_link(entry: LedgerEntry, seq: int, prev: bytes) -> None:
-    """The chain-link rule: entry extends a chain whose next seq is seq
-    and whose head hash is prev, and both its hashes recompute. Raises
-    ValueError naming the first check that fails; an entry that cannot
-    be encoded fails too."""
+def _payload_bytes(entry: LedgerEntry) -> bytes:
+    """An entry object's payload bytes, for the chain-link rule. Raises
+    ValueError if the payload cannot be encoded."""
+    try:
+        return encode_payload(entry.payload)
+    except (InvalidTx, TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"entry {entry.seq} cannot be encoded: {exc}") from None
+
+
+def _check_link(entry: LedgerEntry, payload: bytes, seq: int, prev: bytes) -> None:
+    """The chain-link rule: entry, whose payload encodes to payload,
+    extends a chain whose next seq is seq and whose head hash is prev,
+    and both its hashes recompute. Raises ValueError naming the first
+    check that fails."""
     if entry.seq != seq or entry.prev_hash != prev:
         raise ValueError(f"entry {entry.seq} does not extend the chain at {seq}")
-    try:
-        payload_hash = _payload_hash(entry.payload)
-        entry_hash = _entry_hash(seq, prev, entry.payload_hash)
-    except (InvalidTx, TypeError, OverflowError) as exc:
-        raise ValueError(f"entry {seq} cannot be encoded: {exc}") from None
-    if payload_hash != entry.payload_hash:
+    if owf(TAG_PAYLOAD, payload) != entry.payload_hash:
         raise ValueError(f"payload hash mismatch at seq {seq}")
-    if entry_hash != entry.entry_hash:
+    if _entry_hash(seq, prev, entry.payload_hash) != entry.entry_hash:
         raise ValueError(f"entry hash mismatch at seq {seq}")
 
 
@@ -301,7 +310,7 @@ def verify_chain(entries: Sequence[LedgerEntry]) -> bool:
     prev = GENESIS_PREV
     try:
         for seq, entry in enumerate(entries):
-            _check_link(entry, seq, prev)
+            _check_link(entry, _payload_bytes(entry), seq, prev)
             prev = entry.entry_hash
     except ValueError:
         return False
@@ -323,26 +332,42 @@ class _Pending:
     submitter: str
     nonce: bytes
     payload: Payload
+    encoded: bytes  # encode_payload(payload), made once at submission
 
     def sort_key(self):
         return (self.time, self.submitter, self.nonce)
 
 
+def _state_parts(records: dict[bytes, tuple]) -> list[bytes]:
+    """The state-blob parts of records, each value's last item, in key
+    order."""
+    return [value[-1] for _, value in sorted(records.items())]
+
+
 class Ledger:
     """Sequencer-side ledger: queue, chain, and derived state.
 
-    State mutates only in commit_round / apply_entries; queries are pure
-    reads of the latest committed state.
+    State mutates only in commit_round / apply_entries / import_chain;
+    queries are pure reads of the latest committed state. Each payload is
+    encoded once, when it is submitted or applied, or not at all when it
+    is imported: the ledger keeps every entry as its chain export frames
+    it and every live record's part of the state blob, so export_chain
+    and state_hash only join bytes.
     """
 
     def __init__(self):
         self._entries: list[LedgerEntry] = []
+        self._records: list[bytes] = []  # bytes(entry) per entry, as exported
         self._queue: list[_Pending] = []
         self._receipts: dict[tuple[str, bytes], Receipt] = {}
-        self._registrations: dict[bytes, tuple[int, RegistrationTx]] = {}
-        self._associations: dict[bytes, AssociationRecord] = {}
-        self._owners: dict[bytes, tuple[int, bytes]] = {}
+        # Derived state. Each dict value ends with the live record's part
+        # of the state blob (docs/wire-format.md); _topology_parts holds
+        # the topology updates' parts.
+        self._registrations: dict[bytes, tuple[int, RegistrationTx, bytes]] = {}
+        self._associations: dict[bytes, tuple[int, AssociationRecord, bytes]] = {}
+        self._owners: dict[bytes, tuple[int, bytes, bytes]] = {}
         self._topology: list[tuple[int, TopologyUpdate]] = []
+        self._topology_parts: list[bytes] = []
 
     # -- write path ---------------------------------------------------------
 
@@ -360,7 +385,7 @@ class Ledger:
             )
         receipt = Receipt(nonce=bytes(nonce), submitter=submitter)
         self._receipts[(submitter, bytes(nonce))] = receipt
-        self._queue.append(_Pending(at_time, submitter, bytes(nonce), payload))
+        self._queue.append(_Pending(at_time, submitter, bytes(nonce), payload, encoded))
         return receipt
 
     def commit_round(self) -> list[LedgerEntry]:
@@ -379,39 +404,49 @@ class Ledger:
                 if item.payload.subject in round_subjects:
                     continue  # first-writer-wins inside the round
                 round_subjects.add(item.payload.subject)
-            committed.append(self._append(item.payload))
+            entry = _new_entry(len(self._entries), self._head_hash(), item.payload, item.encoded)
+            self._add(entry, pack_bytes(item.encoded))
+            committed.append(entry)
         return committed
 
     def _head_hash(self) -> bytes:
         return self._entries[-1].entry_hash if self._entries else GENESIS_PREV
 
-    def _append(self, payload: Payload) -> LedgerEntry:
-        entry = make_entry(len(self._entries), self._head_hash(), payload)
-        self._entries.append(entry)
-        self._apply(entry)
-        return entry
-
     def apply_entries(self, entries: Iterable[LedgerEntry]) -> None:
         """Replica path: verify each entry extends the chain, then apply.
 
+        Each payload is encoded once and its bytes go through the one
+        chain-link rule that import_chain applies to the bytes it reads.
         Raises ValueError on any hash or linkage mismatch, and on an
         entry that cannot be encoded.
         """
         for entry in entries:
-            _check_link(entry, len(self._entries), self._head_hash())
-            self._entries.append(entry)
-            self._apply(entry)
+            payload = _payload_bytes(entry)
+            _check_link(entry, payload, len(self._entries), self._head_hash())
+            self._add(entry, pack_bytes(payload))
 
-    def _apply(self, entry: LedgerEntry) -> None:
-        payload = entry.payload
+    def _add(self, entry: LedgerEntry, payload_frame: bytes, record: bytes | None = None) -> None:
+        """Append a linked entry and apply it. payload_frame is
+        ``bytes(payload)``; record is ``bytes(entry)``, built from the
+        entry unless the caller read it."""
+        if record is None:
+            record = pack_bytes(_entry_bytes(entry, payload_frame))
+        self._entries.append(entry)
+        self._records.append(record)
+        payload, seq = entry.payload, entry.seq
         if isinstance(payload, RegistrationTx):
-            self._registrations[payload.subject] = (entry.seq, payload)
+            self._registrations[payload.subject] = (seq, payload, u64(seq) + payload_frame)
         elif isinstance(payload, AssociationRecord):
-            self._associations[payload.subject] = replace(payload, seq=entry.seq)
+            # The live record is the payload with the entry's seq, its
+            # last field: the frame with its last 8 bytes replaced.
+            self._associations[payload.subject] = (
+                seq, payload, payload_frame[:-8] + u64(seq))
         elif isinstance(payload, NftOwnership):
-            self._owners[payload.token_id] = (entry.seq, payload.owner)
+            self._owners[payload.token_id] = (
+                seq, payload.owner, payload.token_id + u64(seq) + payload.owner)
         elif isinstance(payload, TopologyUpdate):
-            self._topology.append((entry.seq, payload))
+            self._topology.append((seq, payload))
+            self._topology_parts.append(u64(seq) + payload_frame)
 
     # -- read path ----------------------------------------------------------
 
@@ -432,7 +467,8 @@ class Ledger:
         return found[1] if found else None
 
     def query_association(self, subject: bytes) -> AssociationRecord | None:
-        return self._associations.get(bytes(subject))
+        found = self._associations.get(bytes(subject))
+        return replace(found[1], seq=found[0]) if found else None
 
     def query_topology(self) -> list[tuple[int, TopologyUpdate]]:
         """All committed topology updates with their ledger seqs, in order."""
@@ -440,17 +476,8 @@ class Ledger:
 
     def state_hash(self) -> bytes:
         """Canonical digest of the derived state, for replica comparison."""
-        parts = []
-        for subject in sorted(self._registrations):
-            seq, tx = self._registrations[subject]
-            parts += (u64(seq), pack_bytes(encode_payload(tx)))
-        for subject in sorted(self._associations):
-            parts.append(pack_bytes(encode_payload(self._associations[subject])))
-        for token in sorted(self._owners):
-            seq, owner = self._owners[token]
-            parts += (token, u64(seq), owner)
-        for seq, update in self._topology:
-            parts += (u64(seq), pack_bytes(encode_payload(update)))
+        parts = (_state_parts(self._registrations) + _state_parts(self._associations)
+                 + _state_parts(self._owners) + self._topology_parts)
         return owf(TAG_LEDGER_STATE, b"".join(parts))
 
     # -- export / import ----------------------------------------------------
@@ -458,22 +485,25 @@ class Ledger:
     def export_chain(self) -> bytes:
         """Canonical binary chain: magic, entry count, length-prefixed
         entries (layout documented in docs/wire-format.md)."""
-        parts = [CHAIN_MAGIC, pack_u32(len(self._entries))]
-        parts += (pack_bytes(entry.to_bytes()) for entry in self._entries)
-        return b"".join(parts)
+        return b"".join([CHAIN_MAGIC, pack_u32(len(self._records)), *self._records])
 
     @classmethod
     def import_chain(cls, blob: bytes) -> "Ledger":
         """Parse and verify an exported chain. Raises ValueError if the
-        bytes are malformed or the chain does not verify."""
+        bytes are malformed or the chain does not verify.
+
+        Each entry is decoded once, in place, and the chain-link rule
+        that apply_entries applies hashes its payload's bytes as carried;
+        decoding is canonical, so these are the bytes its payload encodes
+        to.
+        """
         r = Reader(blob)
         if r.take(len(CHAIN_MAGIC)) != CHAIN_MAGIC:
             raise ValueError("not a chain export")
-        count = r.u32()
-        entries = []
-        for _ in range(count):
-            entries.append(LedgerEntry.from_bytes(r.bytes_()))
-        r.expect_end()
         ledger = cls()
-        ledger.apply_entries(entries)
+        for _ in range(r.u32()):
+            (entry, payload_frame), record = r.framed(_read_entry)
+            _check_link(entry, payload_frame[4:], len(ledger._entries), ledger._head_hash())
+            ledger._add(entry, payload_frame, record)
+        r.expect_end()
         return ledger

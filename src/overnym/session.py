@@ -106,7 +106,7 @@ class HandshakeMessage:
         nonce = r.take(NONCE_SIZE)
         ephemeral = r.bytes_()
         transcript = r.take(32)
-        linkage = LinkageProof.from_bytes(r.bytes_()) if r.u8() else None
+        linkage = LinkageProof.from_bytes(r.bytes_()) if r.flag() else None
         r.expect_end()
         return cls(phase, appid, nonce, ephemeral, transcript, linkage)
 

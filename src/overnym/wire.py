@@ -9,7 +9,9 @@ Rules (cross-replica hash agreement depends on these):
     exception, by its own wire contract.
 
 Decoding is strict: trailing bytes, truncation, or out-of-range values
-raise WireError.
+raise WireError. A flag byte is 0 or 1, so every value has exactly one
+encoding and re-encoding a decoded value gives back the bytes it came
+from.
 """
 
 from __future__ import annotations
@@ -46,21 +48,33 @@ def pack_str(text: str) -> bytes:
 
 
 class Reader:
-    """Sequential strict decoder over a bytes buffer."""
+    """Sequential strict decoder over a bytes buffer.
+
+    A bytes input is read in place; any other buffer (bytearray,
+    memoryview) is copied first, so a later change to it cannot reach a
+    decoded value.
+    """
 
     def __init__(self, data: bytes):
-        self._data = bytes(data)
+        self._data = data if type(data) is bytes else bytes(data)
         self._pos = 0
 
     def take(self, n: int) -> bytes:
-        if n < 0 or self._pos + n > len(self._data):
+        start = self._pos
+        end = start + n
+        if n < 0 or end > len(self._data):
             raise WireError("truncated buffer")
-        chunk = self._data[self._pos:self._pos + n]
-        self._pos += n
-        return chunk
+        self._pos = end
+        return self._data[start:end]
 
     def u8(self) -> int:
         return self.take(1)[0]
+
+    def flag(self) -> bool:
+        value = self.u8()
+        if value > 1:
+            raise WireError(f"flag byte must be 0 or 1, not {value}")
+        return value == 1
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
@@ -77,6 +91,17 @@ class Reader:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise WireError(f"invalid utf-8: {exc}") from None
+
+    def framed(self, read):
+        """Decodes ``bytes(x)`` in place: ``read(self)`` must consume
+        exactly the length the u32 prefix gives. Returns read's value and
+        the frame as carried, prefix included."""
+        start = self._pos
+        end = start + 4 + self.u32()
+        value = read(self)
+        if self._pos != end:
+            raise WireError("length prefix does not match its content")
+        return value, self._data[start:end]
 
     def remaining(self) -> int:
         return len(self._data) - self._pos

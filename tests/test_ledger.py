@@ -58,6 +58,17 @@ def mixed_ledger(n: int) -> Ledger:
     return ledger
 
 
+def with_app_servers(ledger: Ledger) -> Ledger:
+    """ledger plus two app-server registrations: one gated by a token id
+    and a legacy server address, one open-access."""
+    gated = reg(7001, kind="app-server", access_control=(b"t" * 32, "legacy.example"))
+    open_access = reg(7002, kind="app-server", open_access=True)
+    for i, payload in enumerate((gated, open_access)):
+        ledger.submit(payload, submitter="srv", at_time=10**6 + i, nonce=i.to_bytes(16, "big"))
+    ledger.commit_round()
+    return ledger
+
+
 class TestSubmit:
     def test_valid_user_registration_gets_receipt(self):
         ledger = Ledger()
@@ -256,10 +267,16 @@ class TestReplication:
         with pytest.raises(ValueError):
             replica.apply_entries(entries)
 
-    def test_export_import_round_trip(self):
-        primary = filled_ledger(25, seed=4)
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: filled_ledger(25, seed=4), id="filled"),
+        pytest.param(lambda: with_app_servers(mixed_ledger(40)), id="mixed"),
+    ])
+    def test_export_import_round_trip(self, build):
+        primary = build()
         restored = Ledger.import_chain(primary.export_chain())
+        assert restored.export_chain() == primary.export_chain()
         assert restored.state_hash() == primary.state_hash()
+        assert restored.entries == primary.entries
         assert verify_chain(restored.entries)
 
     def test_export_and_state_hash_bytes_pinned(self):

@@ -1,7 +1,7 @@
 """Property tests for the cross-cutting invariants: canonical codecs
 round-trip, filters never lose live keys, chains reject any bit flip,
-decoders refuse arbitrary bytes only with ValueError, and a scenario
-the parser accepts runs without raising."""
+decoders refuse arbitrary bytes only with ValueError, every value has
+one encoding, and a scenario the parser accepts runs without raising."""
 
 import random
 from dataclasses import replace
@@ -29,15 +29,18 @@ from overnym.ledger import (
     AssociationRecord,
     Ledger,
     LedgerEntry,
+    NftOwnership,
     RegistrationTx,
+    TopologyUpdate,
     decode_payload,
+    encode_payload,
     verify_chain,
 )
 from overnym.neat import BloomFilter, NeatTable, NetworkLocator
 from overnym.runner import run_scenario
 from overnym.scenario import ParseError, ValidationError, parse_scenario
 from overnym.session import HandshakeMessage, RotationNotice
-from overnym.wire import Reader, pack_bytes, pack_str, pack_u64
+from overnym.wire import Reader, pack_bytes, pack_str, pack_u32, pack_u64
 
 keys32 = st.binary(min_size=32, max_size=32)
 epochs = st.integers(min_value=0, max_value=2**63)
@@ -136,16 +139,29 @@ def test_chain_rejects_any_single_bit_flip(entry_index, byte_seed):
     entries = list(ledger.entries)
     assert verify_chain(entries)
 
-    def rejected(mutated: LedgerEntry) -> None:
-        # verify_chain and the replica path apply one rule, so they refuse
-        # the same chains, and the replica only with ValueError.
+    def bent_chain(carried: bytes) -> bytes:
+        # CHAIN_MAGIC | u32 count | bytes(entry), with the bent entry's
+        # bytes in place of the original's.
+        records = [pack_bytes(entry.to_bytes()) for entry in entries]
+        records[entry_index] = pack_bytes(carried)
+        return CHAIN_MAGIC + pack_u32(len(records)) + b"".join(records)
+
+    def rejected(mutated: LedgerEntry, carried: bytes | None) -> None:
+        # verify_chain, the replica path and the chain import apply one
+        # rule, so they refuse the same chains, and the replica and the
+        # import only with ValueError. An entry that cannot be encoded
+        # has no bytes to carry.
         chain = entries[:entry_index] + [mutated] + entries[entry_index + 1:]
         assert not verify_chain(chain)
         with pytest.raises(ValueError):
             Ledger().apply_entries(chain)
+        if carried is not None:
+            with pytest.raises(ValueError):
+                Ledger.import_chain(bent_chain(carried))
 
-    rejected(replace(entries[entry_index],
-                     payload=AssociationRecord(subject=None, attachment="ap", segment=0)))
+    for unencodable in (AssociationRecord(subject=None, attachment="ap", segment=0),
+                        RegistrationTx("app-server", bytes(32), b"k", access_control=(5,))):
+        rejected(replace(entries[entry_index], payload=unencodable), None)
 
     blob = bytearray(entries[entry_index].to_bytes())
     flip = random.Random(byte_seed)
@@ -153,8 +169,10 @@ def test_chain_rejects_any_single_bit_flip(entry_index, byte_seed):
     try:
         mutated = LedgerEntry.from_bytes(bytes(blob))
     except ValueError:
-        return  # malformed: detected at decode
-    rejected(mutated)
+        with pytest.raises(ValueError):  # malformed: detected at decode
+            Ledger.import_chain(bent_chain(bytes(blob)))
+        return
+    rejected(mutated, bytes(blob))
 
 
 # Every decoder of outside bytes. WireError is a ValueError, so a decoder
@@ -184,6 +202,100 @@ def test_decoders_refuse_arbitrary_bytes_only_with_value_error(decoder, data):
         DECODERS[decoder](data)
     except ValueError:
         pass
+
+
+def _one_value_per_decoder() -> dict[str, tuple]:
+    """name -> (decoder, encoder, value): one valid value per decoder
+    above, and more where a type has a flag byte or a tagged field."""
+    secret = IdentitySecret(bytes(range(32)))
+    bcadd = derive_bcadd(secret, 3)
+    appid = derive_appid(secret, bcadd, ServiceProps("svc", b"ctx"))
+    proof = make_linkage_proof(secret, bcadd, appid, bytes(range(16)))
+    predicate = Predicate("age", ">=", -18)
+    bloom = BloomFilter(64, 3)
+    for key in (b"a" * 32, b"b" * 32):
+        bloom.add(key)
+    ledger = Ledger()
+    payloads = [
+        RegistrationTx("app-server", bcadd.address, bcadd.public_key, 3, open_access=True),
+        RegistrationTx("app-server", appid.id, bcadd.public_key, 1,
+                       access_control=(b"t" * 32, "legacy.example")),
+        AssociationRecord(bcadd.address, "ap1", 2, epoch=3, seq=9),
+        TopologyUpdate(links=((1, 2, 3),), origin="ap1"),
+        NftOwnership(b"t" * 32, bcadd.address),
+    ]
+    for i, payload in enumerate(payloads):
+        ledger.submit(payload, submitter="p", at_time=i, nonce=i.to_bytes(16, "big"))
+    ledger.commit_round()
+    message = HandshakeMessage("response", appid, bytes(16), b"", bytes(range(32)), proof)
+
+    def to_bytes(value):
+        return value.to_bytes()
+
+    values = {
+        "APPID": appid,
+        "AttributeAttestation": AttributeAttestation(predicate, bcadd.address, 3, b"s" * 64),
+        "BCADD": bcadd,
+        "BloomFilter": bloom,
+        "HandshakeMessage": message,
+        "HandshakeMessage without linkage": replace(message, phase="hello", linkage=None,
+                                                    ephemeral_public=b"e" * 32),
+        "LinkageProof": proof,
+        "Predicate": predicate,
+        "Predicate with a string threshold": Predicate("region", "==", "eu"),
+        "RotationNotice": RotationNotice(appid, proof, b"tag"),
+        "ServiceProps": ServiceProps("svc", b"ctx"),
+    }
+    cases = {name: (DECODERS[name.split(" ")[0]], to_bytes, value)
+             for name, value in values.items()}
+    for entry in ledger.entries:
+        kind = type(entry.payload).__name__
+        if kind == "RegistrationTx" and entry.payload.open_access:
+            kind += " open-access"
+        cases[f"LedgerEntry {kind}"] = (LedgerEntry.from_bytes, to_bytes, entry)
+        cases[f"decode_payload {kind}"] = (decode_payload, encode_payload, entry.payload)
+    single = Ledger()
+    single.submit(payloads[0], submitter="p", at_time=0, nonce=bytes(16))
+    single.commit_round()
+    cases["import_chain"] = (Ledger.import_chain, Ledger.export_chain, single)
+    return cases
+
+
+CANONICAL = _one_value_per_decoder()
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_every_single_bit_flip_is_refused_or_decodes_to_its_own_encoding(name):
+    # Decoding is canonical: a decoder accepts only bytes that the decoded
+    # value encodes to, so hashing bytes as carried equals hashing a
+    # re-encoding of what they decode to.
+    decode, encode, value = CANONICAL[name]
+    data = encode(value)
+    assert encode(decode(data)) == data
+    for bit in range(len(data) * 8):
+        bent = bytearray(data)
+        bent[bit // 8] ^= 1 << bit % 8
+        try:
+            decoded = decode(bytes(bent))
+        except ValueError:
+            continue
+        assert encode(decoded) == bent, f"bit {bit} (byte {bit // 8}) decodes to another encoding"
+
+
+@pytest.mark.parametrize("buffer", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+def test_a_decoded_value_keeps_no_view_of_a_mutable_buffer(buffer):
+    decode, encode, value = CANONICAL["LedgerEntry RegistrationTx open-access"]
+    data = bytearray(encode(value))
+    entry = decode(buffer(data))
+    data[:] = bytes(len(data))
+    assert entry == value
+    decode, encode, ledger = CANONICAL["import_chain"]
+    data = bytearray(encode(ledger))
+    replica = decode(buffer(data))
+    data[:] = bytes(len(data))
+    assert replica.export_chain() == ledger.export_chain()
+    assert replica.entries == ledger.entries
+    assert replica.state_hash() == ledger.state_hash()
 
 
 FIXTURES = {path.stem: path.read_text()
