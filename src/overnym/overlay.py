@@ -10,9 +10,16 @@ sequence wins, so equal inputs always produce byte-identical paths.
 OverlayGraph holds its links once, in an adjacency map (segment ->
 neighbour -> cost) maintained by apply_topology, and keeps an
 access-point -> segment index beside its segment table, maintained by
-add_segment, so Dijkstra and route endpoints never scan the whole
-graph. Whether a neighbour has an access point is still checked when
-neighbors() is called.
+add_segment, so route searches and route endpoints never scan the whole
+graph. Whether a neighbour has an access point is checked in
+neighbors() alone; every search steps through it.
+
+Routes are computed per destination, as distance-vector routing does
+(RIP, RFC 1058): a cost map holds, for one destination segment, the
+minimum cost from every segment that can reach it. Many routers route
+to few server segments, so one map serves every source. A map lives
+until the graph changes: add_segment and every link apply_topology sets
+clear them all; a stale update or a rejected link leaves them.
 """
 
 from __future__ import annotations
@@ -66,11 +73,13 @@ class OverlayGraph:
         self._adjacent: dict[int, dict[int, int]] = {}
         self._ap_segment: dict[str, int] = {}
         self._rank: dict[int, int] = {}  # segment -> order in which it was added
+        self._costs: dict[int, dict[int, int]] = {}  # destination -> its cost map
         self.version: int | None = None
         self.stale_updates = 0
         self.rejected_links: list[tuple[int, tuple[int, int, int], str]] = []
 
     def add_segment(self, segment_id: int, access_points: Iterable[str] = ()) -> None:
+        self._costs.clear()
         if segment_id not in self._segments:
             self._rank[segment_id] = len(self._segments)
             self._segments[segment_id] = set()
@@ -111,6 +120,7 @@ class OverlayGraph:
                     continue
                 self._adjacent.setdefault(a, {})[b] = cost
                 self._adjacent.setdefault(b, {})[a] = cost
+                self._costs.clear()
             self.version = seq
         return self
 
@@ -119,6 +129,28 @@ class OverlayGraph:
         segments = self._segments
         return sorted((other, cost) for other, cost in self._adjacent.get(segment_id, {}).items()
                       if segments[other])
+
+    def costs_to(self, dst: int) -> dict[int, int]:
+        """Cost map of ``dst``: segment -> minimum cost from it to dst.
+
+        Built by one Dijkstra outward from dst over neighbors(); links are
+        undirected, so the cost out of dst is the cost into it. Every
+        segment in the map but dst has an access point, and so does every
+        neighbour that neighbors() gives of a segment in the map.
+        """
+        costs = self._costs.get(dst)
+        if costs is None:
+            costs = self._costs[dst] = {}
+            heap = [(0, dst)]
+            while heap:
+                cost, node = heapq.heappop(heap)
+                if node in costs:
+                    continue
+                costs[node] = cost
+                for neighbor, hop_cost in self.neighbors(node):
+                    if neighbor not in costs:
+                        heapq.heappush(heap, (cost + hop_cost, neighbor))
+        return costs
 
     def dump(self) -> dict:
         return {
@@ -131,29 +163,30 @@ class OverlayGraph:
 def segment_route(graph: OverlayGraph, src: int, dst: int) -> tuple[tuple[int, ...], int]:
     """Min-cost segment sequence with lexicographic tie-break.
 
-    Dijkstra keyed on (cost, segment sequence): positive hop costs mean
-    every predecessor on a min-cost path settles first, so the first pop
-    of a segment carries its minimal cost and, among equal costs, the
-    lexicographically smallest sequence.
+    A greedy walk down dst's cost map: from each segment, step to the
+    smallest-id neighbour n that minimises hop cost + cost(n). Every
+    suffix of a min-cost route is a min-cost route, so the smallest
+    first step that keeps the minimum starts the lexicographically
+    smallest min-cost sequence, and so on from there. Hop costs are at
+    least 1, so each step descends strictly and the walk ends at dst.
+    A destination without an access point is no segment's neighbour,
+    so no walk enters it.
     """
     if not graph.has_segment(src) or not graph.has_segment(dst):
         raise Disconnected(f"unknown segment {dst if graph.has_segment(src) else src}")
     if src == dst:
         return (src,), 0
-    heap: list[tuple[int, tuple[int, ...]]] = [(0, (src,))]
-    settled: set[int] = set()
-    while heap:
-        cost, path = heapq.heappop(heap)
-        node = path[-1]
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == dst:
-            return path, cost
-        for neighbor, hop_cost in graph.neighbors(node):
-            if neighbor not in settled:
-                heapq.heappush(heap, (cost + hop_cost, path + (neighbor,)))
-    raise Disconnected(f"no path between segments {src} and {dst}")
+    costs = graph.costs_to(dst) if graph.access_points_of(dst) else {}
+    # src alone may lack an access point or lie outside the map
+    total, node = min(((hop_cost + costs[n], n) for n, hop_cost in graph.neighbors(src)
+                       if n in costs), default=(0, None))
+    if node is None:
+        raise Disconnected(f"no path between segments {src} and {dst}")
+    path = [src, node]
+    while node != dst:
+        node = min((hop_cost + costs[n], n) for n, hop_cost in graph.neighbors(node))[1]
+        path.append(node)
+    return tuple(path), total
 
 
 def _hops_for(graph: OverlayGraph, segments: Sequence[int],

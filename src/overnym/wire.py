@@ -16,6 +16,11 @@ from.
 
 from __future__ import annotations
 
+import struct
+
+_U32 = struct.Struct(">I")
+_U64 = struct.Struct(">Q")
+
 
 class WireError(ValueError):
     """Malformed canonical bytes."""
@@ -68,7 +73,13 @@ class Reader:
         return self._data[start:end]
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        pos = self._pos
+        try:
+            value = self._data[pos]
+        except IndexError:
+            raise WireError("truncated buffer") from None
+        self._pos = pos + 1
+        return value
 
     def flag(self) -> bool:
         value = self.u8()
@@ -77,10 +88,20 @@ class Reader:
         return value == 1
 
     def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
+        return self._unpack(_U32)
 
     def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
+        return self._unpack(_U64)
+
+    def _unpack(self, fmt: struct.Struct) -> int:
+        # unpack_from reads in place and makes the one bounds check
+        pos = self._pos
+        try:
+            (value,) = fmt.unpack_from(self._data, pos)
+        except struct.error:
+            raise WireError("truncated buffer") from None
+        self._pos = pos + fmt.size
+        return value
 
     def bytes_(self) -> bytes:
         return self.take(self.u32())

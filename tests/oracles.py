@@ -3,11 +3,15 @@
 Nothing in here imports the package under test. The hash oracle is a
 from-scratch FIPS 180-4 SHA-256 whose round constants are derived from
 prime roots with exact integer arithmetic, so it shares no code (and no
-constant tables) with hashlib. The routing oracle is plain Bellman-Ford
-relaxation plus, for small graphs, exhaustive simple-path enumeration.
+constant tables) with hashlib. The routing oracles are plain Bellman-Ford
+relaxation, a path-carrying Dijkstra (the package's search before it
+kept cost maps) and, for small graphs, exhaustive simple-path
+enumeration.
 """
 
 from __future__ import annotations
+
+import heapq
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +156,34 @@ def enumerate_best_path(nodes, edges, src, dst):
 
     walk(src, 0, [src], {src})
     return (best[0], best[1])
+
+
+def dijkstra_best_path(nodes, edges, src, dst):
+    """Dijkstra keyed on (cost, node sequence): (min cost, lexicographically
+    smallest min-cost node sequence), or (None, None) if unreachable.
+
+    Positive edge costs mean every predecessor on a min-cost path settles
+    first, so the first pop of a node carries its minimal cost and, among
+    equal costs, the smallest sequence.
+    """
+    adjacency: dict = {n: [] for n in nodes}
+    for a, b, cost in edges:
+        adjacency[a].append((b, cost))
+        adjacency[b].append((a, cost))
+    heap = [(0, (src,))]
+    settled = set()
+    while heap:
+        cost, path = heapq.heappop(heap)
+        node = path[-1]
+        if node in settled:
+            continue
+        settled.add(node)
+        if node == dst:
+            return cost, path
+        for neighbor, hop_cost in adjacency[node]:
+            if neighbor not in settled:
+                heapq.heappush(heap, (cost + hop_cost, path + (neighbor,)))
+    return None, None
 
 
 def connected_random_graph(rng, n_segments, extra_edges, max_cost=4):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overnym.ledger import TopologyUpdate
@@ -14,7 +14,12 @@ from overnym.overlay import (
     segment_route,
 )
 
-from oracles import bellman_ford_cost, connected_random_graph, enumerate_best_path
+from oracles import (
+    bellman_ford_cost,
+    connected_random_graph,
+    dijkstra_best_path,
+    enumerate_best_path,
+)
 
 
 def graph_with(segments, links, aps=None):
@@ -165,6 +170,20 @@ class TestOracleEquivalence:
             assert cost == best_cost
             assert segments == best_path
 
+    @pytest.mark.parametrize("max_cost", [1, 4])
+    def test_wide_graph_matches_path_dijkstra(self, max_cost):
+        # As wide and tied as the wide_overlay benchmark: 128 segments, a
+        # tree plus 32 chords, every source routed into 16 destinations.
+        rng = random.Random(15 + max_cost)
+        nodes, edges = connected_random_graph(rng, 128, 32, max_cost=max_cost)
+        graph = graph_with(nodes, edges)
+        for dst in rng.sample(nodes, 16):
+            for src in nodes:
+                cost, path = dijkstra_best_path(nodes, edges, src, dst)
+                assert segment_route(graph, src, dst) == (path, cost)
+                route = route_to_segment(graph, f"ap{src}", dst)
+                assert route == RoutePath(tuple(f"ap{seg}" for seg in path), cost)
+
 
 class ScanGraph:
     """Brute-force reference for OverlayGraph's indexes: segment_of scans
@@ -227,3 +246,44 @@ def test_indexes_match_brute_force_scan(ops):
         for ap in "abcdz":
             assert graph.segment_of(ap) == reference.segment_of(ap)
         assert graph.links() == sorted((a, b, c) for (a, b), c in reference.links.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(OPS)
+# a link joins 0 to 2 through 1 after a route into 2 was read
+@example([("segment", 0, ["a"]), ("segment", 1, ["b"]), ("segment", 2, ["c"]),
+          ("links", [(0, 1, 1)]), ("links", [(1, 2, 1)])])
+# segment 1 gains an access point after a route into 2 was read
+@example([("segment", 0, ["a"]), ("segment", 1, []), ("segment", 2, ["b"]),
+          ("links", [(0, 1, 1), (1, 2, 1)]), ("segment", 1, ["c"])])
+def test_routes_read_between_changes_match_exhaustive_search(ops):
+    # Routes are read after every op, so a cost map kept across a change
+    # of the graph shows as a wrong route.
+    graph, reference = OverlayGraph(), ScanGraph()
+    for seq, op in enumerate(ops):
+        if op[0] == "segment":
+            graph.add_segment(op[1], op[2])
+            reference.add_segment(op[1], op[2])
+        else:
+            graph.apply_topology([(seq, TopologyUpdate(links=tuple(op[1]), origin="x"))])
+            reference.apply(op[1])
+        segments = reference.segments
+        for src in range(8):
+            for dst in range(8):
+                if src not in segments or dst not in segments:
+                    expected = None
+                elif src == dst:
+                    expected = ((src,), 0)
+                elif not segments[dst]:
+                    expected = None
+                else:
+                    # every segment on a route but its source has an access point
+                    links = [(a, b, cost) for (a, b), cost in reference.links.items()
+                             if (segments[a] or a == src) and (segments[b] or b == src)]
+                    cost, path = enumerate_best_path(segments, links, src, dst)
+                    expected = None if cost is None else (path, cost)
+                if expected is None:
+                    with pytest.raises(Disconnected):
+                        segment_route(graph, src, dst)
+                else:
+                    assert segment_route(graph, src, dst) == expected

@@ -40,7 +40,7 @@ from overnym.neat import BloomFilter, NeatTable, NetworkLocator
 from overnym.runner import run_scenario
 from overnym.scenario import ParseError, ValidationError, parse_scenario
 from overnym.session import HandshakeMessage, RotationNotice
-from overnym.wire import Reader, pack_bytes, pack_str, pack_u32, pack_u64
+from overnym.wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
 
 keys32 = st.binary(min_size=32, max_size=32)
 epochs = st.integers(min_value=0, max_value=2**63)
@@ -54,6 +54,22 @@ def test_wire_round_trip(blob, text, number):
     assert r.str_() == text
     assert r.u64() == number
     r.expect_end()
+
+
+@pytest.mark.parametrize("pack, read", [(pack_u8, Reader.u8), (pack_u32, Reader.u32),
+                                        (pack_u64, Reader.u64)])
+def test_an_int_reads_at_its_offset_and_a_truncated_one_raises_wire_error(pack, read):
+    encoded = pack(0x8A)
+    reader = Reader(b"\x07" + encoded)
+    assert reader.u8() == 7
+    assert read(reader) == 0x8A
+    reader.expect_end()
+    for cut in range(len(encoded)):
+        for data in (encoded[:cut], b"\x07" + encoded[:cut]):
+            reader = Reader(bytearray(data))
+            reader.take(len(data) - cut)
+            with pytest.raises(WireError, match="truncated"):
+                read(reader)
 
 
 @given(seed=keys32, epoch=st.integers(0, 2**32))
