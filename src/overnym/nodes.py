@@ -37,8 +37,12 @@ from .session import (
 from .simnet import Delivery, Node, Simulator, Timer
 from .wire import WireError
 
+# A session end's heartbeat timer fires every period, but it sends a
+# Heartbeat only if the end has sent, or queued, no other in-session
+# message for that session in the tick: any message refreshes liveness.
 HEARTBEAT_PERIOD = 1
 _PUSH_SUMMARY = Timer("push-summary")
+_FLUSH_RECEIPTS = Timer("flush-receipts")
 
 
 def token_id_for(name: str) -> bytes:
@@ -199,10 +203,11 @@ class AppPayload:
 
 @dataclass(frozen=True)
 class PayloadReceipt:
+    """The server's answers to one session's payloads of one tick, as
+    (seq, accepted, reason) in arrival order."""
+
     session_id: bytes
-    seq: int
-    accepted: bool
-    reason: str
+    results: tuple[tuple[int, bool, str], ...]
 
 
 @dataclass(frozen=True)
@@ -454,7 +459,12 @@ class AccessPointNode(ProtocolNode):
 class _SessionEnd(ProtocolNode):
     """Session-endpoint behavior shared by users and app servers. Each
     session holds the route its messages take; a session without a key
-    is closed."""
+    is closed.
+
+    Liveness is the gap since the last accepted in-session message. Each
+    period the heartbeat timer fires, and it sends a Heartbeat only if
+    this end has sent, or queued, no other in-session message for that
+    session in the tick; the peer takes that message as liveness."""
 
     def __init__(self, name: str, segment: int, world: World, access_point: str):
         super().__init__(name, segment, world)
@@ -464,6 +474,8 @@ class _SessionEnd(ProtocolNode):
         # Per session, its heartbeat timer and message: built once when the
         # session opens, sent and rescheduled as they are every period.
         self.heartbeats: dict[bytes, tuple[Timer, Heartbeat]] = {}
+        # Per session, the tick of its last in-session send or queued send.
+        self.last_sent: dict[bytes, int] = {}
 
     def session_with(self, peer: str) -> Session | None:
         for session_id, device in self.peers.items():
@@ -481,6 +493,7 @@ class _SessionEnd(ProtocolNode):
                       Envelope(route, 0, self.name, dst, inner, self.sim.now, cost))
 
     def send_in_session(self, session_id: bytes, message: Any) -> None:
+        self.last_sent[session_id] = self.sim.now
         self.send_routed(self.sessions[session_id].route.hops, self.peers[session_id], message)
 
     def adopt_session(self, sess: Session, peer: str, now: int) -> None:
@@ -505,7 +518,8 @@ class _SessionEnd(ProtocolNode):
             if sess is None or sess.key is None or now > self.world.horizon:
                 return
             timer, beat = self.heartbeats[data]
-            self.send_in_session(data, beat)
+            if self.last_sent.get(data) != now:
+                self.send_in_session(data, beat)
             self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, timer)
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
@@ -613,10 +627,12 @@ class UserNode(_SessionEnd):
         elif isinstance(message, Heartbeat):
             self.on_heartbeat(message.session_id, now, sent_at)
         elif isinstance(message, PayloadReceipt):
-            if message.accepted:
-                self.world.metrics.payloads_accepted += 1
-            else:
-                self.world.metrics.payloads_denied += 1
+            sess = self.sessions.get(message.session_id)
+            if sess is not None and sess.key is not None:
+                session.heartbeat(sess, now)
+            accepted = sum(1 for _, ok, _ in message.results if ok)
+            self.world.metrics.payloads_accepted += accepted
+            self.world.metrics.payloads_denied += len(message.results) - accepted
 
     def _start_handshake(self, grant: ConnectGrant, now: int) -> None:
         entry = self.pending.get(grant.server_key)
@@ -663,6 +679,9 @@ class AppServerNode(_SessionEnd):
         self.service = ServiceProps(service_id)
         # Handshakes in flight: client APPID id -> (machine, client device).
         self.pending: dict[bytes, tuple[ServerHandshake, str]] = {}
+        # This tick's payload results per session, sent as one receipt each
+        # once the tick's other events are done, heartbeat timers included.
+        self.receipts: dict[bytes, list[tuple[int, bool, str]]] = {}
 
     def attach(self, sim: Simulator) -> None:
         super().attach(sim)
@@ -698,6 +717,28 @@ class AppServerNode(_SessionEnd):
             self.on_heartbeat(message.session_id, now, sent_at)
         elif isinstance(message, RotationEnvelope):
             self._handle_rotation(message, now)
+
+    def on_timer(self, tag, data, now):
+        if tag == "flush-receipts":
+            receipts, self.receipts = self.receipts, {}
+            for session_id, results in receipts.items():
+                self.send_in_session(session_id, PayloadReceipt(session_id, tuple(results)))
+        else:
+            super().on_timer(tag, data, now)
+
+    def _queue_receipt(self, session_id: bytes, seq: int, accepted: bool,
+                       reason: str, now: int) -> None:
+        """Queue a payload's result for the tick's receipt to its session.
+        A queued receipt counts as sent, so the session's heartbeat timer
+        sends nothing if it fires later in the tick; the flush itself runs
+        after the tick's heartbeat timers."""
+        results = self.receipts.get(session_id)
+        if results is None:
+            if not self.receipts:
+                self.sim.schedule(now, self.name, _FLUSH_RECEIPTS)
+            results = self.receipts[session_id] = []
+            self.last_sent[session_id] = now
+        results.append((seq, accepted, reason))
 
     def _handle_hello(self, message: HandshakeMessage, envelope: Envelope, now: int) -> None:
         creds = PeerCredentials(self.secret, self.bcadd, self.appid)
@@ -747,20 +788,20 @@ class AppServerNode(_SessionEnd):
         elif payload.seq <= sess.highest_seq:
             refused = "replay"
         else:
+            # Authentic and fresh: the client is alive, whatever access says.
+            session.heartbeat(sess, now)
             decision = self.evaluate_access(sess, now)
             refused = None if decision.allowed else decision.reason
         if refused is not None:
             self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq,
                                 accepted=False, reason=refused)
-            self.send_in_session(payload.session_id,
-                                 PayloadReceipt(payload.session_id, payload.seq, False, refused))
+            self._queue_receipt(payload.session_id, payload.seq, False, refused, now)
             return
         sess.payloads_accepted += 1
         sess.highest_seq = payload.seq
         session.record_delivery(sess, now - sent_at)
         self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq, accepted=True)
-        self.send_in_session(payload.session_id,
-                             PayloadReceipt(payload.session_id, payload.seq, True, "ok"))
+        self._queue_receipt(payload.session_id, payload.seq, True, "ok", now)
 
     def _handle_rotation(self, envelope: RotationEnvelope, now: int) -> None:
         sess = self.sessions.get(envelope.session_id)
@@ -771,6 +812,7 @@ class AppServerNode(_SessionEnd):
         except session.ContinuityRejected as exc:
             self.sim.trace.emit("rotation-rejected", now, node=self.name, reason=str(exc))
             return
+        session.heartbeat(sess, now)
         self.world.metrics.rotations_completed += 1
         self.sim.trace.emit("rotation", now, node=self.name,
                             session=envelope.session_id.hex()[:16],

@@ -12,7 +12,9 @@ neighbour -> cost) maintained by apply_topology, and keeps an
 access-point -> segment index beside its segment table, maintained by
 add_segment, so route searches and route endpoints never scan the whole
 graph. Whether a neighbour has an access point is checked in
-neighbors() alone; every search steps through it.
+neighbors(), through which cost maps are built; the route walk reads
+the adjacency itself and keeps only neighbours that are in the map,
+which are exactly those with an access point.
 
 Routes are computed per destination, as distance-vector routing does
 (RIP, RFC 1058): a cost map holds, for one destination segment, the
@@ -169,22 +171,27 @@ def segment_route(graph: OverlayGraph, src: int, dst: int) -> tuple[tuple[int, .
     first step that keeps the minimum starts the lexicographically
     smallest min-cost sequence, and so on from there. Hop costs are at
     least 1, so each step descends strictly and the walk ends at dst.
-    A destination without an access point is no segment's neighbour,
-    so no walk enters it.
+
+    The walk reads the adjacency unsorted: min() breaks ties by id. A
+    neighbour of a segment in the map is in it iff it has an access
+    point, so ``n in costs`` does neighbors()' filtering. A destination
+    without an access point gets an empty map, so no walk enters it.
     """
     if not graph.has_segment(src) or not graph.has_segment(dst):
         raise Disconnected(f"unknown segment {dst if graph.has_segment(src) else src}")
     if src == dst:
         return (src,), 0
     costs = graph.costs_to(dst) if graph.access_points_of(dst) else {}
+    adjacent = graph._adjacent
     # src alone may lack an access point or lie outside the map
-    total, node = min(((hop_cost + costs[n], n) for n, hop_cost in graph.neighbors(src)
+    total, node = min(((hop_cost + costs[n], n) for n, hop_cost in adjacent.get(src, {}).items()
                        if n in costs), default=(0, None))
     if node is None:
         raise Disconnected(f"no path between segments {src} and {dst}")
     path = [src, node]
     while node != dst:
-        node = min((hop_cost + costs[n], n) for n, hop_cost in graph.neighbors(node))[1]
+        node = min((hop_cost + costs[n], n) for n, hop_cost in adjacent[node].items()
+                   if n in costs)[1]
         path.append(node)
     return tuple(path), total
 

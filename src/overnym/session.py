@@ -55,7 +55,8 @@ from .ledger import Ledger
 from .overlay import RoutePath
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8
 
-# A peer is alive while its last heartbeat is at most this many ticks old.
+# A peer is alive while its last accepted in-session message is at most
+# this many ticks old.
 HEARTBEAT_TIMEOUT = 5
 
 ADMIT_OK = "admitted"
@@ -594,8 +595,10 @@ def verify_message(session: Session, seq: int, payload: bytes, tag: bytes) -> bo
 
 
 def heartbeat(session: Session, now: int) -> ServiceStatus:
-    """Record a heartbeat at now; only an open session (one holding a
-    key) takes one."""
+    """Record news of the peer at now: a heartbeat, or any other
+    in-session message the receiving end accepts. Liveness is the gap
+    since the last one. Only an open session (one holding a key) takes
+    one."""
     if session.key is None:
         raise ValueError("heartbeat on a closed session")
     session.status.beat(now)
@@ -603,7 +606,8 @@ def heartbeat(session: Session, now: int) -> ServiceStatus:
 
 
 def check_alive(session: Session, now: int) -> ServiceStatus:
-    """alive iff the heartbeat gap is within HEARTBEAT_TIMEOUT (boundary
+    """alive iff the gap since the last accepted in-session message
+    (heartbeat() records it) is within HEARTBEAT_TIMEOUT (boundary
     inclusive: a gap of exactly the timeout is still alive)."""
     session.status.check(now, HEARTBEAT_TIMEOUT)
     return session.status

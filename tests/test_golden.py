@@ -18,9 +18,9 @@ ROOT = Path(__file__).parent.parent
 
 # fixture -> (trace sha256, metrics.json sha256)
 PINS = {
-    "crash_server": ("df32d0a36c95e3ada9dce9f38eea22db0dfce9e335f1b5b18f04b313e4775297",
+    "crash_server": ("7d8dd3afdcfede87d5c23105f59e7c7ee58d52de6da808d0fb101f05d23e6ce6",
                      "95af0d311f04446ffb084d7287c851f68dd98f5ee51ef584cfbbf3e54696f76a"),
-    "end_to_end": ("6e62fd2d1e3f51bfaab5ab07feb3f8c05d5aa238357d3cbd2c075db6338e5af0",
+    "end_to_end": ("7dca471e5958004dd419870d2069416b1ecc963c4b9f6a4d4396435220482fbc",
                    "6a90f9df5012c211aef74e069166ad50070505244ee76dc9ec391c35c70c92d0"),
     "link_faults": ("f57f5f561715827626fbf78fed310529312eaf4dde2c43471e6cada15aa6a59c",
                     "ae9c25754647142b7de8d123ce50d5fa5d85f5bb680110fb7b75ae6363a4fa04"),

@@ -1,0 +1,162 @@
+"""No session end goes silent, and none wastes a heartbeat.
+
+A session end's heartbeat timer fires every tick, but it sends a
+Heartbeat only in a tick where the end sends no other in-session message
+for that session: the peer takes any accepted in-session message as
+liveness. A server answers one tick's payloads of a session with one
+receipt, at the end of the tick.
+
+Send records name only the outer message (Envelope). The run therefore
+records every send's message as it is made, and the check first asserts
+that these sends are, one for one, the trace's send records.
+"""
+
+from collections import Counter, defaultdict
+from pathlib import Path
+
+import pytest
+
+from overnym.nodes import AppPayload, Envelope, Heartbeat, PayloadReceipt, RotationEnvelope
+from overnym.runner import _schedule_actions, _schedule_probes, build_simulation
+from overnym.scenario import parse_scenario
+
+ROOT = Path(__file__).parent.parent
+FIXTURES = sorted((ROOT / "scenarios").glob("*.scn"))
+IN_SESSION = (Heartbeat, AppPayload, PayloadReceipt, RotationEnvelope)
+
+# Payload bursts from two users to a gated server in the same ticks, and
+# to an open one: a user without the token (denied until the transfer), a
+# rotation, and a denied payload after the token moves.
+BURSTS = """
+seed 5
+segment 1
+segment 2
+link 1 2 1
+node ap1 router 1
+node ap2 router 2
+node seq sequencer 1
+node ann user 1
+node ben user 1
+node shop app-server 2 service=shop
+node echo app-server 1 service=echo
+at 1 register ann
+at 1 register ben
+at 1 register shop tokens pass
+at 1 register echo open-access
+at 4 bind ann
+at 4 bind ben
+at 4 bind shop
+at 4 bind echo
+at 5 mint-nft pass ann
+at 8 connect ann shop
+at 8 connect ben shop
+at 9 connect ann echo
+at 20 send ann shop 3
+at 20 send ben shop 2
+at 20 send ann echo 1
+at 24 rotate ann
+at 25 send ann shop 1
+at 26 send ann echo 2
+at 30 transfer-nft pass ben
+at 33 send ann shop 2
+at 33 send ben shop 1
+expect handshake ann shop success
+expect handshake ben shop success
+expect handshake ann echo success
+expect rotations 2
+"""
+
+
+def run_recorded(text):
+    """Run a scenario; return what it built and each send as
+    (time, src, dst, message), in the order sent."""
+    sc = parse_scenario(text)
+    built = build_simulation(sc)
+    sim, sends = built.sim, []
+    send = sim.send
+
+    def recorded(src, dst, message, note=None):
+        sends.append((sim.now, src, dst, message))
+        send(src, dst, message, note)
+
+    sim.send = recorded
+    _schedule_actions(built, sc)
+    _schedule_probes(built, sc)
+    sim.run_until_idle()
+    traced = [(r["time"], r["src"], r["dst"], r["msg"])
+              for r in sim.trace.records if r["kind"] == "send"]
+    assert traced == [(t, src, dst, type(m).__name__) for t, src, dst, m in sends]
+    return built, sends
+
+
+def in_session_sends(sends):
+    """(device, session prefix) -> tick -> the in-session messages the
+    device sent into that session in that tick."""
+    out = defaultdict(lambda: defaultdict(list))
+    for time, src, _, message in sends:
+        if (isinstance(message, Envelope) and message.hop == 0 and message.src == src
+                and isinstance(message.inner, IN_SESSION)):
+            out[(src, message.inner.session_id.hex()[:16])][time].append(message.inner)
+    return out
+
+
+def check_liveness(built, sends):
+    trace, horizon = built.sim.trace, built.world.horizon
+    crashed_at = {r["node"]: r["time"] for r in trace.find("fault", fault="crash-node")}
+    by_end = in_session_sends(sends)
+    for record in trace.find("handshake", phase="established"):
+        end = (record["node"], record["session"])
+        # The first heartbeat is one period after the session opens. A crash
+        # takes effect at the end of its tick.
+        last = min(horizon, crashed_at.get(end[0], horizon + 1) - 1)
+        silent = [t for t in range(record["time"] + 1, last + 1) if not by_end[end][t]]
+        assert silent == [], f"{end} sent nothing in ticks {silent}"
+
+    for end, ticks in by_end.items():
+        for tick, messages in ticks.items():
+            kinds = Counter(type(m).__name__ for m in messages)
+            assert kinds["Heartbeat"] == 0 or kinds == {"Heartbeat": 1}, (end, tick, kinds)
+            assert kinds["PayloadReceipt"] <= 1, (end, tick, kinds)
+
+
+def check_receipts(built, sends):
+    """Each server tick's receipts carry exactly that tick's payload results."""
+    trace = built.sim.trace
+    for server in built.servers:
+        answered, receipted = Counter(), Counter()
+        for r in trace.find("payload", node=server):
+            answered[(r["time"], r["seq"], r["accepted"], r.get("reason", "ok"))] += 1
+        for time, src, _, message in sends:
+            if src == server and isinstance(message, Envelope) and message.hop == 0 \
+                    and isinstance(message.inner, PayloadReceipt):
+                assert message.inner.results
+                for result in message.inner.results:
+                    receipted[(time, *result)] += 1
+        assert receipted == answered
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_no_end_goes_silent_and_none_sends_a_needless_heartbeat(path):
+    built, sends = run_recorded(path.read_text())
+    check_liveness(built, sends)
+    check_receipts(built, sends)
+
+
+def test_bursts_rotation_and_denials_keep_every_end_heard():
+    built, sends = run_recorded(BURSTS)
+    assert len(built.sim.trace.find("handshake", phase="established")) == 6
+    check_liveness(built, sends)
+    check_receipts(built, sends)
+    # What the run must contain for the check to mean something: receipts
+    # that answer several payloads, two sessions answered in one tick, a
+    # denied payload, and heartbeats skipped beside other messages.
+    receipts = [(t, m.inner) for t, src, _, m in sends
+                if isinstance(m, Envelope) and m.hop == 0 and src == "shop"
+                and isinstance(m.inner, PayloadReceipt)]
+    assert max(len(r.results) for _, r in receipts) == 3
+    assert max(Counter(t for t, _ in receipts).values()) == 2
+    assert any(not ok for _, r in receipts for _, ok, _ in r.results)
+    assert built.sim.trace.find("rotation-sent", node="ann")
+    for (device, _), ticks in in_session_sends(sends).items():
+        if device == "ann":
+            assert ticks[24] and not any(isinstance(m, Heartbeat) for m in ticks[24])

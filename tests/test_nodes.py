@@ -41,8 +41,9 @@ at 3 bind s
 """
 
 
-def settled(strict=False, register_user=False):
-    text = SCENARIO.replace("at 3", "at 1 register u\nat 3") if register_user else SCENARIO
+def settled(strict=False, register_user=False, text=SCENARIO):
+    if register_user:
+        text = text.replace("at 3", "at 1 register u\nat 3")
     sc = parse_scenario(text)
     built = build_simulation(replace(sc, strict_registration=strict))
     _schedule_actions(built, sc)
@@ -205,28 +206,81 @@ class TestSenderIsTheSubmitter:
         assert [r["dst"] for r in built.sim.trace.find("send", msg="ConnectGrant")] == ["s"]
 
 
+def deliver_at_server(built, payload):
+    """The last router on the session's path hands payload to s; run."""
+    route = built.servers["s"].session_with("u").route.hops
+    built.sim.send(route[-1], "s", Envelope(route, len(route) - 1, "u", "s",
+                                            payload, built.sim.now))
+    built.sim.run_until_idle()
+
+
+def connected(gated=False):
+    """u holds an established session with s, past the horizon, so no
+    heartbeat runs. gated: s admits only holders of a token u lacks."""
+    text = SCENARIO.replace("open-access", "tokens pass") if gated else SCENARIO
+    built = settled(register_user=True, text=text)
+    user, server = built.users["u"], built.servers["s"]
+    user.do_connect(server.appid.id, "echo", built.sim.now)
+    built.sim.run_until_idle()
+    return built, user, server
+
+
 class TestPayloadReplay:
     def test_a_replayed_payload_is_refused(self):
-        built = settled(register_user=True)
-        user, server = built.users["u"], built.servers["s"]
-        user.do_connect(server.appid.id, "echo", built.sim.now)
-        built.sim.run_until_idle()
+        built, user, server = connected()
         user.do_send_payloads("s", 1, built.sim.now)
         built.sim.run_until_idle()
-        # The last router on the path sends a captured payload again.
         sess = server.session_with("u")
+        heard = sess.status.last_heartbeat
+        # The last router on the path sends a captured payload again.
         body = b"payload-0"
-        captured = AppPayload(sess.session_id, 0, body, session.message_tag(sess.key, 0, body))
-        route = sess.route.hops
-        built.sim.send(route[-1], "s", Envelope(route, len(route) - 1, "u", "s",
-                                                captured, built.sim.now))
-        built.sim.run_until_idle()
-        payloads = [(r["seq"], r["accepted"], r.get("reason"))
-                    for r in built.sim.trace.find("payload", node="s")]
+        deliver_at_server(built, AppPayload(sess.session_id, 0, body,
+                                            session.message_tag(sess.key, 0, body)))
+        records = built.sim.trace.find("payload", node="s")
+        payloads = [(r["seq"], r["accepted"], r.get("reason")) for r in records]
         assert payloads == [(0, True, None), (0, False, "replay")]
         assert (sess.payloads_accepted, sess.highest_seq) == (1, 0)
         metrics = built.world.metrics
         assert (metrics.payloads_accepted, metrics.payloads_denied) == (1, 1)
+        # The replay proves nothing about the client: liveness stays where
+        # the original put it.
+        assert heard == records[0]["time"] < records[1]["time"]
+        assert sess.status.last_heartbeat == heard
+
+
+class TestLivenessFromTraffic:
+    """Only an authenticated in-session message refreshes a session's
+    liveness; a receipt answers every payload of its tick."""
+
+    def test_a_payload_with_a_bad_tag_refreshes_nothing(self):
+        built, user, server = connected()
+        sess = server.session_with("u")
+        heard = sess.status.last_heartbeat
+        deliver_at_server(built, AppPayload(sess.session_id, 0, b"forged", bytes(16)))
+        (record,) = built.sim.trace.find("payload", node="s")
+        assert (record["accepted"], record["reason"]) == (False, "bad-tag")
+        assert heard < record["time"]
+        assert sess.status.last_heartbeat == heard
+
+    def test_an_authentic_payload_denied_access_refreshes_liveness(self):
+        built, user, server = connected(gated=True)
+        user.do_send_payloads("s", 1, built.sim.now)
+        built.sim.run_until_idle()
+        (record,) = built.sim.trace.find("payload", node="s")
+        assert (record["accepted"], record["reason"]) == (False, "no-token")
+        assert server.session_with("u").status.last_heartbeat == record["time"]
+
+    def test_one_receipt_with_two_results_counts_two_payloads(self):
+        built, user, server = connected()
+        sent = len(built.sim.trace.find("send", src="s"))
+        user.do_send_payloads("s", 2, built.sim.now)
+        built.sim.run_until_idle()
+        assert len(built.sim.trace.find("payload", node="s", accepted=True)) == 2
+        (receipt,) = built.sim.trace.find("send", src="s")[sent:]
+        metrics = built.world.metrics
+        assert (metrics.payloads_sent, metrics.payloads_accepted, metrics.payloads_denied) == (2, 2, 0)
+        # The receipt is the client's news of the server.
+        assert user.session_with("s").status.last_heartbeat > receipt["time"]
 
 
 class TestRotatingSender:
@@ -248,8 +302,9 @@ class TestRotatingSender:
         assert calls == []
         built.sim.run_until_idle()
         assert len(calls) == 1  # the server's check of the notice
-        assert len(built.sim.trace.find("rotation", node="s")) == 1
+        (rotation,) = built.sim.trace.find("rotation", node="s")
         sent, received = user.session_with("s"), server.session_with("u")
+        assert received.status.last_heartbeat == rotation["time"]  # an accepted notice is news
 
         def switched(sess):
             return sess.key, sess.client_appid, sess.client_bcadd, sess.rotation_count
