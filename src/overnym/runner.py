@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
@@ -329,13 +330,16 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
     return result
 
 
-def write_atomic(path: str, content: str) -> None:
-    """Write via temp-then-rename so readers never see partial output."""
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks, in order, as UTF-8 with no newline
+    translation, via temp-then-rename so readers never see partial
+    output."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-overnym-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(content)
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -344,5 +348,5 @@ def write_atomic(path: str, content: str) -> None:
 
 
 def write_outputs(result: RunResult, trace_path: str, metrics_path: str) -> None:
-    write_atomic(trace_path, result.trace.to_jsonl())
-    write_atomic(metrics_path, result.metrics_json())
+    write_atomic(trace_path, result.trace.chunks())
+    write_atomic(metrics_path, (result.metrics_json(),))

@@ -32,12 +32,15 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from random import Random
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .hashing import TAG_RNG, owf
 
 FAULT_KINDS = ("drop-link", "delay-link", "crash-node")
 STEP_CAP = 1_000_000  # events a run may take, by default
+# Trace lines per piece of text that Trace.chunks gives, so that writing or
+# hashing a trace never holds it whole as one string.
+TRACE_CHUNK_LINES = 1024
 
 
 class UnknownTarget(Exception):
@@ -67,16 +70,17 @@ class Timer:
 
 class TraceRecords(Sequence):
     """A trace read back as dicts, in emission order: len, iteration and
-    indexing, negative indexes included. A send record's dict is rebuilt
-    from its line each time it is read; nothing is cached."""
+    indexing, negative indexes included. A record that emit was given is
+    returned as that dict. A send record written by emit_send is a new
+    dict each time it is read, rebuilt from its line; iteration reuses
+    what it read from a line until the tick changes."""
 
-    __slots__ = ("_lines", "_emitted", "_send_fields")
+    __slots__ = ("_lines", "_emitted", "_names")
 
-    def __init__(self, lines: list[str], emitted: dict[int, dict],
-                 send_fields: dict[str, tuple[str, str, str]]):
+    def __init__(self, lines: list[str], emitted: dict[int, dict], names: dict[str, str]):
         self._lines = lines
         self._emitted = emitted
-        self._send_fields = send_fields
+        self._names = names
 
     def __len__(self) -> int:
         return len(self._lines)
@@ -87,17 +91,34 @@ class TraceRecords(Sequence):
         return self._send_record(line) if record is None else record
 
     def __iter__(self):
+        # A line holds its time, so equal lines come within one tick: what
+        # is read from a line is kept for the rest of its tick, and each
+        # read hands out a copy.
         emitted, send_record = self._emitted, self._send_record
+        tick, seen = None, {}
         for i, line in enumerate(self._lines):
             record = emitted.get(i)
-            yield send_record(line) if record is None else record
+            if record is None:
+                record = seen.get(line)
+                if record is None:
+                    record = send_record(line)
+                    if record["time"] != tick:
+                        tick, seen = record["time"], {}
+                    seen[line] = record
+                record = record.copy()
+            yield record
 
     def _send_record(self, line: str) -> dict:
-        # The line is its (src, dst, msg) prefix, the colon after "time",
-        # the time, then "}\n". The time holds no colon.
-        prefix, _, time = line.rpartition(":")
-        src, dst, msg = self._send_fields[prefix]
-        return {"kind": "send", "time": int(time[:-2]), "src": src, "dst": dst, "msg": msg}
+        # The line is '{"dst":' D ',"kind":"send","msg":' M ',"src":' S
+        # ',"time":' T '}\n', each of D, M and S a quoted name. A quote
+        # inside a quoted name is escaped, so the first match of each
+        # separator is the separator itself.
+        dst, _, rest = line[7:].partition(',"kind":"send","msg":')
+        msg, _, rest = rest.partition(',"src":')
+        src, _, time = rest.partition(',"time":')
+        names = self._names
+        return {"kind": "send", "time": int(time[:-2]),
+                "src": names[src], "dst": names[dst], "msg": names[msg]}
 
 
 class Trace:
@@ -107,22 +128,33 @@ class Trace:
     byte-identical.
 
     Each record is encoded once, when it is emitted. A plain send record
-    (emit_send) is kept only as its line: a prefix cached per (src, dst,
-    msg) for the whole trace, then ":", the time and "}". Sorted, "time"
-    is the last of its keys. Every other record goes through emit, which
-    encodes it with the one C encoder the trace owns and keeps its dict,
-    indexed by kind for find. records reads the whole trace back as dicts.
-    Records are not to be mutated once emitted: their line is already
-    written."""
+    (emit_send) is kept only as its line. Each name it carries is quoted
+    once for the whole trace, in a map that grows with the number of
+    distinct names, not with the run. A send that repeats an earlier
+    (src, dst, msg) of the same int tick appends that send's line object
+    again; the map of the tick's lines is dropped when the time changes.
+    Every other record goes through emit, which encodes it with the one C
+    encoder the trace owns and keeps its dict, indexed by kind for find.
+    records reads the whole trace back: what emit was given, and a send
+    dict rebuilt from its line.
+
+    Only to_jsonl builds the whole trace as one string, for callers that
+    want it. chunks gives it in pieces of TRACE_CHUNK_LINES lines, which
+    runner.write_outputs writes and digest hashes. Records are not to be
+    mutated once emitted: their line is already written."""
 
     def __init__(self):
         self._lines: list[str] = []
         # Line index -> record, for every line that emit wrote.
         self._emitted: dict[int, dict] = {}
         self._by_kind: dict[str, list[dict]] = {}
-        self._send_prefixes: dict[tuple[str, str, str], str] = {}
-        self._send_fields: dict[str, tuple[str, str, str]] = {}
-        self._records = TraceRecords(self._lines, self._emitted, self._send_fields)
+        # Name -> its JSON string, and back, for every name a send line holds.
+        self._quoted: dict[str, str] = {}
+        self._names: dict[str, str] = {}
+        # The int tick of the last send line written, and that tick's lines.
+        self._tick: int | None = None
+        self._tick_lines: dict[tuple[str, str, str], str] = {}
+        self._records = TraceRecords(self._lines, self._emitted, self._names)
         # The encoder json.dumps builds for these arguments, built once, by
         # position, as json.JSONEncoder.iterencode builds it. It notes the
         # ids of the containers it is inside in markers; a failed encode
@@ -153,27 +185,51 @@ class Trace:
     def emit_send(self, time: int, src: str, dst: str, msg: str) -> None:
         """Append a send record: the bytes emit("send", time, src=src,
         dst=dst, msg=msg) would give, kept as a line only."""
-        prefix = self._send_prefixes.get((src, dst, msg))
-        if prefix is None or type(time) is not int:
-            # The exact types matter: True, 1 and 1.0 hash alike but encode
-            # differently, so only str fields are cached, and only an int
-            # time is written by str().
-            if not (type(src) is str and type(dst) is str and type(msg) is str
-                    and type(time) is int):
+        # The exact types matter: True, 1 and 1.0 are equal and hash alike
+        # but encode differently. So only str names are quoted here, and
+        # only an int time reads or writes the tick's lines.
+        if type(time) is not int:
+            self.emit("send", time, src=src, dst=dst, msg=msg)
+            return
+        key = (src, dst, msg)
+        if time == self._tick:
+            line = self._tick_lines.get(key)
+            if line is not None:
+                self._lines.append(line)
+                return
+        else:
+            self._tick, self._tick_lines = time, {}
+        quoted = self._quoted
+        try:
+            qsrc, qdst, qmsg = quoted[src], quoted[dst], quoted[msg]
+        except KeyError:
+            if not (type(src) is str and type(dst) is str and type(msg) is str):
                 self.emit("send", time, src=src, dst=dst, msg=msg)
                 return
-            quote = json.encoder.encode_basestring_ascii
-            prefix = self._send_prefixes[(src, dst, msg)] = (
-                f'{{"dst":{quote(dst)},"kind":"send","msg":{quote(msg)},'
-                f'"src":{quote(src)},"time"')
-            self._send_fields[prefix] = (src, dst, msg)
-        self._lines.append(f"{prefix}:{time}}}\n")
+            for name in key:
+                if name not in quoted:
+                    quoted[name] = json.encoder.encode_basestring_ascii(name)
+                    self._names[quoted[name]] = name
+            qsrc, qdst, qmsg = quoted[src], quoted[dst], quoted[msg]
+        line = self._tick_lines[key] = (
+            f'{{"dst":{qdst},"kind":"send","msg":{qmsg},"src":{qsrc},"time":{time}}}\n')
+        self._lines.append(line)
+
+    def chunks(self) -> Iterator[str]:
+        """The trace's text in pieces of TRACE_CHUNK_LINES lines."""
+        lines = self._lines
+        for start in range(0, len(lines), TRACE_CHUNK_LINES):
+            yield "".join(lines[start:start + TRACE_CHUNK_LINES])
 
     def to_jsonl(self) -> str:
         return "".join(self._lines)
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+        """SHA-256 of to_jsonl()'s UTF-8 bytes, hashed chunk by chunk."""
+        h = hashlib.sha256()
+        for chunk in self.chunks():
+            h.update(chunk.encode("utf-8"))
+        return h.hexdigest()
 
     def find(self, kind: str, **match: Any) -> list[dict]:
         """The records of this kind whose fields equal match, in emission

@@ -1,20 +1,25 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import overnym
 from overnym.cli import main
 from overnym.ledger import MAX_PAYLOAD_BYTES, encode_payload
 from overnym.overlay import OverlayGraph
-from overnym.runner import _topology_updates, run_scenario, write_outputs
+from overnym.runner import RunResult, _topology_updates, run_scenario, write_atomic, write_outputs
 from overnym.scenario import (
     ParseError,
     ValidationError,
     format_scenario,
     parse_scenario,
 )
-from overnym.simnet import Simulator
+from overnym.simnet import Simulator, Trace
 
 SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
 FIXTURES = sorted(SCENARIOS_DIR.glob("*.scn"))
@@ -181,6 +186,42 @@ class TestRun:
             write_outputs(result, str(trace), str(metrics))
             files.append((trace.read_bytes(), metrics.read_bytes()))
         assert files[0] == files[1]
+
+    def test_outputs_are_the_trace_and_metrics_bytes(self, tmp_path):
+        result = run_scenario(parse_scenario(MINIMAL))
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"
+        write_outputs(result, str(trace), str(metrics))
+        assert trace.read_bytes() == result.trace.to_jsonl().encode("utf-8")
+        assert metrics.read_bytes() == result.metrics_json().encode("utf-8")
+
+    def test_writing_a_trace_does_not_hold_it_whole(self, tmp_path):
+        trace = Trace()
+        for i in range(50_000):
+            trace.emit_send(i // 20, f"user-{i % 97}", f"router-{i % 13}", "Envelope")
+        size = len(trace.to_jsonl())
+        result = RunResult(trace, run_scenario(parse_scenario(MINIMAL)).metrics, [], 0)
+        tracemalloc.start()
+        try:
+            write_outputs(result, str(tmp_path / "t.jsonl"), str(tmp_path / "m.json"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size / 4
+        assert (tmp_path / "t.jsonl").stat().st_size == size
+
+    def test_write_atomic_writes_utf8_whatever_the_locale(self, tmp_path):
+        # In the C locale, with UTF-8 mode and locale coercion off, the
+        # locale's encoding is ASCII, and a \n in text would be written as
+        # os.linesep by a text file that translates newlines.
+        path = tmp_path / "out.txt"
+        code = ("import sys; from overnym.runner import write_atomic; "
+                "write_atomic(sys.argv[1], ['caf\\u00e9\\n', 'a\\r\\nb\\n'])")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(overnym.__file__).parents[1])}
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True, timeout=60)
+        assert path.read_bytes() == b"caf\xc3\xa9\na\r\nb\n"
+        write_atomic(str(path), iter(["x\n"] * 3))
+        assert path.read_bytes() == b"x\nx\nx\n"
 
     def test_distinct_seeds_distinct_traces(self):
         sc = parse_scenario(MINIMAL)

@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import json
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overnym.simnet import (
+    TRACE_CHUNK_LINES,
     Delivery,
     LinkModel,
     Node,
@@ -446,6 +448,13 @@ def send_records(draw):
 @given(st.lists(send_records(), max_size=12))
 @example([{"kind": "send", "time": t, "src": src, "dst": "b", "msg": "m"}
           for t in (3, True, 2.0) for src in ("1", 1, True, 1.0)])
+# One triple back to back at times that are equal but of other types: the
+# line of tick 1 must not serve True or 1.0.
+@example([{"kind": "send", "time": t, "src": "a", "dst": "b", "msg": "m"}
+          for t in (1, True, 1.0)])
+# A tick revisited: each tick's lines serve that tick only.
+@example([{"kind": "send", "time": t, "src": src, "dst": "b", "msg": "m"}
+          for t in (2, 3, 2) for src in ("a", "c")])
 def test_to_jsonl_send_records_match_json_dumps(records):
     trace = Trace()
     for record in records:
@@ -458,6 +467,35 @@ def test_to_jsonl_send_records_match_json_dumps(records):
     assert_reads_back(trace, records)
     for kind in ("send", "drop"):
         assert trace.find(kind) == [r for r in records if r["kind"] == kind]
+
+
+def test_identical_sends_in_one_tick_share_one_line():
+    trace = Trace()
+    for time in (4, 4, 5, 5):
+        trace.emit_send(time, "a", "b", "m")
+        trace.emit_send(time, "a", "c", "m")
+    lines = trace._lines
+    assert lines[0] is lines[2] and lines[1] is lines[3]
+    assert lines[4] is lines[6] and lines[5] is lines[7]
+    assert lines[0] is not lines[1] and lines[4] is not lines[0]
+    assert trace.to_jsonl() == "".join(
+        f'{{"dst":"{dst}","kind":"send","msg":"m","src":"a","time":{time}}}\n'
+        for time in (4, 4, 5, 5) for dst in "bc")
+
+
+def test_chunks_and_digest_cover_the_trace_in_pieces():
+    trace = Trace()
+    assert list(trace.chunks()) == []
+    assert trace.digest() == hashlib.sha256(b"").hexdigest()
+    for i in range(2 * TRACE_CHUNK_LINES + 3):
+        if i % 7:
+            trace.emit_send(i // 10, f"n{i % 5}", "d", "m")
+        else:
+            trace.emit("note", i // 10, value=i)
+    chunks = list(trace.chunks())
+    assert [chunk.count("\n") for chunk in chunks] == [TRACE_CHUNK_LINES] * 2 + [3]
+    assert "".join(chunks) == trace.to_jsonl()
+    assert trace.digest() == hashlib.sha256(trace.to_jsonl().encode("utf-8")).hexdigest()
 
 
 def test_send_with_a_note_is_recorded_with_it():
