@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import hashlib
 
+# Bytes of every owf output, and so of every chain address, service id,
+# token id and NEAT key.
 DIGEST_SIZE = 32
 
 # Domain-separation tags. A digest computed under one tag is never valid

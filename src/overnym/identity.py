@@ -32,6 +32,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 )
 
 from .hashing import (
+    DIGEST_SIZE,
     TAG_APPID,
     TAG_ATTEST,
     TAG_BCADD,
@@ -44,7 +45,6 @@ from .hashing import (
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8
 
 SEED_SIZE = 32
-ADDRESS_SIZE = 32
 NONCE_SIZE = 16
 
 COMPARISONS = (">=", "<=", "==")
@@ -107,7 +107,7 @@ class BCADD:
     @classmethod
     def from_bytes(cls, data: bytes) -> "BCADD":
         r = Reader(data)
-        addr = r.take(ADDRESS_SIZE)
+        addr = r.take(DIGEST_SIZE)
         epoch = r.u64()
         pub = r.bytes_()
         r.expect_end()
@@ -151,7 +151,7 @@ class APPID:
     @classmethod
     def from_bytes(cls, data: bytes) -> "APPID":
         r = Reader(data)
-        ident = r.take(ADDRESS_SIZE)
+        ident = r.take(DIGEST_SIZE)
         sid = r.str_()
         ctx = r.bytes_()
         epoch = r.u64()
@@ -269,7 +269,7 @@ class AttributeAttestation:
     def from_bytes(cls, data: bytes) -> "AttributeAttestation":
         r = Reader(data)
         predicate = Predicate.from_bytes(r.bytes_())
-        subject = r.take(ADDRESS_SIZE)
+        subject = r.take(DIGEST_SIZE)
         epoch = r.u64()
         signature = r.bytes_()
         r.expect_end()
@@ -343,12 +343,11 @@ def make_linkage_proof(
     appid: APPID,
     session_nonce: bytes,
 ) -> LinkageProof:
-    """Sign (address, appid, epoch, nonce) with the epoch key."""
+    """Sign (address, appid, epoch, nonce) with the epoch key. LinkageProof
+    raises ValueError for a nonce that is not NONCE_SIZE bytes."""
     key = _require_own_bcadd(secret, bcadd)
     if not _derives_from(appid, bcadd):
         raise MismatchedSecret("APPID does not derive from this BCADD")
-    if len(session_nonce) != NONCE_SIZE:
-        raise ValueError(f"session_nonce must be {NONCE_SIZE} bytes")
     signature = key.sign(
         _linkage_message(bcadd.address, appid.id, bcadd.epoch, session_nonce)
     )
@@ -415,7 +414,7 @@ class Regulator:
         return self._key.public_key().public_bytes_raw()
 
     def register(self, subject_address: bytes, attributes: Mapping[str, int | str]) -> None:
-        if len(subject_address) != ADDRESS_SIZE:
+        if len(subject_address) != DIGEST_SIZE:
             raise ValueError("subject must be a 32-byte address")
         self._registry[bytes(subject_address)] = dict(attributes)
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .hashing import TAG_ENTRY, TAG_LEDGER_STATE, TAG_PAYLOAD, owf, u64
+from .hashing import DIGEST_SIZE, TAG_ENTRY, TAG_LEDGER_STATE, TAG_PAYLOAD, owf, u64
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
 
-ADDRESS_SIZE = 32
-GENESIS_PREV = bytes(ADDRESS_SIZE)
+GENESIS_PREV = bytes(DIGEST_SIZE)
 MAX_PAYLOAD_BYTES = 4096
 
 REGISTRATION_KINDS = ("overlay-node", "user", "app-server", "legacy-aaa")
@@ -54,13 +53,13 @@ class RegistrationTx:
     def validate(self) -> None:
         if self.kind not in REGISTRATION_KINDS:
             raise InvalidTx(f"unknown registration kind {self.kind!r}")
-        if len(self.subject) != ADDRESS_SIZE:
+        if len(self.subject) != DIGEST_SIZE:
             raise InvalidTx("subject must be 32 bytes")
         if self.kind == "app-server" and not self.access_control and not self.open_access:
             raise InvalidTx("app-server registration needs access_control or open_access")
         for item in self.access_control:
             if isinstance(item, bytes):
-                if len(item) != ADDRESS_SIZE:
+                if len(item) != DIGEST_SIZE:
                     raise InvalidTx("token ids must be 32 bytes")
             elif not isinstance(item, str) or not item:
                 raise InvalidTx("access_control entries are token ids or server addresses")
@@ -84,14 +83,14 @@ class RegistrationTx:
     @classmethod
     def read(cls, r: Reader) -> "RegistrationTx":
         kind = r.str_()
-        subject = r.take(ADDRESS_SIZE)
+        subject = r.take(DIGEST_SIZE)
         public_key = r.bytes_()
         epoch = r.u64()
         acl: list[bytes | str] = []
         for _ in range(r.u32()):
             tag = r.u8()
             if tag == 0:
-                acl.append(r.take(ADDRESS_SIZE))
+                acl.append(r.take(DIGEST_SIZE))
             elif tag == 1:
                 acl.append(r.str_())
             else:
@@ -116,7 +115,7 @@ class AssociationRecord:
     seq: int = 0
 
     def validate(self) -> None:
-        if len(self.subject) != ADDRESS_SIZE:
+        if len(self.subject) != DIGEST_SIZE:
             raise InvalidTx("subject must be 32 bytes")
         if not self.attachment:
             raise InvalidTx("attachment must be non-empty")
@@ -135,7 +134,7 @@ class AssociationRecord:
     @classmethod
     def read(cls, r: Reader) -> "AssociationRecord":
         return cls(
-            subject=r.take(ADDRESS_SIZE),
+            subject=r.take(DIGEST_SIZE),
             attachment=r.str_(),
             segment=r.u64(),
             epoch=r.u64(),
@@ -179,9 +178,9 @@ class NftOwnership:
     seq: int = 0
 
     def validate(self) -> None:
-        if len(self.token_id) != ADDRESS_SIZE:
+        if len(self.token_id) != DIGEST_SIZE:
             raise InvalidTx("token_id must be 32 bytes")
-        if len(self.owner) != ADDRESS_SIZE:
+        if len(self.owner) != DIGEST_SIZE:
             raise InvalidTx("owner must be 32 bytes")
 
     def to_bytes(self) -> bytes:
@@ -189,7 +188,7 @@ class NftOwnership:
 
     @classmethod
     def read(cls, r: Reader) -> "NftOwnership":
-        return cls(token_id=r.take(ADDRESS_SIZE), owner=r.take(ADDRESS_SIZE), seq=r.u64())
+        return cls(token_id=r.take(DIGEST_SIZE), owner=r.take(DIGEST_SIZE), seq=r.u64())
 
 
 Payload = RegistrationTx | AssociationRecord | TopologyUpdate | NftOwnership

@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from .hashing import TAG_BLOOM, owf, u32
+from .hashing import DIGEST_SIZE, TAG_BLOOM, owf, u32
 from .wire import WireError
 
-KEY_SIZE = 32
 DEFAULT_TARGET_FPR = 0.01
 
 
@@ -159,8 +158,9 @@ class BloomFilter:
 class NeatTable:
     """One segment's translation table: bloom filter over an exact map.
 
-    exact_probes counts how many times the exact map was consulted, so
-    tests and metrics can observe the filter short-circuiting.
+    lookup_global is the one lookup: it probes the exact map only where
+    the filter says maybe, and its probes and LookupStats count those
+    probes, so tests and metrics can observe the filter short-circuiting.
     """
 
     def __init__(self, segment: int, *, capacity: int = 1024,
@@ -173,7 +173,6 @@ class NeatTable:
         self._exact: dict[bytes, NetworkLocator] = {}
         # Live key -> its bit positions in self.filter; the same keys as _exact.
         self._positions: dict[bytes, list[int]] = {}
-        self.exact_probes = 0
 
     def __len__(self) -> int:
         return len(self._exact)
@@ -184,7 +183,7 @@ class NeatTable:
     def insert(self, key: bytes, locator: NetworkLocator) -> None:
         """Bind key -> locator; re-inserting overwrites (the newest
         attachment wins)."""
-        if len(key) != KEY_SIZE:
+        if len(key) != DIGEST_SIZE:
             raise ValueError("keys are 32 bytes")
         if locator.segment != self.segment:
             raise SegmentMismatch(
@@ -194,13 +193,6 @@ class NeatTable:
         if key not in self._exact:
             self._positions[key] = self.filter.add(key)
         self._exact[key] = locator
-
-    def lookup_local(self, key: bytes) -> NetworkLocator | None:
-        """Filter first; a negative never touches the exact map."""
-        if not self.filter.might_contain(bytes(key)):
-            return None
-        self.exact_probes += 1
-        return self._exact.get(bytes(key))
 
     def remove(self, key: bytes) -> None:
         """Unbind and forget the key's cached bit positions; stale filter
@@ -266,7 +258,6 @@ def lookup_global(
             continue
         probes += 1
         found = table._exact.get(key)
-        table.exact_probes += 1
         if found is not None:
             result = found
             if stats is not None:

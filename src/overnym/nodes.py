@@ -458,8 +458,12 @@ class AccessPointNode(ProtocolNode):
 
 class _SessionEnd(ProtocolNode):
     """Session-endpoint behavior shared by users and app servers. Each
-    session holds the route its messages take; a session without a key
-    is closed.
+    session holds the route its messages take.
+
+    Every session an end holds has a key: adopt_session takes only
+    sessions a handshake established, and nothing in the simulator calls
+    Session.close. So an end tests only whether it holds the session; the
+    session module makes the closed-session checks.
 
     Liveness is the gap since the last accepted in-session message. Each
     period the heartbeat timer fires, and it sends a Heartbeat only if
@@ -515,7 +519,7 @@ class _SessionEnd(ProtocolNode):
     def on_timer(self, tag, data, now):
         if tag == "heartbeat":
             sess = self.sessions.get(data)
-            if sess is None or sess.key is None or now > self.world.horizon:
+            if sess is None or now > self.world.horizon:
                 return
             timer, beat = self.heartbeats[data]
             if self.last_sent.get(data) != now:
@@ -524,7 +528,7 @@ class _SessionEnd(ProtocolNode):
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
         sess = self.sessions.get(session_id)
-        if sess is None or sess.key is None:
+        if sess is None:
             return
         session.heartbeat(sess, now)
         session.record_delivery(sess, now - sent_at)
@@ -570,7 +574,7 @@ class UserNode(_SessionEnd):
 
     def do_send_payloads(self, server: str, count: int, now: int) -> None:
         sess = self.session_with(server)
-        if sess is None or sess.key is None:
+        if sess is None:
             self.sim.trace.emit("payload-skip", now, node=self.name, reason="no-session")
             return
         for _ in range(count):
@@ -601,8 +605,6 @@ class UserNode(_SessionEnd):
         self._bind(new_bcadd.address)
         self.appids.update(by_service)
         for session_id, sess in self.sessions.items():
-            if sess.key is None:
-                continue
             new_appid = by_service.get(sess.client_appid.service.service_id)
             if new_appid is None:
                 continue
@@ -628,7 +630,7 @@ class UserNode(_SessionEnd):
             self.on_heartbeat(message.session_id, now, sent_at)
         elif isinstance(message, PayloadReceipt):
             sess = self.sessions.get(message.session_id)
-            if sess is not None and sess.key is not None:
+            if sess is not None:
                 session.heartbeat(sess, now)
             accepted = sum(1 for _, ok, _ in message.results if ok)
             self.world.metrics.payloads_accepted += accepted
@@ -781,7 +783,7 @@ class AppServerNode(_SessionEnd):
 
     def _handle_payload(self, payload: AppPayload, now: int, sent_at: int) -> None:
         sess = self.sessions.get(payload.session_id)
-        if sess is None or sess.key is None:
+        if sess is None:
             return
         if not session.verify_message(sess, payload.seq, payload.body, payload.tag):
             refused = "bad-tag"

@@ -62,7 +62,7 @@ class OverlayGraph:
 
     A link is one unordered pair, held under both of its ends;
     re-announcing a pair replaces its cost. Updates at or below the
-    current version are stale and only counted; links naming unknown
+    current version are stale and skipped; links naming unknown
     segments are rejected individually while the rest of the update
     applies.
 
@@ -77,7 +77,6 @@ class OverlayGraph:
         self._rank: dict[int, int] = {}  # segment -> order in which it was added
         self._costs: dict[int, dict[int, int]] = {}  # destination -> its cost map
         self.version: int | None = None
-        self.stale_updates = 0
         self.rejected_links: list[tuple[int, tuple[int, int, int], str]] = []
 
     def add_segment(self, segment_id: int, access_points: Iterable[str] = ()) -> None:
@@ -109,7 +108,6 @@ class OverlayGraph:
         """Apply (ledger seq, update) pairs in seq order; idempotent per seq."""
         for seq, update in updates:
             if self.version is not None and seq <= self.version:
-                self.stale_updates += 1
                 continue
             for link in update.links:
                 a, b, cost = link

@@ -230,8 +230,7 @@ def _probe_session(built: _Built, user: str, server: str, label: str) -> None:
     if user in sim.crashed:
         return
     sess = built.users[user].session_with(server)
-    alive = (sess is not None and sess.key is not None
-             and session.check_alive(sess, sim.now).alive)
+    alive = sess is not None and session.check_alive(sess, sim.now).alive
     sim.trace.emit("probe", sim.now, node=user, peer=server, label=label, alive=alive)
 
 
@@ -250,7 +249,7 @@ def _evaluate(built: _Built, exp: Expectation) -> tuple[bool, str]:
     if exp.kind == "handshake":
         user, server, success = exp.values
         sess = built.users[user].session_with(server)
-        established = sess is not None and sess.key is not None
+        established = sess is not None
         return (established == success,
                 "session established" if established else "no established session")
 

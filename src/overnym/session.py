@@ -121,18 +121,6 @@ class ServiceStatus:
     quality: float = 0.0
     deliveries: int = 0
 
-    def beat(self, now: int) -> None:
-        self.last_heartbeat = now
-        self.alive = True
-
-    def record_delivery(self, latency: float) -> None:
-        self.deliveries += 1
-        self.quality += (latency - self.quality) / self.deliveries
-
-    def check(self, now: int, timeout: int) -> bool:
-        self.alive = (now - self.last_heartbeat) <= timeout
-        return self.alive
-
 
 @dataclass
 class Session:
@@ -601,18 +589,24 @@ def heartbeat(session: Session, now: int) -> ServiceStatus:
     one."""
     if session.key is None:
         raise ValueError("heartbeat on a closed session")
-    session.status.beat(now)
-    return session.status
+    status = session.status
+    status.last_heartbeat = now
+    status.alive = True
+    return status
 
 
 def check_alive(session: Session, now: int) -> ServiceStatus:
     """alive iff the gap since the last accepted in-session message
     (heartbeat() records it) is within HEARTBEAT_TIMEOUT (boundary
     inclusive: a gap of exactly the timeout is still alive)."""
-    session.status.check(now, HEARTBEAT_TIMEOUT)
-    return session.status
+    status = session.status
+    status.alive = now - status.last_heartbeat <= HEARTBEAT_TIMEOUT
+    return status
 
 
 def record_delivery(session: Session, latency: float) -> ServiceStatus:
-    session.status.record_delivery(latency)
-    return session.status
+    """Count one delivery and fold its latency into the running mean."""
+    status = session.status
+    status.deliveries += 1
+    status.quality += (latency - status.quality) / status.deliveries
+    return status

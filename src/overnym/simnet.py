@@ -134,8 +134,8 @@ class Trace:
     (src, dst, msg) of the same int tick appends that send's line object
     again; the map of the tick's lines is dropped when the time changes.
     Every other record goes through emit, which encodes it with the one C
-    encoder the trace owns and keeps its dict, indexed by kind for find.
-    records reads the whole trace back: what emit was given, and a send
+    encoder the trace owns and keeps its dict, which find scans. records
+    reads the whole trace back: what emit was given, and a send
     dict rebuilt from its line.
 
     Only to_jsonl builds the whole trace as one string, for callers that
@@ -147,7 +147,6 @@ class Trace:
         self._lines: list[str] = []
         # Line index -> record, for every line that emit wrote.
         self._emitted: dict[int, dict] = {}
-        self._by_kind: dict[str, list[dict]] = {}
         # Name -> its JSON string, and back, for every name a send line holds.
         self._quoted: dict[str, str] = {}
         self._names: dict[str, str] = {}
@@ -180,7 +179,6 @@ class Trace:
             raise
         self._emitted[len(self._lines)] = record
         self._lines.append("".join(chunks) + "\n")
-        self._by_kind.setdefault(kind, []).append(record)
 
     def emit_send(self, time: int, src: str, dst: str, msg: str) -> None:
         """Append a send record: the bytes emit("send", time, src=src,
@@ -233,40 +231,30 @@ class Trace:
 
     def find(self, kind: str, **match: Any) -> list[dict]:
         """The records of this kind whose fields equal match, in emission
-        order. Every kind but "send" reads its index; plain send records
-        have no dict to index, so "send" scans the trace."""
-        if kind == "send":
-            candidates = (r for r in self.records if r["kind"] == "send")
-        else:
-            candidates = self._by_kind.get(kind, ())
-        return [r for r in candidates if all(r.get(k) == v for k, v in match.items())]
+        order. Every kind but "send" scans the dicts emit kept; plain send
+        records have none, so "send" scans the whole trace."""
+        candidates = self.records if kind == "send" else self._emitted.values()
+        return [r for r in candidates
+                if r["kind"] == kind and all(r.get(k) == v for k, v in match.items())]
 
 
 class LinkModel:
-    """Per-ordered-pair latency, extra delay, and drop probability.
-    Distinct nodes are 1 tick apart until set_latency says otherwise."""
+    """Per-ordered-pair extra delay and drop probability. Distinct nodes
+    are 1 tick apart plus their extra delay, and never less than 1."""
 
     def __init__(self):
-        self._latency: dict[tuple[str, str], int] = {}
         self._extra: dict[tuple[str, str], int] = {}
         self._drop: dict[tuple[str, str], float] = {}
 
     def link(self, src: str, dst: str) -> tuple[int, float]:
         """(latency, drop probability) of the ordered pair src -> dst."""
-        if not (self._latency or self._extra or self._drop):
+        if not (self._extra or self._drop):
             return (0 if src == dst else 1), 0.0
         pair = (src, dst)
         drop = self._drop.get(pair, 0.0)
         if src == dst:
             return 0, drop
-        base = self._latency.get(pair, 1)
-        return max(1, base + self._extra.get(pair, 0)), drop
-
-    def set_latency(self, src: str, dst: str, latency: int) -> None:
-        if latency < 1:
-            raise ValueError("latency must be >= 1")
-        self._latency[(src, dst)] = latency
-        self._latency[(dst, src)] = latency
+        return max(1, 1 + self._extra.get(pair, 0)), drop
 
     def add_delay(self, src: str, dst: str, extra: int) -> None:
         for pair in ((src, dst), (dst, src)):

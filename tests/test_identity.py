@@ -108,6 +108,11 @@ class TestLinkageProof:
         with pytest.raises(MismatchedSecret):
             make_linkage_proof(make_secret(3), bcadd, appid, NONCE)
 
+    @pytest.mark.parametrize("nonce", [NONCE[:-1], NONCE + b"\x00", b""])
+    def test_nonce_of_wrong_length_raises(self, secret, bcadd, appid, nonce):
+        with pytest.raises(ValueError, match="session_nonce must be 16 bytes"):
+            make_linkage_proof(secret, bcadd, appid, nonce)
+
     def test_random_appids_all_fail(self, secret, bcadd, service):
         rng = random.Random(99)
         proof = make_linkage_proof(

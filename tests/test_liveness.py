@@ -142,6 +142,18 @@ def test_no_end_goes_silent_and_none_sends_a_needless_heartbeat(path):
     check_receipts(built, sends)
 
 
+@pytest.mark.parametrize("text", [path.read_text() for path in FIXTURES] + [BURSTS],
+                         ids=[path.stem for path in FIXTURES] + ["bursts"])
+def test_every_held_session_keeps_its_key(text):
+    # Session ends test only for a missing session: nothing in the
+    # simulator closes one, so every session they hold keeps a key.
+    built, _ = run_recorded(text)
+    ends = [*built.users.values(), *built.servers.values()]
+    held = [(end.name, sess) for end in ends for sess in end.sessions.values()]
+    assert len(held) == len(built.sim.trace.find("handshake", phase="established"))
+    assert [name for name, sess in held if sess.key is None] == []
+
+
 def test_bursts_rotation_and_denials_keep_every_end_heard():
     built, sends = run_recorded(BURSTS)
     assert len(built.sim.trace.find("handshake", phase="established")) == 6

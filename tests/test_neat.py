@@ -30,6 +30,11 @@ def locator(segment: int, device: str = "dev") -> NetworkLocator:
     return NetworkLocator(device_id=device, port=8080, segment=segment)
 
 
+def lookup(table: NeatTable, k: bytes) -> GlobalLookup:
+    """lookup_global over this one table."""
+    return lookup_global({table.segment: table}, k)
+
+
 class TestFilterMath:
     def test_empty_filter_fpr_is_zero(self):
         assert fpr_analytic(1024, 7, 0) == 0.0
@@ -96,13 +101,13 @@ class TestNeatTable:
     def test_insert_then_lookup(self):
         table = NeatTable(1)
         table.insert(key(1), locator(1, "a"))
-        assert table.lookup_local(key(1)) == locator(1, "a")
+        assert lookup(table, key(1)) == GlobalLookup(locator(1, "a"), 1)
 
     def test_reinsert_overwrites(self):
         table = NeatTable(1)
         table.insert(key(1), locator(1, "old"))
         table.insert(key(1), locator(1, "new"))
-        assert table.lookup_local(key(1)).device_id == "new"
+        assert lookup(table, key(1)).locator.device_id == "new"
         assert len(table) == 1
 
     def test_segment_mismatch(self):
@@ -113,12 +118,10 @@ class TestNeatTable:
     def test_negative_filter_short_circuits_exact_map(self):
         table = NeatTable(1)
         table.insert(key(1), locator(1))
-        before = table.exact_probes
         # find a key the filter rejects
         miss = next(k for k in (key(i) for i in range(2, 5000))
                     if not table.filter.might_contain(k))
-        assert table.lookup_local(miss) is None
-        assert table.exact_probes == before
+        assert lookup(table, miss) == GlobalLookup(None, 0)
 
     def test_false_positive_absorbed_by_exact_map(self):
         # Brute-force search for a key whose bits are coincidentally set
@@ -134,16 +137,14 @@ class TestNeatTable:
                 fp = candidate
                 break
         assert fp is not None, "no false positive found; filter too large for the search"
-        before = table.exact_probes
-        assert table.lookup_local(fp) is None
-        assert table.exact_probes == before + 1
+        assert lookup(table, fp) == GlobalLookup(None, 1)
 
     def test_remove_then_rebuild_clears_key(self):
         table = NeatTable(1)
         table.insert(key(1), locator(1))
         table.remove(key(1))
         table.rebuild_filter()
-        assert table.lookup_local(key(1)) is None
+        assert lookup(table, key(1)) == GlobalLookup(None, 0)
         assert not table.filter.might_contain(key(1))
 
     def test_remove_absent_is_noop(self):
@@ -160,7 +161,7 @@ class TestNeatTable:
         table.rebuild_filter()
         assert table.filter.count == 500
         for i in range(500, 1000):
-            assert table.lookup_local(key(i)) is not None
+            assert lookup(table, key(i)).locator is not None
 
     def test_no_false_negatives_after_random_workload(self):
         rng = random.Random(2)
@@ -179,7 +180,7 @@ class TestNeatTable:
             else:
                 table.rebuild_filter()
         for k in live:
-            assert table.lookup_local(k) is not None
+            assert lookup(table, k).locator is not None
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(("insert", "remove", "rebuild")),

@@ -41,9 +41,11 @@ class TestApplyTopology:
         graph = graph_with([1, 2], [])
         update = TopologyUpdate(links=((1, 2, 1),), origin="ap1")
         graph.apply_topology([(5, update)])
-        graph.apply_topology([(5, update)])
+        # A stale update changes nothing, even one that would change a cost.
+        rival = TopologyUpdate(links=((1, 2, 7),), origin="ap2")
+        graph.apply_topology([(5, update), (5, rival), (4, rival)])
+        assert graph.version == 5
         assert graph.links() == [(1, 2, 1)]
-        assert graph.stale_updates == 1
 
     def test_unknown_segment_rejected_rest_applied(self):
         graph = graph_with([1, 2], [])

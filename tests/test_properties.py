@@ -36,7 +36,7 @@ from overnym.ledger import (
     encode_payload,
     verify_chain,
 )
-from overnym.neat import BloomFilter, NeatTable, NetworkLocator
+from overnym.neat import BloomFilter, NeatTable, NetworkLocator, lookup_global
 from overnym.runner import run_scenario
 from overnym.scenario import ParseError, ValidationError, parse_scenario
 from overnym.session import HandshakeMessage, RotationNotice
@@ -137,7 +137,7 @@ def test_neat_table_live_keys_survive_workload(data):
         else:
             table.rebuild_filter()
     for key in live:
-        assert table.lookup_local(key) is not None
+        assert lookup_global({1: table}, key).locator is not None
 
 
 @settings(max_examples=40, deadline=None)

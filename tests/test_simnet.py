@@ -53,7 +53,7 @@ class TestEventOrder:
         # One tick holding timers, a fault arm and a delivery runs them in
         # the order they were scheduled, whatever their kind.
         sim, a, _ = two_node_sim()
-        sim.links.set_latency("a", "b", 5)
+        sim.links.add_delay("a", "b", 4)
         a.handle = lambda payload, now: sim.trace.emit(
             "handled", now, what=payload.tag if isinstance(payload, Timer) else payload.message)
         sim.schedule(5, "a", Timer("first"))
@@ -156,8 +156,8 @@ event_top = event_actions(st.lists(event_mid | event_leaf, max_size=3).map(tuple
 def test_events_run_in_reference_time_seq_order(actions, crash_at, ab_latency, bc_latency):
     sim = Simulator(7)
     nodes = {name: sim.add_node(Recorder(name)) for name in "abc"}
-    sim.links.set_latency("a", "b", ab_latency)
-    sim.links.set_latency("b", "c", bc_latency)
+    sim.links.add_delay("a", "b", ab_latency - 1)
+    sim.links.add_delay("b", "c", bc_latency - 1)
     plans = {}
 
     # The reference: every accepted schedule call, keyed by (time, call
@@ -246,8 +246,9 @@ class TestLinks:
 
     def test_latency_floor_is_one(self):
         links = LinkModel()
-        with pytest.raises(ValueError):
-            links.set_latency("a", "b", 0)
+        links.add_delay("a", "b", -5)
+        assert links.link("a", "b") == (1, 0.0)
+        assert links.link("b", "a") == (1, 0.0)
 
     def test_full_drop_kills_all_deliveries(self):
         sim, a, b = two_node_sim()
@@ -514,11 +515,7 @@ class ReferenceLinks:
     probability were read in one call."""
 
     def __init__(self):
-        self.latency_of, self.extra, self.drop = {}, {}, {}
-
-    def set_latency(self, src, dst, latency):
-        self.latency_of[(src, dst)] = latency
-        self.latency_of[(dst, src)] = latency
+        self.extra, self.drop = {}, {}
 
     def add_delay(self, src, dst, extra):
         for pair in ((src, dst), (dst, src)):
@@ -531,8 +528,7 @@ class ReferenceLinks:
     def latency(self, src, dst):
         if src == dst:
             return 0
-        base = self.latency_of.get((src, dst), 1)
-        return max(1, base + self.extra.get((src, dst), 0))
+        return max(1, 1 + self.extra.get((src, dst), 0))
 
     def drop_probability(self, src, dst):
         return self.drop.get((src, dst), 0.0)
@@ -540,7 +536,6 @@ class ReferenceLinks:
 
 link_names = st.sampled_from(["a", "b", "c"])
 link_steps = st.one_of(
-    st.tuples(st.just("set_latency"), link_names, link_names, st.integers(1, 6)),
     st.tuples(st.just("add_delay"), link_names, link_names, st.integers(-3, 4)),
     st.tuples(st.just("set_drop"), link_names, link_names, st.sampled_from([0.0, 0.3, 0.7, 1.0])),
     st.tuples(st.just("send"), link_names, link_names),
