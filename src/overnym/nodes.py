@@ -34,7 +34,7 @@ from .session import (
     ServerHandshake,
     Session,
 )
-from .simnet import Delivery, Node, Simulator, Timer
+from .simnet import Delivery, Node, Simulator, Timer, new_tuple
 from .wire import WireError
 
 # A session end's heartbeat timer fires every period, but it sends a
@@ -129,7 +129,8 @@ class SubmitTx:
 class Envelope(NamedTuple):
     """Data-plane wrapper forwarded hop by hop along an access-point
     route; origin_time is when the originator sent it, for end-to-end
-    latency. A NamedTuple, because every hop builds one."""
+    latency. A NamedTuple, because every hop builds one: the forward and
+    in-session paths build it with simnet.new_tuple, every field given."""
 
     route: tuple[str, ...]
     hop: int
@@ -369,14 +370,13 @@ class AccessPointNode(ProtocolNode):
             self.world.graph.apply_topology(updates)
 
     def on_routed(self, envelope: Envelope, now: int) -> None:
-        if envelope.hop + 1 < len(envelope.route):
-            nxt = envelope.route[envelope.hop + 1]
-            self.sim.send(self.name, nxt, Envelope(
-                envelope.route, envelope.hop + 1, envelope.src, envelope.dst,
-                envelope.inner, envelope.origin_time, envelope.route_cost,
-            ))
+        route, hop, src, dst, inner, origin_time, route_cost = envelope
+        hop += 1
+        if hop < len(route):
+            self.sim.send(self.name, route[hop], new_tuple(
+                Envelope, (route, hop, src, dst, inner, origin_time, route_cost)))
         else:
-            self.sim.send(self.name, envelope.dst, envelope)
+            self.sim.send(self.name, dst, envelope)
 
     def on_message(self, src, message, now, sent_at):
         if isinstance(message, BindRequest):
@@ -456,6 +456,23 @@ class AccessPointNode(ProtocolNode):
         self.sim.send(self.name, client, ConnectRefused(request.server_key, reason))
 
 
+class _Held:
+    """What a session end keeps per held session besides the Session: its
+    peer, the route hops its messages take, its heartbeat timer and
+    message (built once when the session opens, sent and rescheduled as
+    they are every period), and the tick of its last in-session send or
+    queued send."""
+
+    __slots__ = ("peer", "hops", "timer", "beat", "last_sent")
+
+    def __init__(self, sess: Session, peer: str):
+        self.peer = peer
+        self.hops = sess.route.hops
+        self.timer = Timer("heartbeat", sess.session_id)
+        self.beat = Heartbeat(sess.session_id)
+        self.last_sent: int | None = None
+
+
 class _SessionEnd(ProtocolNode):
     """Session-endpoint behavior shared by users and app servers. Each
     session holds the route its messages take.
@@ -474,17 +491,12 @@ class _SessionEnd(ProtocolNode):
         super().__init__(name, segment, world)
         self.access_point = access_point
         self.sessions: dict[bytes, Session] = {}
-        self.peers: dict[bytes, str] = {}
-        # Per session, its heartbeat timer and message: built once when the
-        # session opens, sent and rescheduled as they are every period.
-        self.heartbeats: dict[bytes, tuple[Timer, Heartbeat]] = {}
-        # Per session, the tick of its last in-session send or queued send.
-        self.last_sent: dict[bytes, int] = {}
+        self.held: dict[bytes, _Held] = {}
 
     def session_with(self, peer: str) -> Session | None:
-        for session_id, device in self.peers.items():
-            if device == peer:
-                return self.sessions.get(session_id)
+        for session_id, held in self.held.items():
+            if held.peer == peer:
+                return self.sessions[session_id]
         return None
 
     def _bind(self, subject: bytes) -> None:
@@ -496,18 +508,18 @@ class _SessionEnd(ProtocolNode):
         self.sim.send(self.name, route[0],
                       Envelope(route, 0, self.name, dst, inner, self.sim.now, cost))
 
-    def send_in_session(self, session_id: bytes, message: Any) -> None:
-        self.last_sent[session_id] = self.sim.now
-        self.send_routed(self.sessions[session_id].route.hops, self.peers[session_id], message)
+    def send_in_session(self, held: _Held, message: Any) -> None:
+        """Send message to the peer of a held session, along its route."""
+        now = held.last_sent = self.sim.now
+        self.sim.send(self.name, held.hops[0], new_tuple(
+            Envelope, (held.hops, 0, self.name, held.peer, message, now, 0)))
 
     def adopt_session(self, sess: Session, peer: str, now: int) -> None:
         """Open an established session with peer and start its heartbeats."""
+        held = self.held[sess.session_id] = _Held(sess, peer)
         self.sessions[sess.session_id] = sess
-        self.peers[sess.session_id] = peer
         session.heartbeat(sess, now)
-        timer = Timer("heartbeat", sess.session_id)
-        self.heartbeats[sess.session_id] = (timer, Heartbeat(sess.session_id))
-        self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, timer)
+        self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, held.timer)
         self.sim.trace.emit(
             "handshake", now, phase="established", node=self.name,
             session=sess.session_id.hex()[:16], key_check=sess.key_check().hex(),
@@ -517,14 +529,13 @@ class _SessionEnd(ProtocolNode):
         self.sim.trace.emit("handshake-failed", now, node=self.name, phase=phase, reason=reason)
 
     def on_timer(self, tag, data, now):
-        if tag == "heartbeat":
-            sess = self.sessions.get(data)
-            if sess is None or now > self.world.horizon:
-                return
-            timer, beat = self.heartbeats[data]
-            if self.last_sent.get(data) != now:
-                self.send_in_session(data, beat)
-            self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, timer)
+        # Heartbeat timers exist only for held sessions, and nothing
+        # removes a held session.
+        if tag == "heartbeat" and now <= self.world.horizon:
+            held = self.held[data]
+            if held.last_sent != now:
+                self.send_in_session(held, held.beat)
+            self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, held.timer)
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
         sess = self.sessions.get(session_id)
@@ -577,13 +588,14 @@ class UserNode(_SessionEnd):
         if sess is None:
             self.sim.trace.emit("payload-skip", now, node=self.name, reason="no-session")
             return
+        held = self.held[sess.session_id]
         for _ in range(count):
             seq = self.next_seq.get(sess.session_id, 0)
             self.next_seq[sess.session_id] = seq + 1
             body = b"payload-" + str(seq).encode()
             tag = session.message_tag(sess.key, seq, body)
             self.world.metrics.payloads_sent += 1
-            self.send_in_session(sess.session_id, AppPayload(sess.session_id, seq, body, tag))
+            self.send_in_session(held, AppPayload(sess.session_id, seq, body, tag))
 
     def do_rotate(self, now: int) -> None:
         """Advance the epoch: register and bind the new chain address,
@@ -609,7 +621,7 @@ class UserNode(_SessionEnd):
             if new_appid is None:
                 continue
             notice = session.make_rotation_notice(sess, self.secret, new_bcadd, new_appid)
-            self.send_in_session(session_id, RotationEnvelope(session_id, notice))
+            self.send_in_session(self.held[session_id], RotationEnvelope(session_id, notice))
             # The sender switches at once, to the chain address it derived:
             # the notice is its own, so it has nothing to verify.
             session.switch_session(sess, notice, new_bcadd)
@@ -629,9 +641,12 @@ class UserNode(_SessionEnd):
         elif isinstance(message, Heartbeat):
             self.on_heartbeat(message.session_id, now, sent_at)
         elif isinstance(message, PayloadReceipt):
+            # Only a receipt for a held session counts, as liveness and
+            # as payloads answered.
             sess = self.sessions.get(message.session_id)
-            if sess is not None:
-                session.heartbeat(sess, now)
+            if sess is None:
+                return
+            session.heartbeat(sess, now)
             accepted = sum(1 for _, ok, _ in message.results if ok)
             self.world.metrics.payloads_accepted += accepted
             self.world.metrics.payloads_denied += len(message.results) - accepted
@@ -724,7 +739,8 @@ class AppServerNode(_SessionEnd):
         if tag == "flush-receipts":
             receipts, self.receipts = self.receipts, {}
             for session_id, results in receipts.items():
-                self.send_in_session(session_id, PayloadReceipt(session_id, tuple(results)))
+                self.send_in_session(self.held[session_id],
+                                     PayloadReceipt(session_id, tuple(results)))
         else:
             super().on_timer(tag, data, now)
 
@@ -739,7 +755,7 @@ class AppServerNode(_SessionEnd):
             if not self.receipts:
                 self.sim.schedule(now, self.name, _FLUSH_RECEIPTS)
             results = self.receipts[session_id] = []
-            self.last_sent[session_id] = now
+            self.held[session_id].last_sent = now
         results.append((seq, accepted, reason))
 
     def _handle_hello(self, message: HandshakeMessage, envelope: Envelope, now: int) -> None:

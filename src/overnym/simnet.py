@@ -53,11 +53,18 @@ class StepCapExceeded(Exception):
 
 class Delivery(NamedTuple):
     """A message as it arrives: who sent it and when. A NamedTuple,
-    because every send builds one."""
+    because every send builds one; send builds it with new_tuple."""
 
     src: str
     message: Any
     sent_at: int
+
+
+# tuple.__new__, which a NamedTuple's generated __new__ calls with its
+# fields. The per-hop paths (Simulator.send, and the Envelopes nodes
+# build) call it directly, as new_tuple(Delivery, (src, message,
+# sent_at)) with every field given, and skip that Python-level call.
+new_tuple = tuple.__new__
 
 
 @dataclass(frozen=True)
@@ -240,7 +247,11 @@ class Trace:
 
 class LinkModel:
     """Per-ordered-pair extra delay and drop probability. Distinct nodes
-    are 1 tick apart plus their extra delay, and never less than 1."""
+    are 1 tick apart plus their extra delay, and never less than 1.
+
+    Until add_delay or set_drop first runs, both rule maps are empty:
+    every link is 1 tick (0 to itself) and drops nothing. Simulator.send
+    reads the two maps and, while both are empty, does not call link."""
 
     def __init__(self):
         self._extra: dict[tuple[str, str], int] = {}
@@ -248,8 +259,6 @@ class LinkModel:
 
     def link(self, src: str, dst: str) -> tuple[int, float]:
         """(latency, drop probability) of the ordered pair src -> dst."""
-        if not (self._extra or self._drop):
-            return (0 if src == dst else 1), 0.0
         pair = (src, dst)
         drop = self._drop.get(pair, 0.0)
         if src == dst:
@@ -343,7 +352,12 @@ class Simulator:
         self.schedule(time, _CONTROL, fn)
 
     def send(self, src: str, dst: str, message: Any, note: str | None = None) -> None:
-        """Send over the link model: latency, drop draw, trace record.
+        """Send over the link model: trace record, latency, drop draw.
+
+        While the link model has no rule (neither add_delay nor set_drop
+        has run), latency is 1, or 0 to itself, and there is no drop draw,
+        so LinkModel.link is not called; after that, every send asks it.
+        Either way the delivery is queued through schedule.
 
         A send with a note goes through Trace.emit; without one, through
         Trace.emit_send. No caller in this package passes a note, but the
@@ -357,11 +371,15 @@ class Simulator:
             self.trace.emit("send", now, src=src, dst=dst, msg=kind, note=note)
         else:
             self.trace.emit_send(now, src, dst, kind)
-        latency, drop_p = self.links.link(src, dst)
-        if drop_p > 0.0 and self._link_rng(src, dst).random() < drop_p:
-            self.trace.emit("drop", now, src=src, dst=dst, msg=kind)
-            return
-        self.schedule(now + latency, dst, Delivery(src, message, now))
+        links = self.links
+        if links._extra or links._drop:
+            latency, drop_p = links.link(src, dst)
+            if drop_p > 0.0 and self._link_rng(src, dst).random() < drop_p:
+                self.trace.emit("drop", now, src=src, dst=dst, msg=kind)
+                return
+        else:
+            latency = 0 if src == dst else 1
+        self.schedule(now + latency, dst, new_tuple(Delivery, (src, message, now)))
 
     def run_until_idle(self) -> Trace:
         """Drain the queue in (time, schedule order) order. Raises

@@ -172,3 +172,19 @@ def test_bursts_rotation_and_denials_keep_every_end_heard():
     for (device, _), ticks in in_session_sends(sends).items():
         if device == "ann":
             assert ticks[24] and not any(isinstance(m, Heartbeat) for m in ticks[24])
+
+
+def test_a_server_that_crashes_with_a_receipt_pending_never_sends_it():
+    # The crash, moved to the tick the payloads arrive in, runs after them
+    # but before the tick's receipt flush.
+    text = (ROOT / "scenarios" / "crash_server.scn").read_text()
+    built, sends = run_recorded(text.replace("at 26 fault", "at 25 fault"))
+    trace = built.sim.trace
+    assert [(r["time"], r["seq"], r["accepted"]) for r in trace.find("payload")] == [
+        (25, 0, True), (25, 1, True)]
+    assert [r["time"] for r in trace.find("fault", fault="crash-node")] == [25]
+    receipts = [t for t, src, _, m in sends
+                if src == "relay" and isinstance(m, Envelope) and isinstance(m.inner, PayloadReceipt)]
+    assert receipts == []
+    metrics = built.world.metrics
+    assert (metrics.payloads_sent, metrics.payloads_accepted, metrics.payloads_denied) == (2, 0, 0)

@@ -19,6 +19,7 @@ from overnym.nodes import (
     ConnectRequest,
     Envelope,
     HandshakeEnvelope,
+    PayloadReceipt,
     SubmitTx,
     UnbindRequest,
 )
@@ -281,6 +282,15 @@ class TestLivenessFromTraffic:
         assert (metrics.payloads_sent, metrics.payloads_accepted, metrics.payloads_denied) == (2, 2, 0)
         # The receipt is the client's news of the server.
         assert user.session_with("s").status.last_heartbeat > receipt["time"]
+
+    def test_a_receipt_for_a_session_the_user_does_not_hold_counts_nothing(self):
+        built, user, server = connected()
+        heard = user.session_with("s").status.last_heartbeat
+        built.sim.send("ap", "u", PayloadReceipt(bytes(16), ((0, True, "ok"), (1, False, "replay"))))
+        built.sim.run_until_idle()
+        metrics = built.world.metrics
+        assert (metrics.payloads_accepted, metrics.payloads_denied) == (0, 0)
+        assert user.session_with("s").status.last_heartbeat == heard
 
 
 class TestRotatingSender:

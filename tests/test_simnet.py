@@ -313,6 +313,43 @@ class TestFaults:
         assert sim.trace.find("drop", src="a", dst="b")
 
 
+class CountingSimulator(Simulator):
+    """Notes each schedule call, which the benchmark counts as events."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.scheduled = 0
+
+    def schedule(self, time, target, payload):
+        self.scheduled += 1
+        super().schedule(time, target, payload)
+
+
+def test_every_queued_event_enters_through_schedule():
+    sim, ran = CountingSimulator(1), []
+    sim.add_node(Recorder("a"))
+    sim.add_node(Recorder("b"))
+    # Each step and the number of events it queues.
+    steps = [
+        (lambda: sim.send("a", "b", "no rule yet"), 1),
+        (lambda: sim.send("a", "a", "to itself"), 1),
+        (lambda: sim.schedule(3, "a", Timer("tick")), 1),
+        (lambda: sim.call_at(2, lambda: ran.append(sim.now)), 1),
+        (lambda: sim.links.add_delay("a", "b", 2), 0),
+        (lambda: sim.send("a", "b", "delayed"), 1),
+        (lambda: sim.links.set_drop("b", "a", 1.0), 0),
+        (lambda: sim.send("b", "a", "dropped"), 0),
+    ]
+    for step, events in steps:
+        before = (sim.scheduled, sum(len(bucket) for bucket in sim._buckets.values()))
+        step()
+        after = (sim.scheduled, sum(len(bucket) for bucket in sim._buckets.values()))
+        assert (after[0] - before[0], after[1] - before[1]) == (events, events)
+    sim.run_until_idle()
+    assert ran == [2]
+    assert len(sim.nodes["a"].log) + len(sim.nodes["b"].log) + len(ran) == sim.scheduled == 5
+
+
 class TestRngAndTrace:
     def test_per_node_streams_independent_of_additions(self):
         draws = {}
@@ -544,6 +581,12 @@ link_steps = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32), st.lists(link_steps, max_size=30))
+# Sends only: no rule is ever set.
+@example(7, [("send", "a", "b"), ("send", "b", "b"), ("send", "c", "a"), ("send", "a", "b")])
+# A rule set between two sends on the same pair, then a drop rule.
+@example(7, [("send", "a", "b"), ("add_delay", "a", "b", 2), ("send", "a", "b"),
+             ("send", "b", "a"), ("send", "c", "c"), ("set_drop", "b", "c", 0.7),
+             ("send", "b", "c"), ("send", "c", "b"), ("send", "c", "a")])
 def test_send_matches_reference_link_rules(seed, steps):
     sim = Simulator(seed)
     nodes = {name: sim.add_node(Recorder(name)) for name in "abc"}
