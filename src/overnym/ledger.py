@@ -12,6 +12,7 @@ updates, and token ownership, nothing bulkier.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -24,6 +25,15 @@ MAX_PAYLOAD_BYTES = 4096
 REGISTRATION_KINDS = ("overlay-node", "user", "app-server", "legacy-aaa")
 
 CHAIN_MAGIC = b"OVNCHAIN1"
+
+# Fixed-width field groups, each read with one Reader.unpack.
+_DIGEST = f"{DIGEST_SIZE}s"
+_SUBJECT_AND_LENGTH = struct.Struct(f">{_DIGEST}I")  # subject | u32 key length
+_EPOCH_AND_COUNT = struct.Struct(">QI")  # u64 epoch | u32 access-control count
+_THREE_U64 = struct.Struct(">QQQ")  # an association's segment, epoch, seq; a link
+_TOKEN_OWNER_SEQ = struct.Struct(f">{_DIGEST}{_DIGEST}Q")
+_ENTRY_HEAD = struct.Struct(f">Q{_DIGEST}I")  # u64 seq | prev_hash | u32 payload length
+_ENTRY_HASHES = struct.Struct(f">{_DIGEST}{_DIGEST}")  # payload_hash | entry_hash
 
 
 class InvalidTx(Exception):
@@ -75,7 +85,7 @@ class RegistrationTx:
             pack_str(self.kind)
             + self.subject
             + pack_bytes(self.public_key)
-            + u64(self.epoch)
+            + pack_u64(self.epoch)
             + acl
             + pack_u8(1 if self.open_access else 0)
         )
@@ -83,11 +93,11 @@ class RegistrationTx:
     @classmethod
     def read(cls, r: Reader) -> "RegistrationTx":
         kind = r.str_()
-        subject = r.take(DIGEST_SIZE)
-        public_key = r.bytes_()
-        epoch = r.u64()
+        subject, key_length = r.unpack(_SUBJECT_AND_LENGTH)
+        public_key = r.take(key_length)
+        epoch, acl_count = r.unpack(_EPOCH_AND_COUNT)
         acl: list[bytes | str] = []
-        for _ in range(r.u32()):
+        for _ in range(acl_count):
             tag = r.u8()
             if tag == 0:
                 acl.append(r.take(DIGEST_SIZE))
@@ -127,19 +137,15 @@ class AssociationRecord:
             self.subject
             + pack_str(self.attachment)
             + pack_u64(self.segment)
-            + u64(self.epoch)
-            + u64(self.seq)
+            + pack_u64(self.epoch)
+            + pack_u64(self.seq)
         )
 
     @classmethod
     def read(cls, r: Reader) -> "AssociationRecord":
-        return cls(
-            subject=r.take(DIGEST_SIZE),
-            attachment=r.str_(),
-            segment=r.u64(),
-            epoch=r.u64(),
-            seq=r.u64(),
-        )
+        subject = r.take(DIGEST_SIZE)
+        attachment = r.str_()
+        return cls(subject, attachment, *r.unpack(_THREE_U64))
 
 
 @dataclass(frozen=True)
@@ -164,8 +170,8 @@ class TopologyUpdate:
 
     @classmethod
     def read(cls, r: Reader) -> "TopologyUpdate":
-        links = tuple((r.u64(), r.u64(), r.u64()) for _ in range(r.u32()))
-        return cls(links=links, origin=r.str_())
+        links = tuple(r.unpack(_THREE_U64) for _ in range(r.u32()))
+        return cls(links, r.str_())
 
 
 @dataclass(frozen=True)
@@ -184,11 +190,11 @@ class NftOwnership:
             raise InvalidTx("owner must be 32 bytes")
 
     def to_bytes(self) -> bytes:
-        return self.token_id + self.owner + u64(self.seq)
+        return self.token_id + self.owner + pack_u64(self.seq)
 
     @classmethod
     def read(cls, r: Reader) -> "NftOwnership":
-        return cls(token_id=r.take(DIGEST_SIZE), owner=r.take(DIGEST_SIZE), seq=r.u64())
+        return cls(*r.unpack(_TOKEN_OWNER_SEQ))
 
 
 Payload = RegistrationTx | AssociationRecord | TopologyUpdate | NftOwnership
@@ -258,13 +264,15 @@ def _entry_bytes(entry: LedgerEntry, payload_frame: bytes) -> bytes:
 
 
 def _read_entry(r: Reader) -> tuple[LedgerEntry, bytes]:
-    """Decodes one entry in place; returns it with its payload's frame,
-    ``bytes(payload)``, as carried."""
-    seq = r.u64()
-    prev_hash = r.take(32)
-    payload, payload_frame = r.framed(_read_payload)
-    payload_hash = r.take(32)
-    entry_hash = r.take(32)
+    """Decodes one entry in place, its fixed-width fields in two groups;
+    returns it with its payload's frame, ``bytes(payload)``, as carried."""
+    seq, prev_hash, length = r.unpack(_ENTRY_HEAD)
+    start = r.pos
+    payload = _read_payload(r)
+    if r.pos - start != length:
+        raise WireError("payload length prefix does not match its content")
+    payload_frame = r.since(start - 4)  # its u32 length prefix included
+    payload_hash, entry_hash = r.unpack(_ENTRY_HASHES)
     return LedgerEntry(seq, prev_hash, payload, payload_hash, entry_hash), payload_frame
 
 
@@ -287,7 +295,7 @@ def _payload_bytes(entry: LedgerEntry) -> bytes:
     ValueError if the payload cannot be encoded."""
     try:
         return encode_payload(entry.payload)
-    except (InvalidTx, TypeError, AttributeError, OverflowError) as exc:
+    except (InvalidTx, TypeError, AttributeError) as exc:
         raise ValueError(f"entry {entry.seq} cannot be encoded: {exc}") from None
 
 
@@ -500,9 +508,15 @@ class Ledger:
         if r.take(len(CHAIN_MAGIC)) != CHAIN_MAGIC:
             raise ValueError("not a chain export")
         ledger = cls()
-        for _ in range(r.u32()):
-            (entry, payload_frame), record = r.framed(_read_entry)
-            _check_link(entry, payload_frame[4:], len(ledger._entries), ledger._head_hash())
-            ledger._add(entry, payload_frame, record)
+        prev = GENESIS_PREV
+        for seq in range(r.u32()):
+            start = r.pos
+            end = start + 4 + r.u32()
+            entry, payload_frame = _read_entry(r)
+            if r.pos != end:
+                raise WireError("entry length prefix does not match its content")
+            _check_link(entry, payload_frame[4:], seq, prev)
+            ledger._add(entry, payload_frame, r.since(start))
+            prev = entry.entry_hash
         r.expect_end()
         return ledger

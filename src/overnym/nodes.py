@@ -492,12 +492,14 @@ class _SessionEnd(ProtocolNode):
         self.access_point = access_point
         self.sessions: dict[bytes, Session] = {}
         self.held: dict[bytes, _Held] = {}
+        # peer -> id of the first session adopted with it, which stays
+        # held: nothing removes a held session
+        self._first_with: dict[str, bytes] = {}
 
     def session_with(self, peer: str) -> Session | None:
-        for session_id, held in self.held.items():
-            if held.peer == peer:
-                return self.sessions[session_id]
-        return None
+        """The first session this end adopted with peer, if any."""
+        session_id = self._first_with.get(peer)
+        return None if session_id is None else self.sessions[session_id]
 
     def _bind(self, subject: bytes) -> None:
         locator = NetworkLocator(device_id=self.name, port=9000, segment=self.segment)
@@ -518,6 +520,7 @@ class _SessionEnd(ProtocolNode):
         """Open an established session with peer and start its heartbeats."""
         held = self.held[sess.session_id] = _Held(sess, peer)
         self.sessions[sess.session_id] = sess
+        self._first_with.setdefault(peer, sess.session_id)
         session.heartbeat(sess, now)
         self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, held.timer)
         self.sim.trace.emit(

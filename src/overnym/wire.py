@@ -11,7 +11,9 @@ Rules (cross-replica hash agreement depends on these):
 Decoding is strict: trailing bytes, truncation, or out-of-range values
 raise WireError. A flag byte is 0 or 1, so every value has exactly one
 encoding and re-encoding a decoded value gives back the bytes it came
-from.
+from. Reader.unpack reads a run of fixed-width fields (a ``struct``
+layout) as one group with one bounds check; u32 and u64 are its
+one-field cases.
 """
 
 from __future__ import annotations
@@ -49,7 +51,11 @@ def pack_bytes(data: bytes) -> bytes:
 
 
 def pack_str(text: str) -> bytes:
-    return pack_bytes(text.encode("utf-8"))
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
+        raise WireError(f"not encodable as utf-8: {exc}") from None
+    return pack_bytes(data)
 
 
 class Reader:
@@ -57,28 +63,29 @@ class Reader:
 
     A bytes input is read in place; any other buffer (bytearray,
     memoryview) is copied first, so a later change to it cannot reach a
-    decoded value.
+    decoded value. pos is the offset of the next byte to read: callers
+    read it, and only the read methods move it.
     """
 
     def __init__(self, data: bytes):
         self._data = data if type(data) is bytes else bytes(data)
-        self._pos = 0
+        self.pos = 0
 
     def take(self, n: int) -> bytes:
-        start = self._pos
+        start = self.pos
         end = start + n
         if n < 0 or end > len(self._data):
             raise WireError("truncated buffer")
-        self._pos = end
+        self.pos = end
         return self._data[start:end]
 
     def u8(self) -> int:
-        pos = self._pos
+        pos = self.pos
         try:
             value = self._data[pos]
         except IndexError:
             raise WireError("truncated buffer") from None
-        self._pos = pos + 1
+        self.pos = pos + 1
         return value
 
     def flag(self) -> bool:
@@ -88,23 +95,27 @@ class Reader:
         return value == 1
 
     def u32(self) -> int:
-        return self._unpack(_U32)
+        return self.unpack(_U32)[0]
 
     def u64(self) -> int:
-        return self._unpack(_U64)
+        return self.unpack(_U64)[0]
 
-    def _unpack(self, fmt: struct.Struct) -> int:
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        """Reads the fixed-width fields of fmt, a big-endian layout with
+        no padding, as one group: their values in order, a ``Ns`` field
+        as N bytes."""
         # unpack_from reads in place and makes the one bounds check
-        pos = self._pos
+        pos = self.pos
         try:
-            (value,) = fmt.unpack_from(self._data, pos)
+            values = fmt.unpack_from(self._data, pos)
         except struct.error:
             raise WireError("truncated buffer") from None
-        self._pos = pos + fmt.size
-        return value
+        self.pos = pos + fmt.size
+        return values
 
     def bytes_(self) -> bytes:
-        return self.take(self.u32())
+        (length,) = self.unpack(_U32)
+        return self.take(length)
 
     def str_(self) -> str:
         raw = self.bytes_()
@@ -113,19 +124,12 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise WireError(f"invalid utf-8: {exc}") from None
 
-    def framed(self, read):
-        """Decodes ``bytes(x)`` in place: ``read(self)`` must consume
-        exactly the length the u32 prefix gives. Returns read's value and
-        the frame as carried, prefix included."""
-        start = self._pos
-        end = start + 4 + self.u32()
-        value = read(self)
-        if self._pos != end:
-            raise WireError("length prefix does not match its content")
-        return value, self._data[start:end]
+    def since(self, start: int) -> bytes:
+        """The bytes from offset start up to pos, as carried."""
+        return self._data[start:self.pos]
 
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return len(self._data) - self.pos
 
     def expect_end(self) -> None:
         if self.remaining():

@@ -1,10 +1,13 @@
 import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from overnym.identity import derive_bcadd
 from overnym.ledger import (
+    CHAIN_MAGIC,
     AssociationRecord,
     GENESIS_PREV,
     InvalidTx,
@@ -16,8 +19,15 @@ from overnym.ledger import (
     make_entry,
     verify_chain,
 )
+from overnym.runner import _schedule_actions, build_simulation
+from overnym.scenario import parse_scenario
+from overnym.wire import WireError, pack_bytes, pack_u32
 
 from conftest import make_secret
+
+ROOT = Path(__file__).parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def reg(index: int, **extra) -> RegistrationTx:
@@ -69,6 +79,27 @@ def with_app_servers(ledger: Ledger) -> Ledger:
     return ledger
 
 
+# One field of each payload kind that has no encoding: an integer out
+# of its u64 range, or a string with no UTF-8 form.
+UNENCODABLE = [
+    reg(9, epoch=1 << 64),
+    reg(9, epoch=-1),
+    AssociationRecord(subject=bytes(32), attachment="ap", segment=0, epoch=1 << 64),
+    AssociationRecord(subject=bytes(32), attachment="ap", segment=0, seq=-1),
+    NftOwnership(token_id=bytes(32), owner=bytes(32), seq=1 << 64),
+    NftOwnership(token_id=bytes(32), owner=bytes(32), seq=-1),
+    TopologyUpdate(links=((1, 2, 1 << 64),), origin="ap"),
+    reg(9, kind="app-server", access_control=("\ud800",)),
+    AssociationRecord(subject=bytes(32), attachment="\ud800", segment=0),
+    TopologyUpdate(links=((1, 2, 1),), origin="\ud800"),
+]
+UNENCODABLE_IDS = ["registration epoch 2^64", "registration epoch -1",
+                   "association epoch 2^64", "association seq -1",
+                   "nft seq 2^64", "nft seq -1", "topology cost 2^64",
+                   "registration server surrogate", "association attachment surrogate",
+                   "topology origin surrogate"]
+
+
 class TestSubmit:
     def test_valid_user_registration_gets_receipt(self):
         ledger = Ledger()
@@ -111,6 +142,15 @@ class TestSubmit:
         tx = RegistrationTx(kind="user", subject=b"short", public_key=b"")
         with pytest.raises(InvalidTx):
             ledger.submit(tx, submitter="u", at_time=0, nonce=b"q" * 16)
+
+    @pytest.mark.parametrize("payload", UNENCODABLE, ids=UNENCODABLE_IDS)
+    def test_an_unencodable_field_is_refused_and_queues_nothing(self, payload):
+        ledger = Ledger()
+        with pytest.raises((WireError, InvalidTx)):
+            ledger.submit(payload, submitter="u", at_time=0, nonce=b"q" * 16)
+        # the nonce is not spent: a valid write under it still commits
+        ledger.submit(reg(8), submitter="u", at_time=0, nonce=b"q" * 16)
+        assert [entry.payload for entry in ledger.commit_round()] == [reg(8)]
 
 
 class TestCommitRound:
@@ -206,6 +246,61 @@ class TestVerifyChain:
             bent[position] ^= 1 << rng.randrange(8)
             with pytest.raises(ValueError):
                 Ledger.import_chain(bytes(bent))
+
+
+def scenario_ledger(text: str) -> Ledger:
+    """The sequencer's ledger after a run of the scenario text."""
+    sc = parse_scenario(text)
+    built = build_simulation(sc)
+    _schedule_actions(built, sc)
+    built.sim.run_until_idle()
+    return built.world.ledger
+
+
+# Small sizes, so each run takes well under a second.
+WORKLOAD_SIZES = {"handshake_storm": 40, "wide_overlay": 24, "session_stream": 6,
+                  "rotation_churn": 8}
+CHAINS = {f"fixture {path.stem}": path.read_text()
+          for path in sorted((ROOT / "scenarios").glob("*.scn"))}
+CHAINS.update({f"workload {name}": workloads.generate(name, 1, size)
+               for name, size in WORKLOAD_SIZES.items()})
+
+
+class TestImportChain:
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_a_replica_of_a_run_chain_equals_its_primary(self, name):
+        primary = scenario_ledger(CHAINS[name])
+        assert primary.entries
+        blob = primary.export_chain()
+        replica = Ledger.import_chain(blob)
+        assert replica.entries == primary.entries
+        assert replica.export_chain() == blob
+        assert replica.state_hash() == primary.state_hash()
+
+    def test_an_entry_whose_hashes_recompute_but_that_does_not_link_is_refused(self):
+        primary = filled_ledger(5)
+        entries = list(primary.entries)
+        entries[3] = make_entry(3, b"\xff" * 32, entries[3].payload)
+        blob = b"".join([CHAIN_MAGIC, pack_u32(len(entries)),
+                         *(pack_bytes(entry.to_bytes()) for entry in entries)])
+        with pytest.raises(ValueError, match="does not extend the chain at 3"):
+            Ledger.import_chain(blob)
+
+    def test_every_cut_of_a_chain_and_of_an_entry_is_refused(self):
+        ledger = with_app_servers(mixed_ledger(4))
+        assert {type(entry.payload) for entry in ledger.entries} == {
+            RegistrationTx, AssociationRecord, TopologyUpdate, NftOwnership}
+        blob = ledger.export_chain()
+        for cut in range(len(blob)):
+            with pytest.raises(ValueError):
+                Ledger.import_chain(blob[:cut])
+        # A cut inside an entry's head, its payload's fixed-width groups,
+        # its variable fields or its hashes is a short read.
+        for entry in ledger.entries:
+            data = entry.to_bytes()
+            for cut in range(len(data)):
+                with pytest.raises(WireError, match="truncated"):
+                    LedgerEntry.from_bytes(data[:cut])
 
 
 class TestQueries:

@@ -154,6 +154,25 @@ def test_every_held_session_keeps_its_key(text):
     assert [name for name, sess in held if sess.key is None] == []
 
 
+# BURSTS with a second session from ann to echo.
+RECONNECT = BURSTS.replace("at 24 rotate ann\n", "at 22 connect ann echo\nat 24 rotate ann\n")
+
+
+@pytest.mark.parametrize("text", [path.read_text() for path in FIXTURES] + [BURSTS, RECONNECT],
+                         ids=[path.stem for path in FIXTURES] + ["bursts", "reconnect"])
+def test_session_with_gives_the_first_session_held_with_a_peer(text):
+    built, _ = run_recorded(text)
+    if text is RECONNECT:
+        peers = [held.peer for held in built.users["ann"].held.values()]
+        assert peers.count("echo") == 2
+    for end in [*built.users.values(), *built.servers.values()]:
+        first = {}
+        for session_id, held in end.held.items():
+            first.setdefault(held.peer, end.sessions[session_id])
+        for peer in [*built.users, *built.servers]:
+            assert end.session_with(peer) is first.get(peer)
+
+
 def test_bursts_rotation_and_denials_keep_every_end_heard():
     built, sends = run_recorded(BURSTS)
     assert len(built.sim.trace.find("handshake", phase="established")) == 6

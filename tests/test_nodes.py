@@ -9,7 +9,7 @@ import pytest
 from overnym import identity, session
 from overnym.hashing import owf
 from overnym.identity import ServiceProps, derive_appid, make_linkage_proof
-from overnym.ledger import RegistrationTx
+from overnym.ledger import NftOwnership, RegistrationTx, TopologyUpdate
 from overnym.neat import NetworkLocator
 from overnym.nodes import (
     AccessPointNode,
@@ -152,6 +152,22 @@ class TestSequencer:
         self.submit(built, RegistrationTx(kind="bogus", subject=bytes(32), public_key=b""))
         refused = built.sim.trace.find("tx-refused")
         assert len(refused) == 1 and "unknown registration kind" in refused[0]["reason"]
+
+    @pytest.mark.parametrize("payload, reason", [
+        (NftOwnership(token_id=bytes(32), owner=bytes(32), seq=1 << 64), "u64 out of range"),
+        (TopologyUpdate(links=((1, 2, 1),), origin="\ud800"), "not encodable as utf-8"),
+    ], ids=["seq 2^64", "surrogate origin"])
+    def test_an_unencodable_write_is_refused_and_the_run_goes_on(self, payload, reason):
+        built = settled()
+        user = built.users["u"]
+        built.sim.send("u", "seq", SubmitTx(payload=payload, nonce=b"x" * 16))
+        user.do_register(built.sim.now)
+        built.sim.run_until_idle()
+        refused = built.sim.trace.find("tx-refused")
+        assert len(refused) == 1 and reason in refused[0]["reason"]
+        ledger = built.world.ledger
+        ledger.commit_round()  # the scripted commit ticks are over
+        assert ledger.query_registration(user.bcadd.address) is not None
 
     def test_unrelated_error_propagates(self):
         class Broken(RegistrationTx):

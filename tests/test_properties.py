@@ -4,6 +4,7 @@ decoders refuse arbitrary bytes only with ValueError, every value has
 one encoding, and a scenario the parser accepts runs without raising."""
 
 import random
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,13 +57,21 @@ def test_wire_round_trip(blob, text, number):
     r.expect_end()
 
 
-@pytest.mark.parametrize("pack, read", [(pack_u8, Reader.u8), (pack_u32, Reader.u32),
-                                        (pack_u64, Reader.u64)])
-def test_an_int_reads_at_its_offset_and_a_truncated_one_raises_wire_error(pack, read):
-    encoded = pack(0x8A)
+ENTRY_HEAD = struct.Struct(">Q32sI")
+
+
+@pytest.mark.parametrize("encoded, read, value", [
+    (pack_u8(0x8A), Reader.u8, 0x8A),
+    (pack_u32(0x8A), Reader.u32, 0x8A),
+    (pack_u64(0x8A), Reader.u64, 0x8A),
+    (ENTRY_HEAD.pack(0x8A, bytes(range(32)), 7), lambda r: r.unpack(ENTRY_HEAD),
+     (0x8A, bytes(range(32)), 7)),
+], ids=["u8", "u32", "u64", "unpack"])
+def test_a_fixed_width_read_takes_its_offset_and_a_truncated_one_raises_wire_error(
+        encoded, read, value):
     reader = Reader(b"\x07" + encoded)
     assert reader.u8() == 7
-    assert read(reader) == 0x8A
+    assert read(reader) == value
     reader.expect_end()
     for cut in range(len(encoded)):
         for data in (encoded[:cut], b"\x07" + encoded[:cut]):
