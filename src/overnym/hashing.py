@@ -6,7 +6,9 @@ preimage. One primitive, domain-separated by an ASCII tag, keeps the
 whole system auditable against a single set of test vectors.
 
 Preimage layouts are part of the wire contract and are documented in
-docs/wire-format.md.
+docs/wire-format.md. Their integers are written by wire.pack_u32 and
+wire.pack_u64, the package's one integer encoder, which refuses a value
+out of range with WireError; this module defines none of its own.
 """
 
 from __future__ import annotations
@@ -50,10 +52,3 @@ def owf(tag: bytes, *parts: bytes) -> bytes:
         h.update(part)
     return h.digest()
 
-
-def u32(value: int) -> bytes:
-    return value.to_bytes(4, "big")
-
-
-def u64(value: int) -> bytes:
-    return value.to_bytes(8, "big")

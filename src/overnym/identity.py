@@ -40,9 +40,8 @@ from .hashing import (
     TAG_REGULATOR,
     TAG_SIGKEY,
     owf,
-    u64,
 )
-from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8
+from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u64
 
 SEED_SIZE = 32
 NONCE_SIZE = 16
@@ -63,7 +62,7 @@ class Refused(Exception):
 
 
 def _signing_key(seed: bytes, epoch: int) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(owf(TAG_SIGKEY, seed, u64(epoch)))
+    return Ed25519PrivateKey.from_private_bytes(owf(TAG_SIGKEY, seed, pack_u64(epoch)))
 
 
 @dataclass(frozen=True)
@@ -102,7 +101,7 @@ class BCADD:
 
     def to_bytes(self) -> bytes:
         # address(32) | epoch u64 | public_key length-prefixed
-        return self.address + u64(self.epoch) + pack_bytes(self.public_key)
+        return self.address + pack_u64(self.epoch) + pack_bytes(self.public_key)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BCADD":
@@ -146,7 +145,7 @@ class APPID:
     epoch: int
 
     def to_bytes(self) -> bytes:
-        return self.id + self.service.to_bytes() + u64(self.epoch)
+        return self.id + self.service.to_bytes() + pack_u64(self.epoch)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "APPID":
@@ -261,7 +260,7 @@ class AttributeAttestation:
         return (
             pack_bytes(self.predicate.to_bytes())
             + self.subject
-            + u64(self.epoch)
+            + pack_u64(self.epoch)
             + pack_bytes(self.regulator_signature)
         )
 
@@ -290,7 +289,7 @@ def _epoch_key(secret: IdentitySecret, epoch: int) -> tuple[BCADD, Ed25519Privat
         raise ValueError("epoch must be non-negative")
     key = _signing_key(secret.seed, epoch)
     bcadd = BCADD(
-        address=owf(TAG_BCADD, secret.seed, u64(epoch)),
+        address=owf(TAG_BCADD, secret.seed, pack_u64(epoch)),
         epoch=epoch,
         public_key=key.public_key().public_bytes_raw(),
     )
@@ -313,7 +312,7 @@ def _require_own_bcadd(secret: IdentitySecret, bcadd: BCADD) -> Ed25519PrivateKe
 
 
 def appid_digest(address: bytes, service: ServiceProps, epoch: int) -> bytes:
-    return owf(TAG_APPID, address, service.to_bytes(), u64(epoch))
+    return owf(TAG_APPID, address, service.to_bytes(), pack_u64(epoch))
 
 
 def _derives_from(appid: APPID, bcadd: BCADD) -> bool:
@@ -334,7 +333,7 @@ def derive_appid(secret: IdentitySecret, bcadd: BCADD, service: ServiceProps) ->
 
 
 def _linkage_message(address: bytes, appid_id: bytes, epoch: int, nonce: bytes) -> bytes:
-    return TAG_LINKAGE + address + appid_id + u64(epoch) + nonce
+    return TAG_LINKAGE + address + appid_id + pack_u64(epoch) + nonce
 
 
 def make_linkage_proof(
@@ -444,7 +443,7 @@ class Regulator:
 
 
 def _attestation_message(predicate: Predicate, subject: bytes, epoch: int) -> bytes:
-    return TAG_ATTEST + pack_bytes(predicate.to_bytes()) + subject + u64(epoch)
+    return TAG_ATTEST + pack_bytes(predicate.to_bytes()) + subject + pack_u64(epoch)
 
 
 def verify_attestation(attestation: AttributeAttestation, regulator_public_key: bytes) -> bool:

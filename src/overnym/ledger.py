@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
-from .hashing import DIGEST_SIZE, TAG_ENTRY, TAG_LEDGER_STATE, TAG_PAYLOAD, owf, u64
+from .hashing import DIGEST_SIZE, TAG_ENTRY, TAG_LEDGER_STATE, TAG_PAYLOAD, owf
 from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
 
 GENESIS_PREV = bytes(DIGEST_SIZE)
@@ -259,7 +259,7 @@ class LedgerEntry:
 
 def _entry_bytes(entry: LedgerEntry, payload_frame: bytes) -> bytes:
     """The entry's encoding, given its payload as ``bytes(payload)``."""
-    return b"".join((u64(entry.seq), entry.prev_hash, payload_frame,
+    return b"".join((pack_u64(entry.seq), entry.prev_hash, payload_frame,
                      entry.payload_hash, entry.entry_hash))
 
 
@@ -277,7 +277,7 @@ def _read_entry(r: Reader) -> tuple[LedgerEntry, bytes]:
 
 
 def _entry_hash(seq: int, prev_hash: bytes, payload_hash: bytes) -> bytes:
-    return owf(TAG_ENTRY, u64(seq), prev_hash, payload_hash)
+    return owf(TAG_ENTRY, pack_u64(seq), prev_hash, payload_hash)
 
 
 def _new_entry(seq: int, prev_hash: bytes, payload: Payload, encoded: bytes) -> LedgerEntry:
@@ -442,18 +442,18 @@ class Ledger:
         self._records.append(record)
         payload, seq = entry.payload, entry.seq
         if isinstance(payload, RegistrationTx):
-            self._registrations[payload.subject] = (seq, payload, u64(seq) + payload_frame)
+            self._registrations[payload.subject] = (seq, payload, pack_u64(seq) + payload_frame)
         elif isinstance(payload, AssociationRecord):
             # The live record is the payload with the entry's seq, its
             # last field: the frame with its last 8 bytes replaced.
             self._associations[payload.subject] = (
-                seq, payload, payload_frame[:-8] + u64(seq))
+                seq, payload, payload_frame[:-8] + pack_u64(seq))
         elif isinstance(payload, NftOwnership):
             self._owners[payload.token_id] = (
-                seq, payload.owner, payload.token_id + u64(seq) + payload.owner)
+                seq, payload.owner, payload.token_id + pack_u64(seq) + payload.owner)
         elif isinstance(payload, TopologyUpdate):
             self._topology.append((seq, payload))
-            self._topology_parts.append(u64(seq) + payload_frame)
+            self._topology_parts.append(pack_u64(seq) + payload_frame)
 
     # -- read path ----------------------------------------------------------
 

@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
-from .hashing import DIGEST_SIZE, TAG_BLOOM, owf, u32
-from .wire import WireError
+from .hashing import DIGEST_SIZE, TAG_BLOOM, owf
+from .wire import WireError, pack_u32
 
 DEFAULT_TARGET_FPR = 0.01
 
@@ -91,7 +91,7 @@ class BloomFilter:
 
     def positions(self, key: bytes) -> list[int]:
         return [
-            int.from_bytes(owf(TAG_BLOOM, u32(i), key)[:8], "big") % self.m
+            int.from_bytes(owf(TAG_BLOOM, pack_u32(i), key)[:8], "big") % self.m
             for i in range(self.k)
         ]
 

@@ -34,8 +34,8 @@ from .session import (
     ServerHandshake,
     Session,
 )
-from .simnet import Delivery, Node, Simulator, Timer, new_tuple
-from .wire import WireError
+from .simnet import Delivery, Node, Simulator, Timer, UnknownTarget, new_tuple
+from .wire import WireError, pack_u64
 
 # A session end's heartbeat timer fires every period, but it sends a
 # Heartbeat only if the end has sent, or queued, no other in-session
@@ -243,7 +243,7 @@ class ProtocolNode(Node):
 
     def submit_tx(self, payload: Any) -> None:
         self._tx_counter += 1
-        nonce = owf(b"txnonce:", self.name.encode(), self._tx_counter.to_bytes(8, "big"))[:16]
+        nonce = owf(b"txnonce:", self.name.encode(), pack_u64(self._tx_counter))[:16]
         self.sim.send(self.name, self.world.sequencer, SubmitTx(payload=payload, nonce=nonce))
 
     def _register(self, kind: str, subject: bytes | None = None, **access: Any) -> None:
@@ -321,7 +321,11 @@ class RegulatorNode(ProtocolNode):
 
     def on_message(self, src, message, now, sent_at):
         if isinstance(message, RegisterAttributes):
-            self.regulator.register(message.subject, message.attributes)
+            try:
+                self.regulator.register(message.subject, message.attributes)
+            except ValueError as exc:  # refused, traced, dropped
+                self.sim.trace.emit("attributes-refused", now, submitter=src, reason=str(exc))
+                return
             self.sim.trace.emit("attributes-registered", now,
                                 subject=message.subject.hex()[:16],
                                 count=len(message.attributes))
@@ -372,11 +376,16 @@ class AccessPointNode(ProtocolNode):
     def on_routed(self, envelope: Envelope, now: int) -> None:
         route, hop, src, dst, inner, origin_time, route_cost = envelope
         hop += 1
-        if hop < len(route):
-            self.sim.send(self.name, route[hop], new_tuple(
-                Envelope, (route, hop, src, dst, inner, origin_time, route_cost)))
-        else:
-            self.sim.send(self.name, dst, envelope)
+        # The sender wrote the route and dst: one naming no node is dropped.
+        try:
+            if hop < len(route):
+                self.sim.send(self.name, route[hop], new_tuple(
+                    Envelope, (route, hop, src, dst, inner, origin_time, route_cost)))
+            else:
+                self.sim.send(self.name, dst, envelope)
+        except UnknownTarget as exc:
+            self.sim.trace.emit("envelope-dropped", now, router=self.name,
+                                target=str(exc), reason="unknown-node")
 
     def on_message(self, src, message, now, sent_at):
         if isinstance(message, BindRequest):
@@ -402,7 +411,7 @@ class AccessPointNode(ProtocolNode):
         table = self._table()
         try:
             table.insert(message.subject, message.locator)
-        except neat.SegmentMismatch as exc:
+        except (neat.SegmentMismatch, ValueError) as exc:
             self.sim.trace.emit("neat-bind-refused", now, segment=self.segment, reason=str(exc))
             return
         self.sim.trace.emit("neat-bind", now, segment=self.segment,
@@ -457,20 +466,23 @@ class AccessPointNode(ProtocolNode):
 
 
 class _Held:
-    """What a session end keeps per held session besides the Session: its
-    peer, the route hops its messages take, its heartbeat timer and
-    message (built once when the session opens, sent and rescheduled as
-    they are every period), and the tick of its last in-session send or
-    queued send."""
+    """All a session end keeps per held session: the Session, its peer and
+    route hops, its heartbeat timer (which carries this record) and message,
+    built once and sent and rescheduled every period, the tick of its last
+    in-session send or queued send, a user's next payload seq and a
+    server's payload results queued this tick for one receipt."""
 
-    __slots__ = ("peer", "hops", "timer", "beat", "last_sent")
+    __slots__ = ("session", "peer", "hops", "timer", "beat", "last_sent", "next_seq", "results")
 
     def __init__(self, sess: Session, peer: str):
+        self.session = sess
         self.peer = peer
         self.hops = sess.route.hops
-        self.timer = Timer("heartbeat", sess.session_id)
+        self.timer = Timer("heartbeat", self)
         self.beat = Heartbeat(sess.session_id)
         self.last_sent: int | None = None
+        self.next_seq = 0
+        self.results: list[tuple[int, bool, str]] = []
 
 
 class _SessionEnd(ProtocolNode):
@@ -490,16 +502,15 @@ class _SessionEnd(ProtocolNode):
     def __init__(self, name: str, segment: int, world: World, access_point: str):
         super().__init__(name, segment, world)
         self.access_point = access_point
-        self.sessions: dict[bytes, Session] = {}
         self.held: dict[bytes, _Held] = {}
-        # peer -> id of the first session adopted with it, which stays
-        # held: nothing removes a held session
-        self._first_with: dict[str, bytes] = {}
+        # peer -> the first session adopted with it, which stays held:
+        # nothing removes a held session
+        self._first_with: dict[str, _Held] = {}
 
     def session_with(self, peer: str) -> Session | None:
         """The first session this end adopted with peer, if any."""
-        session_id = self._first_with.get(peer)
-        return None if session_id is None else self.sessions[session_id]
+        held = self._first_with.get(peer)
+        return None if held is None else held.session
 
     def _bind(self, subject: bytes) -> None:
         locator = NetworkLocator(device_id=self.name, port=9000, segment=self.segment)
@@ -519,8 +530,7 @@ class _SessionEnd(ProtocolNode):
     def adopt_session(self, sess: Session, peer: str, now: int) -> None:
         """Open an established session with peer and start its heartbeats."""
         held = self.held[sess.session_id] = _Held(sess, peer)
-        self.sessions[sess.session_id] = sess
-        self._first_with.setdefault(peer, sess.session_id)
+        self._first_with.setdefault(peer, held)
         session.heartbeat(sess, now)
         self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, held.timer)
         self.sim.trace.emit(
@@ -532,18 +542,18 @@ class _SessionEnd(ProtocolNode):
         self.sim.trace.emit("handshake-failed", now, node=self.name, phase=phase, reason=reason)
 
     def on_timer(self, tag, data, now):
-        # Heartbeat timers exist only for held sessions, and nothing
-        # removes a held session.
+        # A heartbeat timer carries its held session's record.
         if tag == "heartbeat" and now <= self.world.horizon:
-            held = self.held[data]
+            held = data
             if held.last_sent != now:
                 self.send_in_session(held, held.beat)
             self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, held.timer)
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
-        sess = self.sessions.get(session_id)
-        if sess is None:
+        held = self.held.get(session_id)
+        if held is None:
             return
+        sess = held.session
         session.heartbeat(sess, now)
         session.record_delivery(sess, now - sent_at)
 
@@ -559,7 +569,6 @@ class UserNode(_SessionEnd):
         # Handshakes in flight: server key -> (service id, machine, server
         # device); the machine and device arrive with the router's grant.
         self.pending: dict[bytes, tuple[str, ClientHandshake | None, str]] = {}
-        self.next_seq: dict[bytes, int] = {}
 
     # -- scripted actions -----------------------------------------------------
 
@@ -587,14 +596,14 @@ class UserNode(_SessionEnd):
         ))
 
     def do_send_payloads(self, server: str, count: int, now: int) -> None:
-        sess = self.session_with(server)
-        if sess is None:
+        held = self._first_with.get(server)
+        if held is None:
             self.sim.trace.emit("payload-skip", now, node=self.name, reason="no-session")
             return
-        held = self.held[sess.session_id]
+        sess = held.session
         for _ in range(count):
-            seq = self.next_seq.get(sess.session_id, 0)
-            self.next_seq[sess.session_id] = seq + 1
+            seq = held.next_seq
+            held.next_seq = seq + 1
             body = b"payload-" + str(seq).encode()
             tag = session.message_tag(sess.key, seq, body)
             self.world.metrics.payloads_sent += 1
@@ -619,12 +628,13 @@ class UserNode(_SessionEnd):
         self.sim.send(self.name, self.access_point, UnbindRequest(subject=old_bcadd.address))
         self._bind(new_bcadd.address)
         self.appids.update(by_service)
-        for session_id, sess in self.sessions.items():
+        for session_id, held in self.held.items():
+            sess = held.session
             new_appid = by_service.get(sess.client_appid.service.service_id)
             if new_appid is None:
                 continue
             notice = session.make_rotation_notice(sess, self.secret, new_bcadd, new_appid)
-            self.send_in_session(self.held[session_id], RotationEnvelope(session_id, notice))
+            self.send_in_session(held, RotationEnvelope(session_id, notice))
             # The sender switches at once, to the chain address it derived:
             # the notice is its own, so it has nothing to verify.
             session.switch_session(sess, notice, new_bcadd)
@@ -646,10 +656,10 @@ class UserNode(_SessionEnd):
         elif isinstance(message, PayloadReceipt):
             # Only a receipt for a held session counts, as liveness and
             # as payloads answered.
-            sess = self.sessions.get(message.session_id)
-            if sess is None:
+            held = self.held.get(message.session_id)
+            if held is None:
                 return
-            session.heartbeat(sess, now)
+            session.heartbeat(held.session, now)
             accepted = sum(1 for _, ok, _ in message.results if ok)
             self.world.metrics.payloads_accepted += accepted
             self.world.metrics.payloads_denied += len(message.results) - accepted
@@ -699,9 +709,10 @@ class AppServerNode(_SessionEnd):
         self.service = ServiceProps(service_id)
         # Handshakes in flight: client APPID id -> (machine, client device).
         self.pending: dict[bytes, tuple[ServerHandshake, str]] = {}
-        # This tick's payload results per session, sent as one receipt each
-        # once the tick's other events are done, heartbeat timers included.
-        self.receipts: dict[bytes, list[tuple[int, bool, str]]] = {}
+        # The held sessions with payload results queued this tick, each
+        # answered with one receipt once the tick's other events are done,
+        # heartbeat timers included.
+        self._unanswered: list[_Held] = []
 
     def attach(self, sim: Simulator) -> None:
         super().attach(sim)
@@ -740,26 +751,25 @@ class AppServerNode(_SessionEnd):
 
     def on_timer(self, tag, data, now):
         if tag == "flush-receipts":
-            receipts, self.receipts = self.receipts, {}
-            for session_id, results in receipts.items():
-                self.send_in_session(self.held[session_id],
-                                     PayloadReceipt(session_id, tuple(results)))
+            unanswered, self._unanswered = self._unanswered, []
+            for held in unanswered:
+                results, held.results = held.results, []
+                self.send_in_session(held, PayloadReceipt(held.session.session_id, tuple(results)))
         else:
             super().on_timer(tag, data, now)
 
-    def _queue_receipt(self, session_id: bytes, seq: int, accepted: bool,
+    def _queue_receipt(self, held: _Held, seq: int, accepted: bool,
                        reason: str, now: int) -> None:
         """Queue a payload's result for the tick's receipt to its session.
         A queued receipt counts as sent, so the session's heartbeat timer
         sends nothing if it fires later in the tick; the flush itself runs
         after the tick's heartbeat timers."""
-        results = self.receipts.get(session_id)
-        if results is None:
-            if not self.receipts:
+        if not held.results:
+            if not self._unanswered:
                 self.sim.schedule(now, self.name, _FLUSH_RECEIPTS)
-            results = self.receipts[session_id] = []
-            self.held[session_id].last_sent = now
-        results.append((seq, accepted, reason))
+            self._unanswered.append(held)
+            held.last_sent = now
+        held.results.append((seq, accepted, reason))
 
     def _handle_hello(self, message: HandshakeMessage, envelope: Envelope, now: int) -> None:
         creds = PeerCredentials(self.secret, self.bcadd, self.appid)
@@ -801,9 +811,10 @@ class AppServerNode(_SessionEnd):
         return decision
 
     def _handle_payload(self, payload: AppPayload, now: int, sent_at: int) -> None:
-        sess = self.sessions.get(payload.session_id)
-        if sess is None:
+        held = self.held.get(payload.session_id)
+        if held is None:
             return
+        sess = held.session
         if not session.verify_message(sess, payload.seq, payload.body, payload.tag):
             refused = "bad-tag"
         elif payload.seq <= sess.highest_seq:
@@ -816,18 +827,19 @@ class AppServerNode(_SessionEnd):
         if refused is not None:
             self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq,
                                 accepted=False, reason=refused)
-            self._queue_receipt(payload.session_id, payload.seq, False, refused, now)
+            self._queue_receipt(held, payload.seq, False, refused, now)
             return
         sess.payloads_accepted += 1
         sess.highest_seq = payload.seq
         session.record_delivery(sess, now - sent_at)
         self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq, accepted=True)
-        self._queue_receipt(payload.session_id, payload.seq, True, "ok", now)
+        self._queue_receipt(held, payload.seq, True, "ok", now)
 
     def _handle_rotation(self, envelope: RotationEnvelope, now: int) -> None:
-        sess = self.sessions.get(envelope.session_id)
-        if sess is None:
+        held = self.held.get(envelope.session_id)
+        if held is None:
             return
+        sess = held.session
         try:
             session.rotate_session(sess, envelope.notice)
         except session.ContinuityRejected as exc:

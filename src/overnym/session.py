@@ -39,8 +39,6 @@ from .hashing import (
     TAG_SESSION_KEY,
     TAG_TRANSCRIPT,
     owf,
-    u32,
-    u64,
 )
 from .identity import (
     APPID,
@@ -53,7 +51,7 @@ from .identity import (
 )
 from .ledger import Ledger
 from .overlay import RoutePath
-from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8
+from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
 
 # A peer is alive while its last accepted in-session message is at most
 # this many ticks old.
@@ -503,7 +501,7 @@ class RotationNotice:
 
 
 def rotation_nonce(session_id: bytes, rotation_index: int) -> bytes:
-    return owf(TAG_ROT_NONCE, session_id, u32(rotation_index))[:NONCE_SIZE]
+    return owf(TAG_ROT_NONCE, session_id, pack_u32(rotation_index))[:NONCE_SIZE]
 
 
 def rotation_tag(key: bytes, body: bytes) -> bytes:
@@ -571,15 +569,20 @@ def switch_session(session: Session, notice: RotationNotice, new_bcadd: BCADD) -
 
 def message_tag(key: bytes, seq: int, payload: bytes) -> bytes:
     """Authentication tag for an in-session application message."""
-    return owf(TAG_MSG_AUTH, key, u64(seq), payload)[:16]
+    return owf(TAG_MSG_AUTH, key, pack_u64(seq), payload)[:16]
 
 
 def verify_message(session: Session, seq: int, payload: bytes, tag: bytes) -> bool:
     """True iff the tag was computed under the session's current key; a
-    tag made with a superseded (pre-rotation) key fails."""
+    tag made with a superseded (pre-rotation) key fails, and so does a seq
+    outside the u64 range."""
     if session.key is None:
         return False
-    return hmac.compare_digest(message_tag(session.key, seq, payload), tag)
+    try:
+        expected = message_tag(session.key, seq, payload)
+    except WireError:
+        return False
+    return hmac.compare_digest(expected, tag)
 
 
 def heartbeat(session: Session, now: int) -> ServiceStatus:

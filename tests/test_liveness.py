@@ -149,7 +149,7 @@ def test_every_held_session_keeps_its_key(text):
     # simulator closes one, so every session they hold keeps a key.
     built, _ = run_recorded(text)
     ends = [*built.users.values(), *built.servers.values()]
-    held = [(end.name, sess) for end in ends for sess in end.sessions.values()]
+    held = [(end.name, held.session) for end in ends for held in end.held.values()]
     assert len(held) == len(built.sim.trace.find("handshake", phase="established"))
     assert [name for name, sess in held if sess.key is None] == []
 
@@ -167,8 +167,8 @@ def test_session_with_gives_the_first_session_held_with_a_peer(text):
         assert peers.count("echo") == 2
     for end in [*built.users.values(), *built.servers.values()]:
         first = {}
-        for session_id, held in end.held.items():
-            first.setdefault(held.peer, end.sessions[session_id])
+        for held in end.held.values():
+            first.setdefault(held.peer, held.session)
         for peer in [*built.users, *built.servers]:
             assert end.session_with(peer) is first.get(peer)
 

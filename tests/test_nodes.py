@@ -19,7 +19,9 @@ from overnym.nodes import (
     ConnectRequest,
     Envelope,
     HandshakeEnvelope,
+    Heartbeat,
     PayloadReceipt,
+    RegisterAttributes,
     SubmitTx,
     UnbindRequest,
 )
@@ -269,15 +271,21 @@ class TestLivenessFromTraffic:
     """Only an authenticated in-session message refreshes a session's
     liveness; a receipt answers every payload of its tick."""
 
-    def test_a_payload_with_a_bad_tag_refreshes_nothing(self):
+    # A seq outside u64 has no tag at all: it too is refused as bad-tag,
+    # and the run goes on.
+    @pytest.mark.parametrize("seq", [0, -1, 1 << 64], ids=["0", "-1", "2^64"])
+    def test_a_payload_with_a_bad_tag_refreshes_nothing(self, seq):
         built, user, server = connected()
         sess = server.session_with("u")
         heard = sess.status.last_heartbeat
-        deliver_at_server(built, AppPayload(sess.session_id, 0, b"forged", bytes(16)))
+        deliver_at_server(built, AppPayload(sess.session_id, seq, b"forged", bytes(16)))
         (record,) = built.sim.trace.find("payload", node="s")
-        assert (record["accepted"], record["reason"]) == (False, "bad-tag")
+        assert (record["seq"], record["accepted"], record["reason"]) == (seq, False, "bad-tag")
         assert heard < record["time"]
         assert sess.status.last_heartbeat == heard
+        user.do_send_payloads("s", 1, built.sim.now)
+        built.sim.run_until_idle()
+        assert len(built.sim.trace.find("payload", node="s", accepted=True)) == 1
 
     def test_an_authentic_payload_denied_access_refreshes_liveness(self):
         built, user, server = connected(gated=True)
@@ -471,3 +479,63 @@ node seq sequencer 1
         for name, router in built.routers.items():
             pushed = {1, 2} - {router.segment}
             assert router.remote_filters == {s: tables[s].snapshot() for s in pushed}
+
+
+class TestAnOutOfRangeValueIsRefusedNotRaised:
+    """A message with a value out of its range is refused where the value
+    enters, with a traced reason, and the run goes on: the network, not
+    only an honest peer, writes the messages a node handles."""
+
+    def test_a_connect_with_an_epoch_past_u64_is_a_bad_proof(self):
+        built = settled()
+        user, server = built.users["u"], built.servers["s"]
+        appid = derive_appid(user.secret, user.bcadd, ServiceProps("echo"))
+        nonce = b"n" * 16
+        proof = make_linkage_proof(user.secret, user.bcadd, appid, nonce)
+        record = connect(built, nonce,
+                         credentials=(replace(user.bcadd, epoch=1 << 64), appid, proof))
+        assert (record["decision"], record["reason"]) == (False, "bad-proof")
+        assert built.world.metrics.admissions_rejected == {"bad-proof": 1}
+        # The refusal used up nothing: the honest request with that nonce goes through.
+        assert connect(built, nonce)["decision"] is True
+
+    # A payload whose seq is outside u64: TestLivenessFromTraffic.
+    def bind_after(self, built, message, dst):
+        """Deliver message to dst, then a good bind to the router in the
+        same tick; run. The good bind is traced only if the run went on."""
+        sim = built.sim
+        locator = NetworkLocator(device_id="u", port=9000, segment=1)
+        sim.schedule(sim.now + 1, dst, Delivery("u", message, sim.now))
+        sim.schedule(sim.now + 1, "ap", Delivery("u", BindRequest(b"b" * 32, locator), sim.now))
+        sim.run_until_idle()
+        assert len(sim.trace.find("neat-bind", key=(b"b" * 32).hex()[:16])) == 1
+
+    def test_a_bind_of_a_subject_not_32_bytes_is_refused(self):
+        built = settled()
+        binds = len(built.sim.trace.find("neat-bind"))
+        locator = NetworkLocator(device_id="u", port=9000, segment=1)
+        self.bind_after(built, BindRequest(b"b" * 24, locator), "ap")
+        (refused,) = built.sim.trace.find("neat-bind-refused")
+        assert (refused["segment"], refused["reason"]) == (1, "keys are 32 bytes")
+        assert len(built.sim.trace.find("neat-bind")) == binds + 1
+        assert b"b" * 24 not in built.world.tables[1].keys()
+
+    def test_a_registration_of_a_subject_not_32_bytes_is_refused(self):
+        text = SCENARIO.replace("node u user 1", "node reg regulator 1\nnode u user 1")
+        built = settled(text=text)
+        self.bind_after(built, RegisterAttributes(b"r" * 7, {"age": 30}), "reg")
+        (refused,) = built.sim.trace.find("attributes-refused")
+        assert refused["submitter"] == "u"
+        assert refused["reason"] == "subject must be a 32-byte address"
+        assert built.sim.trace.find("attributes-registered") == []
+
+    @pytest.mark.parametrize("route, dst", [(("ap", "nowhere"), "s"), (("ap",), "nowhere")],
+                             ids=["next hop", "dst"])
+    def test_an_envelope_to_a_name_that_is_no_node_is_dropped(self, route, dst):
+        built = settled()
+        envelope = Envelope(route, 0, "u", dst, Heartbeat(bytes(16)), built.sim.now)
+        self.bind_after(built, envelope, "ap")
+        (dropped,) = built.sim.trace.find("envelope-dropped")
+        assert dropped == {"kind": "envelope-dropped", "time": dropped["time"],
+                           "router": "ap", "target": "nowhere", "reason": "unknown-node"}
+        assert built.sim.trace.find("send", src="ap", dst="nowhere") == []

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overnym import identity, ledger, session
 from overnym.identity import (
     APPID,
     BCADD,
@@ -55,6 +56,30 @@ def test_wire_round_trip(blob, text, number):
     assert r.str_() == text
     assert r.u64() == number
     r.expect_end()
+
+
+# Every preimage builder with an integer field, as (call with that
+# integer, its width in bits). Each encodes it with wire.pack_u*.
+PREIMAGE_BUILDERS = {
+    "_linkage_message": (
+        lambda n: identity._linkage_message(bytes(32), bytes(32), n, bytes(16)), 64),
+    "appid_digest": (lambda n: identity.appid_digest(bytes(32), ServiceProps("echo"), n), 64),
+    "message_tag": (lambda n: session.message_tag(bytes(32), n, b"body"), 64),
+    "rotation_nonce": (lambda n: session.rotation_nonce(bytes(16), n), 32),
+    "_entry_hash": (lambda n: ledger._entry_hash(n, bytes(32), bytes(32)), 64),
+}
+
+
+@pytest.mark.parametrize("builder", PREIMAGE_BUILDERS)
+@pytest.mark.parametrize("out_of_range", ["-1", "2^width"])
+def test_a_preimage_integer_out_of_range_raises_wire_error(builder, out_of_range):
+    build, width = PREIMAGE_BUILDERS[builder]
+    build(0)
+    build((1 << width) - 1)
+    value = -1 if out_of_range == "-1" else 1 << width
+    # WireError is a ValueError; OverflowError (int.to_bytes's) is not.
+    with pytest.raises(WireError, match="out of range"):
+        build(value)
 
 
 ENTRY_HEAD = struct.Struct(">Q32sI")
