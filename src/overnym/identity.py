@@ -41,7 +41,7 @@ from .hashing import (
     TAG_SIGKEY,
     owf,
 )
-from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u64
+from .wire import Reader, WireError, pack_bytes, pack_i64, pack_str, pack_u8, pack_u64
 
 SEED_SIZE = 32
 NONCE_SIZE = 16
@@ -217,7 +217,7 @@ class Predicate:
 
     def to_bytes(self) -> bytes:
         if isinstance(self.threshold, int):
-            threshold = pack_u8(0) + self.threshold.to_bytes(8, "big", signed=True)
+            threshold = pack_u8(0) + pack_i64(self.threshold)
         else:
             threshold = pack_u8(1) + pack_str(self.threshold)
         return pack_str(self.attribute) + pack_str(self.comparison) + threshold
@@ -448,7 +448,8 @@ def _attestation_message(predicate: Predicate, subject: bytes, epoch: int) -> by
 
 def verify_attestation(attestation: AttributeAttestation, regulator_public_key: bytes) -> bool:
     """True iff the regulator's signature covers this exact predicate,
-    subject, and epoch. Needs only the regulator public key."""
+    subject, and epoch. Needs only the regulator public key. One that
+    cannot be encoded (a threshold outside i64: WireError) is not valid."""
     try:
         verifier = Ed25519PublicKey.from_public_bytes(regulator_public_key)
         verifier.verify(
@@ -456,5 +457,5 @@ def verify_attestation(attestation: AttributeAttestation, regulator_public_key: 
             _attestation_message(attestation.predicate, attestation.subject, attestation.epoch),
         )
         return True
-    except (InvalidSignature, ValueError, TypeError):
+    except (InvalidSignature, ValueError, TypeError, WireError):
         return False

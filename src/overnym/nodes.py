@@ -37,10 +37,12 @@ from .session import (
 from .simnet import Delivery, Node, Simulator, Timer, UnknownTarget, new_tuple
 from .wire import WireError, pack_u64
 
-# A session end's heartbeat timer fires every period, but it sends a
-# Heartbeat only if the end has sent, or queued, no other in-session
-# message for that session in the tick: any message refreshes liveness.
-HEARTBEAT_PERIOD = 1
+# A session end sends a Heartbeat only after a whole period with no other
+# in-session message for that session: any message refreshes liveness. Its
+# timer is re-armed a period after the last in-session send. The peer's
+# timeout is session.HEARTBEAT_TIMEOUT (5), so it tolerates one lost
+# heartbeat, and two in a row read as not alive.
+HEARTBEAT_PERIOD = 2
 _PUSH_SUMMARY = Timer("push-summary")
 _FLUSH_RECEIPTS = Timer("flush-receipts")
 
@@ -467,18 +469,21 @@ class AccessPointNode(ProtocolNode):
 
 class _Held:
     """All a session end keeps per held session: the Session, its peer and
-    route hops, its heartbeat timer (which carries this record) and message,
-    built once and sent and rescheduled every period, the tick of its last
-    in-session send or queued send, a user's next payload seq and a
-    server's payload results queued this tick for one receipt."""
+    route hops, its two heartbeat timers (each carries this record) and
+    its Heartbeat, each built once, the tick of its last in-session send
+    or queued send, from which the wake timer is re-armed, a user's next
+    payload seq and a server's payload results queued this tick for one
+    receipt."""
 
-    __slots__ = ("session", "peer", "hops", "timer", "beat", "last_sent", "next_seq", "results")
+    __slots__ = ("session", "peer", "hops", "timer", "beat_timer", "beat", "last_sent",
+                 "next_seq", "results")
 
     def __init__(self, sess: Session, peer: str):
         self.session = sess
         self.peer = peer
         self.hops = sess.route.hops
         self.timer = Timer("heartbeat", self)
+        self.beat_timer = Timer("beat", self)
         self.beat = Heartbeat(sess.session_id)
         self.last_sent: int | None = None
         self.next_seq = 0
@@ -494,10 +499,14 @@ class _SessionEnd(ProtocolNode):
     Session.close. So an end tests only whether it holds the session; the
     session module makes the closed-session checks.
 
-    Liveness is the gap since the last accepted in-session message. Each
-    period the heartbeat timer fires, and it sends a Heartbeat only if
-    this end has sent, or queued, no other in-session message for that
-    session in the tick; the peer takes that message as liveness."""
+    Liveness is the gap since the last accepted in-session message. A
+    session's wake timer fires HEARTBEAT_PERIOD ticks after this end's
+    last in-session send (or after the session opens); a busy session's
+    finds a newer send and is re-armed from it. If the end has been silent
+    a whole period, the beat timer runs at the end of the tick and sends
+    a Heartbeat unless the tick's deliveries made the end send, or queue,
+    another in-session message for that session; the peer takes that
+    message as liveness."""
 
     def __init__(self, name: str, segment: int, world: World, access_point: str):
         super().__init__(name, segment, world)
@@ -517,9 +526,15 @@ class _SessionEnd(ProtocolNode):
         self.sim.send(self.name, self.access_point, BindRequest(subject, locator))
 
     def send_routed(self, route: tuple[str, ...], dst: str, inner: Any, cost: int = 0) -> None:
-        """Wrap inner in an Envelope to dst and send it to the route's first hop."""
-        self.sim.send(self.name, route[0],
-                      Envelope(route, 0, self.name, dst, inner, self.sim.now, cost))
+        """Wrap inner in an Envelope to dst and send it to the route's first
+        hop. The route came in a message: one whose first hop names no node
+        is dropped."""
+        now = self.sim.now
+        try:
+            self.sim.send(self.name, route[0], Envelope(route, 0, self.name, dst, inner, now, cost))
+        except UnknownTarget as exc:
+            self.sim.trace.emit("envelope-dropped", now, node=self.name,
+                                target=str(exc), reason="unknown-node")
 
     def send_in_session(self, held: _Held, message: Any) -> None:
         """Send message to the peer of a held session, along its route."""
@@ -542,12 +557,21 @@ class _SessionEnd(ProtocolNode):
         self.sim.trace.emit("handshake-failed", now, node=self.name, phase=phase, reason=reason)
 
     def on_timer(self, tag, data, now):
-        # A heartbeat timer carries its held session's record.
+        # Both heartbeat timers carry their held session's record.
+        held = data
         if tag == "heartbeat" and now <= self.world.horizon:
-            held = data
+            if held.last_sent is None or now - held.last_sent >= HEARTBEAT_PERIOD:
+                # Silent for a period: decide once the deliveries already
+                # queued for this tick have run, so that a reply they cause
+                # stands in for the beat.
+                self.sim.schedule(now, self.name, held.beat_timer)
+                return
+        elif tag == "beat":
             if held.last_sent != now:
                 self.send_in_session(held, held.beat)
-            self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, held.timer)
+        else:
+            return
+        self.sim.schedule(held.last_sent + HEARTBEAT_PERIOD, self.name, held.timer)
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
         held = self.held.get(session_id)

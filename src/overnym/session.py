@@ -314,10 +314,14 @@ class _Handshake:
             raise AuthFailed(phase, f"unexpected phase {message.phase}")
         if message.transcript_hash != self._transcript:
             raise AuthFailed(phase, "transcript-mismatch")
+        try:
+            transcript = _absorb(self._transcript, message)
+        except WireError:  # a field with no canonical encoding
+            raise AuthFailed(phase, "malformed") from None
         self._peer_nonce = message.nonce
         self._peer_share = message.ephemeral_public
         self._peer_appid = message.sender_appid
-        self._transcript = _absorb(self._transcript, message)
+        self._transcript = transcript
 
     def _take_proof(self, message: HandshakeMessage, phase: str) -> None:
         """Accept the peer's response or confirm: a linkage proof for the
@@ -338,6 +342,12 @@ class _Handshake:
         anchored = _anchor(claimed, self._ledger)
         if anchored != ADMIT_OK:
             raise AuthFailed(phase, anchored)
+        # No signature covers these fields, and the messages before fix
+        # them: one that differs would enter this side's transcript, and so
+        # its key, but not the peer's.
+        if (message.nonce != self._peer_nonce or message.ephemeral_public
+                or message.linkage.session_nonce != self._proof_nonce()):
+            raise AuthFailed(phase, "malformed")
         self._peer_bcadd = claimed
         self._transcript = _absorb(self._transcript, message)
 
@@ -537,7 +547,11 @@ def rotate_session(session: Session, notice: RotationNotice) -> Session:
     """
     if session.key is None:
         raise ContinuityRejected("session is closed")
-    expected_tag = rotation_tag(session.key, notice.body_bytes())
+    try:
+        body = notice.body_bytes()
+    except WireError:  # a field with no canonical encoding
+        raise ContinuityRejected("malformed notice") from None
+    expected_tag = rotation_tag(session.key, body)
     if not hmac.compare_digest(notice.auth_tag, expected_tag):
         raise ContinuityRejected("notice was not delivered inside this session")
     nonce = rotation_nonce(session.session_id, session.rotation_count + 1)

@@ -1,7 +1,8 @@
 """Canonical byte encoding shared by every public type.
 
 Rules (cross-replica hash agreement depends on these):
-  - integers are big-endian fixed width (u8 / u32 / u64);
+  - integers are big-endian fixed width (u8 / u32 / u64, and i64 in
+    two's complement for a predicate's threshold);
   - variable-length byte strings carry a u32 big-endian length prefix;
   - strings are UTF-8 and encoded like byte strings;
   - fields appear in the documented order with no padding;
@@ -44,6 +45,12 @@ def pack_u64(value: int) -> bytes:
     if not 0 <= value < 1 << 64:
         raise WireError(f"u64 out of range: {value}")
     return value.to_bytes(8, "big")
+
+
+def pack_i64(value: int) -> bytes:
+    if not -(1 << 63) <= value < 1 << 63:
+        raise WireError(f"i64 out of range: {value}")
+    return value.to_bytes(8, "big", signed=True)
 
 
 def pack_bytes(data: bytes) -> bytes:

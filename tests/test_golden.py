@@ -18,15 +18,15 @@ ROOT = Path(__file__).parent.parent
 
 # fixture -> (trace sha256, metrics.json sha256)
 PINS = {
-    "crash_server": ("7d8dd3afdcfede87d5c23105f59e7c7ee58d52de6da808d0fb101f05d23e6ce6",
+    "crash_server": ("7ee1b18bc98cf3d0865e726496f4c9c2b9048b7b0209c220d5e3b69ec4db08c3",
                      "95af0d311f04446ffb084d7287c851f68dd98f5ee51ef584cfbbf3e54696f76a"),
-    "end_to_end": ("7dca471e5958004dd419870d2069416b1ecc963c4b9f6a4d4396435220482fbc",
+    "end_to_end": ("0953d0166e9a5e1da1536b4a500f39485d180d10a84039e5d96b5a9c4d088f6d",
                    "6a90f9df5012c211aef74e069166ad50070505244ee76dc9ec391c35c70c92d0"),
-    "link_faults": ("f57f5f561715827626fbf78fed310529312eaf4dde2c43471e6cada15aa6a59c",
+    "link_faults": ("df2be6585c907c2d9286e95ce1b672ca5ca39994a5502404a1b1b369520ed71d",
                     "ae9c25754647142b7de8d123ce50d5fa5d85f5bb680110fb7b75ae6363a4fa04"),
     "sequencer_crash": ("0fb40b0def8558e1a02e6d4e4ad1b5615fd7caf6ef801e5ea3c301477a2f350b",
                         "7111d79f58443bbc4042502c2f5852ebd44250ab3bd206c069e783ce9de1729c"),
-    "strict_reject": ("4c470cd7a37cc2611a958f1ddb7b769a93f5131f2da9b3db6d7e14d372612e2e",
+    "strict_reject": ("f1289e1b798f26a9ef1a317cc860ff2cf1557fe839ec3ccabd38d147df0a3601",
                       "1890c93feddaa00f7bcbacc8e0f4fceb6b8f41f9d0648e659d4d5f64e79d8daa"),
 }
 FIXTURES = sorted((ROOT / "scenarios").glob("*.scn"))

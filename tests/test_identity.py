@@ -22,6 +22,7 @@ from overnym.identity import (
     verify_attestation,
     verify_linkage,
 )
+from overnym.wire import WireError
 
 from conftest import make_secret
 from oracles import sha256_oracle, self_check
@@ -194,6 +195,23 @@ class TestAttestation:
         bent = AttributeAttestation(Predicate("age", ">=", 21), att.subject,
                                     att.epoch, att.regulator_signature)
         assert not verify_attestation(bent, regulator.public_key)
+
+    @pytest.mark.parametrize("threshold", [-(1 << 63) - 1, 1 << 63])
+    def test_threshold_outside_i64_is_refused_not_raised(self, regulator, bcadd, threshold):
+        regulator.register(bcadd.address, {"age": 25})
+        att = regulator.issue_attestation(bcadd, Predicate("age", ">=", 18))
+        bent = AttributeAttestation(Predicate("age", ">=", threshold), att.subject,
+                                    att.epoch, att.regulator_signature)
+        with pytest.raises(WireError):
+            bent.predicate.to_bytes()
+        assert verify_attestation(bent, regulator.public_key) is False
+        assert verify_attestation(AttributeAttestation(bent.predicate, bytes(32), 0, bytes(64)),
+                                  bytes(32)) is False
+
+    @pytest.mark.parametrize("threshold", [-(1 << 63), (1 << 63) - 1])
+    def test_threshold_at_the_i64_edges_round_trips(self, threshold):
+        predicate = Predicate("age", "<=", threshold)
+        assert Predicate.from_bytes(predicate.to_bytes()) == predicate
 
     def test_attestation_never_carries_value(self, regulator, bcadd):
         regulator.register(bcadd.address, {"age": 25})

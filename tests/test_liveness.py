@@ -1,10 +1,15 @@
 """No session end goes silent, and none wastes a heartbeat.
 
-A session end's heartbeat timer fires every tick, but it sends a
-Heartbeat only in a tick where the end sends no other in-session message
-for that session: the peer takes any accepted in-session message as
-liveness. A server answers one tick's payloads of a session with one
-receipt, at the end of the tick.
+A session end sends a Heartbeat only after a whole heartbeat period P
+(nodes.HEARTBEAT_PERIOD, 2 ticks) with no other in-session message for
+that session: the peer takes any accepted in-session message as liveness.
+Its timer is re-armed P ticks after the last in-session send, and a beat
+that falls due waits for the end of its tick, so that a message sent
+later in the tick (a server's receipt) stands in for it. A server
+answers one tick's payloads of a session with one receipt, at the end of
+the tick. The peer reads a session alive while its last news is at most
+session.HEARTBEAT_TIMEOUT (5) ticks old, so with P = 2 it tolerates one
+lost heartbeat, and two in a row make it read not-alive.
 
 Send records name only the outer message (Envelope). The run therefore
 records every send's message as it is made, and the check first asserts
@@ -12,11 +17,21 @@ that these sends are, one for one, the trace's send records.
 """
 
 from collections import Counter, defaultdict
+from math import ceil
 from pathlib import Path
 
 import pytest
 
-from overnym.nodes import AppPayload, Envelope, Heartbeat, PayloadReceipt, RotationEnvelope
+from overnym import session
+from overnym.nodes import (
+    HEARTBEAT_PERIOD,
+    AppPayload,
+    Envelope,
+    Heartbeat,
+    PayloadReceipt,
+    RotationEnvelope,
+    UserNode,
+)
 from overnym.runner import _schedule_actions, _schedule_probes, build_simulation
 from overnym.scenario import parse_scenario
 
@@ -67,19 +82,26 @@ expect rotations 2
 """
 
 
-def run_recorded(text):
+def run_recorded(text, lose=None, each_tick=None):
     """Run a scenario; return what it built and each send as
-    (time, src, dst, message), in the order sent."""
+    (time, src, dst, message), in the order sent. A send for which
+    lose(time, src, message) is true is lost at its sender: neither made
+    nor recorded. each_tick(built, now), if given, runs first in every
+    tick up to the horizon."""
     sc = parse_scenario(text)
     built = build_simulation(sc)
     sim, sends = built.sim, []
     send = sim.send
 
     def recorded(src, dst, message, note=None):
-        sends.append((sim.now, src, dst, message))
-        send(src, dst, message, note)
+        if lose is None or not lose(sim.now, src, message):
+            sends.append((sim.now, src, dst, message))
+            send(src, dst, message, note)
 
     sim.send = recorded
+    if each_tick is not None:
+        for tick in range(built.world.horizon + 1):
+            sim.call_at(tick, lambda: each_tick(built, sim.now))
     _schedule_actions(built, sc)
     _schedule_probes(built, sc)
     sim.run_until_idle()
@@ -101,22 +123,31 @@ def in_session_sends(sends):
 
 
 def check_liveness(built, sends):
-    trace, horizon = built.sim.trace, built.world.horizon
+    """Per heartbeat period P: each end of each established session sends
+    in-session at least once in every P ticks from the tick it was
+    established, up to the horizon or its crash; a Heartbeat goes only at
+    exactly P ticks after the end's previous send (or after the session
+    opened), and alone in its tick. At P = 1 that is a send in every
+    tick, with a Heartbeat only in a tick with no other message."""
+    trace, horizon, period = built.sim.trace, built.world.horizon, HEARTBEAT_PERIOD
     crashed_at = {r["node"]: r["time"] for r in trace.find("fault", fault="crash-node")}
     by_end = in_session_sends(sends)
     for record in trace.find("handshake", phase="established"):
         end = (record["node"], record["session"])
-        # The first heartbeat is one period after the session opens. A crash
-        # takes effect at the end of its tick.
+        ticks = sorted({record["time"], *by_end[end]})
+        # A crash takes effect at the end of its tick.
         last = min(horizon, crashed_at.get(end[0], horizon + 1) - 1)
-        silent = [t for t in range(record["time"] + 1, last + 1) if not by_end[end][t]]
-        assert silent == [], f"{end} sent nothing in ticks {silent}"
-
-    for end, ticks in by_end.items():
-        for tick, messages in ticks.items():
-            kinds = Counter(type(m).__name__ for m in messages)
-            assert kinds["Heartbeat"] == 0 or kinds == {"Heartbeat": 1}, (end, tick, kinds)
+        upto = [t for t in ticks if t <= last]
+        gaps = [(a, b) for a, b in zip(upto, [*upto[1:], last + 1]) if b - a > period]
+        assert gaps == [], f"{end} silent for more than {period} ticks after {gaps}"
+        for previous, tick in zip([None, *ticks], ticks):
+            kinds = Counter(type(m).__name__ for m in by_end[end][tick])
+            assert kinds["Heartbeat"] == 0 or (
+                kinds == {"Heartbeat": 1} and previous is not None
+                and tick == previous + period), (end, tick, kinds)
             assert kinds["PayloadReceipt"] <= 1, (end, tick, kinds)
+    assert set(by_end) <= {(r["node"], r["session"])
+                           for r in trace.find("handshake", phase="established")}
 
 
 def check_receipts(built, sends):
@@ -207,3 +238,69 @@ def test_a_server_that_crashes_with_a_receipt_pending_never_sends_it():
     assert receipts == []
     metrics = built.world.metrics
     assert (metrics.payloads_sent, metrics.payloads_accepted, metrics.payloads_denied) == (2, 0, 0)
+
+
+# BURSTS with a quiet stretch after its last payload, to lose heartbeats in.
+QUIET = BURSTS + "horizon 70\n"
+
+
+def lost_and_not_alive(losses):
+    """Run QUIET, losing ann's first `losses` heartbeats to echo after tick
+    40. Returns the ticks they were lost in, and the ticks in which echo
+    reads its session with ann not alive."""
+    lost, not_alive = [], []
+
+    def lose(time, src, message):
+        if (time > 40 and len(lost) < losses and src == "ann" and isinstance(message, Envelope)
+                and message.hop == 0 and message.dst == "echo"
+                and isinstance(message.inner, Heartbeat)):
+            lost.append(time)
+            return True
+        return False
+
+    def probe(built, now):
+        sess = built.servers["echo"].session_with("ann")
+        if sess is not None and not session.check_alive(sess, now).alive:
+            not_alive.append(now)
+
+    run_recorded(QUIET, lose, probe)
+    return lost, not_alive
+
+
+def test_one_lost_heartbeat_never_reads_as_not_alive():
+    lost, not_alive = lost_and_not_alive(1)
+    assert len(lost) == 1
+    assert not_alive == []
+
+
+def test_two_heartbeats_lost_in_a_row_read_as_not_alive():
+    lost, not_alive = lost_and_not_alive(2)
+    assert lost == [lost[0], lost[0] + HEARTBEAT_PERIOD]
+    assert not_alive and min(not_alive) > lost[1]
+
+
+# BURSTS with ann sending echo a payload in every tick from 40 to 46.
+BUSY = range(40, 47)
+STREAMING = BURSTS + "".join(f"at {t} send ann echo 1\n" for t in BUSY)
+
+
+def test_an_end_busy_every_tick_sends_no_heartbeat_and_wakes_once_a_period(monkeypatch):
+    fired = []
+    on_timer = UserNode.on_timer
+
+    def recording(self, tag, data, now):
+        if self.name == "ann" and getattr(data, "peer", None) == "echo":
+            fired.append((now, tag))
+        on_timer(self, tag, data, now)
+
+    monkeypatch.setattr(UserNode, "on_timer", recording)
+    built, sends = run_recorded(STREAMING)
+    check_liveness(built, sends)
+    sess = built.users["ann"].session_with("echo")
+    ticks = in_session_sends(sends)[("ann", sess.session_id.hex()[:16])]
+    assert all(ticks[t] and all(isinstance(m, AppPayload) for m in ticks[t]) for t in BUSY)
+    # The timer wakes, finds the end busy and sends nothing: no beat is
+    # scheduled, and the next wake is a period after the last send.
+    busy = [(t, tag) for t, tag in fired if t in BUSY]
+    assert {tag for _, tag in busy} == {"heartbeat"}
+    assert len(busy) <= ceil(len(BUSY) / HEARTBEAT_PERIOD)

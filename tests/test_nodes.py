@@ -15,6 +15,7 @@ from overnym.nodes import (
     AccessPointNode,
     AppPayload,
     BindRequest,
+    ConnectGrant,
     ConnectRefused,
     ConnectRequest,
     Envelope,
@@ -539,3 +540,18 @@ class TestAnOutOfRangeValueIsRefusedNotRaised:
         assert dropped == {"kind": "envelope-dropped", "time": dropped["time"],
                            "router": "ap", "target": "nowhere", "reason": "unknown-node"}
         assert built.sim.trace.find("send", src="ap", dst="nowhere") == []
+
+    def test_a_grant_whose_route_starts_at_no_node_is_dropped_at_the_user(self):
+        built = settled(register_user=True)
+        user, server = built.users["u"], built.servers["s"]
+        user.do_connect(server.appid.id, "echo", built.sim.now)
+        sim = built.sim
+        # The router's grant arrives rewritten, before the honest one.
+        sim.schedule(sim.now + 1, "u", Delivery("ap", ConnectGrant(
+            server.appid.id, ("nowhere",), 0, "s"), sim.now))
+        sim.run_until_idle()
+        (dropped,) = sim.trace.find("envelope-dropped")
+        assert dropped == {"kind": "envelope-dropped", "time": dropped["time"],
+                           "node": "u", "target": "nowhere", "reason": "unknown-node"}
+        # The honest grant that follows still opens the session.
+        assert sim.trace.find("handshake", phase="established", node="u")

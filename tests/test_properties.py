@@ -1,11 +1,14 @@
 """Property tests for the cross-cutting invariants: canonical codecs
 round-trip, filters never lose live keys, chains reject any bit flip,
 decoders refuse arbitrary bytes only with ValueError, every value has
-one encoding, and a scenario the parser accepts runs without raising."""
+one encoding, a scenario the parser accepts runs without raising, and a
+message field set out of range in flight neither aborts a run nor splits
+a session."""
 
 import random
 import struct
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -39,7 +42,8 @@ from overnym.ledger import (
     verify_chain,
 )
 from overnym.neat import BloomFilter, NeatTable, NetworkLocator, lookup_global
-from overnym.runner import run_scenario
+from overnym.nodes import Envelope, PayloadReceipt
+from overnym.runner import _schedule_actions, _schedule_probes, build_simulation, run_scenario
 from overnym.scenario import ParseError, ValidationError, parse_scenario
 from overnym.session import HandshakeMessage, RotationNotice
 from overnym.wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
@@ -377,3 +381,101 @@ def test_a_scenario_the_parser_accepts_runs_without_raising(text):
     except (ParseError, ValidationError):
         return
     assert run_scenario(sc).exit_code in (0, 1)
+
+
+# Out-of-range values a network adversary writes into one field of a
+# message in flight, by the field's type (ROADMAP item 15's probe).
+OUT_OF_RANGE = {
+    int: (-1, 2**64, 2**70),
+    bytes: (b"", bytes(7), bytes(33)),
+    str: ("", "\ud800", "nobody"),
+}
+
+
+def _parts(value):
+    """The fields of a dataclass, or the items of a tuple, in order."""
+    if is_dataclass(value):
+        return [getattr(value, f.name) for f in fields(value)]
+    return list(value) if isinstance(value, tuple) else []
+
+
+def field_paths(value, path=()):
+    """Paths to the int, bytes and str fields of a message, through
+    nested dataclasses, NamedTuples and tuples, each with its value."""
+    if type(value) in OUT_OF_RANGE:
+        yield path, value
+    for i, part in enumerate(_parts(value)):
+        yield from field_paths(part, (*path, i))
+
+
+def with_field(value, path, new):
+    """value with the field at path set to new, each level rebuilt
+    through its constructor."""
+    if not path:
+        return new
+    parts, i = _parts(value), path[0]
+    parts[i] = with_field(parts[i], path[1:], new)
+    if is_dataclass(value):
+        return replace(value, **{fields(value)[i].name: parts[i]})
+    return value._make(parts) if hasattr(value, "_make") else tuple(parts)
+
+
+def run_mutated(text, mutations):
+    """Run a scenario, setting one field of each send whose index is in
+    mutations (send index -> (field pick, value pick)) to an out-of-range
+    value of its type. Returns what it built and each send as (src,
+    message), as the sender made it."""
+    sc = parse_scenario(text)
+    built = build_simulation(sc)
+    sim, sends = built.sim, []
+    send = sim.send
+
+    def mutating(src, dst, message, note=None):
+        pick = mutations.get(len(sends))
+        sends.append((src, message))
+        paths = list(field_paths(message)) if pick is not None else []
+        if paths:
+            path, old = paths[pick[0] % len(paths)]
+            try:
+                message = with_field(message, path, OUT_OF_RANGE[type(old)][pick[1]])
+            except (ValueError, TypeError):
+                pass  # a constructor refuses the value: sent unchanged
+        send(src, dst, message, note)
+
+    sim.send = mutating
+    _schedule_actions(built, sc)
+    _schedule_probes(built, sc)
+    sim.run_until_idle()
+    return built, sends
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(name=st.sampled_from(sorted(FIXTURES)),
+       mutations=st.dictionaries(st.integers(0, 300),
+                                 st.tuples(st.integers(0, 63), st.integers(0, 2)),
+                                 min_size=1, max_size=3))
+# Sites random search found; each aborted the run or split a session:
+# a hello's APPID epoch past u64, a challenge's service id with no UTF-8
+# form, a grant's and a hello's route naming no node, a rotation notice's
+# APPID epoch past u64, and a confirm's and a response's unsigned fields.
+@example(name="crash_server", mutations={16: (24, 1)})
+@example(name="end_to_end", mutations={16: (22, 1)})
+@example(name="strict_reject", mutations={14: (56, 2)})
+@example(name="crash_server", mutations={15: (61, 0)})
+@example(name="end_to_end", mutations={72: (9, 1)})
+@example(name="end_to_end", mutations={28: (11, 2)})
+@example(name="link_faults", mutations={184: (46, 2)})
+def test_an_out_of_range_field_in_flight_aborts_no_run_and_splits_no_session(name, mutations):
+    built, sends = run_mutated(FIXTURES[name], mutations)
+    trace = built.sim.trace
+    checks = {}
+    for record in trace.find("handshake", phase="established"):
+        checks.setdefault(record["session"], set()).add(record["key_check"])
+    assert all(len(seen) == 1 for seen in checks.values()), checks
+    accepted = Counter()
+    for src, message in sends:
+        if (src in built.servers and isinstance(message, Envelope) and message.hop == 0
+                and isinstance(message.inner, PayloadReceipt)):
+            for seq, ok, _ in message.inner.results:
+                accepted[(src, message.inner.session_id, seq)] += ok
+    assert [key for key, n in accepted.items() if n > 1] == []

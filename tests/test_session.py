@@ -419,6 +419,20 @@ HANDSHAKE_FAILURES = {
         lambda h: h.respond(transcript_hash=ZERO_HASH)),
     "confirm-transcript-mismatch": ("confirm", "transcript-mismatch",
         lambda h: h.server.on_confirm(replace(h.confirm(), transcript_hash=ZERO_HASH))),
+    "hello-malformed": ("hello", "malformed",
+        lambda h: h.fresh_server().on_hello(
+            replace(h.hello, sender_appid=replace(h.hello.sender_appid, epoch=1 << 64)))),
+    "challenge-malformed": ("challenge", "malformed",
+        lambda h: h.client.on_challenge(replace(h.challenge, sender_appid=replace(
+            h.challenge.sender_appid, service=ServiceProps("\ud800"))))),
+    # Fields no signature covers, rewritten in flight: each would enter
+    # only the receiver's transcript and key.
+    "response-proof-nonce-rewritten": ("response", "malformed",
+        lambda h: h.respond(linkage=replace(h.response.linkage, session_nonce=bytes(16)))),
+    "confirm-share-added": ("confirm", "malformed",
+        lambda h: h.server.on_confirm(replace(h.confirm(), ephemeral_public=bytes(32)))),
+    "confirm-nonce-rewritten": ("confirm", "malformed",
+        lambda h: h.server.on_confirm(replace(h.confirm(), nonce=bytes(16)))),
     "response-missing-proof": ("response", "missing-proof",
         lambda h: h.respond(linkage=None)),
     "response-malformed-commitment": ("response", "bad-proof",
@@ -461,6 +475,9 @@ ROTATION_FAILURES = {
     "malformed-proof": ("malformed continuity proof",
         lambda sess, creds, bcadd, appid: _tagged(
             sess, appid, LinkageProof(b"junk", b"", bytes(16)))),
+    "malformed-notice": ("malformed notice",
+        lambda sess, creds, bcadd, appid: RotationNotice(
+            replace(appid, epoch=1 << 64), _proof(creds, bcadd, appid, sess, 1), b"\x00" * 32)),
     "wrong-nonce": ("continuity proof does not verify",
         lambda sess, creds, bcadd, appid: _tagged(
             sess, appid, _proof(creds, bcadd, appid, sess, 2))),
