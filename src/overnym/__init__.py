@@ -3,7 +3,8 @@
 Layers, bottom up:
 
   identity  three-tier derivation (secret -> chain address -> service id),
-            linkage proofs, regulator attestations
+            linkage proofs, regulator attestations; ahead verifies
+            linkage signatures in a helper process before they are needed
   ledger    hash-chained registration / topology / token log
   neat      bloom-fronted per-segment address translation tables
   overlay   segment graph from ledger topology, deterministic routing

@@ -14,9 +14,11 @@ predicates ("age is at least 18") carrying the threshold but never the
 value.
 
 All values here are immutable after construction; operations are pure.
-The one exception is a private cache on IdentitySecret holding the last
-epoch's (BCADD, signing key) pair, so that repeated proofs under one
-epoch derive the Ed25519 key once; it never changes a derived value.
+Two exceptions never change a result: a private cache on IdentitySecret
+holding the last epoch's (BCADD, signing key) pair, so that repeated
+proofs under one epoch derive the Ed25519 key once; and the verify-ahead
+helper (ahead.py), to which make_linkage_proof hands each signature it
+makes, and from which verify_linkage takes Ed25519's answer for it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
+from . import ahead
 from .hashing import (
     DIGEST_SIZE,
     TAG_APPID,
@@ -46,6 +49,16 @@ from .wire import Reader, WireError, pack_bytes, pack_i64, pack_str, pack_u8, pa
 SEED_SIZE = 32
 NONCE_SIZE = 16
 
+# Ed25519 public keys of small order: the y coordinate (the low 255 bits,
+# little-endian, mod p) of one of the eight points whose order divides 8,
+# in any encoding, canonical or not. Under such a key a signature with
+# R = the identity and S = 0 verifies for many messages, without any
+# secret, so no signature under one is accepted.
+_P = 2**255 - 19
+_Y8 = int.from_bytes(bytes.fromhex(
+    "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"), "little")
+_SMALL_ORDER_Y = frozenset((0, 1, _P - 1, _Y8, _P - _Y8))
+
 COMPARISONS = (">=", "<=", "==")
 
 
@@ -59,6 +72,10 @@ class UnknownSubject(KeyError):
 
 class Refused(Exception):
     """The regulator declines to attest: the predicate does not hold."""
+
+
+def _small_order(public_key: bytes) -> bool:
+    return (int.from_bytes(public_key, "little") & ((1 << 255) - 1)) % _P in _SMALL_ORDER_Y
 
 
 def _signing_key(seed: bytes, epoch: int) -> Ed25519PrivateKey:
@@ -342,14 +359,15 @@ def make_linkage_proof(
     appid: APPID,
     session_nonce: bytes,
 ) -> LinkageProof:
-    """Sign (address, appid, epoch, nonce) with the epoch key. LinkageProof
+    """Sign (address, appid, epoch, nonce) with the epoch key, and hand the
+    signed triple to the verify-ahead helper (ahead.py). LinkageProof
     raises ValueError for a nonce that is not NONCE_SIZE bytes."""
     key = _require_own_bcadd(secret, bcadd)
     if not _derives_from(appid, bcadd):
         raise MismatchedSecret("APPID does not derive from this BCADD")
-    signature = key.sign(
-        _linkage_message(bcadd.address, appid.id, bcadd.epoch, session_nonce)
-    )
+    message = _linkage_message(bcadd.address, appid.id, bcadd.epoch, session_nonce)
+    signature = key.sign(message)
+    ahead.AHEAD.submit(bcadd.public_key, signature, message)
     return LinkageProof(
         commitment=bcadd.to_bytes(),
         signature=signature,
@@ -367,7 +385,10 @@ def verify_linkage(
 
     Checks, in order: the commitment names this BCADD; the APPID
     structurally re-derives from the BCADD (service, epoch, digest); the
-    signature verifies under the BCADD's epoch key over the given nonce.
+    epoch key is not of small order; the signature verifies under it over
+    the given nonce. For that last check it takes the verify-ahead
+    helper's answer for this exact (key, signature, message), if one has
+    arrived, and verifies inline otherwise; both are Ed25519's answer.
     Malformed inputs yield False, never an exception.
     """
     try:
@@ -375,11 +396,14 @@ def verify_linkage(
             return False
         if not _derives_from(appid, bcadd):
             return False
-        verifier = Ed25519PublicKey.from_public_bytes(bcadd.public_key)
-        verifier.verify(
-            proof.signature,
-            _linkage_message(bcadd.address, appid.id, bcadd.epoch, bytes(session_nonce)),
-        )
+        key = bcadd.public_key
+        if _small_order(key):
+            return False
+        message = _linkage_message(bcadd.address, appid.id, bcadd.epoch, bytes(session_nonce))
+        answer = ahead.AHEAD.take(key, proof.signature, message)
+        if answer is not None:
+            return answer
+        Ed25519PublicKey.from_public_bytes(key).verify(proof.signature, message)
         return True
     except (InvalidSignature, ValueError, TypeError, WireError):
         return False
@@ -448,9 +472,12 @@ def _attestation_message(predicate: Predicate, subject: bytes, epoch: int) -> by
 
 def verify_attestation(attestation: AttributeAttestation, regulator_public_key: bytes) -> bool:
     """True iff the regulator's signature covers this exact predicate,
-    subject, and epoch. Needs only the regulator public key. One that
-    cannot be encoded (a threshold outside i64: WireError) is not valid."""
+    subject, and epoch. Needs only the regulator public key, which must
+    not be of small order. One that cannot be encoded (a threshold
+    outside i64: WireError) is not valid."""
     try:
+        if _small_order(regulator_public_key):
+            return False
         verifier = Ed25519PublicKey.from_public_bytes(regulator_public_key)
         verifier.verify(
             attestation.regulator_signature,

@@ -20,7 +20,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import partial
 
-from . import session
+from . import ahead, session
 from .ledger import MAX_PAYLOAD_BYTES, Ledger, NftOwnership, TopologyUpdate, encode_payload
 from .neat import NeatTable
 from .nodes import (
@@ -302,7 +302,9 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
     built = build_simulation(sc, seed=seed)
     _schedule_actions(built, sc)
     _schedule_probes(built, sc)
-    built.sim.run_until_idle()
+    # Linkage proofs signed in the run are verified ahead of their delivery.
+    with ahead.AHEAD.scope():
+        built.sim.run_until_idle()
 
     checks = [(exp.text, *_evaluate(built, exp)) for exp in sc.expectations]
     metrics = built.world.metrics

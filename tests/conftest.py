@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
+from overnym import ahead
 from overnym.identity import (
     APPID,
     BCADD,
@@ -63,3 +65,21 @@ def forge_key_linkage(victim: BCADD, service: ServiceProps, nonce: bytes):
     appid = APPID(appid_digest(forged.address, service, forged.epoch), service, forged.epoch)
     signature = key.sign(_linkage_message(forged.address, appid.id, forged.epoch, nonce))
     return forged, appid, LinkageProof(forged.to_bytes(), signature, nonce)
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """A fresh verify-ahead helper as the process's own, closed afterwards."""
+    fresh = ahead.VerifyAhead()
+    monkeypatch.setattr(ahead, "AHEAD", fresh)
+    yield fresh
+    fresh.close()
+
+
+def settle(helper, timeout: float = 20.0) -> None:
+    """Wait until the verify-ahead helper has answered every frame sent."""
+    deadline = time.monotonic() + timeout
+    while helper._sent and time.monotonic() < deadline:
+        helper._receive()
+        time.sleep(0.002)
+    assert not helper._sent

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from overnym.identity import (
     APPID,
@@ -22,9 +24,10 @@ from overnym.identity import (
     verify_attestation,
     verify_linkage,
 )
+from overnym.identity import _attestation_message, _linkage_message
 from overnym.wire import WireError
 
-from conftest import make_secret
+from conftest import make_secret, settle
 from oracles import sha256_oracle, self_check
 
 NONCE = bytes(range(16))
@@ -156,6 +159,71 @@ class TestRotate:
         a, b = derive_bcadd(secret, 0), derive_bcadd(secret, 1)
         assert a.address != b.address
         assert a.public_key != b.public_key
+
+
+# Ed25519 keys of small order, in canonical and non-canonical encodings,
+# and a signature (R = the identity point, S = 0) that raw Ed25519
+# verification accepts under each of them for some messages.
+P25519 = 2**255 - 19
+IDENTITY_POINT = (1).to_bytes(32, "little")
+FORGED_SIGNATURE = IDENTITY_POINT + bytes(32)
+SMALL_ORDER_KEYS = {
+    "identity": IDENTITY_POINT,
+    "identity-with-sign-bit": (1 | 1 << 255).to_bytes(32, "little"),
+    "y=p+1": (P25519 + 1).to_bytes(32, "little"),
+    "y=p": P25519.to_bytes(32, "little"),
+    "order-8": bytes.fromhex("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"),
+}
+
+
+def raw_accepts(key: bytes, signature: bytes, message: bytes) -> bool:
+    try:
+        Ed25519PublicKey.from_public_bytes(key).verify(signature, message)
+    except InvalidSignature:
+        return False
+    return True
+
+
+class TestSmallOrderKeys:
+    def test_the_all_zero_attestation_is_refused(self):
+        predicate = Predicate("age", ">=", -2**63)
+        assert raw_accepts(bytes(32), bytes(64), _attestation_message(predicate, bytes(32), 0))
+        attestation = AttributeAttestation(predicate, bytes(32), 0, bytes(64))
+        assert verify_attestation(attestation, bytes(32)) is False
+
+    @pytest.fixture(params=sorted(SMALL_ORDER_KEYS))
+    def forged(self, request, service):
+        """(BCADD, APPID, proof, nonce) under a small-order key, with a
+        nonce for which raw verification accepts the proof."""
+        bcadd = BCADD(bytes(range(32)), 0, SMALL_ORDER_KEYS[request.param])
+        appid = APPID(appid_digest(bcadd.address, service, 0), service, 0)
+        nonce = next(n for n in (i.to_bytes(16, "big") for i in range(64)) if raw_accepts(
+            bcadd.public_key, FORGED_SIGNATURE, _linkage_message(bcadd.address, appid.id, 0, n)))
+        return bcadd, appid, LinkageProof(bcadd.to_bytes(), FORGED_SIGNATURE, nonce), nonce
+
+    def test_a_linkage_proof_is_refused(self, forged):
+        assert verify_linkage(*forged) is False
+
+    def test_a_linkage_proof_is_refused_whatever_the_helper_answers(self, forged, helper):
+        bcadd, appid, proof, nonce = forged
+        message = _linkage_message(bcadd.address, appid.id, 0, nonce)
+        with helper.scope():
+            helper.submit(bcadd.public_key, proof.signature, message)
+            settle(helper)
+            assert helper._known == {(bcadd.public_key, proof.signature, message): True}
+            assert verify_linkage(bcadd, appid, proof, nonce) is False
+
+    def test_an_attestation_is_refused(self, forged):
+        bcadd = forged[0]
+        predicate = Predicate("age", ">=", 18)
+        for epoch in range(64):
+            if raw_accepts(bcadd.public_key, FORGED_SIGNATURE,
+                           _attestation_message(predicate, bytes(32), epoch)):
+                break
+        attestation = AttributeAttestation(predicate, bytes(32), epoch, FORGED_SIGNATURE)
+        assert raw_accepts(bcadd.public_key, FORGED_SIGNATURE,
+                           _attestation_message(predicate, bytes(32), epoch))
+        assert verify_attestation(attestation, bcadd.public_key) is False
 
 
 class TestAttestation:

@@ -31,7 +31,7 @@ from overnym.scenario import parse_scenario
 from overnym.session import HandshakeMessage
 from overnym.simnet import Delivery
 
-from conftest import forge_key_linkage
+from conftest import forge_key_linkage, settle
 
 SCENARIO = """
 seed 3
@@ -381,6 +381,30 @@ class TestRefusedHandshakeMessage:
         assert len(self.established(built, "s")) == 1
         assert server.pending == {} and user.pending == {}
         assert user.session_with("s").key_check() == server.session_with("u").key_check()
+
+    def test_a_confirm_rewritten_in_flight_is_a_bad_proof_with_the_helper_on(self, helper):
+        # The helper has answered for the signature the client made; a
+        # confirm carrying another signature finds no answer and is refused.
+        built = settled(register_user=True)
+        server = built.servers["s"]
+        accept_confirm = server._handle_confirm
+
+        def rewritten_first(confirm, now):
+            settle(helper)
+            answered = len(helper._known)
+            signature = confirm.linkage.signature
+            bent = replace(confirm.linkage, signature=bytes([signature[0] ^ 1]) + signature[1:])
+            accept_confirm(replace(confirm, linkage=bent), now)
+            assert len(helper._known) == answered
+            accept_confirm(confirm, now)
+            assert len(helper._known) == answered - 1
+
+        server._handle_confirm = rewritten_first
+        with helper.scope():
+            user, server = self.connect(built)
+        assert self.failures(built, "s") == [("confirm", "bad-proof")]
+        assert len(self.established(built, "s")) == 1
+        assert helper._known == {}
 
     def test_forged_challenge_leaves_the_client_handshake_open(self):
         built = settled(register_user=True)
