@@ -3,11 +3,18 @@
 A linkage proof is signed ticks before it is verified, and Ed25519 is
 deterministic: a (public key, signature, message) triple has one answer
 wherever it is computed. So when make_linkage_proof signs, it hands the
-triple to one helper process, which verifies it on another core while
+triple to one helper process, which verifies it on another CPU while
 the simulation goes on; verify_linkage then takes the answer for the
 exact triple it would verify, if that answer has already arrived, and
 otherwise verifies inline. Either way the answer is Ed25519's on the same
 bytes, so no trace, metrics or chain byte depends on the helper.
+
+Only this process's own signatures reach the helper, so on an honest run
+its answer is always "valid"; what it keeps is that every accepted proof
+has had a real Ed25519 verify on its exact bytes. It saves no CPU time:
+it moves the verifies to another CPU. A scope whose process may run on
+one CPU only (its affinity mask) therefore submits nothing, since there
+the helper would compete with the simulation for the same CPU.
 
 The helper is a process, not a thread, because `cryptography`'s verify
 holds the GIL. It is started lazily, on the first submission inside a
@@ -18,24 +25,27 @@ key, the 64-byte signature and the message; answers out are one byte per
 frame (1 valid, 0 not), in order.
 
 Nothing here waits on the helper. take() reads only answers that are
-ready (a read that does not block). At most WINDOW frames are outstanding,
-which fits in a pipe's 64 KiB, so writes do not block either; past that a
-triple is not submitted. When a scope ends, its unclaimed entries are
-dropped. If the helper cannot start (OSError) or dies (end of its output,
-or BrokenPipeError), every later verify in this process is inline.
+ready, and submit() writes only if the pipe has room: both ends are
+non-blocking, and a frame, shorter than PIPE_BUF, is written whole or not
+at all. At most WINDOW frames are outstanding; past that, or with the
+pipe full, a triple is not submitted. When a scope ends, its unclaimed
+entries are dropped. If the helper cannot start (OSError) or dies (end
+of its output, or BrokenPipeError), every later verify in this process
+is inline.
 """
 
 from __future__ import annotations
 
 import atexit
 import os
+import select
 import subprocess
 import sys
 from collections import deque
 from contextlib import contextmanager
 
 # Frames outstanding at most: 256 linkage frames of 196 bytes (~50 KB)
-# fit in a 64 KiB pipe, and their 256 answer bytes in the other.
+# fit in a default 64 KiB pipe, and their 256 answer bytes in the other.
 WINDOW = 256
 
 KEY_SIZE = 32
@@ -63,6 +73,14 @@ while True:
 """
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _spawn() -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-c", HELPER, MARKER],
@@ -84,9 +102,10 @@ class VerifyAhead:
 
     @contextmanager
     def scope(self):
-        """Submissions are taken only inside; on exit the answers that
-        have arrived are read and every unclaimed entry is dropped."""
-        self._open = not self._failed
+        """Submissions are taken only inside, and only with a second CPU
+        to verify on; on exit the answers that have arrived are read and
+        every unclaimed entry is dropped."""
+        self._open = not self._failed and _cpus() > 1
         try:
             yield
         finally:
@@ -96,10 +115,13 @@ class VerifyAhead:
 
     def submit(self, key: bytes, signature: bytes, message: bytes) -> None:
         """Start verifying the triple in the helper, inside a scope with
-        room in the window; otherwise do nothing."""
+        room in the window and the pipe; otherwise do nothing."""
         if not self._open:
             return
         if len(key) != KEY_SIZE or len(signature) != SIGNATURE_SIZE:
+            return
+        frame = key + signature + message
+        if 4 + len(frame) > select.PIPE_BUF:  # might be written in part
             return
         if len(self._sent) >= WINDOW:
             self._receive()
@@ -107,9 +129,10 @@ class VerifyAhead:
                 return
         if self._proc is None and not self._start():
             return
-        frame = key + signature + message
         try:
             os.write(self._to, len(frame).to_bytes(4, "big") + frame)
+        except BlockingIOError:  # the pipe is full
+            return
         except BrokenPipeError:
             self.close()
             return
@@ -120,6 +143,8 @@ class VerifyAhead:
     def take(self, key: bytes, signature: bytes, message: bytes) -> bool | None:
         """The helper's answer for exactly this triple if it has arrived,
         else None. Either way the triple's entry is claimed."""
+        if not self._known:  # nothing submitted: one CPU, no scope, or no helper
+            return None
         triple = (key, signature, message)
         try:
             answer = self._known[triple]
@@ -137,6 +162,7 @@ class VerifyAhead:
             return False
         self._to = self._proc.stdin.fileno()
         self._from = self._proc.stdout.fileno()
+        os.set_blocking(self._to, False)
         os.set_blocking(self._from, False)
         atexit.register(self.close)
         # A forked child must not read its parent's answers off the pipe.

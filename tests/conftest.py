@@ -69,9 +69,11 @@ def forge_key_linkage(victim: BCADD, service: ServiceProps, nonce: bytes):
 
 @pytest.fixture
 def helper(monkeypatch):
-    """A fresh verify-ahead helper as the process's own, closed afterwards."""
+    """A fresh verify-ahead helper as the process's own, closed afterwards;
+    used as if the process had a second CPU, whatever it has."""
     fresh = ahead.VerifyAhead()
     monkeypatch.setattr(ahead, "AHEAD", fresh)
+    monkeypatch.setattr(ahead, "_cpus", lambda: 2)
     yield fresh
     fresh.close()
 

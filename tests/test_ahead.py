@@ -1,12 +1,16 @@
-"""The verify-ahead helper (ahead.py): the same bytes whether it answers,
-cannot start or dies mid-run; an answer only for the triple it was sent;
-no entry left after a run; no helper outside a run or after exit."""
+"""The verify-ahead helper (ahead.py): the same bytes whether it answers
+every verify, cannot start, is not used on one CPU or dies mid-run; an
+answer only for the triple it was sent; no wait on a full pipe; no entry
+left after a run; no helper outside a run or after exit."""
 
+import fcntl
 import hashlib
 import importlib.util
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -27,12 +31,21 @@ _spec.loader.exec_module(workloads)
 
 
 @pytest.fixture
-def answered(monkeypatch):
-    """How many verifies took the helper's answer."""
-    counts = {"answered": 0}
+def takes(monkeypatch):
+    """Counts the verifies whose triple was sent to the helper ("sent")
+    and those that took its answer ("answered"). With "wait" set, a
+    verify first waits for its triple's answer, so that every triple sent
+    is answered by the helper rather than inline."""
+    counts = {"sent": 0, "answered": 0, "wait": False}
     take = ahead.VerifyAhead.take
 
     def counting(self, *triple):
+        deadline = time.monotonic() + 20
+        while counts["wait"] and self._known.get(triple, False) is None:
+            assert time.monotonic() < deadline, "the helper did not answer"
+            self._receive()
+            time.sleep(0.0002)
+        counts["sent"] += triple in self._known
         answer = take(self, *triple)
         counts["answered"] += answer is not None
         return answer
@@ -58,16 +71,39 @@ SOURCES = [pytest.param(path.read_text(), id=path.stem) for path in FIXTURES] + 
 
 
 @pytest.mark.parametrize("text", SOURCES)
-def test_the_same_bytes_with_and_without_the_helper(text, helper, monkeypatch, tmp_path):
+def test_the_same_bytes_with_and_without_the_helper(text, helper, takes, monkeypatch, tmp_path):
+    takes["wait"] = True
     on = outputs(text, tmp_path)
+    assert takes["answered"] == takes["sent"] > 0
+
+    takes.update(sent=0, answered=0)
     monkeypatch.setattr(ahead, "AHEAD", ahead.VerifyAhead())
     monkeypatch.setattr(ahead, "_spawn", cannot_start)
     assert outputs(text, tmp_path) == on
     assert ahead.AHEAD._failed and ahead.AHEAD._proc is None
+    assert takes["sent"] == takes["answered"] == 0
+
+
+def test_on_one_cpu_no_helper_starts(monkeypatch, takes, tmp_path):
+    text = workloads.generate("handshake_storm", 1, size=200)
+    monkeypatch.setattr(ahead, "AHEAD", ahead.VerifyAhead())
+    monkeypatch.setattr(ahead, "_cpus", lambda: 2)
+    on = outputs(text, tmp_path)
+    assert ahead.AHEAD._proc is not None
+    ahead.AHEAD.close()
+
+    one = ahead.VerifyAhead()
+    monkeypatch.setattr(ahead, "AHEAD", one)
+    monkeypatch.setattr(ahead, "_cpus", lambda: 1)
+    monkeypatch.setattr(ahead, "_spawn", cannot_start)  # not even tried
+    takes.update(sent=0, answered=0)
+    assert outputs(text, tmp_path) == on
+    assert one._proc is None and not one._failed
+    assert takes["sent"] == takes["answered"] == 0
 
 
 def test_a_helper_killed_mid_run_leaves_the_bytes_and_later_runs_inline(
-        helper, answered, monkeypatch, tmp_path):
+        helper, takes, monkeypatch, tmp_path):
     text = workloads.generate("handshake_storm", 1, size=200)
     build = runner.build_simulation
     killed = []
@@ -89,9 +125,9 @@ def test_a_helper_killed_mid_run_leaves_the_bytes_and_later_runs_inline(
     assert helper._failed and helper._proc is None
 
     monkeypatch.setattr(runner, "build_simulation", build)
-    answered["answered"] = 0
+    takes.update(sent=0, answered=0)
     assert outputs(text, tmp_path) == killed_run
-    assert answered["answered"] == 0 and helper._proc is None
+    assert takes["sent"] == takes["answered"] == 0 and helper._proc is None
 
     monkeypatch.setattr(ahead, "AHEAD", ahead.VerifyAhead())
     monkeypatch.setattr(ahead, "_spawn", cannot_start)
@@ -156,6 +192,34 @@ def test_past_the_window_a_proof_is_not_submitted(helper, monkeypatch, secret, b
     assert helper._known == {}
 
 
+def test_a_full_pipe_is_not_waited_on(helper, monkeypatch, secret, bcadd, appid):
+    # A helper that never reads, behind a pipe of one page: the writes
+    # that do not fit are refused at once, and those proofs are verified
+    # inline.
+    deaf = [sys.executable, "-c", "import time; time.sleep(600)"]
+    monkeypatch.setattr(ahead, "_spawn", lambda: subprocess.Popen(
+        deaf, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0))
+    nonces = [i.to_bytes(16, "big") for i in range(100)]
+
+    def waited(*_):
+        raise AssertionError("a write waited on the full pipe")
+
+    previous = signal.signal(signal.SIGALRM, waited)
+    signal.alarm(30)
+    try:
+        with helper.scope():
+            proofs = [make_linkage_proof(secret, bcadd, appid, nonces[0])]
+            fcntl.fcntl(helper._to, fcntl.F_SETPIPE_SZ, 4096)
+            proofs += [make_linkage_proof(secret, bcadd, appid, nonce) for nonce in nonces[1:]]
+            assert 0 < len(helper._sent) < 4096 // 196 + 1
+            assert all(verify_linkage(bcadd, appid, proof, nonce)
+                       for proof, nonce in zip(proofs, nonces))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        helper._proc.kill()
+
+
 def test_a_forked_child_verifies_inline(helper, secret, bcadd, appid):
     # The helper answers its parent's frames in order: a child that wrote
     # to the same pipe would take answers meant for its parent.
@@ -176,6 +240,7 @@ import atexit, sys
 from overnym import ahead
 from overnym.runner import run_scenario
 from overnym.scenario import parse_scenario
+ahead._cpus = lambda: 2  # a helper starts on a one-CPU host too
 started = []
 # Registered before the helper's own hook, so it runs after it.
 atexit.register(lambda: print("exited" if started[0].poll() is not None else "running"))
