@@ -4,7 +4,8 @@ Layers, bottom up:
 
   identity  three-tier derivation (secret -> chain address -> service id),
             linkage proofs, regulator attestations; ahead verifies
-            linkage signatures in a helper process before they are needed
+            linkage signatures, and signs each rotating user's next
+            rotation proof, in a helper process before they are needed
   ledger    hash-chained registration / topology / token log
   neat      bloom-fronted per-segment address translation tables
   overlay   segment graph from ledger topology, deterministic routing

@@ -15,10 +15,13 @@ value.
 
 All values here are immutable after construction; operations are pure.
 Two exceptions never change a result: a private cache on IdentitySecret
-holding the last epoch's (BCADD, signing key) pair, so that repeated
-proofs under one epoch derive the Ed25519 key once; and the verify-ahead
-helper (ahead.py), to which make_linkage_proof hands each signature it
-makes, and from which verify_linkage takes Ed25519's answer for it.
+holding the last epoch's BCADD and signing key, so that repeated proofs
+under one epoch derive the Ed25519 key once; and the helper (ahead.py).
+make_linkage_proof hands it each signature it makes, and verify_linkage
+takes Ed25519's answer for it. sign_linkage_ahead hands it a proof
+message known before it is needed, with its epoch's signing seed; the
+epoch's key derivation then takes the helper's public key and
+make_linkage_proof its signature, each only if it has arrived.
 """
 
 from __future__ import annotations
@@ -78,21 +81,17 @@ def _small_order(public_key: bytes) -> bool:
     return (int.from_bytes(public_key, "little") & ((1 << 255) - 1)) % _P in _SMALL_ORDER_Y
 
 
-def _signing_key(seed: bytes, epoch: int) -> Ed25519PrivateKey:
-    return Ed25519PrivateKey.from_private_bytes(owf(TAG_SIGKEY, seed, pack_u64(epoch)))
-
-
 @dataclass(frozen=True)
 class IdentitySecret:
     """Private material. Never serialized; repr is redacted.
 
-    _epoch_cache holds one epoch's (BCADD, signing key) pair. It takes no
-    part in equality or repr.
+    _epoch_cache holds one epoch's BCADD and signing key (_EpochKey). It
+    takes no part in equality or repr.
     """
 
     seed: bytes
     registered_attributes: Mapping[str, int | str] = field(default_factory=dict)
-    _epoch_cache: tuple[BCADD, Ed25519PrivateKey] | None = field(
+    _epoch_cache: _EpochKey | None = field(
         default=None, init=False, repr=False, compare=False,
     )
 
@@ -296,36 +295,74 @@ class AttributeAttestation:
 # Derivations
 # ---------------------------------------------------------------------------
 
-def _epoch_key(secret: IdentitySecret, epoch: int) -> tuple[BCADD, Ed25519PrivateKey]:
+class _EpochKey:
+    """One epoch's BCADD and Ed25519 signing key. When the helper
+    (ahead.py) has already answered for the epoch's signing seed, the
+    BCADD carries the helper's public key, the private key is built from
+    the seed only when a signature is made here, and signed holds the
+    helper's (public key, signature) per message it signed ahead."""
+
+    __slots__ = ("bcadd", "seed", "key", "signed")
+
+    def __init__(self, bcadd: BCADD, seed: bytes, key: Ed25519PrivateKey | None,
+                 signed: dict[bytes, tuple[bytes, bytes]]):
+        self.bcadd = bcadd
+        self.seed = seed
+        self.key = key
+        self.signed = signed
+
+    def sign(self, message: bytes) -> bytes:
+        """The helper's signature for exactly this message under this
+        seed, if it returned this BCADD's public key; else a signature
+        made here."""
+        answer = self.signed.pop(message, None)
+        if answer is not None and answer[0] == self.bcadd.public_key:
+            return answer[1]
+        if self.key is None:
+            key = Ed25519PrivateKey.from_private_bytes(self.seed)
+            if key.public_key().public_bytes_raw() != self.bcadd.public_key:
+                raise MismatchedSecret("the epoch key does not match its BCADD")
+            self.key = key
+        return self.key.sign(message)
+
+
+def _epoch_key(secret: IdentitySecret, epoch: int) -> _EpochKey:
     """The secret's BCADD and signing key for an epoch, derived once and
-    cached on the secret until another epoch is asked for."""
+    cached on the secret until another epoch is asked for. The public key
+    is the helper's if it has answered for the epoch's seed."""
     cached = secret._epoch_cache
-    if cached is not None and cached[0].epoch == epoch:
+    if cached is not None and cached.bcadd.epoch == epoch:
         return cached
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    key = _signing_key(secret.seed, epoch)
-    bcadd = BCADD(
-        address=owf(TAG_BCADD, secret.seed, pack_u64(epoch)),
-        epoch=epoch,
-        public_key=key.public_key().public_bytes_raw(),
-    )
-    object.__setattr__(secret, "_epoch_cache", (bcadd, key))
-    return bcadd, key
+    epoch_bytes = pack_u64(epoch)
+    seed = owf(TAG_SIGKEY, secret.seed, epoch_bytes)
+    signed = ahead.AHEAD.take_signed(seed)
+    if signed:
+        key = None
+        public_key = next(iter(signed.values()))[0]
+    else:
+        key = Ed25519PrivateKey.from_private_bytes(seed)
+        public_key = key.public_key().public_bytes_raw()
+    bcadd = BCADD(address=owf(TAG_BCADD, secret.seed, epoch_bytes), epoch=epoch,
+                  public_key=public_key)
+    entry = _EpochKey(bcadd, seed, key, signed or {})
+    object.__setattr__(secret, "_epoch_cache", entry)
+    return entry
 
 
 def derive_bcadd(secret: IdentitySecret, epoch: int) -> BCADD:
     """Chain address for an epoch. Pure: same inputs, same address."""
-    return _epoch_key(secret, epoch)[0]
+    return _epoch_key(secret, epoch).bcadd
 
 
-def _require_own_bcadd(secret: IdentitySecret, bcadd: BCADD) -> Ed25519PrivateKey:
-    """The epoch signing key, if the whole BCADD (address, epoch and
-    public key) derives from this secret."""
-    own, key = _epoch_key(secret, bcadd.epoch)
-    if own != bcadd:
+def _require_own_bcadd(secret: IdentitySecret, bcadd: BCADD) -> _EpochKey:
+    """The epoch's key, if the whole BCADD (address, epoch and public
+    key) derives from this secret."""
+    own = _epoch_key(secret, bcadd.epoch)
+    if own.bcadd != bcadd:
         raise MismatchedSecret("BCADD does not derive from this secret")
-    return key
+    return own
 
 
 def appid_digest(address: bytes, service: ServiceProps, epoch: int) -> bytes:
@@ -360,8 +397,10 @@ def make_linkage_proof(
     session_nonce: bytes,
 ) -> LinkageProof:
     """Sign (address, appid, epoch, nonce) with the epoch key, and hand the
-    signed triple to the verify-ahead helper (ahead.py). LinkageProof
-    raises ValueError for a nonce that is not NONCE_SIZE bytes."""
+    signed triple to the verify-ahead helper (ahead.py). The signature is
+    the helper's if this exact message was signed ahead under the epoch's
+    seed (sign_linkage_ahead). LinkageProof raises ValueError for a nonce
+    that is not NONCE_SIZE bytes."""
     key = _require_own_bcadd(secret, bcadd)
     if not _derives_from(appid, bcadd):
         raise MismatchedSecret("APPID does not derive from this BCADD")
@@ -373,6 +412,25 @@ def make_linkage_proof(
         signature=signature,
         session_nonce=bytes(session_nonce),
     )
+
+
+def sign_linkage_ahead(
+    secret: IdentitySecret,
+    epoch: int,
+    service: ServiceProps,
+    session_nonce: bytes,
+) -> None:
+    """Hand the helper (ahead.py) the message that a proof for `service`
+    under `epoch`, bound to this nonce, will sign, with the epoch's
+    signing seed. The message is built from the digests, not through
+    derive_bcadd or derive_appid, so no key is derived here. Nothing is
+    computed where the helper takes no submission."""
+    if not ahead.AHEAD.submitting:
+        return
+    epoch_bytes = pack_u64(epoch)
+    address = owf(TAG_BCADD, secret.seed, epoch_bytes)
+    message = _linkage_message(address, appid_digest(address, service, epoch), epoch, session_nonce)
+    ahead.AHEAD.submit_sign(owf(TAG_SIGKEY, secret.seed, epoch_bytes), message)
 
 
 def verify_linkage(

@@ -662,6 +662,10 @@ class UserNode(_SessionEnd):
             # The sender switches at once, to the chain address it derived:
             # the notice is its own, so it has nothing to verify.
             session.switch_session(sess, notice, new_bcadd)
+            # The next rotation's proof message is fixed now: sign it ahead.
+            identity.sign_linkage_ahead(
+                self.secret, new_bcadd.epoch + 1, new_appid.service,
+                session.rotation_nonce(session_id, sess.rotation_count + 1))
             self.sim.trace.emit("rotation-sent", now, node=self.name,
                                 session=session_id.hex()[:16], epoch=new_bcadd.epoch)
 

@@ -302,7 +302,8 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
     built = build_simulation(sc, seed=seed)
     _schedule_actions(built, sc)
     _schedule_probes(built, sc)
-    # Linkage proofs signed in the run are verified ahead of their delivery.
+    # Linkage proofs signed in the run are verified ahead of their delivery,
+    # and each rotating user's next rotation proof is signed ahead.
     with ahead.AHEAD.scope():
         built.sim.run_until_idle()
 
