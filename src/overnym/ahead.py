@@ -187,20 +187,17 @@ class VerifyAhead:
             self._receive()
         return self._known.pop(triple, None)
 
-    def take_signed(self, seed: bytes) -> dict[bytes, tuple[bytes, bytes]] | None:
+    def take_signed(self, seed: bytes) -> dict[bytes, tuple[bytes, bytes]]:
         """The helper's (public key, signature) per message submitted with
-        this seed, for those that have arrived; None if none has. Either
-        way every entry for the seed is claimed."""
-        if not self._signed:
-            return None
-        try:
-            answers = self._signed[seed]
-        except (KeyError, TypeError):
-            return None
+        this seed, for those that have arrived. Either way every entry for
+        the seed is claimed."""
+        answers = self._signed.get(seed) if self._signed else None
+        if answers is None:
+            return {}
         if None in answers.values():
-            self._receive()
-        del self._signed[seed]
-        return {message: answer for message, answer in answers.items() if answer is not None} or None
+            self._receive()  # may find the helper gone, and drop every entry
+        self._signed.pop(seed, None)
+        return {message: answer for message, answer in answers.items() if answer is not None}
 
     def _send(self, frame: bytes, entry: tuple[bytes, ...]) -> bool:
         """Write one frame if the window and the pipe have room for it,

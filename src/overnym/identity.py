@@ -346,7 +346,7 @@ def _epoch_key(secret: IdentitySecret, epoch: int) -> _EpochKey:
         public_key = key.public_key().public_bytes_raw()
     bcadd = BCADD(address=owf(TAG_BCADD, secret.seed, epoch_bytes), epoch=epoch,
                   public_key=public_key)
-    entry = _EpochKey(bcadd, seed, key, signed or {})
+    entry = _EpochKey(bcadd, seed, key, signed)
     object.__setattr__(secret, "_epoch_cache", entry)
     return entry
 

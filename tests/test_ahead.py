@@ -15,9 +15,9 @@ import time
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
 from overnym import ahead, identity, runner
-from overnym.hashing import TAG_SIGKEY, owf
 from overnym.identity import (
     MismatchedSecret,
     derive_appid,
@@ -29,7 +29,6 @@ from overnym.identity import (
 from overnym.runner import run_scenario, write_outputs
 from overnym.scenario import parse_scenario
 from overnym.session import rotation_nonce
-from overnym.wire import pack_u64
 
 from conftest import make_secret, settle
 
@@ -87,7 +86,7 @@ def signs(monkeypatch):
             self._receive()
             time.sleep(0.0002)
         answers = take_signed(self, seed)
-        counts["claimed"] += len(answers or ())
+        counts["claimed"] += len(answers)
         return answers
 
     def counting_sign(self, message):
@@ -359,6 +358,23 @@ def test_outside_a_scope_nothing_is_submitted(helper, secret, bcadd, appid, serv
     assert helper._signed == {}
 
 
+def test_a_helper_gone_before_its_sign_answer_leaves_it_inline(helper, monkeypatch, service):
+    # A helper that reads one frame and exits without answering it.
+    mute = [sys.executable, "-c",
+            "import sys; f = sys.stdin.buffer; f.read(int.from_bytes(f.read(4), 'big'))"]
+    monkeypatch.setattr(ahead, "_spawn", lambda: subprocess.Popen(
+        mute, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0))
+    secret, nonce = make_secret(14), rotation_nonce(SESSION_A, 1)
+    with helper.scope():
+        sign_linkage_ahead(secret, 1, service, nonce)
+        assert len(helper._sent) == 1
+        helper._proc.wait()
+        bcadd = derive_bcadd(secret, 1)
+        proof = make_linkage_proof(secret, bcadd, derive_appid(secret, bcadd, service), nonce)
+        assert helper._failed and helper._signed == {}
+    assert proof.to_bytes() == inline_proof(14, 1, service, nonce)
+
+
 HALVES = """
 import os, sys
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -376,7 +392,7 @@ frames.read()
 def test_a_sign_answer_read_in_part_waits_for_the_rest(helper, monkeypatch):
     monkeypatch.setattr(ahead, "_spawn", lambda: subprocess.Popen(
         [sys.executable, "-c", HALVES], stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0))
-    seed, message = owf(TAG_SIGKEY, b"seed", pack_u64(1)), b"message"
+    seed, message = bytes(range(32)), b"message"
     with helper.scope():
         helper.submit_sign(seed, message)
         deadline = time.monotonic() + 20
@@ -392,7 +408,7 @@ def test_a_sign_answer_read_in_part_waits_for_the_rest(helper, monkeypatch):
             time.sleep(0.002)
         assert helper._partial == b"" and len(helper._sent) == 1
         answers = helper.take_signed(seed)
-    key = identity.Ed25519PrivateKey.from_private_bytes(seed)
+    key = Ed25519PrivateKey.from_private_bytes(seed)
     assert answers == {message: (key.public_key().public_bytes_raw(), key.sign(message))}
     assert helper._signed == {}
 
