@@ -1,24 +1,25 @@
 """Ed25519 work run ahead of need in a helper process: linkage verifies,
-and the signature of each rotating user's next rotation proof.
+and the key and signature of each rotating user's next rotation proof.
 
-Ed25519 is deterministic: a (public key, signature, message) triple has
-one answer, and a (signing seed, message) pair one public key and one
-signature, wherever they are computed (RFC 8032, 5.1.5 and 5.1.6). Two
-kinds of work are known ticks before they are needed, and handed to one
-helper process that does them on another CPU while the simulation goes
-on:
+Ed25519 is deterministic (RFC 8032, 5.1.5 and 5.1.6): a verify, a
+public key and a signature are each a pure function of the bytes they
+are computed from, wherever they are computed. Such work known ticks
+before it is needed is sent as a frame to one helper process, which does
+it on another CPU while the simulation goes on. A frame is its own key:
+the one answer table maps each frame sent to the helper's answer, and a
+caller takes the answer for the exact frame it would compute, if it has
+arrived, and otherwise computes it inline. There are three kinds:
 
-- verify: a linkage proof is signed ticks before it is verified. When
-  make_linkage_proof signs, it submits the triple; verify_linkage then
-  takes the answer for the exact triple it would verify, if that answer
-  has already arrived, and otherwise verifies inline.
-- sign: the message of a user's next rotation proof is fixed once its
-  current rotation is done (next epoch, its address and APPIDs, the
-  session's next rotation nonce). After a rotation, each held session's
-  next (signing seed, message) is submitted. The next rotation takes the
-  public key for its seed (identity._epoch_key) and the signature for the
-  exact (seed, message) (make_linkage_proof), if they have arrived, and
-  otherwise computes them inline.
+- verify: make_linkage_proof sends each (key, signature, message) it
+  signs; verify_linkage takes the answer for the exact frame it would
+  verify (verify_frame).
+- key and sign: the message of a user's next rotation proof is fixed
+  once its current rotation is done (next epoch, its address and APPIDs,
+  the session's next rotation nonce). After a rotation,
+  identity.sign_linkage_ahead sends the next epoch's signing seed, and
+  per held session that seed with the message. The next rotation takes
+  the public key for the seed (identity._epoch_key) and the public key
+  and signature for the exact (seed, message) (_EpochKey.sign).
 
 Either way the result is Ed25519's on the same bytes, so no trace,
 metrics or chain byte depends on the helper.
@@ -37,19 +38,24 @@ GIL. It is started lazily, on the first submission inside a scope(), as
 holds no descriptor of this process but its own two pipes, and exits on
 end of input. Frames in are a u32 length, a kind byte and the kind's
 fields: VERIFY then the 32-byte key, the 64-byte signature and the
-message; SIGN then the 32-byte seed and the message. Answers out are in
-frame order: a verify's is one byte (1 valid, 0 not), a sign's the
-32-byte public key and the 64-byte signature. A read may end inside a
-sign's answer; the part read waits for the rest.
+message; KEY then a 32-byte signing seed; SIGN then the seed and the
+message. Answers out are in frame order, sized by the frame's kind
+(ANSWER_SIZES): a verify's is one byte (VALID or not), a key's the
+32-byte public key, a sign's that key and the 64-byte signature. The
+helper keeps the last seed's private key, so a key frame and the sign
+frames that follow it with the same seed derive it once. A read may end
+inside any answer; the part read waits for the rest.
 
 Nothing here waits on the helper. Answers are read only when they are
 ready, and a frame is written only if the pipe has room: both ends are
 non-blocking, and a frame, shorter than PIPE_BUF, is written whole or not
 at all. At most WINDOW frames are outstanding; past that, or with the
-pipe full, nothing is submitted. When a scope ends, its unclaimed entries
-of both kinds are dropped. If the helper cannot start (OSError) or dies
-(end of its output, or BrokenPipeError), every later verify and sign in
-this process is inline.
+pipe full, nothing is submitted. An answer lasts until it is taken or
+its scope ends: a run ends with at most one key frame per rotating user
+and one sign frame per rotating session unclaimed, beside the verifies
+of proofs that were never delivered. If the helper cannot start
+(OSError) or dies (end of its output, or BrokenPipeError), every later
+verify, key and signature in this process is computed inline.
 """
 
 from __future__ import annotations
@@ -62,19 +68,19 @@ import sys
 from collections import deque
 from contextlib import contextmanager
 
-# Frames outstanding at most: 256 linkage frames of 197 bytes (~50 KB)
+# Frames outstanding at most: 256 verify frames of 197 bytes (~50 KB)
 # fit in a default 64 KiB pipe, and so do 256 answers of 96 bytes (24 KiB)
 # in the other.
 WINDOW = 256
 
 KEY_SIZE = 32
-SEED_SIZE = 32
 SIGNATURE_SIZE = 64
 
-# Frame kinds, the first byte after a frame's length.
-VERIFY = b"\x00"
-SIGN = b"\x01"
-SIGN_ANSWER_SIZE = KEY_SIZE + SIGNATURE_SIZE
+# Frame kinds, the first byte after a frame's length, and the size of
+# each kind's answer, indexed by the kind's value.
+VERIFY, KEY, SIGN = b"\x00", b"\x01", b"\x02"
+ANSWER_SIZES = (1, KEY_SIZE, KEY_SIZE + SIGNATURE_SIZE)
+VALID = b"\x01"  # a verify's answer for a signature that verifies
 
 # On the helper's command line, so it can be found with `pgrep -f`.
 MARKER = "overnym-verify-ahead"
@@ -84,14 +90,18 @@ import os, sys
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 frames = sys.stdin.buffer
+seed = None
 while True:
     head = frames.read(4)
     if len(head) < 4:
         break
     frame = frames.read(int.from_bytes(head, "big"))
-    if frame[:1] == b"\\x01":
-        key = Ed25519PrivateKey.from_private_bytes(frame[1:33])
-        answer = key.public_key().public_bytes_raw() + key.sign(frame[33:])
+    if frame[0]:  # a key or a sign frame
+        if frame[1:33] != seed:
+            seed = frame[1:33]
+            key = Ed25519PrivateKey.from_private_bytes(seed)
+            public = key.public_key().public_bytes_raw()
+        answer = public + key.sign(frame[33:]) if frame[0] == 2 else public
     else:
         try:
             Ed25519PublicKey.from_public_bytes(frame[1:33]).verify(frame[33:97], frame[97:])
@@ -100,6 +110,15 @@ while True:
             answer = b"\\x00"
     os.write(1, answer)
 """
+
+
+def verify_frame(key: bytes, signature: bytes, message: bytes) -> bytes | None:
+    """The frame that verifies the signature over the message under the
+    key, or None if the key or the signature has another size: a frame is
+    its own key, so its fields must split one way only."""
+    if len(key) != KEY_SIZE or len(signature) != SIGNATURE_SIZE:
+        return None
+    return VERIFY + key + signature + message
 
 
 def _cpus() -> int:
@@ -126,27 +145,22 @@ class VerifyAhead:
         self._to = self._from = -1  # our ends of the helper's pipes
         self._failed = False
         self._open = False  # inside a scope, with a helper that may be used
-        # Per frame whose answer is not read yet: its verify triple
-        # (key, signature, message) or its sign pair (seed, message).
-        self._sent: deque[tuple[bytes, ...]] = deque()
-        self._partial = b""  # the start of a sign answer read in part
-        self._known: dict[tuple[bytes, bytes, bytes], bool | None] = {}  # None: on its way
-        # seed -> message -> (public key, signature), or None on its way
-        self._signed: dict[bytes, dict[bytes, tuple[bytes, bytes] | None]] = {}
+        self._sent: deque[bytes] = deque()  # the frames whose answer is not read yet
+        self._partial = b""  # the start of an answer read in part
+        self._answers: dict[bytes, bytes | None] = {}  # frame -> answer, None on its way
 
     @contextmanager
     def scope(self):
         """Submissions are taken only inside, and only with a second CPU
         to work on; on exit the answers that have arrived are read and
-        every unclaimed entry is dropped."""
+        every unclaimed one is dropped."""
         self._open = not self._failed and _cpus() > 1
         try:
             yield
         finally:
             self._open = False
             self._receive()
-            self._known.clear()
-            self._signed.clear()
+            self._answers.clear()
 
     @property
     def submitting(self) -> bool:
@@ -154,52 +168,24 @@ class VerifyAhead:
         second CPU and a helper that has not failed."""
         return self._open
 
-    def submit(self, key: bytes, signature: bytes, message: bytes) -> None:
-        """Start verifying the triple in the helper, inside a scope with
-        room in the window and the pipe; otherwise do nothing."""
-        if not self._open:
-            return
-        if len(key) != KEY_SIZE or len(signature) != SIGNATURE_SIZE:
-            return
-        triple = (key, signature, message)
-        if self._send(VERIFY + key + signature + message, triple):
-            self._known[triple] = None
+    def submit(self, frame: bytes | None) -> None:
+        """Start the frame's work in the helper, inside a scope with room
+        in the window and the pipe, unless its answer is already owed;
+        otherwise, or for None, do nothing."""
+        if self._open and frame is not None and frame not in self._answers and self._send(frame):
+            self._answers[frame] = None
 
-    def submit_sign(self, seed: bytes, message: bytes) -> None:
-        """Start deriving the seed's public key and signing the message
-        with it in the helper, under the same conditions as submit()."""
-        if not self._open or len(seed) != SEED_SIZE:
-            return
-        if self._send(SIGN + seed + message, (seed, message)):
-            self._signed.setdefault(seed, {})[message] = None
-
-    def take(self, key: bytes, signature: bytes, message: bytes) -> bool | None:
-        """The helper's answer for exactly this triple if it has arrived,
-        else None. Either way the triple's entry is claimed."""
-        if not self._known:  # nothing submitted: one CPU, no scope, or no helper
+    def take(self, frame: bytes | None) -> bytes | None:
+        """The helper's answer to exactly this frame if it has arrived,
+        else None. Either way the frame's entry is claimed."""
+        answers = self._answers
+        if not answers:  # nothing submitted: one CPU, no scope, or no helper
             return None
-        triple = (key, signature, message)
-        try:
-            answer = self._known[triple]
-        except (KeyError, TypeError):  # not submitted; an unhashable field never is
-            return None
-        if answer is None:
-            self._receive()
-        return self._known.pop(triple, None)
-
-    def take_signed(self, seed: bytes) -> dict[bytes, tuple[bytes, bytes]]:
-        """The helper's (public key, signature) per message submitted with
-        this seed, for those that have arrived. Either way every entry for
-        the seed is claimed."""
-        answers = self._signed.get(seed) if self._signed else None
-        if answers is None:
-            return {}
-        if None in answers.values():
+        if frame in answers and answers[frame] is None:
             self._receive()  # may find the helper gone, and drop every entry
-        self._signed.pop(seed, None)
-        return {message: answer for message, answer in answers.items() if answer is not None}
+        return answers.pop(frame, None)
 
-    def _send(self, frame: bytes, entry: tuple[bytes, ...]) -> bool:
+    def _send(self, frame: bytes) -> bool:
         """Write one frame if the window and the pipe have room for it,
         starting the helper if need be; True if it was written."""
         if 4 + len(frame) > select.PIPE_BUF:  # might be written in part
@@ -217,7 +203,7 @@ class VerifyAhead:
         except BrokenPipeError:
             self.close()
             return False
-        self._sent.append(entry)
+        self._sent.append(frame)
         return True
 
     def _start(self) -> bool:
@@ -241,43 +227,36 @@ class VerifyAhead:
         if not sent or self._failed:
             return
         try:
-            answers = os.read(self._from, len(sent) * SIGN_ANSWER_SIZE - len(self._partial))
+            data = os.read(self._from, len(sent) * ANSWER_SIZES[-1] - len(self._partial))
         except BlockingIOError:  # none has arrived
             return
-        if not answers:  # the helper has exited
+        if not data:  # the helper has exited
             self.close()
             return
-        data = self._partial + answers if self._partial else answers
-        known, signed = self._known, self._signed
+        if self._partial:
+            data = self._partial + data
+        answers = self._answers
         at, size = 0, len(data)
-        while sent and at < size:
-            entry = sent[0]
-            if len(entry) == 3:  # a verify
-                if known.get(entry, False) is None:  # submitted in this scope, unclaimed
-                    known[entry] = data[at] == 1
-                at += 1
-            else:
-                end = at + SIGN_ANSWER_SIZE
-                if end > size:
-                    break
-                seed, message = entry
-                answers_for_seed = signed.get(seed)
-                if answers_for_seed is not None and message in answers_for_seed:
-                    answers_for_seed[message] = (data[at:at + KEY_SIZE], data[at + KEY_SIZE:end])
-                at = end
+        while sent:
+            frame = sent[0]
+            end = at + ANSWER_SIZES[frame[0]]
+            if end > size:
+                break
+            if frame in answers:  # submitted in this scope, unclaimed
+                answers[frame] = data[at:end]
+            at = end
             sent.popleft()
         self._partial = data[at:]
 
     def _drop(self) -> None:
-        """Verify and sign inline for the rest of the process."""
+        """Compute everything inline for the rest of the process."""
         self._failed, self._open = True, False
         self._sent.clear()
         self._partial = b""
-        self._known.clear()
-        self._signed.clear()
+        self._answers.clear()
 
     def close(self) -> None:
-        """Verify and sign inline from now on; close the pipes and wait
+        """Compute everything inline from now on; close the pipes and wait
         for the helper, which exits at the end of its input. Registered
         with atexit when the helper starts, and called when it fails."""
         self._drop()

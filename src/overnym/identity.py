@@ -16,12 +16,14 @@ value.
 All values here are immutable after construction; operations are pure.
 Two exceptions never change a result: a private cache on IdentitySecret
 holding the last epoch's BCADD and signing key, so that repeated proofs
-under one epoch derive the Ed25519 key once; and the helper (ahead.py).
-make_linkage_proof hands it each signature it makes, and verify_linkage
-takes Ed25519's answer for it. sign_linkage_ahead hands it a proof
-message known before it is needed, with its epoch's signing seed; the
-epoch's key derivation then takes the helper's public key and
-make_linkage_proof its signature, each only if it has arrived.
+under one epoch derive the Ed25519 key once; and the helper (ahead.py),
+whose answers to frames of Ed25519 work sent ahead of need are taken
+only for the exact frame that would be computed here. make_linkage_proof
+sends a verify frame for each signature it makes, and verify_linkage
+takes its answer. sign_linkage_ahead sends an epoch's signing seed as a
+key frame, and a proof message known before it is needed as a sign
+frame; the epoch's key derivation then takes the helper's public key,
+and the proof its signature, each only if it has arrived.
 """
 
 from __future__ import annotations
@@ -297,27 +299,24 @@ class AttributeAttestation:
 
 class _EpochKey:
     """One epoch's BCADD and Ed25519 signing key. When the helper
-    (ahead.py) has already answered for the epoch's signing seed, the
-    BCADD carries the helper's public key, the private key is built from
-    the seed only when a signature is made here, and signed holds the
-    helper's (public key, signature) per message it signed ahead."""
+    (ahead.py) has already answered the key frame of the epoch's signing
+    seed, the BCADD carries the helper's public key and the private key
+    is built from the seed only when a signature is made here."""
 
-    __slots__ = ("bcadd", "seed", "key", "signed")
+    __slots__ = ("bcadd", "seed", "key")
 
-    def __init__(self, bcadd: BCADD, seed: bytes, key: Ed25519PrivateKey | None,
-                 signed: dict[bytes, tuple[bytes, bytes]]):
+    def __init__(self, bcadd: BCADD, seed: bytes, key: Ed25519PrivateKey | None):
         self.bcadd = bcadd
         self.seed = seed
         self.key = key
-        self.signed = signed
 
     def sign(self, message: bytes) -> bytes:
         """The helper's signature for exactly this message under this
-        seed, if it returned this BCADD's public key; else a signature
-        made here."""
-        answer = self.signed.pop(message, None)
-        if answer is not None and answer[0] == self.bcadd.public_key:
-            return answer[1]
+        seed, if it returned this BCADD's public key with it; else a
+        signature made here."""
+        answer = ahead.AHEAD.take(ahead.SIGN + self.seed + message)
+        if answer is not None and answer[:ahead.KEY_SIZE] == self.bcadd.public_key:
+            return answer[ahead.KEY_SIZE:]
         if self.key is None:
             key = Ed25519PrivateKey.from_private_bytes(self.seed)
             if key.public_key().public_bytes_raw() != self.bcadd.public_key:
@@ -329,7 +328,7 @@ class _EpochKey:
 def _epoch_key(secret: IdentitySecret, epoch: int) -> _EpochKey:
     """The secret's BCADD and signing key for an epoch, derived once and
     cached on the secret until another epoch is asked for. The public key
-    is the helper's if it has answered for the epoch's seed."""
+    is the helper's if it has answered the seed's key frame."""
     cached = secret._epoch_cache
     if cached is not None and cached.bcadd.epoch == epoch:
         return cached
@@ -337,16 +336,14 @@ def _epoch_key(secret: IdentitySecret, epoch: int) -> _EpochKey:
         raise ValueError("epoch must be non-negative")
     epoch_bytes = pack_u64(epoch)
     seed = owf(TAG_SIGKEY, secret.seed, epoch_bytes)
-    signed = ahead.AHEAD.take_signed(seed)
-    if signed:
-        key = None
-        public_key = next(iter(signed.values()))[0]
-    else:
+    key = None
+    public_key = ahead.AHEAD.take(ahead.KEY + seed)
+    if public_key is None:
         key = Ed25519PrivateKey.from_private_bytes(seed)
         public_key = key.public_key().public_bytes_raw()
     bcadd = BCADD(address=owf(TAG_BCADD, secret.seed, epoch_bytes), epoch=epoch,
                   public_key=public_key)
-    entry = _EpochKey(bcadd, seed, key, signed)
+    entry = _EpochKey(bcadd, seed, key)
     object.__setattr__(secret, "_epoch_cache", entry)
     return entry
 
@@ -396,17 +393,17 @@ def make_linkage_proof(
     appid: APPID,
     session_nonce: bytes,
 ) -> LinkageProof:
-    """Sign (address, appid, epoch, nonce) with the epoch key, and hand the
-    signed triple to the verify-ahead helper (ahead.py). The signature is
-    the helper's if this exact message was signed ahead under the epoch's
-    seed (sign_linkage_ahead). LinkageProof raises ValueError for a nonce
-    that is not NONCE_SIZE bytes."""
+    """Sign (address, appid, epoch, nonce) with the epoch key, and send
+    the signature's verify frame to the helper (ahead.py). The signature
+    is the helper's if this exact message was signed ahead under the
+    epoch's seed (sign_linkage_ahead). LinkageProof raises ValueError for
+    a nonce that is not NONCE_SIZE bytes."""
     key = _require_own_bcadd(secret, bcadd)
     if not _derives_from(appid, bcadd):
         raise MismatchedSecret("APPID does not derive from this BCADD")
     message = _linkage_message(bcadd.address, appid.id, bcadd.epoch, session_nonce)
     signature = key.sign(message)
-    ahead.AHEAD.submit(bcadd.public_key, signature, message)
+    ahead.AHEAD.submit(ahead.verify_frame(bcadd.public_key, signature, message))
     return LinkageProof(
         commitment=bcadd.to_bytes(),
         signature=signature,
@@ -420,17 +417,20 @@ def sign_linkage_ahead(
     service: ServiceProps,
     session_nonce: bytes,
 ) -> None:
-    """Hand the helper (ahead.py) the message that a proof for `service`
-    under `epoch`, bound to this nonce, will sign, with the epoch's
-    signing seed. The message is built from the digests, not through
-    derive_bcadd or derive_appid, so no key is derived here. Nothing is
-    computed where the helper takes no submission."""
+    """Send the helper (ahead.py) the epoch's signing seed as a key
+    frame, and the seed with the message that a proof for `service` under
+    `epoch`, bound to this nonce, will sign as a sign frame. The message
+    is built from the digests, not through derive_bcadd or derive_appid,
+    so no key is derived here. Nothing is computed where the helper takes
+    no submission."""
     if not ahead.AHEAD.submitting:
         return
     epoch_bytes = pack_u64(epoch)
+    seed = owf(TAG_SIGKEY, secret.seed, epoch_bytes)
     address = owf(TAG_BCADD, secret.seed, epoch_bytes)
     message = _linkage_message(address, appid_digest(address, service, epoch), epoch, session_nonce)
-    ahead.AHEAD.submit_sign(owf(TAG_SIGKEY, secret.seed, epoch_bytes), message)
+    ahead.AHEAD.submit(ahead.KEY + seed)
+    ahead.AHEAD.submit(ahead.SIGN + seed + message)
 
 
 def verify_linkage(
@@ -445,8 +445,9 @@ def verify_linkage(
     structurally re-derives from the BCADD (service, epoch, digest); the
     epoch key is not of small order; the signature verifies under it over
     the given nonce. For that last check it takes the verify-ahead
-    helper's answer for this exact (key, signature, message), if one has
-    arrived, and verifies inline otherwise; both are Ed25519's answer.
+    helper's answer for this exact (key, signature, message) frame, if
+    one has arrived, and verifies inline otherwise; both are Ed25519's
+    answer.
     Malformed inputs yield False, never an exception.
     """
     try:
@@ -458,9 +459,9 @@ def verify_linkage(
         if _small_order(key):
             return False
         message = _linkage_message(bcadd.address, appid.id, bcadd.epoch, bytes(session_nonce))
-        answer = ahead.AHEAD.take(key, proof.signature, message)
+        answer = ahead.AHEAD.take(ahead.verify_frame(key, proof.signature, message))
         if answer is not None:
-            return answer
+            return answer == ahead.VALID
         Ed25519PublicKey.from_public_bytes(key).verify(proof.signature, message)
         return True
     except (InvalidSignature, ValueError, TypeError, WireError):

@@ -4,6 +4,7 @@ import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
+from overnym import ahead
 from overnym.identity import (
     APPID,
     BCADD,
@@ -208,9 +209,10 @@ class TestSmallOrderKeys:
         bcadd, appid, proof, nonce = forged
         message = _linkage_message(bcadd.address, appid.id, 0, nonce)
         with helper.scope():
-            helper.submit(bcadd.public_key, proof.signature, message)
+            frame = ahead.verify_frame(bcadd.public_key, proof.signature, message)
+            helper.submit(frame)
             settle(helper)
-            assert helper._known == {(bcadd.public_key, proof.signature, message): True}
+            assert helper._answers == {frame: ahead.VALID}
             assert verify_linkage(bcadd, appid, proof, nonce) is False
 
     def test_an_attestation_is_refused(self, forged):

@@ -391,20 +391,20 @@ class TestRefusedHandshakeMessage:
 
         def rewritten_first(confirm, now):
             settle(helper)
-            answered = len(helper._known)
+            answered = len(helper._answers)
             signature = confirm.linkage.signature
             bent = replace(confirm.linkage, signature=bytes([signature[0] ^ 1]) + signature[1:])
             accept_confirm(replace(confirm, linkage=bent), now)
-            assert len(helper._known) == answered
+            assert len(helper._answers) == answered
             accept_confirm(confirm, now)
-            assert len(helper._known) == answered - 1
+            assert len(helper._answers) == answered - 1
 
         server._handle_confirm = rewritten_first
         with helper.scope():
             user, server = self.connect(built)
         assert self.failures(built, "s") == [("confirm", "bad-proof")]
         assert len(self.established(built, "s")) == 1
-        assert helper._known == {}
+        assert helper._answers == {}
 
     def test_forged_challenge_leaves_the_client_handshake_open(self):
         built = settled(register_user=True)
