@@ -14,9 +14,11 @@ predicates ("age is at least 18") carrying the threshold but never the
 value.
 
 All values here are immutable after construction; operations are pure.
-Two exceptions never change a result: a private cache on IdentitySecret
+Two exceptions never change a result: private caches on IdentitySecret
 holding the last epoch's BCADD and signing key, so that repeated proofs
-under one epoch derive the Ed25519 key once; and the helper (ahead.py),
+under one epoch derive the Ed25519 key once, and the digests that
+sign_linkage_ahead derived for the next epoch, so that the rotation to it
+derives none of them again; and the helper (ahead.py),
 whose answers to frames of Ed25519 work sent ahead of need are taken
 only for the exact frame that would be computed here. make_linkage_proof
 sends a verify frame for each signature it makes, and verify_linkage
@@ -87,13 +89,17 @@ def _small_order(public_key: bytes) -> bool:
 class IdentitySecret:
     """Private material. Never serialized; repr is redacted.
 
-    _epoch_cache holds one epoch's BCADD and signing key (_EpochKey). It
-    takes no part in equality or repr.
+    _epoch_cache holds one epoch's BCADD and signing key (_EpochKey), and
+    _next_epoch the digests sign_linkage_ahead derived for a later epoch
+    (_EpochDigests). Neither takes part in equality or repr.
     """
 
     seed: bytes
     registered_attributes: Mapping[str, int | str] = field(default_factory=dict)
     _epoch_cache: _EpochKey | None = field(
+        default=None, init=False, repr=False, compare=False,
+    )
+    _next_epoch: _EpochDigests | None = field(
         default=None, init=False, repr=False, compare=False,
     )
 
@@ -297,18 +303,46 @@ class AttributeAttestation:
 # Derivations
 # ---------------------------------------------------------------------------
 
+_NO_DIGESTS: Mapping[ServiceProps, bytes] = MappingProxyType({})
+
+
+class _EpochDigests:
+    """An epoch's signing seed and chain address, and the APPID digests
+    asked of it, each derived from the secret once. sign_linkage_ahead
+    keeps the next epoch's on the secret, and the rotation to that epoch
+    takes them (_epoch_key, derive_appid) rather than derive them again."""
+
+    __slots__ = ("epoch", "seed", "address", "digests")
+
+    def __init__(self, secret: IdentitySecret, epoch: int):
+        epoch_bytes = pack_u64(epoch)
+        self.epoch = epoch
+        self.seed = owf(TAG_SIGKEY, secret.seed, epoch_bytes)
+        self.address = owf(TAG_BCADD, secret.seed, epoch_bytes)
+        self.digests: dict[ServiceProps, bytes] = {}
+
+    def digest(self, service: ServiceProps) -> bytes:
+        digest = self.digests.get(service)
+        if digest is None:
+            digest = self.digests[service] = appid_digest(self.address, service, self.epoch)
+        return digest
+
+
 class _EpochKey:
-    """One epoch's BCADD and Ed25519 signing key. When the helper
-    (ahead.py) has already answered the key frame of the epoch's signing
-    seed, the BCADD carries the helper's public key and the private key
-    is built from the seed only when a signature is made here."""
+    """One epoch's BCADD and Ed25519 signing key, with the APPID digests
+    derived ahead for it. When the helper (ahead.py) has already answered
+    the key frame of the epoch's signing seed, the BCADD carries the
+    helper's public key and the private key is built from the seed only
+    when a signature is made here."""
 
-    __slots__ = ("bcadd", "seed", "key")
+    __slots__ = ("bcadd", "seed", "key", "digests")
 
-    def __init__(self, bcadd: BCADD, seed: bytes, key: Ed25519PrivateKey | None):
+    def __init__(self, bcadd: BCADD, seed: bytes, key: Ed25519PrivateKey | None,
+                 digests: Mapping[ServiceProps, bytes]):
         self.bcadd = bcadd
         self.seed = seed
         self.key = key
+        self.digests = digests
 
     def sign(self, message: bytes) -> bytes:
         """The helper's signature for exactly this message under this
@@ -327,23 +361,26 @@ class _EpochKey:
 
 def _epoch_key(secret: IdentitySecret, epoch: int) -> _EpochKey:
     """The secret's BCADD and signing key for an epoch, derived once and
-    cached on the secret until another epoch is asked for. The public key
-    is the helper's if it has answered the seed's key frame."""
+    cached on the secret until another epoch is asked for. The seed and
+    address are sign_linkage_ahead's if it derived this epoch's; the
+    public key is the helper's if it has answered the seed's key frame."""
     cached = secret._epoch_cache
     if cached is not None and cached.bcadd.epoch == epoch:
         return cached
     if epoch < 0:
         raise ValueError("epoch must be non-negative")
-    epoch_bytes = pack_u64(epoch)
-    seed = owf(TAG_SIGKEY, secret.seed, epoch_bytes)
+    derived = secret._next_epoch
+    if derived is not None and derived.epoch == epoch:
+        object.__setattr__(secret, "_next_epoch", None)
+    else:
+        derived = _EpochDigests(secret, epoch)
     key = None
-    public_key = ahead.AHEAD.take(ahead.KEY + seed)
+    public_key = ahead.AHEAD.take(ahead.KEY + derived.seed)
     if public_key is None:
-        key = Ed25519PrivateKey.from_private_bytes(seed)
+        key = Ed25519PrivateKey.from_private_bytes(derived.seed)
         public_key = key.public_key().public_bytes_raw()
-    bcadd = BCADD(address=owf(TAG_BCADD, secret.seed, epoch_bytes), epoch=epoch,
-                  public_key=public_key)
-    entry = _EpochKey(bcadd, seed, key)
+    bcadd = BCADD(address=derived.address, epoch=epoch, public_key=public_key)
+    entry = _EpochKey(bcadd, derived.seed, key, derived.digests or _NO_DIGESTS)
     object.__setattr__(secret, "_epoch_cache", entry)
     return entry
 
@@ -374,13 +411,12 @@ def _derives_from(appid: APPID, bcadd: BCADD) -> bool:
 
 
 def derive_appid(secret: IdentitySecret, bcadd: BCADD, service: ServiceProps) -> APPID:
-    """Service identity under the given BCADD; epoch carried over."""
-    _require_own_bcadd(secret, bcadd)
-    return APPID(
-        id=appid_digest(bcadd.address, service, bcadd.epoch),
-        service=service,
-        epoch=bcadd.epoch,
-    )
+    """Service identity under the given BCADD; epoch carried over. The
+    digest is sign_linkage_ahead's if it derived it for this epoch."""
+    digest = _require_own_bcadd(secret, bcadd).digests.get(service)
+    if digest is None:
+        digest = appid_digest(bcadd.address, service, bcadd.epoch)
+    return APPID(id=digest, service=service, epoch=bcadd.epoch)
 
 
 def _linkage_message(address: bytes, appid_id: bytes, epoch: int, nonce: bytes) -> bytes:
@@ -421,16 +457,19 @@ def sign_linkage_ahead(
     frame, and the seed with the message that a proof for `service` under
     `epoch`, bound to this nonce, will sign as a sign frame. The message
     is built from the digests, not through derive_bcadd or derive_appid,
-    so no key is derived here. Nothing is computed where the helper takes
-    no submission."""
+    so no key is derived here. The seed, address and APPID digest are
+    kept on the secret (_EpochDigests): derived once for every session
+    signed ahead and for the rotation to that epoch. Nothing is computed
+    where the helper takes no submission."""
     if not ahead.AHEAD.submitting:
         return
-    epoch_bytes = pack_u64(epoch)
-    seed = owf(TAG_SIGKEY, secret.seed, epoch_bytes)
-    address = owf(TAG_BCADD, secret.seed, epoch_bytes)
-    message = _linkage_message(address, appid_digest(address, service, epoch), epoch, session_nonce)
-    ahead.AHEAD.submit(ahead.KEY + seed)
-    ahead.AHEAD.submit(ahead.SIGN + seed + message)
+    derived = secret._next_epoch
+    if derived is None or derived.epoch != epoch:
+        derived = _EpochDigests(secret, epoch)
+        object.__setattr__(secret, "_next_epoch", derived)
+    message = _linkage_message(derived.address, derived.digest(service), epoch, session_nonce)
+    ahead.AHEAD.submit(ahead.KEY + derived.seed)
+    ahead.AHEAD.submit(ahead.SIGN + derived.seed + message)
 
 
 def verify_linkage(

@@ -8,16 +8,25 @@ exact-map probes for an absent key is the segment count times the
 filter's false-positive rate.
 
 Filter index hashes are domain-separated instances of the package-wide
-hash (one primitive to audit); bloom filters cannot delete, so removal
-marks the exact map and rebuild_filter regenerates the filter over the
-live keys. A table hashes each key once: it keeps the bit positions that
-BloomFilter.add returned for every live key and forgets them on remove,
-so a rebuild sets bits from those positions and hashes nothing.
+hash (one primitive to audit). A filter holds its bit array as one int
+whose bit p is filter bit p, so its little-endian bytes are the
+snapshot's bit array; testing a key is one `bits & mask == mask`.
+
+Bloom filters cannot delete, so a table counts its bits (Fan, Cao,
+Almeida & Broder's counting filter, kept beside the plain one): for each
+set bit, how many of its keys set it. Counts exist for set bits only, so
+they grow with the keys, not with m. A table hashes each key once: it
+keeps the bit positions that BloomFilter.add returned for every live
+key. remove unbinds at once but leaves the key's bits set (stale) until
+rebuild_filter, which takes the removed keys' counts back and clears
+only the bits whose count reaches zero. A rebuild therefore costs O(k)
+per removed key, whatever the table's size, and gives the filter that
+adding each live key afresh would.
 
 A global lookup hashes the key once per filter geometry (m, k), not once
 per segment: every table with that geometry is tested against the same
-bit positions. With the usual single geometry that is k hashes per
-lookup whatever the segment count.
+mask. With the usual single geometry that is k hashes per lookup
+whatever the segment count.
 """
 
 from __future__ import annotations
@@ -74,8 +83,21 @@ def fpr_analytic(m: int, k: int, n: int) -> float:
     return (1.0 - math.exp(-k * n / m)) ** k
 
 
+def _bit_mask(positions: Iterable[int]) -> int:
+    """The int with exactly the given bit positions set."""
+    mask = 0
+    for pos in positions:
+        mask |= 1 << pos
+    return mask
+
+
 class BloomFilter:
-    """Fixed-size bit array with k domain-separated index hashes."""
+    """Fixed-size bit array with k domain-separated index hashes.
+
+    The bit array is one int, bit p for filter bit p: its m-bit
+    little-endian bytes are the snapshot's bit array, and no bit at or
+    past m is ever set.
+    """
 
     __slots__ = ("m", "k", "count", "_bits")
 
@@ -87,7 +109,7 @@ class BloomFilter:
         self.m = m
         self.k = k
         self.count = 0
-        self._bits = bytearray((m + 7) // 8)
+        self._bits = 0
 
     def positions(self, key: bytes) -> list[int]:
         return [
@@ -95,32 +117,22 @@ class BloomFilter:
             for i in range(self.k)
         ]
 
+    def mask(self, key: bytes) -> int:
+        """The key's bits under this geometry, as one int."""
+        return _bit_mask(self.positions(key))
+
     def add(self, key: bytes) -> list[int]:
-        """Hash key into the filter; returns its bit positions, which
-        add_positions can set again without hashing."""
+        """Hash key into the filter; returns its bit positions."""
         positions = self.positions(key)
-        self.add_positions((positions,))
+        self._bits |= _bit_mask(positions)
+        self.count += 1
         return positions
 
-    def add_positions(self, keys: Iterable[list[int]]) -> None:
-        """Add keys given by the positions add returned for them under
-        this geometry: the same bits and count, and no hashing."""
-        bits = self._bits
-        added = 0
-        for positions in keys:
-            for pos in positions:
-                bits[pos >> 3] |= 1 << (pos & 7)
-            added += 1
-        self.count += added
-
     def might_contain(self, key: bytes) -> bool:
-        return self.count > 0 and self.has_bits(self.positions(key))
-
-    def has_bits(self, positions: Iterable[int]) -> bool:
-        """True iff every given bit is set: might_contain for a key whose
-        positions under this filter's geometry were computed already."""
-        bits = self._bits
-        return all(bits[pos >> 3] >> (pos & 7) & 1 for pos in positions)
+        if self.count == 0:
+            return False
+        mask = self.mask(key)
+        return self._bits & mask == mask
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BloomFilter):
@@ -134,24 +146,28 @@ class BloomFilter:
             self.m.to_bytes(4, "little")
             + self.k.to_bytes(1, "little")
             + self.count.to_bytes(4, "little")
-            + bytes(self._bits)
+            + self._bits.to_bytes((self.m + 7) // 8, "little")
         )
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomFilter":
+        """Decode a snapshot; refuses one whose padding bits past m are
+        set, so each filter has exactly one snapshot."""
         if len(data) < 9:
             raise WireError("bloom snapshot too short")
         m = int.from_bytes(data[0:4], "little")
         k = data[4]
         count = int.from_bytes(data[5:9], "little")
-        bits = data[9:]
         if m < 8 or k < 1:
             raise WireError("bad bloom snapshot header")
-        if len(bits) != (m + 7) // 8:
+        if len(data) - 9 != (m + 7) // 8:
             raise WireError("bloom snapshot bit-array length mismatch")
+        bits = int.from_bytes(data[9:], "little")
+        if bits >> m:
+            raise WireError("bloom snapshot sets a padding bit past m")
         snapshot = cls(m, k)
         snapshot.count = count
-        snapshot._bits = bytearray(bits)
+        snapshot._bits = bits
         return snapshot
 
 
@@ -173,6 +189,11 @@ class NeatTable:
         self._exact: dict[bytes, NetworkLocator] = {}
         # Live key -> its bit positions in self.filter; the same keys as _exact.
         self._positions: dict[bytes, list[int]] = {}
+        # Set bit -> how many positions lists set it: the live keys' and
+        # those in _removed. A bit is set iff it has a count here.
+        self._counts: dict[int, int] = {}
+        # Positions of the keys removed since the last rebuild_filter.
+        self._removed: list[list[int]] = []
 
     def __len__(self) -> int:
         return len(self._exact)
@@ -191,23 +212,40 @@ class NeatTable:
             )
         key = bytes(key)
         if key not in self._exact:
-            self._positions[key] = self.filter.add(key)
+            positions = self._positions[key] = self.filter.add(key)
+            counts = self._counts
+            for pos in positions:
+                counts[pos] = counts.get(pos, 0) + 1
         self._exact[key] = locator
 
     def remove(self, key: bytes) -> None:
-        """Unbind and forget the key's cached bit positions; stale filter
-        bits persist until rebuild_filter."""
+        """Unbind the key and keep its positions for rebuild_filter; its
+        stale filter bits persist until then."""
         key = bytes(key)
         self._exact.pop(key, None)
-        self._positions.pop(key, None)
+        positions = self._positions.pop(key, None)
+        if positions is not None:
+            self._removed.append(positions)
 
     def rebuild_filter(self) -> None:
-        """Regenerate the filter over live keys only (same geometry), from
-        their cached bit positions: the filter that adding each live key
-        afresh would give, with no key hashed again."""
-        fresh = BloomFilter(self.filter.m, self.filter.k)
-        fresh.add_positions(self._positions.values())
-        self.filter = fresh
+        """Make the filter the one that adding each live key afresh would
+        give (same geometry), touching only the keys removed since the
+        last rebuild: their counts are taken back, and a bit is cleared
+        when its count reaches zero. No key is hashed or re-added."""
+        counts = self._counts
+        cleared = 0
+        for positions in self._removed:
+            for pos in positions:
+                left = counts[pos] - 1
+                if left:
+                    counts[pos] = left
+                else:
+                    del counts[pos]
+                    cleared |= 1 << pos
+        self._removed.clear()
+        bloom = self.filter
+        bloom._bits &= ~cleared
+        bloom.count = len(self._positions)
 
     def snapshot(self) -> bytes:
         return self.filter.to_bytes()
@@ -241,7 +279,7 @@ def lookup_global(
     maybe; first exact hit wins. probes counts exact-map consultations."""
     ordered = [tables[segment] for segment in sorted(tables)]
     key = bytes(key)
-    positions: dict[tuple[int, int], list[int]] = {}  # (m, k) -> bit positions
+    masks: dict[tuple[int, int], int] = {}  # (m, k) -> the key's mask
     probes = 0
     result: NetworkLocator | None = None
     for table in ordered:
@@ -249,9 +287,10 @@ def lookup_global(
         maybe = False
         if bloom.count > 0:
             geometry = (bloom.m, bloom.k)
-            if geometry not in positions:
-                positions[geometry] = bloom.positions(key)
-            maybe = bloom.has_bits(positions[geometry])
+            mask = masks.get(geometry)
+            if mask is None:
+                mask = masks[geometry] = bloom.mask(key)
+            maybe = bloom._bits & mask == mask
         if not maybe:
             if stats is not None:
                 stats.true_negatives += 1

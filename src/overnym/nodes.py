@@ -665,9 +665,8 @@ class UserNode(_SessionEnd):
             # The next rotation's proof message is fixed now: sign it ahead,
             # where the helper takes submissions.
             if ahead.AHEAD.submitting:
-                identity.sign_linkage_ahead(
-                    self.secret, new_bcadd.epoch + 1, new_appid.service,
-                    session.rotation_nonce(session_id, sess.rotation_count + 1))
+                identity.sign_linkage_ahead(self.secret, new_bcadd.epoch + 1, new_appid.service,
+                                            session.next_rotation_nonce(sess))
             self.sim.trace.emit("rotation-sent", now, node=self.name,
                                 session=session_id.hex()[:16], epoch=new_bcadd.epoch)
 

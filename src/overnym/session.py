@@ -141,6 +141,10 @@ class Session:
     # highest accepted seq; a seq at or below it is a replay.
     payloads_accepted: int = 0
     highest_seq: int = -1
+    # (rotation index, its rotation_nonce) once next_rotation_nonce has
+    # computed it.
+    _next_nonce: tuple[int, bytes] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def key_check(self) -> bytes:
         """Safe-to-compare digest of the key; never put the key itself
@@ -514,6 +518,17 @@ def rotation_nonce(session_id: bytes, rotation_index: int) -> bytes:
     return owf(TAG_ROT_NONCE, session_id, pack_u32(rotation_index))[:NONCE_SIZE]
 
 
+def next_rotation_nonce(session: Session) -> bytes:
+    """rotation_nonce of the session's next rotation, computed once: the
+    sender's sign-ahead after one rotation and its notice for the next
+    share it."""
+    index = session.rotation_count + 1
+    cached = session._next_nonce
+    if cached is None or cached[0] != index:
+        cached = session._next_nonce = (index, rotation_nonce(session.session_id, index))
+    return cached[1]
+
+
 def rotation_tag(key: bytes, body: bytes) -> bytes:
     """A rotation notice's tag: its body under the session's current key."""
     return owf(TAG_ROT_AUTH, key, body)
@@ -530,7 +545,7 @@ def make_rotation_notice(
     session must be open (hold a key)."""
     if session.key is None:
         raise ContinuityRejected("session is closed")
-    nonce = rotation_nonce(session.session_id, session.rotation_count + 1)
+    nonce = next_rotation_nonce(session)
     proof = make_linkage_proof(secret, new_bcadd, new_appid, nonce)
     body = RotationNotice(new_appid, proof, b"").body_bytes()
     return RotationNotice(new_appid, proof, rotation_tag(session.key, body))
@@ -554,7 +569,7 @@ def rotate_session(session: Session, notice: RotationNotice) -> Session:
     expected_tag = rotation_tag(session.key, body)
     if not hmac.compare_digest(notice.auth_tag, expected_tag):
         raise ContinuityRejected("notice was not delivered inside this session")
-    nonce = rotation_nonce(session.session_id, session.rotation_count + 1)
+    nonce = next_rotation_nonce(session)
     try:
         claimed = _proven_bcadd(notice.new_appid, notice.proof, nonce)
     except _Unproven as exc:

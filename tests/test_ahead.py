@@ -19,9 +19,9 @@ from pathlib import Path
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
 
-from overnym import ahead, nodes, runner, session
+from overnym import ahead, identity, nodes, runner, session
 from overnym.ahead import KEY, SIGN, VALID, VERIFY
-from overnym.hashing import TAG_SIGKEY, owf
+from overnym.hashing import TAG_APPID, TAG_BCADD, TAG_SIGKEY, owf
 from overnym.identity import (
     MismatchedSecret,
     derive_appid,
@@ -196,6 +196,45 @@ def test_on_one_cpu_a_rotation_computes_one_nonce_per_held_session(monkeypatch, 
     assert len(per_rotation) == 200
     for nonces, held in per_rotation:
         assert nonces == held and len(held) == 1
+
+
+def test_with_the_helper_a_rotation_derives_each_next_epoch_value_once(
+        helper, monkeypatch, tmp_path):
+    # The sign-ahead after a rotation derives the next epoch's signing
+    # seed, address and APPID digest, and the session's next rotation
+    # nonce; the rotation to that epoch takes them. Only a user's first
+    # rotation, with nothing signed ahead for it, derives its own too.
+    derived = Counter()
+    hash_, nonce, rotate = identity.owf, session.rotation_nonce, nodes.UserNode.do_rotate
+    per_rotation = []
+
+    def counting_owf(tag, *parts):
+        derived[tag] += 1
+        return hash_(tag, *parts)
+
+    def counting_nonce(session_id, rotation_index):
+        derived["nonce"] += 1
+        return nonce(session_id, rotation_index)
+
+    def counting_rotate(self, now):
+        derived.clear()
+        rotate(self, now)
+        per_rotation.append((self.name, derived.copy()))
+
+    monkeypatch.setattr(identity, "owf", counting_owf)
+    monkeypatch.setattr(session, "rotation_nonce", counting_nonce)
+    monkeypatch.setattr(nodes.UserNode, "do_rotate", counting_rotate)
+    outputs(workloads.generate("rotation_churn", 1, size=20), tmp_path)
+    assert len(per_rotation) == 200
+    seen = set()
+    for user, counts in per_rotation:
+        once = 1 if user in seen else 2  # one held session each
+        seen.add(user)
+        assert counts[TAG_SIGKEY] == counts[TAG_BCADD] == counts["nonce"] == once
+        # and one more APPID digest: the proof checks that its APPID
+        # derives from its address
+        assert counts[TAG_APPID] == once + 1
+    assert len(seen) == 20
 
 
 def test_a_helper_killed_mid_run_leaves_the_bytes_and_later_runs_inline(

@@ -16,6 +16,7 @@ from overnym.neat import (
     fpr_analytic,
     lookup_global,
 )
+from overnym.wire import WireError
 
 # Closed form evaluated independently at 50-digit precision before the
 # implementation existed; the spec's worked example rounds differently.
@@ -89,6 +90,19 @@ class TestBloomFilter:
         bloom = BloomFilter(64, 2)
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(bloom.to_bytes()[:-1])
+
+    def test_snapshot_with_a_padding_bit_set_refused(self):
+        # 614 = 76 * 8 + 6: the last byte's bits 6 and 7 lie past m. Were
+        # they accepted, one filter would have more than one snapshot.
+        raw = BloomFilter(614, 7).to_bytes()
+        for bit in (6, 7):
+            bent = bytearray(raw)
+            bent[-1] |= 1 << bit
+            with pytest.raises(WireError):
+                BloomFilter.from_bytes(bytes(bent))
+        last = bytearray(raw)
+        last[-1] |= 1 << 5  # bit 613, the last one inside m
+        assert BloomFilter.from_bytes(bytes(last)).to_bytes() == bytes(last)
 
     def test_geometry_bounds(self):
         with pytest.raises(ValueError):
@@ -208,6 +222,85 @@ class TestNeatTable:
                     reference.add(k)
             assert table.snapshot() == reference.to_bytes()
             assert table._positions == {k: reference.positions(k) for k in live}
+
+
+class TestCountingFilter:
+    def test_a_rebuild_touches_only_the_removed_keys_positions(self):
+        # Were rebuild_filter to set every live key's bits again, it would
+        # read each live key's positions: 9 lists at 10 keys, 999 at 1,000.
+        read = []
+
+        class Positions(list):
+            def __iter__(self):
+                read.append(self)
+                return super().__iter__()
+
+        for size in (10, 1000):
+            table = NeatTable(1, capacity=size)
+            for i in range(size):
+                table.insert(key(i), locator(1))
+            for k in table._positions:
+                table._positions[k] = Positions(table._positions[k])
+            table.remove(key(0))
+            read.clear()
+            table.rebuild_filter()
+            assert len(read) == 1
+            reference = BloomFilter(table.filter.m, table.filter.k)
+            for i in range(1, size):
+                reference.add(key(i))
+            assert table.filter == reference
+
+    @settings(max_examples=150, deadline=None)
+    @given(segments=st.integers(3, 5),
+           steps=st.lists(st.tuples(st.sampled_from(("insert", "remove", "rebuild", "lookup")),
+                                    st.integers(0, 4), st.integers(0, 15)), max_size=80))
+    def test_lookup_global_answers_as_the_snapshots_read(self, segments, steps):
+        # Small filters make keys share bits, and a remove leaves its bits
+        # until the rebuild: lookup_global must answer as a reader of each
+        # table's snapshot bytes would, bit by bit. Keys 12-15 are never
+        # inserted.
+        tables = {seg: NeatTable(seg, m=64, k=3) for seg in range(segments)}
+        live: dict[int, dict[bytes, NetworkLocator]] = {seg: {} for seg in tables}
+        stats = LookupStats()
+
+        def expected(k):
+            found, probes, misses, negatives = None, 0, 0, 0
+            for seg in sorted(tables):
+                raw = tables[seg].snapshot()
+                m, count, bits = int.from_bytes(raw[0:4], "little"), raw[5:9], raw[9:]
+                positions = BloomFilter(m, raw[4]).positions(k)
+                if count == bytes(4) or not all(bits[p // 8] >> (p % 8) & 1 for p in positions):
+                    negatives += 1
+                    continue
+                probes += 1
+                found = live[seg].get(k)
+                if found is not None:
+                    break
+                misses += 1
+            return found, probes, misses, negatives
+
+        def check(k):
+            before = (stats.hits, stats.false_positives, stats.true_negatives)
+            found, probes, misses, negatives = expected(k)
+            assert lookup_global(tables, k, stats) == GlobalLookup(found, probes)
+            assert (stats.hits - before[0], stats.false_positives - before[1],
+                    stats.true_negatives - before[2]) == (int(found is not None), misses, negatives)
+            assert stats.probe_counts[-1] == probes
+
+        for step, (op, seg, i) in enumerate(steps):
+            seg %= segments
+            if op == "insert" and i < 12:
+                tables[seg].insert(key(i), locator(seg, f"d{step}"))
+                live[seg][key(i)] = locator(seg, f"d{step}")
+            elif op == "remove":
+                tables[seg].remove(key(i))
+                live[seg].pop(key(i), None)
+            elif op == "rebuild":
+                tables[seg].rebuild_filter()
+            elif op == "lookup":
+                check(key(i))
+        for i in range(16):
+            check(key(i))
 
 
 class TestGlobalLookup:
