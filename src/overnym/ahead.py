@@ -18,8 +18,9 @@ arrived, and otherwise computes it inline. There are three kinds:
   the session's next rotation nonce). After a rotation,
   identity.sign_linkage_ahead sends the next epoch's signing seed, and
   per held session that seed with the message. The next rotation takes
-  the public key for the seed (identity._epoch_key) and the public key
-  and signature for the exact (seed, message) (_EpochKey.sign).
+  the public key for the seed when it first asks for the epoch's BCADD
+  (identity._Epoch.bcadd), and the public key and signature for the
+  exact (seed, message) when it signs (_Epoch.sign).
 
 Either way the result is Ed25519's on the same bytes, so no trace,
 metrics or chain byte depends on the helper.

@@ -14,18 +14,19 @@ predicates ("age is at least 18") carrying the threshold but never the
 value.
 
 All values here are immutable after construction; operations are pure.
-Two exceptions never change a result: private caches on IdentitySecret
-holding the last epoch's BCADD and signing key, so that repeated proofs
-under one epoch derive the Ed25519 key once, and the digests that
-sign_linkage_ahead derived for the next epoch, so that the rotation to it
-derives none of them again; and the helper (ahead.py),
-whose answers to frames of Ed25519 work sent ahead of need are taken
-only for the exact frame that would be computed here. make_linkage_proof
-sends a verify frame for each signature it makes, and verify_linkage
-takes its answer. sign_linkage_ahead sends an epoch's signing seed as a
-key frame, and a proof message known before it is needed as a sign
-frame; the epoch's key derivation then takes the helper's public key,
-and the proof its signature, each only if it has arrived.
+Two exceptions never change a result: one private cache on IdentitySecret
+of the two highest epochs asked for (the current one, and the next one
+that sign_linkage_ahead derives), each holding its signing seed, address,
+public key and APPID digests, so that every proof, derivation and
+rotation under an epoch derives each of them once; and the helper
+(ahead.py), whose answers to frames of Ed25519 work sent ahead of need
+are taken only for the exact frame that would be computed here.
+make_linkage_proof sends a verify frame for each signature it makes, and
+verify_linkage takes its answer. sign_linkage_ahead sends an epoch's
+signing seed as a key frame, and a proof message known before it is
+needed as a sign frame; the epoch's BCADD, when first asked for, then
+takes the helper's public key, and the proof its signature, each only if
+it has arrived.
 """
 
 from __future__ import annotations
@@ -89,19 +90,13 @@ def _small_order(public_key: bytes) -> bool:
 class IdentitySecret:
     """Private material. Never serialized; repr is redacted.
 
-    _epoch_cache holds one epoch's BCADD and signing key (_EpochKey), and
-    _next_epoch the digests sign_linkage_ahead derived for a later epoch
-    (_EpochDigests). Neither takes part in equality or repr.
+    _epochs maps each of the two highest epochs asked for to its values
+    (_Epoch); it takes no part in equality or repr.
     """
 
     seed: bytes
     registered_attributes: Mapping[str, int | str] = field(default_factory=dict)
-    _epoch_cache: _EpochKey | None = field(
-        default=None, init=False, repr=False, compare=False,
-    )
-    _next_epoch: _EpochDigests | None = field(
-        default=None, init=False, repr=False, compare=False,
-    )
+    _epochs: dict[int, _Epoch] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.seed) != SEED_SIZE:
@@ -303,16 +298,14 @@ class AttributeAttestation:
 # Derivations
 # ---------------------------------------------------------------------------
 
-_NO_DIGESTS: Mapping[ServiceProps, bytes] = MappingProxyType({})
+class _Epoch:
+    """One epoch of a secret: its signing seed, its chain address and the
+    APPID digests asked of it, each derived from the secret once. The
+    BCADD's public key is resolved when the BCADD is first asked for: the
+    helper's (ahead.py) if it has answered the seed's key frame, else
+    derived here with the private key, which is then kept for signing."""
 
-
-class _EpochDigests:
-    """An epoch's signing seed and chain address, and the APPID digests
-    asked of it, each derived from the secret once. sign_linkage_ahead
-    keeps the next epoch's on the secret, and the rotation to that epoch
-    takes them (_epoch_key, derive_appid) rather than derive them again."""
-
-    __slots__ = ("epoch", "seed", "address", "digests")
+    __slots__ = ("epoch", "seed", "address", "digests", "key", "_bcadd")
 
     def __init__(self, secret: IdentitySecret, epoch: int):
         epoch_bytes = pack_u64(epoch)
@@ -320,6 +313,18 @@ class _EpochDigests:
         self.seed = owf(TAG_SIGKEY, secret.seed, epoch_bytes)
         self.address = owf(TAG_BCADD, secret.seed, epoch_bytes)
         self.digests: dict[ServiceProps, bytes] = {}
+        self.key: Ed25519PrivateKey | None = None
+        self._bcadd: BCADD | None = None
+
+    @property
+    def bcadd(self) -> BCADD:
+        if self._bcadd is None:
+            public_key = ahead.AHEAD.take(ahead.KEY + self.seed)
+            if public_key is None:
+                self.key = Ed25519PrivateKey.from_private_bytes(self.seed)
+                public_key = self.key.public_key().public_bytes_raw()
+            self._bcadd = BCADD(address=self.address, epoch=self.epoch, public_key=public_key)
+        return self._bcadd
 
     def digest(self, service: ServiceProps) -> bytes:
         digest = self.digests.get(service)
@@ -327,73 +332,46 @@ class _EpochDigests:
             digest = self.digests[service] = appid_digest(self.address, service, self.epoch)
         return digest
 
-
-class _EpochKey:
-    """One epoch's BCADD and Ed25519 signing key, with the APPID digests
-    derived ahead for it. When the helper (ahead.py) has already answered
-    the key frame of the epoch's signing seed, the BCADD carries the
-    helper's public key and the private key is built from the seed only
-    when a signature is made here."""
-
-    __slots__ = ("bcadd", "seed", "key", "digests")
-
-    def __init__(self, bcadd: BCADD, seed: bytes, key: Ed25519PrivateKey | None,
-                 digests: Mapping[ServiceProps, bytes]):
-        self.bcadd = bcadd
-        self.seed = seed
-        self.key = key
-        self.digests = digests
-
     def sign(self, message: bytes) -> bytes:
         """The helper's signature for exactly this message under this
         seed, if it returned this BCADD's public key with it; else a
         signature made here."""
+        public_key = self.bcadd.public_key
         answer = ahead.AHEAD.take(ahead.SIGN + self.seed + message)
-        if answer is not None and answer[:ahead.KEY_SIZE] == self.bcadd.public_key:
+        if answer is not None and answer[:ahead.KEY_SIZE] == public_key:
             return answer[ahead.KEY_SIZE:]
         if self.key is None:
             key = Ed25519PrivateKey.from_private_bytes(self.seed)
-            if key.public_key().public_bytes_raw() != self.bcadd.public_key:
+            if key.public_key().public_bytes_raw() != public_key:
                 raise MismatchedSecret("the epoch key does not match its BCADD")
             self.key = key
         return self.key.sign(message)
 
 
-def _epoch_key(secret: IdentitySecret, epoch: int) -> _EpochKey:
-    """The secret's BCADD and signing key for an epoch, derived once and
-    cached on the secret until another epoch is asked for. The seed and
-    address are sign_linkage_ahead's if it derived this epoch's; the
-    public key is the helper's if it has answered the seed's key frame."""
-    cached = secret._epoch_cache
-    if cached is not None and cached.bcadd.epoch == epoch:
-        return cached
-    if epoch < 0:
-        raise ValueError("epoch must be non-negative")
-    derived = secret._next_epoch
-    if derived is not None and derived.epoch == epoch:
-        object.__setattr__(secret, "_next_epoch", None)
-    else:
-        derived = _EpochDigests(secret, epoch)
-    key = None
-    public_key = ahead.AHEAD.take(ahead.KEY + derived.seed)
-    if public_key is None:
-        key = Ed25519PrivateKey.from_private_bytes(derived.seed)
-        public_key = key.public_key().public_bytes_raw()
-    bcadd = BCADD(address=derived.address, epoch=epoch, public_key=public_key)
-    entry = _EpochKey(bcadd, derived.seed, key, derived.digests or _NO_DIGESTS)
-    object.__setattr__(secret, "_epoch_cache", entry)
-    return entry
+def _epoch(secret: IdentitySecret, epoch: int) -> _Epoch:
+    """The secret's values for an epoch, derived once and cached on the
+    secret while the epoch is one of the two highest asked for: the
+    current one, and the next one that sign_linkage_ahead derives."""
+    epochs = secret._epochs
+    derived = epochs.get(epoch)
+    if derived is None:
+        if epoch < 0:
+            raise ValueError("epoch must be non-negative")
+        derived = epochs[epoch] = _Epoch(secret, epoch)
+        if len(epochs) > 2:
+            del epochs[min(epochs)]
+    return derived
 
 
 def derive_bcadd(secret: IdentitySecret, epoch: int) -> BCADD:
     """Chain address for an epoch. Pure: same inputs, same address."""
-    return _epoch_key(secret, epoch).bcadd
+    return _epoch(secret, epoch).bcadd
 
 
-def _require_own_bcadd(secret: IdentitySecret, bcadd: BCADD) -> _EpochKey:
-    """The epoch's key, if the whole BCADD (address, epoch and public
+def _require_own_bcadd(secret: IdentitySecret, bcadd: BCADD) -> _Epoch:
+    """The BCADD's epoch, if the whole BCADD (address, epoch and public
     key) derives from this secret."""
-    own = _epoch_key(secret, bcadd.epoch)
+    own = _epoch(secret, bcadd.epoch)
     if own.bcadd != bcadd:
         raise MismatchedSecret("BCADD does not derive from this secret")
     return own
@@ -403,19 +381,10 @@ def appid_digest(address: bytes, service: ServiceProps, epoch: int) -> bytes:
     return owf(TAG_APPID, address, service.to_bytes(), pack_u64(epoch))
 
 
-def _derives_from(appid: APPID, bcadd: BCADD) -> bool:
-    """True iff the APPID re-derives from the BCADD: same epoch, and its
-    id is the digest of the address, its service and that epoch."""
-    return appid.epoch == bcadd.epoch and appid.id == appid_digest(
-        bcadd.address, appid.service, bcadd.epoch)
-
-
 def derive_appid(secret: IdentitySecret, bcadd: BCADD, service: ServiceProps) -> APPID:
     """Service identity under the given BCADD; epoch carried over. The
-    digest is sign_linkage_ahead's if it derived it for this epoch."""
-    digest = _require_own_bcadd(secret, bcadd).digests.get(service)
-    if digest is None:
-        digest = appid_digest(bcadd.address, service, bcadd.epoch)
+    digest is derived once per epoch kept on the secret."""
+    digest = _require_own_bcadd(secret, bcadd).digest(service)
     return APPID(id=digest, service=service, epoch=bcadd.epoch)
 
 
@@ -434,11 +403,11 @@ def make_linkage_proof(
     is the helper's if this exact message was signed ahead under the
     epoch's seed (sign_linkage_ahead). LinkageProof raises ValueError for
     a nonce that is not NONCE_SIZE bytes."""
-    key = _require_own_bcadd(secret, bcadd)
-    if not _derives_from(appid, bcadd):
+    own = _require_own_bcadd(secret, bcadd)
+    if appid.epoch != bcadd.epoch or appid.id != own.digest(appid.service):
         raise MismatchedSecret("APPID does not derive from this BCADD")
     message = _linkage_message(bcadd.address, appid.id, bcadd.epoch, session_nonce)
-    signature = key.sign(message)
+    signature = own.sign(message)
     ahead.AHEAD.submit(ahead.verify_frame(bcadd.public_key, signature, message))
     return LinkageProof(
         commitment=bcadd.to_bytes(),
@@ -456,17 +425,15 @@ def sign_linkage_ahead(
     """Send the helper (ahead.py) the epoch's signing seed as a key
     frame, and the seed with the message that a proof for `service` under
     `epoch`, bound to this nonce, will sign as a sign frame. The message
-    is built from the digests, not through derive_bcadd or derive_appid,
-    so no key is derived here. The seed, address and APPID digest are
-    kept on the secret (_EpochDigests): derived once for every session
-    signed ahead and for the rotation to that epoch. Nothing is computed
-    where the helper takes no submission."""
+    is built from the epoch's address and APPID digest, not through
+    derive_bcadd or derive_appid, so no public key is resolved here: the
+    rotation to that epoch takes the helper's. The epoch's values are
+    cached on the secret (_epoch), so they are derived once for every
+    session signed ahead and for the rotation. Nothing is computed where
+    the helper takes no submission."""
     if not ahead.AHEAD.submitting:
         return
-    derived = secret._next_epoch
-    if derived is None or derived.epoch != epoch:
-        derived = _EpochDigests(secret, epoch)
-        object.__setattr__(secret, "_next_epoch", derived)
+    derived = _epoch(secret, epoch)
     message = _linkage_message(derived.address, derived.digest(service), epoch, session_nonce)
     ahead.AHEAD.submit(ahead.KEY + derived.seed)
     ahead.AHEAD.submit(ahead.SIGN + derived.seed + message)
@@ -492,7 +459,8 @@ def verify_linkage(
     try:
         if proof.commitment != bcadd.to_bytes():
             return False
-        if not _derives_from(appid, bcadd):
+        if appid.epoch != bcadd.epoch or appid.id != appid_digest(
+                bcadd.address, appid.service, bcadd.epoch):
             return False
         key = bcadd.public_key
         if _small_order(key):

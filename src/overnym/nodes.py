@@ -606,11 +606,8 @@ class UserNode(_SessionEnd):
         self._bind(self.bcadd.address)
 
     def do_connect(self, server_key: bytes, service_id: str, now: int) -> None:
-        service = ServiceProps(service_id)
-        appid = self.appids.get(service_id)
-        if appid is None or appid.epoch != self.bcadd.epoch:
-            appid = identity.derive_appid(self.secret, self.bcadd, service)
-            self.appids[service_id] = appid
+        appid = identity.derive_appid(self.secret, self.bcadd, ServiceProps(service_id))
+        self.appids[service_id] = appid
         nonce = bytes(self.rng.getrandbits(8) for _ in range(identity.NONCE_SIZE))
         proof = identity.make_linkage_proof(self.secret, self.bcadd, appid, nonce)
         self.world.metrics.handshakes_attempted += 1

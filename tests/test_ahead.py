@@ -230,10 +230,9 @@ def test_with_the_helper_a_rotation_derives_each_next_epoch_value_once(
     for user, counts in per_rotation:
         once = 1 if user in seen else 2  # one held session each
         seen.add(user)
+        # The proof checks its APPID against the digest its epoch holds.
         assert counts[TAG_SIGKEY] == counts[TAG_BCADD] == counts["nonce"] == once
-        # and one more APPID digest: the proof checks that its APPID
-        # derives from its address
-        assert counts[TAG_APPID] == once + 1
+        assert counts[TAG_APPID] == once
     assert len(seen) == 20
 
 
@@ -394,7 +393,7 @@ def test_a_signature_is_taken_for_its_own_seed_and_message_only(helper, service)
         seed = epoch_seed(secret, 1)
         assert [frame[:1 + len(seed)] for frame in helper._answers] == [KEY + seed, SIGN + seed]
         bcadd = derive_bcadd(secret, 1)
-        cache = secret._epoch_cache
+        cache = secret._epochs[1]
         # The key frame is claimed and the key is deferred; the sign
         # frame waits for the proof.
         (sign_frame,) = helper._answers
@@ -427,7 +426,7 @@ def test_a_signature_under_another_public_key_is_not_used(helper, service):
         bcadd = derive_bcadd(secret, 1)  # the key frame's answer
         appid = derive_appid(secret, bcadd, service)
         proofs = [make_linkage_proof(secret, bcadd, appid, nonce) for nonce in nonces]
-    assert secret._epoch_cache.key is not None  # the second proof was signed here
+    assert secret._epochs[1].key is not None  # the second proof was signed here
     for proof, nonce in zip(proofs, nonces):
         assert proof.to_bytes() == inline_proof(12, 1, service, nonce)
 

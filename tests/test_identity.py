@@ -1,10 +1,12 @@
 import random
+from collections import Counter
 
 import pytest
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
-from overnym import ahead
+from overnym import ahead, identity
+from overnym.hashing import TAG_APPID, TAG_BCADD, TAG_SIGKEY
 from overnym.identity import (
     APPID,
     BCADD,
@@ -112,6 +114,15 @@ class TestLinkageProof:
     def test_mismatched_secret_raises(self, bcadd, appid):
         with pytest.raises(MismatchedSecret):
             make_linkage_proof(make_secret(3), bcadd, appid, NONCE)
+
+    @pytest.mark.parametrize("forge", [
+        lambda appid: APPID(bytes(32), appid.service, appid.epoch),
+        lambda appid: APPID(appid.id, ServiceProps("other"), appid.epoch),
+        lambda appid: APPID(appid.id, appid.service, appid.epoch + 1),
+    ], ids=["other-id", "other-service", "other-epoch"])
+    def test_an_appid_not_derived_from_the_bcadd_raises(self, secret, bcadd, appid, forge):
+        with pytest.raises(MismatchedSecret, match="APPID does not derive"):
+            make_linkage_proof(secret, bcadd, forge(appid), NONCE)
 
     @pytest.mark.parametrize("nonce", [NONCE[:-1], NONCE + b"\x00", b""])
     def test_nonce_of_wrong_length_raises(self, secret, bcadd, appid, nonce):
@@ -375,7 +386,7 @@ class TestInvariantsAndSerialization:
 
 
 class TestEpochKeyCache:
-    """The secret caches one epoch's (BCADD, signing key); a cached key
+    """The secret caches its two highest epochs' values; a cached epoch
     must never let a BCADD through that a fresh derivation would refuse."""
 
     @pytest.mark.parametrize("forge", [
@@ -409,8 +420,42 @@ class TestEpochKeyCache:
             expected = make_linkage_proof(fresh, bcadd, derive_appid(fresh, bcadd, service), NONCE)
             assert proof.to_bytes() == expected.to_bytes()
 
+    def test_the_two_highest_epochs_stay_derived(self, service, monkeypatch):
+        # Proofs alternating between two epochs, and a lower epoch asked
+        # for between them, derive no seed, address, APPID digest or key
+        # of either epoch again.
+        secret = make_secret(8)
+        derived = Counter()
+        hash_ = identity.owf
+
+        def counting_owf(tag, *parts):
+            if tag in (TAG_SIGKEY, TAG_BCADD, TAG_APPID):
+                derived[tag] += 1
+            return hash_(tag, *parts)
+
+        class CountingKeys:
+            @staticmethod
+            def from_private_bytes(seed):
+                derived["key"] += 1
+                return Ed25519PrivateKey.from_private_bytes(seed)
+
+        monkeypatch.setattr(identity, "owf", counting_owf)
+        monkeypatch.setattr(identity, "Ed25519PrivateKey", CountingKeys)
+        bcadds = [derive_bcadd(secret, epoch) for epoch in (1, 2)]
+        appids = [derive_appid(secret, bcadd, service) for bcadd in bcadds]
+        assert derived == {TAG_SIGKEY: 2, TAG_BCADD: 2, TAG_APPID: 2, "key": 2}
+        for lower in (None, 0):
+            if lower is not None:
+                derive_bcadd(secret, lower)
+            derived.clear()
+            for _ in range(2):
+                for bcadd, appid in zip(bcadds, appids):
+                    make_linkage_proof(secret, bcadd, appid, NONCE)
+                    assert derive_appid(secret, bcadd, service) == appid
+            assert derived == {}
+
     def test_cache_stays_out_of_repr_and_equality(self, secret):
         cold = make_secret()
         derive_bcadd(secret, 3)
-        assert secret._epoch_cache is not None and cold._epoch_cache is None
+        assert secret._epochs and not cold._epochs
         assert secret == cold and repr(secret) == repr(cold)

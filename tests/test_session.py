@@ -1,9 +1,11 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from overnym.hashing import TAG_TRANSCRIPT, owf
+from overnym import identity, session
+from overnym.hashing import TAG_APPID, TAG_TRANSCRIPT, owf
 from overnym.identity import (
     LinkageProof,
     ServiceProps,
@@ -219,6 +221,40 @@ class TestHandshake:
             cs.on_response(replace(response, linkage=forged_proof))
         assert err.value.phase == "response"
         assert err.value.reason == "bad-proof"
+
+
+class TestAppidDigests:
+    """A proof checks its APPID against the digest its epoch already
+    holds: only a derivation and a verify hash an APPID digest."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        counts = Counter()
+        hash_, verify = identity.owf, session.verify_linkage
+
+        def counting_owf(tag, *parts):
+            if tag == TAG_APPID:
+                counts["digest"] += 1
+            return hash_(tag, *parts)
+
+        def counting_verify(*args):
+            counts["verify"] += 1
+            return verify(*args)
+
+        monkeypatch.setattr(identity, "owf", counting_owf)
+        monkeypatch.setattr(session, "verify_linkage", counting_verify)
+        return counts
+
+    def test_a_handshake_hashes_one_digest_per_verify(self, ledger, client, server, hashed):
+        run_handshake(client, server, ledger)
+        assert hashed == {"digest": 2, "verify": 2}
+
+    def test_a_rotation_notice_hashes_no_digest(self, ledger, client, server, hashed):
+        result = run_handshake(client, server, ledger)
+        new_bcadd, (new_appid,) = rotate(client.secret, client.bcadd, [SERVICE])
+        hashed.clear()
+        make_rotation_notice(result.client, client.secret, new_bcadd, new_appid)
+        assert hashed == {}
 
 
 class TestAuthorize:
