@@ -4,8 +4,6 @@
     overnym check <scenario>
     overnym fpr --m M --k K --n N [--trials T] [--seed S]
 
-Every flag of run has an environment override with the OVERNYM_ prefix:
-OVERNYM_SEED, OVERNYM_TRACE, OVERNYM_METRICS. Flags beat the environment.
 Strict registration is a property of the scenario, set by its
 `option strict-registration on` line.
 """
@@ -13,7 +11,6 @@ Strict registration is a property of the scenario, set by its
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from random import Random
@@ -21,12 +18,6 @@ from random import Random
 from .neat import BloomFilter, fpr_analytic
 from .runner import run_scenario, write_outputs
 from .scenario import ParseError, ValidationError, parse_scenario
-
-ENV_PREFIX = "OVERNYM_"
-
-
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,20 +62,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     sc = _load_scenario(args.scenario)
     if sc is None:
         return 2
-    seed = args.seed
-    if seed is None and _env("SEED") is not None:
-        try:
-            seed = int(_env("SEED"))
-        except ValueError:
-            print(f"error: {ENV_PREFIX}SEED must be an integer", file=sys.stderr)
-            return 2
-
     stem = Path(args.scenario).stem
-    trace_path = args.trace or _env("TRACE") or f"{stem}.trace.jsonl"
-    metrics_path = args.metrics or _env("METRICS") or f"{stem}.metrics.json"
+    trace_path = args.trace or f"{stem}.trace.jsonl"
+    metrics_path = args.metrics or f"{stem}.metrics.json"
 
-    result = run_scenario(sc, seed=seed)
-    write_outputs(result, trace_path, metrics_path)
+    result = run_scenario(sc, seed=args.seed)
+    try:
+        write_outputs(result, trace_path, metrics_path)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
     for text, passed, detail in result.checks:
         status = "ok" if passed else "FAILED"

@@ -286,10 +286,6 @@ def _new_entry(seq: int, prev_hash: bytes, payload: Payload, encoded: bytes) -> 
                        _entry_hash(seq, prev_hash, payload_hash))
 
 
-def make_entry(seq: int, prev_hash: bytes, payload: Payload) -> LedgerEntry:
-    return _new_entry(seq, prev_hash, payload, encode_payload(payload))
-
-
 def _payload_bytes(entry: LedgerEntry) -> bytes:
     """An entry object's payload bytes, for the chain-link rule. Raises
     ValueError if the payload cannot be encoded."""

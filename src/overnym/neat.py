@@ -195,9 +195,6 @@ class NeatTable:
         # Positions of the keys removed since the last rebuild_filter.
         self._removed: list[list[int]] = []
 
-    def __len__(self) -> int:
-        return len(self._exact)
-
     def keys(self) -> Iterable[bytes]:
         return self._exact.keys()
 

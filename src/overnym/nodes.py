@@ -258,8 +258,9 @@ class ProtocolNode(Node):
         ))
 
     def handle(self, payload: Any, now: int) -> None:
-        # Subclasses override the on_* hooks, never handle: the benchmark's
-        # tracer rebinds handle on every node class to this one.
+        # Each subclass defines on_message, and on_timer if it schedules
+        # timers to itself; none overrides handle: the benchmark's tracer
+        # rebinds handle on every node class to this one.
         if isinstance(payload, Delivery):
             message = payload.message
             if isinstance(message, Envelope):
@@ -273,12 +274,6 @@ class ProtocolNode(Node):
         """An Envelope arrived. At a session end it is the last hop:
         unwrap it and keep its provenance for replies."""
         self.on_message(envelope.src, envelope.inner, now, envelope.origin_time)
-
-    def on_message(self, src: str, message: Any, now: int, sent_at: int) -> None:
-        pass
-
-    def on_timer(self, tag: str, data: Any, now: int) -> None:
-        pass
 
 
 class SequencerNode(ProtocolNode):
@@ -495,9 +490,9 @@ class _SessionEnd(ProtocolNode):
     session holds the route its messages take.
 
     Every session an end holds has a key: adopt_session takes only
-    sessions a handshake established, and nothing in the simulator calls
-    Session.close. So an end tests only whether it holds the session; the
-    session module makes the closed-session checks.
+    sessions a handshake established. A session ends only by its end
+    dropping its _Held record; nothing in the simulator does so yet, so
+    an end tests only whether it holds the session.
 
     Liveness is the gap since the last accepted in-session message. A
     session's wake timer fires HEARTBEAT_PERIOD ticks after this end's

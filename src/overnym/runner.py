@@ -335,17 +335,20 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
 def write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the text chunks, in order, as UTF-8 with no newline
     translation, via temp-then-rename so readers never see partial
-    output."""
+    output. An OSError raised here names path, not the temp file."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-overnym-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-overnym-")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             for chunk in chunks:
                 handle.write(chunk)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -13,8 +13,7 @@ rotation rides inside the established session: the notice is
 authenticated with the old key, the key is re-derived, and the old
 key stops verifying anything.
 
-A session is open exactly while it holds a key: the handshake gives it
-one, rotation replaces it, and close() drops it.
+A session holds a key from the handshake on; rotation replaces it.
 """
 
 from __future__ import annotations
@@ -125,15 +124,15 @@ class Session:
     """One endpoint's view of an established tunnel: the path its
     messages take to the peer, and the client's proven chain address.
 
-    Both endpoints hold equal keys after a successful handshake. The
-    session is open iff it holds a key; close() drops the key.
+    Both endpoints hold equal keys after a successful handshake, and
+    each rotation replaces both with the same re-derived key.
     """
 
     session_id: bytes
     client_appid: APPID
     server_appid: APPID
     route: RoutePath
-    key: bytes | None
+    key: bytes
     client_bcadd: BCADD
     status: ServiceStatus = field(default_factory=ServiceStatus)
     rotation_count: int = 0
@@ -149,18 +148,13 @@ class Session:
     def key_check(self) -> bytes:
         """Safe-to-compare digest of the key; never put the key itself
         on the wire or in a trace."""
-        if self.key is None:
-            raise ValueError("no key: the session is closed")
         return owf(TAG_KEYCHECK, self.key)[:16]
-
-    def close(self) -> None:
-        self.key = None
 
 
 @dataclass(frozen=True)
 class AccessDecision:
     allowed: bool
-    reason: str  # nft-owned | open-access | no-token | unregistered | bad-proof
+    reason: str  # nft-owned | open-access | no-token | unregistered
 
     def __post_init__(self):
         if self.allowed and self.reason not in ("nft-owned", "open-access"):
@@ -467,9 +461,7 @@ def handshake(
 def authorize(session: Session, ledger: Ledger) -> AccessDecision:
     """Evaluate the server's access-control list against current ledger
     state. Always re-reads the ledger: a token transfer between calls
-    changes the answer. A closed session (no key) is denied as bad-proof."""
-    if session.key is None:
-        return AccessDecision(False, "bad-proof")
+    changes the answer."""
     registration = ledger.query_registration(session.server_appid.id)
     if registration is None:
         return AccessDecision(False, "unregistered")
@@ -541,10 +533,7 @@ def make_rotation_notice(
     new_appid: APPID,
 ) -> RotationNotice:
     """Client side: prove the new APPID against the new BCADD, bound to
-    this session's next rotation nonce, and tag with the old key. The
-    session must be open (hold a key)."""
-    if session.key is None:
-        raise ContinuityRejected("session is closed")
+    this session's next rotation nonce, and tag with the old key."""
     nonce = next_rotation_nonce(session)
     proof = make_linkage_proof(secret, new_bcadd, new_appid, nonce)
     body = RotationNotice(new_appid, proof, b"").body_bytes()
@@ -554,14 +543,12 @@ def make_rotation_notice(
 def rotate_session(session: Session, notice: RotationNotice) -> Session:
     """Apply a rotation notice received in-session.
 
-    The session must be open, and the notice must carry a tag under its
-    current key (in-session delivery) and a valid linkage proof for the
-    new APPID under the new chain address. On success the session keeps
-    its id and status but speaks only the new APPID and a re-derived key
+    The notice must carry a tag under the session's current key
+    (in-session delivery) and a valid linkage proof for the new APPID
+    under the new chain address. On success the session keeps its id and
+    status but speaks only the new APPID and a re-derived key
     (switch_session).
     """
-    if session.key is None:
-        raise ContinuityRejected("session is closed")
     try:
         body = notice.body_bytes()
     except WireError:  # a field with no canonical encoding
@@ -581,7 +568,7 @@ def rotate_session(session: Session, notice: RotationNotice) -> Session:
 
 
 def switch_session(session: Session, notice: RotationNotice, new_bcadd: BCADD) -> Session:
-    """Switch an open session to the notice's APPID, new_bcadd and a key
+    """Switch a session to the notice's APPID, new_bcadd and a key
     re-derived from the notice, with no check. The sender calls it with the
     notice it just made and the chain address it derived; a receiver goes
     through rotate_session."""
@@ -605,8 +592,6 @@ def verify_message(session: Session, seq: int, payload: bytes, tag: bytes) -> bo
     """True iff the tag was computed under the session's current key; a
     tag made with a superseded (pre-rotation) key fails, and so does a seq
     outside the u64 range."""
-    if session.key is None:
-        return False
     try:
         expected = message_tag(session.key, seq, payload)
     except WireError:
@@ -617,10 +602,7 @@ def verify_message(session: Session, seq: int, payload: bytes, tag: bytes) -> bo
 def heartbeat(session: Session, now: int) -> ServiceStatus:
     """Record news of the peer at now: a heartbeat, or any other
     in-session message the receiving end accepts. Liveness is the gap
-    since the last one. Only an open session (one holding a key) takes
-    one."""
-    if session.key is None:
-        raise ValueError("heartbeat on a closed session")
+    since the last one."""
     status = session.status
     status.last_heartbeat = now
     status.alive = True

@@ -289,9 +289,6 @@ class Node:
         self.sim = sim
         self.rng = sim.fork_rng(self.name)
 
-    def handle(self, payload: Any, now: int) -> None:
-        raise NotImplementedError
-
 
 class Simulator:
     def __init__(self, seed: int, *, step_cap: int = STEP_CAP):

@@ -26,6 +26,8 @@ PINS = {
                     "ae9c25754647142b7de8d123ce50d5fa5d85f5bb680110fb7b75ae6363a4fa04"),
     "sequencer_crash": ("0fb40b0def8558e1a02e6d4e4ad1b5615fd7caf6ef801e5ea3c301477a2f350b",
                         "7111d79f58443bbc4042502c2f5852ebd44250ab3bd206c069e783ce9de1729c"),
+    "refusals": ("30679a64e5ff2348f49c7493543de4d0675d47775167348829356556c37cee09",
+                 "593fcb7703472ecaaedd45f78da2aaf4ac261a7aef643ad5ea98294b93b95467"),
     "strict_reject": ("f1289e1b798f26a9ef1a317cc860ff2cf1557fe839ec3ccabd38d147df0a3601",
                       "1890c93feddaa00f7bcbacc8e0f4fceb6b8f41f9d0648e659d4d5f64e79d8daa"),
 }

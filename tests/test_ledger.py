@@ -16,7 +16,8 @@ from overnym.ledger import (
     NftOwnership,
     RegistrationTx,
     TopologyUpdate,
-    make_entry,
+    _new_entry,
+    encode_payload,
     verify_chain,
 )
 from overnym.runner import _schedule_actions, build_simulation
@@ -280,7 +281,8 @@ class TestImportChain:
     def test_an_entry_whose_hashes_recompute_but_that_does_not_link_is_refused(self):
         primary = filled_ledger(5)
         entries = list(primary.entries)
-        entries[3] = make_entry(3, b"\xff" * 32, entries[3].payload)
+        payload = entries[3].payload
+        entries[3] = _new_entry(3, b"\xff" * 32, payload, encode_payload(payload))
         blob = b"".join([CHAIN_MAGIC, pack_u32(len(entries)),
                          *(pack_bytes(entry.to_bytes()) for entry in entries)])
         with pytest.raises(ValueError, match="does not extend the chain at 3"):
@@ -357,7 +359,8 @@ class TestReplication:
     def test_replica_rejects_bad_prev(self):
         primary = filled_ledger(5)
         entries = list(primary.entries)
-        entries[3] = make_entry(3, b"\xff" * 32, entries[3].payload)
+        payload = entries[3].payload
+        entries[3] = _new_entry(3, b"\xff" * 32, payload, encode_payload(payload))
         replica = Ledger()
         with pytest.raises(ValueError):
             replica.apply_entries(entries)

@@ -500,7 +500,7 @@ node seq sequencer 1
             ("ap2", start + 4): ["ap1", "ap3"],
         }
         tables = built.world.tables
-        assert len(tables[1]) == 4
+        assert len(tables[1].keys()) == 4
         for name, router in built.routers.items():
             pushed = {1, 2} - {router.segment}
             assert router.remote_filters == {s: tables[s].snapshot() for s in pushed}

@@ -404,37 +404,28 @@ class TestCli:
         payload = json.loads(metrics.read_text())
         assert payload["handshakes_succeeded"] == 1
 
-    def test_run_env_overrides(self, tmp_path, capsys, monkeypatch):
-        scenario = tmp_path / "env.scn"
+    def test_run_seed_flag(self, tmp_path, capsys):
+        scenario = tmp_path / "seeded.scn"
         scenario.write_text(MINIMAL)
-        trace = tmp_path / "env.trace.jsonl"
-        metrics = tmp_path / "env.metrics.json"
-        monkeypatch.setenv("OVERNYM_TRACE", str(trace))
-        monkeypatch.setenv("OVERNYM_METRICS", str(metrics))
-        monkeypatch.setenv("OVERNYM_SEED", "123")
-        assert main(["run", str(scenario)]) == 0
-        assert trace.exists() and metrics.exists()
+        sc = parse_scenario(MINIMAL)
+        trace = tmp_path / "seeded.trace.jsonl"
+        assert main(["run", str(scenario), "--seed", "123", "--trace", str(trace),
+                     "--metrics", str(tmp_path / "m.json")]) == 0
+        assert sc.seed != 123
+        assert trace.read_text() == run_scenario(sc, seed=123).trace.to_jsonl()
+        assert trace.read_text() != run_scenario(sc).trace.to_jsonl()
 
-    def test_run_env_seed_not_an_integer(self, tmp_path, capsys, monkeypatch):
-        scenario = tmp_path / "env.scn"
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_run_unwritable_output(self, tmp_path, capsys, flag):
+        scenario = tmp_path / "go.scn"
         scenario.write_text(MINIMAL)
-        trace = tmp_path / "env.trace.jsonl"
-        monkeypatch.setenv("OVERNYM_TRACE", str(trace))
-        monkeypatch.setenv("OVERNYM_METRICS", str(tmp_path / "env.metrics.json"))
-        monkeypatch.setenv("OVERNYM_SEED", "twelve")
-        assert main(["run", str(scenario)]) == 2
-        assert capsys.readouterr().err == "error: OVERNYM_SEED must be an integer\n"
-        assert not trace.exists()
-
-    def test_run_flag_beats_env(self, tmp_path, monkeypatch, capsys):
-        scenario = tmp_path / "pref.scn"
-        scenario.write_text(MINIMAL)
-        env_trace = tmp_path / "env.jsonl"
-        flag_trace = tmp_path / "flag.jsonl"
-        monkeypatch.setenv("OVERNYM_TRACE", str(env_trace))
-        main(["run", str(scenario), "--trace", str(flag_trace),
-              "--metrics", str(tmp_path / "m.json")])
-        assert flag_trace.exists() and not env_trace.exists()
+        outputs = {"--trace": str(tmp_path / "t.jsonl"), "--metrics": str(tmp_path / "m.json")}
+        outputs[flag] = str(tmp_path / "missing" / "out")
+        args = [word for pair in outputs.items() for word in pair]
+        assert main(["run", str(scenario), *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {outputs[flag]}: No such file or directory\n"
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp")] == []
 
     def test_missing_file(self, capsys):
         assert main(["run", "/nonexistent.scn"]) == 2

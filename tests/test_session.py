@@ -295,12 +295,6 @@ class TestAuthorize:
         decision = authorize(sess, bare)
         assert not decision.allowed and decision.reason == "unregistered"
 
-    def test_non_established_session_denied(self, ledger, client, server):
-        sess = self.make_session(ledger, client, server)
-        sess.close()
-        decision = authorize(sess, ledger)
-        assert not decision.allowed and decision.reason == "bad-proof"
-
 
 class TestRotation:
     def rotated(self, client):
@@ -377,20 +371,6 @@ class TestStatus:
             record_delivery(sess, latency)
         assert sess.status.quality == pytest.approx(4.0)
         assert sess.status.deliveries == 3
-
-    def test_heartbeat_requires_live_state(self, ledger, client, server):
-        sess = self.make_session(ledger, client, server)
-        sess.close()
-        with pytest.raises(ValueError):
-            heartbeat(sess, 1)
-
-    def test_key_absent_exactly_when_closed(self, ledger, client, server):
-        sess = self.make_session(ledger, client, server)
-        assert sess.key is not None
-        sess.close()
-        assert sess.key is None
-        with pytest.raises(ValueError):
-            sess.key_check()
 
 
 
