@@ -45,6 +45,7 @@ from .wire import WireError, pack_u64
 HEARTBEAT_PERIOD = 2
 _PUSH_SUMMARY = Timer("push-summary")
 _FLUSH_RECEIPTS = Timer("flush-receipts")
+_COMMIT = Timer("commit")
 
 
 def token_id_for(name: str) -> bytes:
@@ -283,7 +284,7 @@ class SequencerNode(ProtocolNode):
 
     def start(self) -> None:
         for tick in range(1, self.world.horizon + 1):
-            self.sim.schedule(tick, self.name, Timer("commit"))
+            self.sim.schedule(tick, self.name, _COMMIT)
 
     def on_message(self, src, message, now, sent_at):
         if isinstance(message, SubmitTx):

@@ -243,8 +243,20 @@ def _schedule_probes(built: _Built, sc: Scenario) -> None:
             built.sim.call_at(exp.at, partial(_probe_session, built, user, server, exp.label))
 
 
-def _evaluate(built: _Built, exp: Expectation) -> tuple[bool, str]:
-    """Whether the run meets exp, and what it saw."""
+def _last(trace: Trace, found: dict[str, list[dict]], kind: str, **match) -> dict | None:
+    """The last record of kind whose fields equal match, or None. found
+    keeps each kind's records once read, so a run parses its trace at
+    most once per kind however many expectations it has."""
+    records = found.get(kind)
+    if records is None:
+        records = found[kind] = trace.find(kind)
+    return next((r for r in reversed(records)
+                 if all(r.get(k) == v for k, v in match.items())), None)
+
+
+def _evaluate(built: _Built, exp: Expectation, found: dict[str, list[dict]]) -> tuple[bool, str]:
+    """Whether the run meets exp, and what it saw. found is the per-kind
+    record cache that _last fills."""
     trace, metrics = built.sim.trace, built.world.metrics
     if exp.kind == "handshake":
         user, server, success = exp.values
@@ -259,20 +271,19 @@ def _evaluate(built: _Built, exp: Expectation) -> tuple[bool, str]:
         sess = server_node.session_with(user)
         if sess is None:
             return False, "no session between the pair"
-        records = trace.find("access", session=sess.session_id.hex()[:16])
-        if not records:
+        last = _last(trace, found, "access", session=sess.session_id.hex()[:16])
+        if last is None:
             return False, "no access decisions recorded"
-        last = records[-1]
         allowed = bool(last["allowed"])
         return (allowed == wanted,
                 f"last access decision: allowed={allowed} reason={last['reason']}")
 
     if exp.kind == "session":
         user, _server, wanted = exp.values
-        probes = trace.find("probe", node=user, label=exp.label)
-        if not probes:
+        probe = _last(trace, found, "probe", node=user, label=exp.label)
+        if probe is None:
             return False, "probe never fired"
-        alive = bool(probes[-1]["alive"])
+        alive = bool(probe["alive"])
         return alive == wanted, f"probe at t={exp.at}: alive={alive}"
 
     if exp.kind == "payloads":
@@ -291,10 +302,10 @@ def _evaluate(built: _Built, exp: Expectation) -> tuple[bool, str]:
                 f"rotations_completed={metrics.rotations_completed}")
 
     user, wanted = exp.values  # admitted
-    records = trace.find("admit", client=user)
-    if not records:
+    last = _last(trace, found, "admit", client=user)
+    if last is None:
         return False, "no admission decisions recorded"
-    decision = bool(records[-1]["decision"])
+    decision = bool(last["decision"])
     return decision == wanted, f"last admission decision={decision}"
 
 
@@ -307,7 +318,8 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
     with ahead.AHEAD.scope():
         built.sim.run_until_idle()
 
-    checks = [(exp.text, *_evaluate(built, exp)) for exp in sc.expectations]
+    found: dict[str, list[dict]] = {}
+    checks = [(exp.text, *_evaluate(built, exp, found)) for exp in sc.expectations]
     metrics = built.world.metrics
 
     # Close the trace stream with the chain dump (one entry per line),

@@ -77,98 +77,62 @@ class Timer:
 
 class TraceRecords(Sequence):
     """A trace read back as dicts, in emission order: len, iteration and
-    indexing, negative indexes included. A record that emit was given is
-    returned as that dict. A send record written by emit_send is a new
-    dict each time it is read, rebuilt from its line; iteration reuses
-    what it read from a line until the tick changes."""
+    indexing, negative indexes included. Each read parses the record's
+    line with json.loads, so it returns a new dict holding what the line
+    says, and holds nothing between reads."""
 
-    __slots__ = ("_lines", "_emitted", "_names")
+    __slots__ = ("_lines",)
 
-    def __init__(self, lines: list[str], emitted: dict[int, dict], names: dict[str, str]):
+    def __init__(self, lines: list[str]):
         self._lines = lines
-        self._emitted = emitted
-        self._names = names
 
     def __len__(self) -> int:
         return len(self._lines)
 
     def __getitem__(self, index: int) -> dict:
-        line = self._lines[index]
-        record = self._emitted.get(index % len(self._lines))
-        return self._send_record(line) if record is None else record
+        return json.loads(self._lines[index])
 
-    def __iter__(self):
-        # A line holds its time, so equal lines come within one tick: what
-        # is read from a line is kept for the rest of its tick, and each
-        # read hands out a copy.
-        emitted, send_record = self._emitted, self._send_record
-        tick, seen = None, {}
-        for i, line in enumerate(self._lines):
-            record = emitted.get(i)
-            if record is None:
-                record = seen.get(line)
-                if record is None:
-                    record = send_record(line)
-                    if record["time"] != tick:
-                        tick, seen = record["time"], {}
-                    seen[line] = record
-                record = record.copy()
-            yield record
-
-    def _send_record(self, line: str) -> dict:
-        # The line is '{"dst":' D ',"kind":"send","msg":' M ',"src":' S
-        # ',"time":' T '}\n', each of D, M and S a quoted name. A quote
-        # inside a quoted name is escaped, so the first match of each
-        # separator is the separator itself.
-        dst, _, rest = line[7:].partition(',"kind":"send","msg":')
-        msg, _, rest = rest.partition(',"src":')
-        src, _, time = rest.partition(',"time":')
-        names = self._names
-        return {"kind": "send", "time": int(time[:-2]),
-                "src": names[src], "dst": names[dst], "msg": names[msg]}
+    def __iter__(self) -> Iterator[dict]:
+        return map(json.loads, self._lines)
 
 
 class Trace:
-    """Ordered record of everything observable, held as the JSON lines it
-    is written as: per record the bytes of json.dumps(record,
+    """Ordered record of everything observable, held only as the JSON
+    lines it is written as: per record the bytes of json.dumps(record,
     sort_keys=True, separators=(",", ":")) and a newline, so equal runs are
-    byte-identical.
+    byte-identical. A line is strict JSON: a NaN or infinite float is
+    refused when it is emitted.
 
-    Each record is encoded once, when it is emitted. A plain send record
-    (emit_send) is kept only as its line. Each name it carries is quoted
+    Each record is encoded once, when it is emitted, and no dict of it is
+    kept. emit encodes a record with the one C encoder the trace owns. A
+    plain send record (emit_send) is written from its names, each quoted
     once for the whole trace, in a map that grows with the number of
     distinct names, not with the run. A send that repeats an earlier
     (src, dst, msg) of the same int tick appends that send's line object
     again; the map of the tick's lines is dropped when the time changes.
-    Every other record goes through emit, which encodes it with the one C
-    encoder the trace owns and keeps its dict, which find scans. records
-    reads the whole trace back: what emit was given, and a send
-    dict rebuilt from its line.
+    records and find read the lines back through json.loads.
 
     Only to_jsonl builds the whole trace as one string, for callers that
     want it. chunks gives it in pieces of TRACE_CHUNK_LINES lines, which
-    runner.write_outputs writes and digest hashes. Records are not to be
-    mutated once emitted: their line is already written."""
+    runner.write_outputs writes and digest hashes."""
 
     def __init__(self):
         self._lines: list[str] = []
-        # Line index -> record, for every line that emit wrote.
-        self._emitted: dict[int, dict] = {}
-        # Name -> its JSON string, and back, for every name a send line holds.
+        # Name -> its JSON string, for every name a send line holds.
         self._quoted: dict[str, str] = {}
-        self._names: dict[str, str] = {}
         # The int tick of the last send line written, and that tick's lines.
         self._tick: int | None = None
         self._tick_lines: dict[tuple[str, str, str], str] = {}
-        self._records = TraceRecords(self._lines, self._emitted, self._names)
-        # The encoder json.dumps builds for these arguments, built once, by
-        # position, as json.JSONEncoder.iterencode builds it. It notes the
-        # ids of the containers it is inside in markers; a failed encode
-        # leaves them there, so emit clears them.
+        self._records = TraceRecords(self._lines)
+        # The encoder json.dumps builds for these arguments and
+        # allow_nan=False, built once, by position, as
+        # json.JSONEncoder.iterencode builds it. It notes the ids of the
+        # containers it is inside in markers; a failed encode leaves them
+        # there, so emit clears them.
         self._markers: dict[int, Any] = {}
         self._encode = json.encoder.c_make_encoder(
             self._markers, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
-            None, ":", ",", True, False, True,
+            None, ":", ",", True, False, False,
         )
 
     @property
@@ -176,20 +140,19 @@ class Trace:
         return self._records
 
     def emit(self, kind: str, time: int, **fields: Any) -> None:
-        """Append a record. One that JSON cannot encode raises here, with
-        the error json.dumps gives, and leaves nothing behind."""
-        record = {"kind": kind, "time": time, **fields}
+        """Append a record's line. One that strict JSON cannot encode
+        raises here, with the error json.dumps(..., allow_nan=False)
+        gives, and leaves nothing behind."""
         try:
-            chunks = self._encode(record, 0)
+            chunks = self._encode({"kind": kind, "time": time, **fields}, 0)
         except BaseException:
             self._markers.clear()
             raise
-        self._emitted[len(self._lines)] = record
         self._lines.append("".join(chunks) + "\n")
 
     def emit_send(self, time: int, src: str, dst: str, msg: str) -> None:
         """Append a send record: the bytes emit("send", time, src=src,
-        dst=dst, msg=msg) would give, kept as a line only."""
+        dst=dst, msg=msg) would give."""
         # The exact types matter: True, 1 and 1.0 are equal and hash alike
         # but encode differently. So only str names are quoted here, and
         # only an int time reads or writes the tick's lines.
@@ -214,7 +177,6 @@ class Trace:
             for name in key:
                 if name not in quoted:
                     quoted[name] = json.encoder.encode_basestring_ascii(name)
-                    self._names[quoted[name]] = name
             qsrc, qdst, qmsg = quoted[src], quoted[dst], quoted[msg]
         line = self._tick_lines[key] = (
             f'{{"dst":{qdst},"kind":"send","msg":{qmsg},"src":{qsrc},"time":{time}}}\n')
@@ -238,10 +200,8 @@ class Trace:
 
     def find(self, kind: str, **match: Any) -> list[dict]:
         """The records of this kind whose fields equal match, in emission
-        order. Every kind but "send" scans the dicts emit kept; plain send
-        records have none, so "send" scans the whole trace."""
-        candidates = self.records if kind == "send" else self._emitted.values()
-        return [r for r in candidates
+        order, read from the lines: each call parses the whole trace."""
+        return [r for r in self.records
                 if r["kind"] == kind and all(r.get(k) == v for k, v in match.items())]
 
 

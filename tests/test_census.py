@@ -108,12 +108,9 @@ UNREACHED = {
     "session.RotationNotice.to_bytes": "wire contract",
     "session._Unproven.__init__": "refusal path",
     "simnet.Trace.digest": "acceptance gate",
-    "simnet.Trace.records": "benchmark",
     "simnet.Trace.to_jsonl": "benchmark",
     "simnet.TraceRecords.__getitem__": "benchmark",
-    "simnet.TraceRecords.__iter__": "benchmark",
     "simnet.TraceRecords.__len__": "benchmark",
-    "simnet.TraceRecords._send_record": "benchmark",
     "wire.Reader.flag": "wire contract",
     "wire.Reader.since": "wire contract",
     "wire.Reader.str_": "wire contract",

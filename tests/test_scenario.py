@@ -1,4 +1,5 @@
 import gc
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import overnym
+from overnym import simnet
 from overnym.cli import main
 from overnym.ledger import MAX_PAYLOAD_BYTES, encode_payload
 from overnym.overlay import OverlayGraph
@@ -38,6 +40,89 @@ at 3 bind s
 at 6 connect u s
 expect handshake u s success
 """
+
+
+# Four users reach a token-gated and an open server, and the token changes
+# hands. READ_BOUND_CHECKS adds 30 expectations, 29 of them admitted,
+# authorize and session ones, and 18 of the 30 fail.
+READ_BOUND = """
+seed 7
+segment 1
+segment 2
+link 1 2 1
+node ap1 router 1
+node ap2 router 2
+node seq sequencer 1
+node alice user 1
+node bob user 1
+node carol user 2
+node dave user 2
+node shop app-server 2 service=storefront
+node cafe app-server 1 service=coffee
+option strict-registration on
+at 1 register alice
+at 1 register bob
+at 1 register carol
+at 1 register shop tokens gold-pass
+at 1 register cafe open-access
+at 4 bind alice
+at 4 bind bob
+at 4 bind carol
+at 4 bind dave
+at 4 bind shop
+at 4 bind cafe
+at 6 mint-nft gold-pass alice
+at 9 connect alice shop
+at 9 connect bob shop
+at 9 connect carol cafe
+at 9 connect alice cafe
+at 9 connect dave cafe
+at 20 authorize alice shop
+at 20 authorize bob shop
+at 20 authorize alice cafe
+at 26 transfer-nft gold-pass bob
+at 30 authorize alice shop
+at 30 authorize bob shop
+at 32 fault crash-node carol
+"""
+
+# Each expectation, whether it holds and what the run saw.
+READ_BOUND_CHECKS = [
+    ("admitted alice true", True, "last admission decision=True"),
+    ("admitted bob true", True, "last admission decision=True"),
+    ("admitted carol true", True, "last admission decision=True"),
+    ("admitted dave true", False, "last admission decision=False"),
+    ("admitted alice false", False, "last admission decision=True"),
+    ("admitted dave false", True, "last admission decision=False"),
+    ("admitted carol false", False, "last admission decision=True"),
+    ("authorize alice shop allowed", False, "last access decision: allowed=False reason=no-token"),
+    ("authorize alice shop denied", True, "last access decision: allowed=False reason=no-token"),
+    ("authorize bob shop allowed", True, "last access decision: allowed=True reason=nft-owned"),
+    ("authorize bob shop denied", False, "last access decision: allowed=True reason=nft-owned"),
+    ("authorize alice cafe allowed", True, "last access decision: allowed=True reason=open-access"),
+    ("authorize alice cafe denied", False, "last access decision: allowed=True reason=open-access"),
+    ("authorize carol cafe allowed", True, "last access decision: allowed=True reason=open-access"),
+    ("authorize dave cafe denied", False, "no session between the pair"),
+    ("authorize dave shop denied", False, "no session between the pair"),
+    ("session alice shop alive at 15", False, "probe at t=15: alive=False"),
+    ("session alice shop alive at 35", True, "probe at t=35: alive=True"),
+    ("session alice shop not-alive at 35", False, "probe at t=35: alive=True"),
+    ("session bob shop alive at 15", False, "probe at t=15: alive=False"),
+    ("session bob shop not-alive at 40", False, "probe at t=40: alive=True"),
+    ("session carol cafe alive at 25", False, "probe at t=25: alive=False"),
+    ("session carol cafe alive at 45", False, "probe never fired"),
+    ("session alice cafe alive at 15", False, "probe at t=15: alive=False"),
+    ("session alice cafe not-alive at 45", False, "probe at t=45: alive=True"),
+    ("session dave cafe alive at 15", False, "probe at t=15: alive=False"),
+    ("session dave cafe not-alive at 15", True, "probe at t=15: alive=False"),
+    ("handshake alice shop success", True, "session established"),
+    ("admitted bob true", True, "last admission decision=True"),
+    ("session alice shop alive at 15", False, "probe at t=15: alive=False"),
+]
+
+_spec = importlib.util.spec_from_file_location("workloads", SCENARIOS_DIR.parent / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 class TestParse:
@@ -167,6 +252,23 @@ class TestRun:
             for values in {tuple(r.get(k) for k in keys) for r in scan(kind)}:
                 match = dict(zip(keys, values))
                 assert trace.find(kind, **match) == scan(kind, **match)
+
+    def test_verdicts_read_each_kind_of_record_once(self, monkeypatch):
+        passes = []
+        iterate = simnet.TraceRecords.__iter__
+        monkeypatch.setattr(simnet.TraceRecords, "__iter__",
+                            lambda records: passes.append(1) or iterate(records))
+        result = run_scenario(parse_scenario(
+            READ_BOUND + "".join(f"expect {text}\n" for text, _, _ in READ_BOUND_CHECKS)))
+        assert result.checks == [(f"expect {text}", passed, saw)
+                                 for text, passed, saw in READ_BOUND_CHECKS]
+        # At most one pass each for the admit, access and probe records,
+        # not one per expectation.
+        assert len(passes) <= 3
+        passes.clear()
+        for name in workloads.WORKLOADS:
+            assert run_scenario(parse_scenario(workloads.generate(name, 31, 20))).exit_code == 0
+        assert passes == []
 
     def test_failed_expectation_nonzero_exit(self):
         # alive probe scheduled long after the server crashed

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -381,11 +382,13 @@ class TestRngAndTrace:
         assert all(line.startswith("{") for line in lines)
 
 
-# Values the trace can hold: everything JSON encodes, including non-ASCII
-# text and the non-finite floats json.dumps writes as NaN and Infinity.
+# Values the trace can hold: everything strict JSON encodes, including
+# non-ASCII text. A NaN or infinite float is refused at emit
+# (test_a_failed_emit_leaves_nothing_behind).
 json_keys = st.text(max_size=8)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    st.none() | st.booleans() | st.integers() | finite_floats | st.text(max_size=12),
     lambda children: st.lists(children, max_size=3)
     | st.dictionaries(json_keys, children, max_size=3),
     max_leaves=8,
@@ -448,6 +451,17 @@ def test_a_failed_emit_leaves_nothing_behind():
     value = [[1], object()]
     with pytest.raises(TypeError):
         trace.emit("bad", 1, value=value)
+    # A line is strict JSON: a non-finite float raises as json.dumps does
+    # with allow_nan=False, in a field or as a send's time.
+    for number in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError) as expected:
+            json.dumps({"value": [number]}, allow_nan=False)
+        with pytest.raises(ValueError) as got:
+            trace.emit("bad", 1, value=[{"x": number}])
+        assert str(got.value) == str(expected.value)
+        with pytest.raises(ValueError) as got:
+            trace.emit_send(number, "a", "b", "m")
+        assert str(got.value) == str(expected.value)
     assert len(trace.records) == count and trace.to_jsonl() == before
     assert trace.find("loop") == [] and trace.find("bad") == []
     value[1] = 2
@@ -458,6 +472,18 @@ def test_a_failed_emit_leaves_nothing_behind():
     assert trace.find("bad") == [trace.records[-2]]
 
 
+def test_reads_follow_the_lines_not_the_emitted_objects():
+    trace = Trace()
+    value = [1]
+    trace.emit("note", 0, value=value)
+    text = trace.to_jsonl()
+    value.append(2)
+    written = {"kind": "note", "time": 0, "value": [1]}
+    assert trace.find("note") == [written]
+    assert list(trace.records) == [written] and trace.records[0] == written
+    assert trace.to_jsonl() == text == '{"kind":"note","time":0,"value":[1]}\n'
+
+
 # Send-shaped records: most are written as a cached prefix by emit_send,
 # and the rest are one key short, carry a note, hold a time that is not an
 # int, or hold values that are not strings. 1, True and 1.0 hash alike,
@@ -466,7 +492,7 @@ def test_a_failed_emit_leaves_nothing_behind():
 send_text = (st.sampled_from(["ap1", "u", 'q"uote', "back\\slash", "caf\u00e9", "\u2603"])
              | st.text(max_size=6))
 send_values = send_text | st.sampled_from([1, True, 1.0, None])
-send_times = (st.integers(min_value=0, max_value=10**6) | st.booleans() | st.floats()
+send_times = (st.integers(min_value=0, max_value=10**6) | st.booleans() | finite_floats
               | st.integers(min_value=2**64, max_value=2**200))
 
 
