@@ -34,7 +34,6 @@ from .identity import (
     verify_linkage,
 )
 from .ledger import (
-    AssociationRecord,
     InvalidTx,
     Ledger,
     LedgerEntry,

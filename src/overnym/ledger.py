@@ -13,7 +13,7 @@ updates, and token ownership, nothing bulkier.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .hashing import DIGEST_SIZE, TAG_ENTRY, TAG_LEDGER_STATE, TAG_PAYLOAD, owf
@@ -30,7 +30,7 @@ CHAIN_MAGIC = b"OVNCHAIN1"
 _DIGEST = f"{DIGEST_SIZE}s"
 _SUBJECT_AND_LENGTH = struct.Struct(f">{_DIGEST}I")  # subject | u32 key length
 _EPOCH_AND_COUNT = struct.Struct(">QI")  # u64 epoch | u32 access-control count
-_THREE_U64 = struct.Struct(">QQQ")  # an association's segment, epoch, seq; a link
+_THREE_U64 = struct.Struct(">QQQ")  # a topology link: segment, segment, hop-cost
 _TOKEN_OWNER_SEQ = struct.Struct(f">{_DIGEST}{_DIGEST}Q")
 _ENTRY_HEAD = struct.Struct(f">Q{_DIGEST}I")  # u64 seq | prev_hash | u32 payload length
 _ENTRY_HASHES = struct.Struct(f">{_DIGEST}{_DIGEST}")  # payload_hash | entry_hash
@@ -109,46 +109,6 @@ class RegistrationTx:
 
 
 @dataclass(frozen=True)
-class AssociationRecord:
-    """Binding of a subject address to its serving access point. No
-    simulator node writes one (routers keep bindings in their NEAT
-    tables); the payload kind stays so that chains holding one decode.
-
-    seq is 0 at submission and carries the ledger sequence once
-    committed; the highest-seq record per subject is live.
-    """
-
-    subject: bytes
-    attachment: str  # access point id
-    segment: int
-    epoch: int = 0
-    seq: int = 0
-
-    def validate(self) -> None:
-        if len(self.subject) != DIGEST_SIZE:
-            raise InvalidTx("subject must be 32 bytes")
-        if not self.attachment:
-            raise InvalidTx("attachment must be non-empty")
-        if self.segment < 0:
-            raise InvalidTx("segment must be non-negative")
-
-    def to_bytes(self) -> bytes:
-        return (
-            self.subject
-            + pack_str(self.attachment)
-            + pack_u64(self.segment)
-            + pack_u64(self.epoch)
-            + pack_u64(self.seq)
-        )
-
-    @classmethod
-    def read(cls, r: Reader) -> "AssociationRecord":
-        subject = r.take(DIGEST_SIZE)
-        attachment = r.str_()
-        return cls(subject, attachment, *r.unpack(_THREE_U64))
-
-
-@dataclass(frozen=True)
 class TopologyUpdate:
     """Inter-segment links reported by an access point."""
 
@@ -197,17 +157,15 @@ class NftOwnership:
         return cls(*r.unpack(_TOKEN_OWNER_SEQ))
 
 
-Payload = RegistrationTx | AssociationRecord | TopologyUpdate | NftOwnership
+Payload = RegistrationTx | TopologyUpdate | NftOwnership
 
 _PAYLOAD_TAGS: dict[type, int] = {
     RegistrationTx: 1,
-    AssociationRecord: 2,
     TopologyUpdate: 3,
     NftOwnership: 4,
 }
 _PAYLOAD_READERS = {
     1: RegistrationTx.read,
-    2: AssociationRecord.read,
     3: TopologyUpdate.read,
     4: NftOwnership.read,
 }
@@ -221,9 +179,10 @@ def encode_payload(payload: Payload) -> bytes:
 
 
 def _read_payload(r: Reader) -> Payload:
-    reader = _PAYLOAD_READERS.get(r.u8())
+    tag = r.u8()
+    reader = _PAYLOAD_READERS.get(tag)
     if reader is None:
-        raise WireError("unknown payload tag")
+        raise WireError(f"unknown payload tag {tag}")
     return reader(r)
 
 
@@ -362,12 +321,11 @@ class Ledger:
         self._entries: list[LedgerEntry] = []
         self._records: list[bytes] = []  # bytes(entry) per entry, as exported
         self._queue: list[_Pending] = []
-        self._receipts: dict[tuple[str, bytes], Receipt] = {}
+        self._seen: set[tuple[str, bytes]] = set()  # (submitter, nonce) of each submission
         # Derived state. Each dict value ends with the live record's part
         # of the state blob (docs/wire-format.md); _topology_parts holds
         # the topology updates' parts.
         self._registrations: dict[bytes, tuple[int, RegistrationTx, bytes]] = {}
-        self._associations: dict[bytes, tuple[int, AssociationRecord, bytes]] = {}
         self._owners: dict[bytes, tuple[int, bytes, bytes]] = {}
         self._topology: list[tuple[int, TopologyUpdate]] = []
         self._topology_parts: list[bytes] = []
@@ -376,9 +334,9 @@ class Ledger:
 
     def submit(self, payload: Payload, *, submitter: str, at_time: int, nonce: bytes) -> Receipt:
         """Queue a transaction. Idempotent per (submitter, nonce)."""
-        seen = self._receipts.get((submitter, bytes(nonce)))
-        if seen is not None:
-            return replace(seen, duplicate=True)
+        nonce = bytes(nonce)
+        if (submitter, nonce) in self._seen:
+            return Receipt(nonce, submitter, duplicate=True)
         payload.validate()
         encoded = encode_payload(payload)
         if len(encoded) > MAX_PAYLOAD_BYTES:
@@ -386,10 +344,9 @@ class Ledger:
                 f"payload is {len(encoded)} bytes; the ledger carries small data only "
                 f"(cap {MAX_PAYLOAD_BYTES})"
             )
-        receipt = Receipt(nonce=bytes(nonce), submitter=submitter)
-        self._receipts[(submitter, bytes(nonce))] = receipt
-        self._queue.append(_Pending(at_time, submitter, bytes(nonce), payload, encoded))
-        return receipt
+        self._seen.add((submitter, nonce))
+        self._queue.append(_Pending(at_time, submitter, nonce, payload, encoded))
+        return Receipt(nonce, submitter)
 
     def commit_round(self) -> list[LedgerEntry]:
         """Drain the queue in (time, submitter, nonce) order.
@@ -439,11 +396,6 @@ class Ledger:
         payload, seq = entry.payload, entry.seq
         if isinstance(payload, RegistrationTx):
             self._registrations[payload.subject] = (seq, payload, pack_u64(seq) + payload_frame)
-        elif isinstance(payload, AssociationRecord):
-            # The live record is the payload with the entry's seq, its
-            # last field: the frame with its last 8 bytes replaced.
-            self._associations[payload.subject] = (
-                seq, payload, payload_frame[:-8] + pack_u64(seq))
         elif isinstance(payload, NftOwnership):
             self._owners[payload.token_id] = (
                 seq, payload.owner, payload.token_id + pack_u64(seq) + payload.owner)
@@ -469,9 +421,10 @@ class Ledger:
         found = self._owners.get(bytes(token_id))
         return found[1] if found else None
 
-    def query_association(self, subject: bytes) -> AssociationRecord | None:
-        found = self._associations.get(bytes(subject))
-        return replace(found[1], seq=found[0]) if found else None
+    def query_association(self, subject: bytes) -> None:
+        """Payload tag 2 (associations) is reserved, so none is ever found.
+        Kept only because perfbench/tracer.py binds it by name; ROADMAP
+        items 1 and 16 delete it together with that binding."""
 
     def query_topology(self) -> list[tuple[int, TopologyUpdate]]:
         """All committed topology updates with their ledger seqs, in order."""
@@ -479,8 +432,8 @@ class Ledger:
 
     def state_hash(self) -> bytes:
         """Canonical digest of the derived state, for replica comparison."""
-        parts = (_state_parts(self._registrations) + _state_parts(self._associations)
-                 + _state_parts(self._owners) + self._topology_parts)
+        parts = (_state_parts(self._registrations) + _state_parts(self._owners)
+                 + self._topology_parts)
         return owf(TAG_LEDGER_STATE, b"".join(parts))
 
     # -- export / import ----------------------------------------------------

@@ -76,10 +76,6 @@ UNREACHED = {
     "identity.Predicate.to_bytes": "wire contract",
     "identity.ServiceProps.from_bytes": "wire contract",
     "identity.IdentitySecret.__repr__": "safety",  # keeps the seed out of reprs
-    "ledger.AssociationRecord.read": "item 7",
-    "ledger.AssociationRecord.to_bytes": "item 7",
-    "ledger.AssociationRecord.validate": "item 7",
-    "ledger.Ledger.query_association": "item 7",
     "ledger.Ledger.apply_entries": "acceptance gate",
     "ledger.LedgerEntry.from_bytes": "acceptance gate",
     "ledger.LedgerEntry.to_bytes": "acceptance gate",
@@ -88,6 +84,7 @@ UNREACHED = {
     "ledger.verify_chain": "acceptance gate",
     "ledger.Ledger.export_chain": "benchmark",  # the replica catch-up
     "ledger.Ledger.import_chain": "benchmark",
+    "ledger.Ledger.query_association": "benchmark",  # a stub: payload tag 2 is reserved
     "ledger.NftOwnership.read": "benchmark",
     "ledger.RegistrationTx.read": "benchmark",
     "ledger.TopologyUpdate.read": "benchmark",
@@ -121,8 +118,9 @@ UNREACHED = {
 
 # Record kind -> why no fixture's trace holds it. Each is emitted only for
 # a message that no well-formed script sends (a transaction, subject,
-# locator, route or rotation notice the sender cannot encode or name);
-# tests/test_nodes.py injects such messages for the first four.
+# locator, route or rotation notice the sender cannot encode or name, or
+# a rotation notice delivered again); tests/test_nodes.py injects such
+# messages for each.
 UNEMITTED = {
     "tx-refused": "refusal path",
     "attributes-refused": "refusal path",

@@ -5,10 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from overnym.hashing import TAG_ENTRY, TAG_PAYLOAD, owf
 from overnym.identity import derive_bcadd
 from overnym.ledger import (
     CHAIN_MAGIC,
-    AssociationRecord,
     GENESIS_PREV,
     InvalidTx,
     Ledger,
@@ -17,12 +17,13 @@ from overnym.ledger import (
     RegistrationTx,
     TopologyUpdate,
     _new_entry,
+    decode_payload,
     encode_payload,
     verify_chain,
 )
 from overnym.runner import _schedule_actions, build_simulation
 from overnym.scenario import parse_scenario
-from overnym.wire import WireError, pack_bytes, pack_u32
+from overnym.wire import WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
 
 from conftest import make_secret
 
@@ -49,16 +50,13 @@ def filled_ledger(n: int = 20, seed: int = 0) -> Ledger:
 
 def mixed_ledger(n: int) -> Ledger:
     """n entries cycling through every payload kind, committed in rounds of
-    500; associations and token owners are superseded along the way."""
+    500; token owners are superseded along the way."""
     ledger = Ledger()
     for i in range(n):
-        kind = i % 4
+        kind = i % 3
         if kind == 0:
-            payload = reg(5000 + i // 4)
+            payload = reg(5000 + i // 3)
         elif kind == 1:
-            payload = AssociationRecord(subject=bytes([i % 251]) * 32,
-                                        attachment=f"ap{i % 7}", segment=i % 5, epoch=i % 3)
-        elif kind == 2:
             payload = NftOwnership(token_id=bytes([i % 241]) * 32, owner=bytes([i % 13]) * 32)
         else:
             payload = TopologyUpdate(links=((i % 9, i % 9 + 1, 1 + i % 3),), origin=f"ap{i % 7}")
@@ -85,20 +83,15 @@ def with_app_servers(ledger: Ledger) -> Ledger:
 UNENCODABLE = [
     reg(9, epoch=1 << 64),
     reg(9, epoch=-1),
-    AssociationRecord(subject=bytes(32), attachment="ap", segment=0, epoch=1 << 64),
-    AssociationRecord(subject=bytes(32), attachment="ap", segment=0, seq=-1),
     NftOwnership(token_id=bytes(32), owner=bytes(32), seq=1 << 64),
     NftOwnership(token_id=bytes(32), owner=bytes(32), seq=-1),
     TopologyUpdate(links=((1, 2, 1 << 64),), origin="ap"),
     reg(9, kind="app-server", access_control=("\ud800",)),
-    AssociationRecord(subject=bytes(32), attachment="\ud800", segment=0),
     TopologyUpdate(links=((1, 2, 1),), origin="\ud800"),
 ]
 UNENCODABLE_IDS = ["registration epoch 2^64", "registration epoch -1",
-                   "association epoch 2^64", "association seq -1",
                    "nft seq 2^64", "nft seq -1", "topology cost 2^64",
-                   "registration server surrogate", "association attachment surrogate",
-                   "topology origin surrogate"]
+                   "registration server surrogate", "topology origin surrogate"]
 
 
 class TestSubmit:
@@ -288,10 +281,23 @@ class TestImportChain:
         with pytest.raises(ValueError, match="does not extend the chain at 3"):
             Ledger.import_chain(blob)
 
+    def test_the_reserved_payload_tag_2_is_refused(self):
+        # Tag 2 once carried an association: subject(32) | str(attachment)
+        # | u64 segment | u64 epoch | u64 seq. Its bytes no longer decode,
+        # alone or in a chain whose hashes recompute over them.
+        payload = pack_u8(2) + bytes(32) + pack_str("ap1") + pack_u64(2) + pack_u64(3) + pack_u64(0)
+        with pytest.raises(WireError, match="unknown payload tag 2"):
+            decode_payload(payload)
+        payload_hash = owf(TAG_PAYLOAD, payload)
+        entry = b"".join((pack_u64(0), GENESIS_PREV, pack_bytes(payload), payload_hash,
+                          owf(TAG_ENTRY, pack_u64(0), GENESIS_PREV, payload_hash)))
+        with pytest.raises(ValueError, match="unknown payload tag 2"):
+            Ledger.import_chain(CHAIN_MAGIC + pack_u32(1) + pack_bytes(entry))
+
     def test_every_cut_of_a_chain_and_of_an_entry_is_refused(self):
         ledger = with_app_servers(mixed_ledger(4))
         assert {type(entry.payload) for entry in ledger.entries} == {
-            RegistrationTx, AssociationRecord, TopologyUpdate, NftOwnership}
+            RegistrationTx, TopologyUpdate, NftOwnership}
         blob = ledger.export_chain()
         for cut in range(len(blob)):
             with pytest.raises(ValueError):
@@ -324,19 +330,6 @@ class TestQueries:
         assert ledger.query_registration(b"q" * 32) is None
         assert ledger.query_owner(b"q" * 32) is None
         assert ledger.query_association(b"q" * 32) is None
-
-    def test_association_latest_seq_wins(self):
-        ledger = Ledger()
-        subject = b"s" * 32
-        for at_time, attachment in ((1, "ap1"), (2, "ap9")):
-            ledger.submit(AssociationRecord(subject=subject, attachment=attachment,
-                                            segment=1),
-                          submitter="u", at_time=at_time,
-                          nonce=attachment.encode().ljust(16, b"0"))
-            ledger.commit_round()
-        record = ledger.query_association(subject)
-        assert record.attachment == "ap9"
-        assert record.seq == 1
 
     def test_topology_kept_in_order(self):
         ledger = Ledger()
@@ -378,11 +371,12 @@ class TestReplication:
         assert verify_chain(restored.entries)
 
     def test_export_and_state_hash_bytes_pinned(self):
-        # Pinned from the quadratic bytes += encoders these replaced; the
-        # chain export and the replica state hash must not move a byte.
+        # Pinned from the quadratic bytes += encoders these replaced, run
+        # on this three-kind chain; the chain export and the replica state
+        # hash must not move a byte.
         ledger = mixed_ledger(4000)
         assert len(ledger.entries) == 4000
         assert hashlib.sha256(ledger.export_chain()).hexdigest() == (
-            "20651fdeb60731c5516735019a2bb09655ad2d78cef063fa1bb4337735156230")
+            "5e68f6544639f0e1f882f594eff33aa087886e9869fce94095ea93ca2a7d8772")
         assert ledger.state_hash().hex() == (
-            "17813297895bdf5635caeeb39d5648d90c4a0596e1b5a36fdce16646ed4196ed")
+            "4e11ffa77c176808dbb842c140a3ffcfc24bea1eb2a0ece7763af7b1e6a5252f")

@@ -23,6 +23,7 @@ from overnym.nodes import (
     Heartbeat,
     PayloadReceipt,
     RegisterAttributes,
+    RotationEnvelope,
     SubmitTx,
     UnbindRequest,
 )
@@ -346,6 +347,30 @@ class TestRotatingSender:
 
         assert switched(sent) == switched(received)
         assert (sent.client_bcadd, sent.rotation_count) == (user.bcadd, 1)
+
+    def test_a_notice_delivered_again_is_rejected_and_changes_nothing(self):
+        built, user, server = connected()
+        notices, send = [], built.sim.send
+
+        def recorded(src, dst, message, note=None):
+            if src == "u" and isinstance(message, Envelope):
+                notices.append(message.inner)
+            send(src, dst, message, note)
+
+        built.sim.send = recorded
+        user.do_rotate(built.sim.now)
+        built.sim.run_until_idle()
+        (notice,) = [m for m in notices if isinstance(m, RotationEnvelope)]
+        rotations = built.world.metrics.rotations_completed
+        assert rotations == 1
+        # The last router on the path hands the same notice to s again:
+        # its tag is under the key the first delivery replaced.
+        deliver_at_server(built, notice)
+        (rejected,) = built.sim.trace.find("rotation-rejected")
+        assert {k: v for k, v in rejected.items() if k not in ("kind", "time")} == {
+            "node": "s", "reason": "notice was not delivered inside this session"}
+        assert built.world.metrics.rotations_completed == rotations
+        assert user.session_with("s").key_check() == server.session_with("u").key_check()
 
 
 class TestRefusedHandshakeMessage:

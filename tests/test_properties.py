@@ -31,7 +31,6 @@ from overnym.identity import (
 )
 from overnym.ledger import (
     CHAIN_MAGIC,
-    AssociationRecord,
     Ledger,
     LedgerEntry,
     NftOwnership,
@@ -213,7 +212,7 @@ def test_chain_rejects_any_single_bit_flip(entry_index, byte_seed):
             with pytest.raises(ValueError):
                 Ledger.import_chain(bent_chain(carried))
 
-    for unencodable in (AssociationRecord(subject=None, attachment="ap", segment=0),
+    for unencodable in (NftOwnership(token_id=None, owner=bytes(32)),
                         RegistrationTx("app-server", bytes(32), b"k", access_control=(5,))):
         rejected(replace(entries[entry_index], payload=unencodable), None)
 
@@ -274,7 +273,6 @@ def _one_value_per_decoder() -> dict[str, tuple]:
         RegistrationTx("app-server", bcadd.address, bcadd.public_key, 3, open_access=True),
         RegistrationTx("app-server", appid.id, bcadd.public_key, 1,
                        access_control=(b"t" * 32, "legacy.example")),
-        AssociationRecord(bcadd.address, "ap1", 2, epoch=3, seq=9),
         TopologyUpdate(links=((1, 2, 3),), origin="ap1"),
         NftOwnership(b"t" * 32, bcadd.address),
     ]
