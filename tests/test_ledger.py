@@ -1,6 +1,7 @@
 import hashlib
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -86,11 +87,14 @@ UNENCODABLE = [
     NftOwnership(token_id=bytes(32), owner=bytes(32), seq=1 << 64),
     NftOwnership(token_id=bytes(32), owner=bytes(32), seq=-1),
     TopologyUpdate(links=((1, 2, 1 << 64),), origin="ap"),
+    TopologyUpdate(links=((-1, 2, 1),), origin="ap"),
+    TopologyUpdate(links=((1, 1 << 64, 1),), origin="ap"),
     reg(9, kind="app-server", access_control=("\ud800",)),
     TopologyUpdate(links=((1, 2, 1),), origin="\ud800"),
 ]
 UNENCODABLE_IDS = ["registration epoch 2^64", "registration epoch -1",
                    "nft seq 2^64", "nft seq -1", "topology cost 2^64",
+                   "topology segment -1", "topology segment 2^64",
                    "registration server surrogate", "topology origin surrogate"]
 
 
@@ -118,6 +122,15 @@ class TestSubmit:
         again = ledger.submit(tx, submitter="u", at_time=2, nonce=b"d" * 16)
         assert again.duplicate and not first.duplicate
         assert len(ledger.commit_round()) == 1
+
+    def test_a_nonce_stays_spent_after_its_round_commits(self):
+        ledger = Ledger()
+        ledger.submit(reg(2), submitter="u", at_time=1, nonce=b"d" * 16)
+        assert len(ledger.commit_round()) == 1
+        again = ledger.submit(reg(5), submitter="u", at_time=2, nonce=b"d" * 16)
+        assert again.duplicate
+        assert ledger.commit_round() == []
+        assert ledger.query_registration(reg(5).subject) is None
 
     def test_same_nonce_different_submitters_both_commit(self):
         ledger = Ledger()
@@ -294,6 +307,12 @@ class TestImportChain:
         with pytest.raises(ValueError, match="unknown payload tag 2"):
             Ledger.import_chain(CHAIN_MAGIC + pack_u32(1) + pack_bytes(entry))
 
+    @pytest.mark.parametrize("tag", [0, 2, 5, 255])
+    def test_a_payload_tag_of_no_kind_is_refused(self, tag):
+        # Only tags 1, 3 and 4 name a payload kind; 2 is reserved.
+        with pytest.raises(WireError, match=f"unknown payload tag {tag}$"):
+            decode_payload(pack_u8(tag) + encode_payload(reg(6))[1:])
+
     def test_every_cut_of_a_chain_and_of_an_entry_is_refused(self):
         ledger = with_app_servers(mixed_ledger(4))
         assert {type(entry.payload) for entry in ledger.entries} == {
@@ -357,6 +376,18 @@ class TestReplication:
         replica = Ledger()
         with pytest.raises(ValueError):
             replica.apply_entries(entries)
+
+    def test_replica_refuses_an_entry_of_no_payload_kind_and_keeps_its_state(self):
+        primary = filled_ledger(3)
+        replica = Ledger()
+        replica.apply_entries(primary.entries[:2])
+        before = (replica.export_chain(), replica.state_hash())
+        stray = replace(primary.entries[2], payload=("association", bytes(32), "ap1"))
+        with pytest.raises(ValueError, match="entry 2 cannot be encoded: unsupported payload type tuple"):
+            replica.apply_entries([stray])
+        assert (replica.export_chain(), replica.state_hash()) == before
+        replica.apply_entries(primary.entries[2:])
+        assert replica.export_chain() == primary.export_chain()
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: filled_ledger(25, seed=4), id="filled"),
