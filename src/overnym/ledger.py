@@ -8,6 +8,9 @@ replica determinism, and latest-record-wins state queries.
 
 Payloads are capped at 4 KiB; the chain carries registrations, topology
 updates, and token ownership, nothing bulkier.
+
+A payload is valid exactly when its bytes decode, and every path into
+ledger state (submit, apply_entries, import_chain, verify_chain) decodes.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .hashing import DIGEST_SIZE, TAG_ENTRY, TAG_LEDGER_STATE, TAG_PAYLOAD, owf
-from .wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
+from .wire import Reader, WireError, pack_bytes, pack_field, pack_str, pack_u8, pack_u32, pack_u64
 
 GENESIS_PREV = bytes(DIGEST_SIZE)
 MAX_PAYLOAD_BYTES = 4096
@@ -50,7 +53,8 @@ class RegistrationTx:
 
     app-server registrations must either list access-control entries
     (NFT token ids and/or legacy server addresses) or mark themselves
-    open-access explicitly.
+    open-access explicitly. read refuses one that does not, as it
+    refuses an unknown kind or an empty server address.
     """
 
     kind: str
@@ -60,31 +64,17 @@ class RegistrationTx:
     access_control: tuple[bytes | str, ...] = ()
     open_access: bool = False
 
-    def validate(self) -> None:
-        if self.kind not in REGISTRATION_KINDS:
-            raise InvalidTx(f"unknown registration kind {self.kind!r}")
-        if len(self.subject) != DIGEST_SIZE:
-            raise InvalidTx("subject must be 32 bytes")
-        if self.kind == "app-server" and not self.access_control and not self.open_access:
-            raise InvalidTx("app-server registration needs access_control or open_access")
-        for item in self.access_control:
-            if isinstance(item, bytes):
-                if len(item) != DIGEST_SIZE:
-                    raise InvalidTx("token ids must be 32 bytes")
-            elif not isinstance(item, str) or not item:
-                raise InvalidTx("access_control entries are token ids or server addresses")
-
     def to_bytes(self) -> bytes:
         acl = pack_u32(len(self.access_control))
         for item in self.access_control:
-            if isinstance(item, bytes):
-                acl += pack_u8(0) + item
-            else:
+            if isinstance(item, str):
                 acl += pack_u8(1) + pack_str(item)
+            else:
+                acl += pack_u8(0) + pack_field("token ids", item, DIGEST_SIZE)
         return (
             pack_str(self.kind)
-            + self.subject
-            + pack_bytes(self.public_key)
+            + pack_field("subject", self.subject, DIGEST_SIZE)
+            + pack_field("public_key", self.public_key)
             + pack_u64(self.epoch)
             + acl
             + pack_u8(1 if self.open_access else 0)
@@ -93,6 +83,8 @@ class RegistrationTx:
     @classmethod
     def read(cls, r: Reader) -> "RegistrationTx":
         kind = r.str_()
+        if kind not in REGISTRATION_KINDS:
+            raise WireError(f"unknown registration kind {kind!r}")
         subject, key_length = r.unpack(_SUBJECT_AND_LENGTH)
         public_key = r.take(key_length)
         epoch, acl_count = r.unpack(_EPOCH_AND_COUNT)
@@ -102,25 +94,25 @@ class RegistrationTx:
             if tag == 0:
                 acl.append(r.take(DIGEST_SIZE))
             elif tag == 1:
-                acl.append(r.str_())
+                server = r.str_()
+                if not server:
+                    raise WireError("access_control entries are token ids or server addresses")
+                acl.append(server)
             else:
                 raise WireError(f"bad access_control tag {tag}")
-        return cls(kind, subject, public_key, epoch, tuple(acl), r.flag())
+        open_access = r.flag()
+        if kind == "app-server" and not acl and not open_access:
+            raise WireError("app-server registration needs access_control or open_access")
+        return cls(kind, subject, public_key, epoch, tuple(acl), open_access)
 
 
 @dataclass(frozen=True)
 class TopologyUpdate:
-    """Inter-segment links reported by an access point."""
+    """Inter-segment links reported by an access point. read refuses a
+    self-loop and a hop-cost below 1."""
 
     links: tuple[tuple[int, int, int], ...]
     origin: str
-
-    def validate(self) -> None:
-        for a, b, cost in self.links:
-            if a == b:
-                raise InvalidTx(f"self-loop link on segment {a}")
-            if cost < 1:
-                raise InvalidTx("hop-cost must be >= 1")
 
     def to_bytes(self) -> bytes:
         body = pack_u32(len(self.links))
@@ -131,6 +123,11 @@ class TopologyUpdate:
     @classmethod
     def read(cls, r: Reader) -> "TopologyUpdate":
         links = tuple(r.unpack(_THREE_U64) for _ in range(r.u32()))
+        for a, b, cost in links:
+            if a == b:
+                raise WireError(f"self-loop link on segment {a}")
+            if cost < 1:
+                raise WireError("hop-cost must be >= 1")
         return cls(links, r.str_())
 
 
@@ -143,14 +140,9 @@ class NftOwnership:
     owner: bytes  # BCADD address
     seq: int = 0
 
-    def validate(self) -> None:
-        if len(self.token_id) != DIGEST_SIZE:
-            raise InvalidTx("token_id must be 32 bytes")
-        if len(self.owner) != DIGEST_SIZE:
-            raise InvalidTx("owner must be 32 bytes")
-
     def to_bytes(self) -> bytes:
-        return self.token_id + self.owner + pack_u64(self.seq)
+        return (pack_field("token_id", self.token_id, DIGEST_SIZE)
+                + pack_field("owner", self.owner, DIGEST_SIZE) + pack_u64(self.seq))
 
     @classmethod
     def read(cls, r: Reader) -> "NftOwnership":
@@ -174,7 +166,7 @@ _PAYLOAD_READERS = {
 def encode_payload(payload: Payload) -> bytes:
     tag = _PAYLOAD_TAGS.get(type(payload))
     if tag is None:
-        raise InvalidTx(f"unsupported payload type {type(payload).__name__}")
+        raise WireError(f"unsupported payload type {type(payload).__name__}")
     return pack_u8(tag) + payload.to_bytes()
 
 
@@ -247,11 +239,13 @@ def _new_entry(seq: int, prev_hash: bytes, payload: Payload, encoded: bytes) -> 
 
 def _payload_bytes(entry: LedgerEntry) -> bytes:
     """An entry object's payload bytes, for the chain-link rule. Raises
-    ValueError if the payload cannot be encoded."""
+    ValueError if the payload cannot be encoded or is not valid."""
     try:
-        return encode_payload(entry.payload)
-    except (InvalidTx, TypeError, AttributeError) as exc:
+        encoded = encode_payload(entry.payload)
+    except (WireError, TypeError, AttributeError) as exc:
         raise ValueError(f"entry {entry.seq} cannot be encoded: {exc}") from None
+    decode_payload(encoded)  # refuses an invalid payload with WireError
+    return encoded
 
 
 def _check_link(entry: LedgerEntry, payload: bytes, seq: int, prev: bytes) -> None:
@@ -268,7 +262,8 @@ def _check_link(entry: LedgerEntry, payload: bytes, seq: int, prev: bytes) -> No
 
 
 def verify_chain(entries: Sequence[LedgerEntry]) -> bool:
-    """True iff the chain links from genesis and every hash recomputes."""
+    """True iff the chain links from genesis, every hash recomputes and
+    every payload is valid."""
     prev = GENESIS_PREV
     try:
         for seq, entry in enumerate(entries):
@@ -311,10 +306,10 @@ class Ledger:
 
     State mutates only in commit_round / apply_entries / import_chain;
     queries are pure reads of the latest committed state. Each payload is
-    encoded once, when it is submitted or applied, or not at all when it
-    is imported: the ledger keeps every entry as its chain export frames
-    it and every live record's part of the state blob, so export_chain
-    and state_hash only join bytes.
+    encoded and decoded once, when it is submitted or applied, or only
+    decoded when it is imported: the ledger keeps every entry as its
+    chain export frames it and every live record's part of the state
+    blob, so export_chain and state_hash only join bytes.
     """
 
     def __init__(self):
@@ -333,12 +328,16 @@ class Ledger:
     # -- write path ---------------------------------------------------------
 
     def submit(self, payload: Payload, *, submitter: str, at_time: int, nonce: bytes) -> Receipt:
-        """Queue a transaction. Idempotent per (submitter, nonce)."""
+        """Queue a transaction as its bytes decode, or raise InvalidTx with
+        the decoder's reason. Idempotent per (submitter, nonce)."""
         nonce = bytes(nonce)
         if (submitter, nonce) in self._seen:
             return Receipt(nonce, submitter, duplicate=True)
-        payload.validate()
-        encoded = encode_payload(payload)
+        try:
+            encoded = encode_payload(payload)
+            payload = decode_payload(encoded)
+        except WireError as exc:
+            raise InvalidTx(str(exc)) from None
         if len(encoded) > MAX_PAYLOAD_BYTES:
             raise InvalidTx(
                 f"payload is {len(encoded)} bytes; the ledger carries small data only "
@@ -375,10 +374,10 @@ class Ledger:
     def apply_entries(self, entries: Iterable[LedgerEntry]) -> None:
         """Replica path: verify each entry extends the chain, then apply.
 
-        Each payload is encoded once and its bytes go through the one
-        chain-link rule that import_chain applies to the bytes it reads.
-        Raises ValueError on any hash or linkage mismatch, and on an
-        entry that cannot be encoded.
+        Each payload is encoded once, and its bytes must decode and pass
+        the one chain-link rule, as import_chain's bytes must. Raises
+        ValueError on any hash or linkage mismatch, and on an entry that
+        cannot be encoded or whose payload is not valid.
         """
         for entry in entries:
             payload = _payload_bytes(entry)
@@ -446,7 +445,8 @@ class Ledger:
     @classmethod
     def import_chain(cls, blob: bytes) -> "Ledger":
         """Parse and verify an exported chain. Raises ValueError if the
-        bytes are malformed or the chain does not verify.
+        bytes are malformed, a payload is not valid or the chain does not
+        verify.
 
         Each entry is decoded once, in place, and the chain-link rule
         that apply_entries applies hashes its payload's bytes as carried;

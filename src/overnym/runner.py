@@ -219,7 +219,7 @@ def _probe_access(built: _Built, user: str, server: str) -> None:
     sess = server_node.session_with(user)
     if sess is None:
         sim.trace.emit("access", sim.now, node=server, peer=user,
-                       allowed=False, reason="bad-proof", probe=True)
+                       allowed=False, reason="no-session", probe=True)
     else:
         server_node.evaluate_access(sess, sim.now, probe=True)
 

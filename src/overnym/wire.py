@@ -57,6 +57,20 @@ def pack_bytes(data: bytes) -> bytes:
     return pack_u32(len(data)) + bytes(data)
 
 
+def pack_field(name: str, value: bytes, size: int | None = None) -> bytes:
+    """A bytes field of a record: exactly size bytes as they are, or any
+    length after a u32 length prefix when size is None. A value that is
+    not bytes, or not size bytes long, is refused with WireError naming
+    the field, so it cannot shift the fields after it."""
+    if not isinstance(value, bytes):
+        raise WireError(f"{name} must be bytes, not {type(value).__name__}")
+    if size is None:
+        return pack_u32(len(value)) + value
+    if len(value) != size:
+        raise WireError(f"{name} must be {size} bytes")
+    return value
+
+
 def pack_str(text: str) -> bytes:
     try:
         data = text.encode("utf-8")

@@ -85,12 +85,7 @@ UNREACHED = {
     "ledger.Ledger.export_chain": "benchmark",  # the replica catch-up
     "ledger.Ledger.import_chain": "benchmark",
     "ledger.Ledger.query_association": "benchmark",  # a stub: payload tag 2 is reserved
-    "ledger.NftOwnership.read": "benchmark",
-    "ledger.RegistrationTx.read": "benchmark",
-    "ledger.TopologyUpdate.read": "benchmark",
     "ledger._read_entry": "benchmark",
-    "ledger._read_payload": "benchmark",
-    "ledger.decode_payload": "wire contract",
     "neat.NeatTable.keys": "acceptance gate",
     "neat.BloomFilter.__eq__": "wire contract",
     "neat.BloomFilter.from_bytes": "wire contract",
@@ -108,11 +103,7 @@ UNREACHED = {
     "simnet.Trace.to_jsonl": "benchmark",
     "simnet.TraceRecords.__getitem__": "benchmark",
     "simnet.TraceRecords.__len__": "benchmark",
-    "wire.Reader.flag": "wire contract",
     "wire.Reader.since": "wire contract",
-    "wire.Reader.str_": "wire contract",
-    "wire.Reader.u32": "wire contract",
-    "wire.Reader.u8": "wire contract",
     "wire.pack_i64": "wire contract",
 }
 

@@ -5,12 +5,16 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from overnym.hashing import TAG_ENTRY, TAG_PAYLOAD, owf
 from overnym.identity import derive_bcadd
 from overnym.ledger import (
     CHAIN_MAGIC,
     GENESIS_PREV,
+    REGISTRATION_KINDS,
     InvalidTx,
     Ledger,
     LedgerEntry,
@@ -80,7 +84,8 @@ def with_app_servers(ledger: Ledger) -> Ledger:
 
 
 # One field of each payload kind that has no encoding: an integer out
-# of its u64 range, or a string with no UTF-8 form.
+# of its u64 range, a string with no UTF-8 form, or a bytes field that is
+# not bytes or, fixed-width, not 32 bytes long.
 UNENCODABLE = [
     reg(9, epoch=1 << 64),
     reg(9, epoch=-1),
@@ -91,11 +96,53 @@ UNENCODABLE = [
     TopologyUpdate(links=((1, 1 << 64, 1),), origin="ap"),
     reg(9, kind="app-server", access_control=("\ud800",)),
     TopologyUpdate(links=((1, 2, 1),), origin="\ud800"),
+    NftOwnership(token_id="t" * 32, owner=bytes(32)),
+    NftOwnership(token_id=bytes(32), owner="o" * 32),
+    RegistrationTx(kind="user", subject=bytes(31), public_key=b"k"),
+    RegistrationTx(kind="user", subject=bytes(32), public_key=5),
 ]
 UNENCODABLE_IDS = ["registration epoch 2^64", "registration epoch -1",
                    "nft seq 2^64", "nft seq -1", "topology cost 2^64",
                    "topology segment -1", "topology segment 2^64",
-                   "registration server surrogate", "topology origin surrogate"]
+                   "registration server surrogate", "topology origin surrogate",
+                   "nft token_id str", "nft owner str", "registration subject 31 bytes",
+                   "registration public_key int"]
+
+# Payloads that encode, but break a rule of their kind, so their bytes do
+# not decode.
+INVALID = [
+    TopologyUpdate(links=((1, 1, 1),), origin="ap"),
+    TopologyUpdate(links=((1, 2, 0),), origin="ap"),
+    reg(9, kind="nonsense"),
+    reg(9, kind="app-server"),
+]
+INVALID_IDS = ["topology self-loop", "topology cost 0", "registration kind nonsense",
+               "app-server with neither acl nor open access"]
+
+
+def chain_blob(entries) -> bytes:
+    """An export_chain blob of entries, whatever they hold."""
+    return b"".join([CHAIN_MAGIC, pack_u32(len(entries)),
+                     *(pack_bytes(entry.to_bytes()) for entry in entries)])
+
+
+def forge(entries, payload) -> LedgerEntry:
+    """An entry of payload that extends entries, its hashes made over
+    the bytes payload encodes to, or over none if it has none."""
+    try:
+        encoded = encode_payload(payload)
+    except WireError:
+        encoded = b""
+    head = entries[-1].entry_hash if entries else GENESIS_PREV
+    return _new_entry(len(entries), head, payload, encoded)
+
+
+def submit_accepts(payload) -> bool:
+    try:
+        Ledger().submit(payload, submitter="probe", at_time=0, nonce=bytes(16))
+    except InvalidTx:
+        return False
+    return True
 
 
 class TestSubmit:
@@ -150,7 +197,7 @@ class TestSubmit:
         with pytest.raises(InvalidTx):
             ledger.submit(tx, submitter="u", at_time=0, nonce=b"q" * 16)
 
-    @pytest.mark.parametrize("payload", UNENCODABLE, ids=UNENCODABLE_IDS)
+    @pytest.mark.parametrize("payload", UNENCODABLE + INVALID, ids=UNENCODABLE_IDS + INVALID_IDS)
     def test_an_unencodable_field_is_refused_and_queues_nothing(self, payload):
         ledger = Ledger()
         with pytest.raises((WireError, InvalidTx)):
@@ -158,6 +205,60 @@ class TestSubmit:
         # the nonce is not spent: a valid write under it still commits
         ledger.submit(reg(8), submitter="u", at_time=0, nonce=b"q" * 16)
         assert [entry.payload for entry in ledger.commit_round()] == [reg(8)]
+
+
+class TestOneValidityRule:
+    """A payload is valid exactly when it decodes: submit, the replica,
+    the chain import and verify_chain refuse the same payloads."""
+
+    @pytest.mark.parametrize("payload", UNENCODABLE + INVALID, ids=UNENCODABLE_IDS + INVALID_IDS)
+    def test_the_replica_the_import_and_verify_chain_refuse_what_submit_refuses(self, payload):
+        # TestSubmit refuses each of these payloads at submission.
+        primary = filled_ledger(3)
+        forged = forge(primary.entries, payload)
+        chain = primary.entries + (forged,)
+        assert not verify_chain(chain)
+        replica = Ledger()
+        replica.apply_entries(primary.entries)
+        before = (replica.export_chain(), replica.state_hash())
+        with pytest.raises(ValueError):
+            replica.apply_entries([forged])
+        assert (replica.export_chain(), replica.state_hash()) == before
+        # An entry whose payload has no bytes cannot be exported: making
+        # its record is refused before import_chain could read it.
+        with pytest.raises(ValueError):
+            Ledger.import_chain(chain_blob(chain))
+
+    @pytest.mark.parametrize("payload, reason", [
+        (INVALID[0], "self-loop link on segment 1"),
+        (INVALID[1], "hop-cost must be >= 1"),
+        (INVALID[2], "unknown registration kind 'nonsense'"),
+        (INVALID[3], "app-server registration needs access_control or open_access"),
+        (reg(9, kind="app-server", access_control=("",)),
+         "access_control entries are token ids or server addresses"),
+        (reg(9, kind="app-server", access_control=(b"t" * 31,)), "token ids must be 32 bytes"),
+        (UNENCODABLE[9], "token_id must be bytes, not str"),
+        (UNENCODABLE[11], "subject must be 32 bytes"),
+    ], ids=INVALID_IDS + ["empty server address", "31-byte token id", "str token_id",
+                          "31-byte subject"])
+    def test_submit_and_the_decoder_give_the_same_reason(self, payload, reason):
+        with pytest.raises(InvalidTx, match=f"^{reason}$"):
+            Ledger().submit(payload, submitter="u", at_time=0, nonce=b"q" * 16)
+        try:
+            encoded = encode_payload(payload)
+        except WireError as exc:
+            assert str(exc) == reason
+        else:
+            with pytest.raises(WireError, match=f"^{reason}$"):
+                decode_payload(encoded)
+
+    def test_submit_queues_the_payload_its_bytes_decode_to(self):
+        ledger = Ledger()
+        listed = TopologyUpdate(links=[[1, 2, 3]], origin="ap")
+        ledger.submit(listed, submitter="ap", at_time=0, nonce=bytes(16))
+        [entry] = ledger.commit_round()
+        assert entry.payload == TopologyUpdate(links=((1, 2, 3),), origin="ap")
+        assert type(entry.payload.links) is tuple
 
 
 class TestCommitRound:
@@ -289,10 +390,8 @@ class TestImportChain:
         entries = list(primary.entries)
         payload = entries[3].payload
         entries[3] = _new_entry(3, b"\xff" * 32, payload, encode_payload(payload))
-        blob = b"".join([CHAIN_MAGIC, pack_u32(len(entries)),
-                         *(pack_bytes(entry.to_bytes()) for entry in entries)])
         with pytest.raises(ValueError, match="does not extend the chain at 3"):
-            Ledger.import_chain(blob)
+            Ledger.import_chain(chain_blob(entries))
 
     def test_the_reserved_payload_tag_2_is_refused(self):
         # Tag 2 once carried an association: subject(32) | str(attachment)
@@ -411,3 +510,102 @@ class TestReplication:
             "5e68f6544639f0e1f882f594eff33aa087886e9869fce94095ea93ca2a7d8772")
         assert ledger.state_hash().hex() == (
             "4e11ffa77c176808dbb842c140a3ffcfc24bea1eb2a0ece7763af7b1e6a5252f")
+
+
+# Payload fields for the model test: each valid, or wrong in a way the
+# tests above name. Few subjects and tokens, so records supersede each
+# other and rounds hold rival registrations.
+DIGESTS = [bytes([i]) * 32 for i in range(3)]
+BYTES32 = st.sampled_from(DIGESTS + [bytes(31), "t" * 32])
+SEGMENTS = st.integers(0, 3)
+PAYLOADS = st.one_of(
+    st.builds(RegistrationTx, kind=st.sampled_from(REGISTRATION_KINDS + ("nonsense",)),
+              subject=BYTES32, public_key=st.sampled_from([b"", b"key", 5]),
+              epoch=st.sampled_from([0, 1, 1 << 64]),
+              access_control=st.lists(st.one_of(BYTES32, st.sampled_from(["legacy", ""])),
+                                      max_size=2).map(tuple),
+              open_access=st.booleans()),
+    st.builds(TopologyUpdate, origin=st.sampled_from(["ap1", "ap2", "\ud800"]),
+              links=st.lists(st.tuples(SEGMENTS, SEGMENTS, st.integers(0, 2)),
+                             max_size=3).map(tuple)),
+    st.builds(NftOwnership, token_id=BYTES32, owner=BYTES32, seq=st.sampled_from([0, 1, -1])),
+)
+
+
+class LedgerModel(RuleBasedStateMachine):
+    """A sequencer's ledger, a replica it feeds with apply_entries and a
+    copy it feeds with import_chain, under submissions and entries that
+    may be valid or not (Hughes, "Experiences with QuickCheck", 2016)."""
+
+    def __init__(self):
+        super().__init__()
+        self.primary, self.replica, self.imported = Ledger(), Ledger(), Ledger()
+        self.clock = 0
+
+    @rule(payload=PAYLOADS, submitter=st.sampled_from(["a", "b", "c"]))
+    def submit(self, payload, submitter):
+        self.clock += 1
+        nonce = self.clock.to_bytes(16, "big")
+        queued = len(self.primary._queue)
+        try:
+            self.primary.submit(payload, submitter=submitter, at_time=self.clock // 3,
+                                nonce=nonce)
+        except InvalidTx:
+            assert len(self.primary._queue) == queued
+            assert (submitter, nonce) not in self.primary._seen
+
+    @rule()
+    def commit(self):
+        self.primary.commit_round()
+
+    @rule(payload=PAYLOADS)
+    def offer_an_entry(self, payload):
+        # An entry that extends the primary's chain, whoever made it: the
+        # replica, the import and verify_chain accept it exactly when
+        # submit accepts its payload, and a refusal changes nothing.
+        chain = self.primary.entries
+        forged = forge(chain, payload)
+        verdicts = {"submit": submit_accepts(payload),
+                    "verify_chain": verify_chain(chain + (forged,))}
+        trial = Ledger.import_chain(self.primary.export_chain())
+        before = (trial.export_chain(), trial.state_hash())
+        try:
+            trial.apply_entries([forged])
+            verdicts["apply_entries"] = True
+        except ValueError:
+            assert (trial.export_chain(), trial.state_hash()) == before
+            verdicts["apply_entries"] = False
+        try:
+            Ledger.import_chain(chain_blob(chain + (forged,)))
+            verdicts["import_chain"] = True
+        except ValueError:
+            verdicts["import_chain"] = False
+        assert len(set(verdicts.values())) == 1, verdicts
+        if verdicts["submit"]:
+            self.primary.apply_entries([forged])
+
+    @rule()
+    def replicate(self):
+        new = self.primary.entries[len(self.replica.entries):]
+        self.replica.apply_entries(new)
+        assert all(submit_accepts(entry.payload) for entry in new)
+
+    @rule()
+    def import_the_chain(self):
+        blob = self.primary.export_chain()
+        self.imported = Ledger.import_chain(blob)
+        assert self.imported.export_chain() == blob
+        assert all(submit_accepts(entry.payload) for entry in self.imported.entries)
+
+    @invariant()
+    def copies_hold_a_prefix_and_reach_the_primary_state(self):
+        for copy in (self.replica, self.imported):
+            held = len(copy.entries)
+            assert copy.entries == self.primary.entries[:held]
+            if held == len(self.primary.entries):
+                assert copy.state_hash() == self.primary.state_hash()
+
+
+LedgerModel.TestCase.settings = settings(max_examples=80, stateful_step_count=30,
+                                         deadline=None)
+TestLedgerModel = LedgerModel.TestCase

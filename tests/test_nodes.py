@@ -21,6 +21,7 @@ from overnym.nodes import (
     Envelope,
     HandshakeEnvelope,
     Heartbeat,
+    Metrics,
     PayloadReceipt,
     RegisterAttributes,
     RotationEnvelope,
@@ -174,13 +175,13 @@ class TestSequencer:
         assert ledger.query_registration(user.bcadd.address) is not None
 
     def test_unrelated_error_propagates(self):
-        class Broken(RegistrationTx):
-            def validate(self):
-                raise RuntimeError("bug in a payload type")
+        class Broken(str):
+            def encode(self, *args):
+                raise RuntimeError("bug in a payload field")
 
         built = settled()
-        with pytest.raises(RuntimeError, match="bug in a payload type"):
-            self.submit(built, Broken(kind="user", subject=bytes(32), public_key=b""))
+        with pytest.raises(RuntimeError, match="bug in a payload field"):
+            self.submit(built, RegistrationTx(kind=Broken("user"), subject=bytes(32), public_key=b""))
         assert built.sim.trace.find("tx-refused") == []
 
     def test_commit_head_is_last_committed_entry(self):
@@ -604,3 +605,13 @@ class TestAnOutOfRangeValueIsRefusedNotRaised:
                            "node": "u", "target": "nowhere", "reason": "unknown-node"}
         # The honest grant that follows still opens the session.
         assert sim.trace.find("handshake", phase="established", node="u")
+
+
+@pytest.mark.parametrize("counters, reason", [
+    ({"payloads_sent": -1}, "negative counter"),
+    ({"admissions_rejected": {"bad-proof": -1}}, "negative counter"),
+    ({"handshakes_attempted": 1, "handshakes_succeeded": 2}, "succeeded exceeds attempted"),
+], ids=["negative payload count", "negative rejection count", "more successes than attempts"])
+def test_inconsistent_metrics_are_not_written(counters, reason):
+    with pytest.raises(ValueError, match=reason):
+        Metrics(**counters).to_dict()

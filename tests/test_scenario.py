@@ -12,9 +12,17 @@ import pytest
 import overnym
 from overnym import simnet
 from overnym.cli import main
-from overnym.ledger import MAX_PAYLOAD_BYTES, encode_payload
+from overnym.ledger import MAX_PAYLOAD_BYTES, NftOwnership, RegistrationTx, encode_payload
 from overnym.overlay import OverlayGraph
-from overnym.runner import RunResult, _topology_updates, run_scenario, write_atomic, write_outputs
+from overnym.runner import (
+    RunResult,
+    _schedule_actions,
+    _topology_updates,
+    build_simulation,
+    run_scenario,
+    write_atomic,
+    write_outputs,
+)
 from overnym.scenario import (
     ParseError,
     ValidationError,
@@ -22,6 +30,7 @@ from overnym.scenario import (
     parse_scenario,
 )
 from overnym.simnet import Simulator, Trace
+from overnym.wire import pack_str
 
 SCENARIOS_DIR = Path(__file__).parent.parent / "scenarios"
 FIXTURES = sorted(SCENARIOS_DIR.glob("*.scn"))
@@ -370,12 +379,34 @@ at 6 connect u s
     def test_no_committed_entry_is_an_association(self):
         # Routers keep bindings in their NEAT tables only: neither the
         # first binds nor alice's rebind after her rotation at t=26 put a
-        # chain address's router on the ledger.
-        result = run_scenario(parse_scenario((SCENARIOS_DIR / "end_to_end.scn").read_text()))
-        assert result.trace.find("rotation-sent", node="alice")
-        assert [r for r in result.trace.find("neat-bind", device="alice") if r["time"] >= 26]
-        kinds = {r["payload_kind"] for r in result.trace.find("ledger-entry")}
-        assert "RegistrationTx" in kinds and "AssociationRecord" not in kinds
+        # bound key with where it attaches on the ledger. An entry carries
+        # a bound key only as a registration's subject or a token's owner,
+        # and no entry names a bound device.
+        sc = parse_scenario((SCENARIOS_DIR / "end_to_end.scn").read_text())
+        built = build_simulation(sc)
+        _schedule_actions(built, sc)
+        built.sim.run_until_idle()
+        trace = built.sim.trace
+        assert trace.find("rotation-sent", node="alice")
+        binds = trace.find("neat-bind")
+        assert [r for r in binds if r["device"] == "alice" and r["time"] >= 26]
+        chain = [(entry.payload, encode_payload(entry.payload))
+                 for entry in built.world.ledger.entries]
+        for record in binds:
+            key, device = bytes.fromhex(record["key"]), pack_str(record["device"])
+            for payload, encoded in chain:
+                if key in encoded:
+                    named = payload.subject if isinstance(payload, RegistrationTx) else (
+                        payload.owner if isinstance(payload, NftOwnership) else b"")
+                    assert named.startswith(key), payload
+            assert not [payload for payload, encoded in chain if device in encoded]
+
+    def test_an_authorize_probe_with_no_session_is_traced_as_no_session(self):
+        text = MINIMAL.replace("at 6 connect u s\n", "at 6 authorize u s\n")
+        result = run_scenario(parse_scenario(text))
+        [record] = result.trace.find("access")
+        assert {k: record[k] for k in ("node", "peer", "allowed", "reason", "probe")} == {
+            "node": "s", "peer": "u", "allowed": False, "reason": "no-session", "probe": True}
 
     def test_binding_leaves_the_ledger_unchanged(self):
         # Where a chain address attaches is not written to the shared
