@@ -11,13 +11,19 @@ updates, and token ownership, nothing bulkier.
 
 A payload is valid exactly when its bytes decode, and every path into
 ledger state (submit, apply_entries, import_chain, verify_chain) decodes.
+
+Entries and payloads are immutable named tuples. The decoders and
+_new_entry build each one with tuple.__new__, every field given: one
+allocation, without the generated __new__'s Python-level call. A value
+equals only a value of its own class with equal fields, never a plain
+tuple or a value of another class.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .hashing import DIGEST_SIZE, TAG_ENTRY, TAG_LEDGER_STATE, TAG_PAYLOAD, owf
 from .wire import Reader, WireError, pack_bytes, pack_field, pack_str, pack_u8, pack_u32, pack_u64
@@ -43,12 +49,32 @@ class InvalidTx(Exception):
     """Submission rejected; the message carries the reason."""
 
 
+def _same_class_eq(self, other) -> bool:
+    """A ledger value's __eq__: equal fields and the very same class."""
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _same_class_ne(self, other) -> bool:
+    return not _same_class_eq(self, other)
+
+
+def link_fault(link: tuple[int, int, int]) -> str | None:
+    """Why the ledger refuses a topology link (a self-loop, or a hop-cost
+    below 1), or None. TopologyUpdate.read and the overlay graph apply
+    this one rule."""
+    a, b, cost = link
+    if a == b:
+        return f"self-loop link on segment {a}"
+    if cost < 1:
+        return "hop-cost must be >= 1"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Payload types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegistrationTx:
+class RegistrationTx(NamedTuple):
     """Identity or service registration.
 
     app-server registrations must either list access-control entries
@@ -63,6 +89,10 @@ class RegistrationTx:
     epoch: int = 0
     access_control: tuple[bytes | str, ...] = ()
     open_access: bool = False
+
+    __eq__ = _same_class_eq
+    __ne__ = _same_class_ne
+    __hash__ = tuple.__hash__
 
     def to_bytes(self) -> bytes:
         acl = pack_u32(len(self.access_control))
@@ -103,16 +133,19 @@ class RegistrationTx:
         open_access = r.flag()
         if kind == "app-server" and not acl and not open_access:
             raise WireError("app-server registration needs access_control or open_access")
-        return cls(kind, subject, public_key, epoch, tuple(acl), open_access)
+        return tuple.__new__(cls, (kind, subject, public_key, epoch, tuple(acl), open_access))
 
 
-@dataclass(frozen=True)
-class TopologyUpdate:
+class TopologyUpdate(NamedTuple):
     """Inter-segment links reported by an access point. read refuses a
-    self-loop and a hop-cost below 1."""
+    link that link_fault refuses."""
 
     links: tuple[tuple[int, int, int], ...]
     origin: str
+
+    __eq__ = _same_class_eq
+    __ne__ = _same_class_ne
+    __hash__ = tuple.__hash__
 
     def to_bytes(self) -> bytes:
         body = pack_u32(len(self.links))
@@ -123,16 +156,14 @@ class TopologyUpdate:
     @classmethod
     def read(cls, r: Reader) -> "TopologyUpdate":
         links = tuple(r.unpack(_THREE_U64) for _ in range(r.u32()))
-        for a, b, cost in links:
-            if a == b:
-                raise WireError(f"self-loop link on segment {a}")
-            if cost < 1:
-                raise WireError("hop-cost must be >= 1")
-        return cls(links, r.str_())
+        for link in links:
+            fault = link_fault(link)
+            if fault is not None:
+                raise WireError(fault)
+        return tuple.__new__(cls, (links, r.str_()))
 
 
-@dataclass(frozen=True)
-class NftOwnership:
+class NftOwnership(NamedTuple):
     """Token ownership record; a later record for the same token is a
     transfer and supersedes the earlier one."""
 
@@ -140,13 +171,17 @@ class NftOwnership:
     owner: bytes  # BCADD address
     seq: int = 0
 
+    __eq__ = _same_class_eq
+    __ne__ = _same_class_ne
+    __hash__ = tuple.__hash__
+
     def to_bytes(self) -> bytes:
         return (pack_field("token_id", self.token_id, DIGEST_SIZE)
                 + pack_field("owner", self.owner, DIGEST_SIZE) + pack_u64(self.seq))
 
     @classmethod
     def read(cls, r: Reader) -> "NftOwnership":
-        return cls(*r.unpack(_TOKEN_OWNER_SEQ))
+        return tuple.__new__(cls, r.unpack(_TOKEN_OWNER_SEQ))
 
 
 Payload = RegistrationTx | TopologyUpdate | NftOwnership
@@ -189,13 +224,16 @@ def decode_payload(data: bytes) -> Payload:
 # Entries and chain
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     seq: int
     prev_hash: bytes
     payload: Payload
     payload_hash: bytes
     entry_hash: bytes
+
+    __eq__ = _same_class_eq
+    __ne__ = _same_class_ne
+    __hash__ = tuple.__hash__
 
     def to_bytes(self) -> bytes:
         return _entry_bytes(self, pack_bytes(encode_payload(self.payload)))
@@ -224,7 +262,8 @@ def _read_entry(r: Reader) -> tuple[LedgerEntry, bytes]:
         raise WireError("payload length prefix does not match its content")
     payload_frame = r.since(start - 4)  # its u32 length prefix included
     payload_hash, entry_hash = r.unpack(_ENTRY_HASHES)
-    return LedgerEntry(seq, prev_hash, payload, payload_hash, entry_hash), payload_frame
+    entry = tuple.__new__(LedgerEntry, (seq, prev_hash, payload, payload_hash, entry_hash))
+    return entry, payload_frame
 
 
 def _entry_hash(seq: int, prev_hash: bytes, payload_hash: bytes) -> bytes:
@@ -233,8 +272,8 @@ def _entry_hash(seq: int, prev_hash: bytes, payload_hash: bytes) -> bytes:
 
 def _new_entry(seq: int, prev_hash: bytes, payload: Payload, encoded: bytes) -> LedgerEntry:
     payload_hash = owf(TAG_PAYLOAD, encoded)
-    return LedgerEntry(seq, prev_hash, payload, payload_hash,
-                       _entry_hash(seq, prev_hash, payload_hash))
+    return tuple.__new__(LedgerEntry, (seq, prev_hash, payload, payload_hash,
+                                       _entry_hash(seq, prev_hash, payload_hash)))
 
 
 def _payload_bytes(entry: LedgerEntry) -> bytes:

@@ -30,7 +30,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .ledger import TopologyUpdate
+from .ledger import TopologyUpdate, link_fault
 
 
 class Unresolvable(Exception):
@@ -62,9 +62,9 @@ class OverlayGraph:
 
     A link is one unordered pair, held under both of its ends;
     re-announcing a pair replaces its cost. Updates at or below the
-    current version are stale and skipped; links naming unknown
-    segments are rejected individually while the rest of the update
-    applies (the ledger admits no self-loop and no cost below 1).
+    current version are stale and skipped; a link naming an unknown
+    segment, or one the ledger's link rule (ledger.link_fault) refuses,
+    is rejected individually while the rest of the update applies.
 
     An access point listed in several segments belongs to the segment
     that was added first.
@@ -114,6 +114,10 @@ class OverlayGraph:
                 if a not in self._segments or b not in self._segments:
                     missing = a if a not in self._segments else b
                     self.rejected_links.append((seq, link, f"unknown segment {missing}"))
+                    continue
+                fault = link_fault(link)
+                if fault is not None:
+                    self.rejected_links.append((seq, link, fault))
                     continue
                 self._adjacent.setdefault(a, {})[b] = cost
                 self._adjacent.setdefault(b, {})[a] = cost

@@ -29,28 +29,47 @@ class WireError(ValueError):
     """Malformed canonical bytes."""
 
 
+def _not_a(expected: str, value) -> WireError:
+    return WireError(f"{expected}, not {type(value).__name__}")
+
+
+# Each packer refuses a value of the wrong type with WireError, caught
+# from the TypeError or AttributeError the packing itself raises: no type
+# test runs on the common path. A bool packs as the int it is.
 def pack_u8(value: int) -> bytes:
-    if not 0 <= value < 1 << 8:
-        raise WireError(f"u8 out of range: {value}")
-    return value.to_bytes(1, "big")
+    try:
+        if 0 <= value < 1 << 8:
+            return value.to_bytes(1, "big")
+    except (TypeError, AttributeError):
+        raise _not_a("u8 must be an int", value) from None
+    raise WireError(f"u8 out of range: {value}")
 
 
 def pack_u32(value: int) -> bytes:
-    if not 0 <= value < 1 << 32:
-        raise WireError(f"u32 out of range: {value}")
-    return value.to_bytes(4, "big")
+    try:
+        if 0 <= value < 1 << 32:
+            return value.to_bytes(4, "big")
+    except (TypeError, AttributeError):
+        raise _not_a("u32 must be an int", value) from None
+    raise WireError(f"u32 out of range: {value}")
 
 
 def pack_u64(value: int) -> bytes:
-    if not 0 <= value < 1 << 64:
-        raise WireError(f"u64 out of range: {value}")
-    return value.to_bytes(8, "big")
+    try:
+        if 0 <= value < 1 << 64:
+            return value.to_bytes(8, "big")
+    except (TypeError, AttributeError):
+        raise _not_a("u64 must be an int", value) from None
+    raise WireError(f"u64 out of range: {value}")
 
 
 def pack_i64(value: int) -> bytes:
-    if not -(1 << 63) <= value < 1 << 63:
-        raise WireError(f"i64 out of range: {value}")
-    return value.to_bytes(8, "big", signed=True)
+    try:
+        if -(1 << 63) <= value < 1 << 63:
+            return value.to_bytes(8, "big", signed=True)
+    except (TypeError, AttributeError):
+        raise _not_a("i64 must be an int", value) from None
+    raise WireError(f"i64 out of range: {value}")
 
 
 def pack_bytes(data: bytes) -> bytes:
@@ -76,6 +95,8 @@ def pack_str(text: str) -> bytes:
         data = text.encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate has no UTF-8 form
         raise WireError(f"not encodable as utf-8: {exc}") from None
+    except AttributeError:
+        raise _not_a("text must be a str", text) from None
     return pack_bytes(data)
 
 

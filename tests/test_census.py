@@ -86,6 +86,8 @@ UNREACHED = {
     "ledger.Ledger.import_chain": "benchmark",
     "ledger.Ledger.query_association": "benchmark",  # a stub: payload tag 2 is reserved
     "ledger._read_entry": "benchmark",
+    "ledger._same_class_eq": "safety",  # no ledger value equals a plain tuple
+    "ledger._same_class_ne": "safety",
     "neat.NeatTable.keys": "acceptance gate",
     "neat.BloomFilter.__eq__": "wire contract",
     "neat.BloomFilter.from_bytes": "wire contract",
@@ -105,6 +107,7 @@ UNREACHED = {
     "simnet.TraceRecords.__len__": "benchmark",
     "wire.Reader.since": "wire contract",
     "wire.pack_i64": "wire contract",
+    "wire._not_a": "refusal path",  # a wrong-typed field has no encoding
 }
 
 # Record kind -> why no fixture's trace holds it. Each is emitted only for

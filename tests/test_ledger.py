@@ -1,7 +1,6 @@
 import hashlib
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -84,8 +83,9 @@ def with_app_servers(ledger: Ledger) -> Ledger:
 
 
 # One field of each payload kind that has no encoding: an integer out
-# of its u64 range, a string with no UTF-8 form, or a bytes field that is
-# not bytes or, fixed-width, not 32 bytes long.
+# of its u64 range, a string with no UTF-8 form, a bytes field that is
+# not bytes or, fixed-width, not 32 bytes long, or an integer or string
+# field of another type.
 UNENCODABLE = [
     reg(9, epoch=1 << 64),
     reg(9, epoch=-1),
@@ -100,13 +100,18 @@ UNENCODABLE = [
     NftOwnership(token_id=bytes(32), owner="o" * 32),
     RegistrationTx(kind="user", subject=bytes(31), public_key=b"k"),
     RegistrationTx(kind="user", subject=bytes(32), public_key=5),
+    RegistrationTx(kind=5, subject=bytes(32), public_key=b"k"),
+    RegistrationTx(kind="user", subject=bytes(32), public_key=b"k", epoch="1"),
+    RegistrationTx(kind="user", subject=bytes(32), public_key=b"k", epoch=1.0),
+    NftOwnership(token_id=bytes(32), owner=bytes(32), seq=None),
 ]
 UNENCODABLE_IDS = ["registration epoch 2^64", "registration epoch -1",
                    "nft seq 2^64", "nft seq -1", "topology cost 2^64",
                    "topology segment -1", "topology segment 2^64",
                    "registration server surrogate", "topology origin surrogate",
                    "nft token_id str", "nft owner str", "registration subject 31 bytes",
-                   "registration public_key int"]
+                   "registration public_key int", "registration kind int",
+                   "registration epoch str", "registration epoch float", "nft seq None"]
 
 # Payloads that encode, but break a rule of their kind, so their bytes do
 # not decode.
@@ -259,6 +264,61 @@ class TestOneValidityRule:
         [entry] = ledger.commit_round()
         assert entry.payload == TopologyUpdate(links=((1, 2, 3),), origin="ap")
         assert type(entry.payload.links) is tuple
+
+
+LEDGER_CLASSES = (LedgerEntry, RegistrationTx, TopologyUpdate, NftOwnership)
+
+
+def ledger_values(source: str) -> dict[type, tuple]:
+    """One value of each ledger class, as submit and commit_round build
+    it ("committed") or as import_chain decodes it ("imported")."""
+    ledger = Ledger()
+    payloads = (reg(11, kind="app-server", access_control=(b"t" * 32, "legacy.example")),
+                TopologyUpdate(links=((1, 2, 3),), origin="ap"),
+                NftOwnership(token_id=bytes([5]) * 32, owner=bytes([6]) * 32, seq=7))
+    for i, payload in enumerate(payloads):
+        ledger.submit(payload, submitter="v", at_time=i, nonce=i.to_bytes(16, "big"))
+    entries = ledger.commit_round()
+    if source == "imported":
+        entries = Ledger.import_chain(ledger.export_chain()).entries
+    values = {type(entry.payload): entry.payload for entry in entries}
+    values[LedgerEntry] = entries[0]
+    return values
+
+
+@pytest.mark.parametrize("source", ["committed", "imported"])
+@pytest.mark.parametrize("cls", LEDGER_CLASSES, ids=lambda cls: cls.__name__)
+class TestValueSemantics:
+    """Entries and payloads are immutable values, equal only within their
+    class, however the ledger made them."""
+
+    def test_equals_and_hashes_like_a_value_of_its_class_with_the_same_fields(self, source, cls):
+        value = ledger_values(source)[cls]
+        twin = cls(*value)
+        assert value == twin and not value != twin
+        assert hash(value) == hash(twin)
+
+    def test_is_unequal_to_its_plain_tuple_and_to_every_other_ledger_class(self, source, cls):
+        values = ledger_values(source)
+        value = values[cls]
+        plain = tuple(value)
+        assert value != plain and not value == plain
+        assert plain != value and not plain == value
+        for other in LEDGER_CLASSES:
+            if other is not cls:
+                # even one that holds exactly the same fields
+                same_fields = tuple.__new__(other, plain)
+                assert value != same_fields and not value == same_fields
+                assert same_fields != value and not same_fields == value
+                assert value != values[other]
+
+    def test_refuses_attribute_assignment_and_has_no_instance_dict(self, source, cls):
+        value = ledger_values(source)[cls]
+        with pytest.raises(AttributeError):
+            setattr(value, cls._fields[0], None)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        assert not hasattr(value, "__dict__")
 
 
 class TestCommitRound:
@@ -481,7 +541,7 @@ class TestReplication:
         replica = Ledger()
         replica.apply_entries(primary.entries[:2])
         before = (replica.export_chain(), replica.state_hash())
-        stray = replace(primary.entries[2], payload=("association", bytes(32), "ap1"))
+        stray = primary.entries[2]._replace(payload=("association", bytes(32), "ap1"))
         with pytest.raises(ValueError, match="entry 2 cannot be encoded: unsupported payload type tuple"):
             replica.apply_entries([stray])
         assert (replica.export_chain(), replica.state_hash()) == before

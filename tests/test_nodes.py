@@ -161,7 +161,16 @@ class TestSequencer:
     @pytest.mark.parametrize("payload, reason", [
         (NftOwnership(token_id=bytes(32), owner=bytes(32), seq=1 << 64), "u64 out of range"),
         (TopologyUpdate(links=((1, 2, 1),), origin="\ud800"), "not encodable as utf-8"),
-    ], ids=["seq 2^64", "surrogate origin"])
+        # wrong-typed fields: a bare AttributeError or TypeError before
+        (RegistrationTx(kind=5, subject=bytes(32), public_key=b"k"),
+         "text must be a str, not int"),
+        (RegistrationTx(kind="user", subject=bytes(32), public_key=b"k", epoch="1"),
+         "u64 must be an int, not str"),
+        (RegistrationTx(kind="user", subject=bytes(32), public_key=b"k", epoch=1.0),
+         "u64 must be an int, not float"),
+        (NftOwnership(token_id=bytes(32), owner=bytes(32), seq=None),
+         "u64 must be an int, not NoneType"),
+    ], ids=["seq 2^64", "surrogate origin", "kind int", "epoch str", "epoch float", "seq None"])
     def test_an_unencodable_write_is_refused_and_the_run_goes_on(self, payload, reason):
         built = settled()
         user = built.users["u"]

@@ -45,7 +45,16 @@ from overnym.nodes import Envelope, PayloadReceipt
 from overnym.runner import _schedule_actions, _schedule_probes, build_simulation, run_scenario
 from overnym.scenario import ParseError, ValidationError, parse_scenario
 from overnym.session import HandshakeMessage, RotationNotice
-from overnym.wire import Reader, WireError, pack_bytes, pack_str, pack_u8, pack_u32, pack_u64
+from overnym.wire import (
+    Reader,
+    WireError,
+    pack_bytes,
+    pack_i64,
+    pack_str,
+    pack_u8,
+    pack_u32,
+    pack_u64,
+)
 
 keys32 = st.binary(min_size=32, max_size=32)
 epochs = st.integers(min_value=0, max_value=2**63)
@@ -83,6 +92,21 @@ def test_a_preimage_integer_out_of_range_raises_wire_error(builder, out_of_range
     # WireError is a ValueError; OverflowError (int.to_bytes's) is not.
     with pytest.raises(WireError, match="out of range"):
         build(value)
+
+
+@pytest.mark.parametrize("pack, name", [
+    (pack_u8, "u8"), (pack_u32, "u32"), (pack_u64, "u64"), (pack_i64, "i64")])
+@pytest.mark.parametrize("value", ["1", b"1", 1.0, None], ids=["str", "bytes", "float", "None"])
+def test_an_integer_packer_refuses_a_value_of_another_type_with_wire_error(pack, name, value):
+    with pytest.raises(WireError, match=f"^{name} must be an int, not {type(value).__name__}$"):
+        pack(value)
+    assert pack(True) == pack(1) and pack(False) == pack(0)  # a bool is an int
+
+
+@pytest.mark.parametrize("value", [5, b"text", None], ids=["int", "bytes", "None"])
+def test_the_string_packer_refuses_a_value_of_another_type_with_wire_error(value):
+    with pytest.raises(WireError, match=f"^text must be a str, not {type(value).__name__}$"):
+        pack_str(value)
 
 
 ENTRY_HEAD = struct.Struct(">Q32sI")
@@ -214,7 +238,7 @@ def test_chain_rejects_any_single_bit_flip(entry_index, byte_seed):
 
     for unencodable in (NftOwnership(token_id=None, owner=bytes(32)),
                         RegistrationTx("app-server", bytes(32), b"k", access_control=(5,))):
-        rejected(replace(entries[entry_index], payload=unencodable), None)
+        rejected(entries[entry_index]._replace(payload=unencodable), None)
 
     blob = bytearray(entries[entry_index].to_bytes())
     flip = random.Random(byte_seed)
