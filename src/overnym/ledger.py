@@ -26,7 +26,17 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .hashing import DIGEST_SIZE, TAG_ENTRY, TAG_LEDGER_STATE, TAG_PAYLOAD, owf
-from .wire import Reader, WireError, pack_bytes, pack_field, pack_str, pack_u8, pack_u32, pack_u64
+from .wire import (
+    Reader,
+    WireError,
+    pack_bytes,
+    pack_count,
+    pack_field,
+    pack_str,
+    pack_u8,
+    pack_u32,
+    pack_u64,
+)
 
 GENESIS_PREV = bytes(DIGEST_SIZE)
 MAX_PAYLOAD_BYTES = 4096
@@ -95,7 +105,7 @@ class RegistrationTx(NamedTuple):
     __hash__ = tuple.__hash__
 
     def to_bytes(self) -> bytes:
-        acl = pack_u32(len(self.access_control))
+        acl = pack_count("access_control", self.access_control)
         for item in self.access_control:
             if isinstance(item, str):
                 acl += pack_u8(1) + pack_str(item)
@@ -148,8 +158,12 @@ class TopologyUpdate(NamedTuple):
     __hash__ = tuple.__hash__
 
     def to_bytes(self) -> bytes:
-        body = pack_u32(len(self.links))
-        for a, b, cost in self.links:
+        body = pack_count("links", self.links)
+        for link in self.links:
+            try:
+                a, b, cost = link
+            except (TypeError, ValueError):  # not iterable, or not 3 values
+                raise WireError("links must hold (segment, segment, hop-cost) triples") from None
             body += pack_u64(a) + pack_u64(b) + pack_u64(cost)
         return body + pack_str(self.origin)
 
@@ -281,7 +295,7 @@ def _payload_bytes(entry: LedgerEntry) -> bytes:
     ValueError if the payload cannot be encoded or is not valid."""
     try:
         encoded = encode_payload(entry.payload)
-    except (WireError, TypeError, AttributeError) as exc:
+    except WireError as exc:
         raise ValueError(f"entry {entry.seq} cannot be encoded: {exc}") from None
     decode_payload(encoded)  # refuses an invalid payload with WireError
     return encoded

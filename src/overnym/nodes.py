@@ -34,7 +34,7 @@ from .session import (
     ServerHandshake,
     Session,
 )
-from .simnet import Delivery, Node, Simulator, Timer, UnknownTarget, new_tuple
+from .simnet import Delivery, Node, Simulator, Timer, UnknownTarget, new_tuple, record
 from .wire import pack_u64
 
 # A session end sends a Heartbeat only after a whole period with no other
@@ -46,6 +46,35 @@ HEARTBEAT_PERIOD = 2
 _PUSH_SUMMARY = Timer("push-summary")
 _FLUSH_RECEIPTS = Timer("flush-receipts")
 _COMMIT = Timer("commit")
+
+# Trace record writers, one per record shape; each is called as
+# writer(trace, time, *values), in the order of its fields.
+_trace_tx_refused = record("tx-refused", "submitter", "reason")
+_trace_commit = record("commit", "count", "head", "seqs")
+_trace_attributes_refused = record("attributes-refused", "submitter", "reason")
+_trace_attributes_registered = record("attributes-registered", "subject", "count")
+_trace_router_dropped = record("envelope-dropped", "router", "target", reason="unknown-node")
+_trace_end_dropped = record("envelope-dropped", "node", "target", reason="unknown-node")
+_trace_neat_bind = record("neat-bind", "segment", "key", "device")
+_trace_neat_bind_refused = record("neat-bind-refused", "segment", "reason")
+_trace_neat_unbind = record("neat-unbind", "segment", "key")
+_trace_admitted = record("admit", "router", "client", decision=True)
+_trace_admit_refused = record("admit", "router", "client", "reason", decision=False)
+_trace_lookup = record("lookup", "key", "probes", "found")
+_trace_route = record("route", "hops", "cost")
+_trace_route_failed = record("route-failed", "reason")
+_trace_connect_refused = record("connect-refused", "client", "reason")
+_trace_hello = record("handshake", "node", phase="hello")
+_trace_challenge = record("handshake", "node", phase="challenge")
+_trace_established = record("handshake", "node", "session", "key_check", phase="established")
+_trace_handshake_failed = record("handshake-failed", "node", "phase", "reason")
+_trace_payload_skip = record("payload-skip", "node", reason="no-session")
+_trace_rotation_sent = record("rotation-sent", "node", "session", "epoch")
+_trace_access = record("access", "node", "session", "allowed", "reason", "probe")
+_trace_payload_accepted = record("payload", "node", "seq", accepted=True)
+_trace_payload_refused = record("payload", "node", "seq", "reason", accepted=False)
+_trace_rotation = record("rotation", "node", "session", "epoch", "key_check")
+_trace_rotation_rejected = record("rotation-rejected", "node", "reason")
 
 
 def token_id_for(name: str) -> bytes:
@@ -289,18 +318,14 @@ class SequencerNode(ProtocolNode):
                 self.world.ledger.submit(message.payload, submitter=src,
                                          at_time=now, nonce=message.nonce)
             except InvalidTx as exc:  # refused, traced, dropped
-                self.sim.trace.emit("tx-refused", now, submitter=src, reason=str(exc))
+                _trace_tx_refused(self.sim.trace, now, src, str(exc))
 
     def on_timer(self, tag, data, now):
         if tag == "commit":
             entries = self.world.ledger.commit_round()
             if entries:
-                self.sim.trace.emit(
-                    "commit", now,
-                    count=len(entries),
-                    head=entries[-1].entry_hash.hex()[:16],
-                    seqs=[entry.seq for entry in entries],
-                )
+                _trace_commit(self.sim.trace, now, len(entries),
+                              entries[-1].entry_hash.hex()[:16], [entry.seq for entry in entries])
 
 
 class RegulatorNode(ProtocolNode):
@@ -319,11 +344,10 @@ class RegulatorNode(ProtocolNode):
             try:
                 self.regulator.register(message.subject, message.attributes)
             except ValueError as exc:  # refused, traced, dropped
-                self.sim.trace.emit("attributes-refused", now, submitter=src, reason=str(exc))
+                _trace_attributes_refused(self.sim.trace, now, src, str(exc))
                 return
-            self.sim.trace.emit("attributes-registered", now,
-                                subject=message.subject.hex()[:16],
-                                count=len(message.attributes))
+            _trace_attributes_registered(self.sim.trace, now, message.subject.hex()[:16],
+                                         len(message.attributes))
 
 
 class AccessPointNode(ProtocolNode):
@@ -379,8 +403,7 @@ class AccessPointNode(ProtocolNode):
             else:
                 self.sim.send(self.name, dst, envelope)
         except UnknownTarget as exc:
-            self.sim.trace.emit("envelope-dropped", now, router=self.name,
-                                target=str(exc), reason="unknown-node")
+            _trace_router_dropped(self.sim.trace, now, self.name, str(exc))
 
     def on_message(self, src, message, now, sent_at):
         if isinstance(message, BindRequest):
@@ -389,8 +412,7 @@ class AccessPointNode(ProtocolNode):
             table = self._table()
             table.remove(message.subject)
             table.rebuild_filter()
-            self.sim.trace.emit("neat-unbind", now, segment=self.segment,
-                                key=message.subject.hex()[:16])
+            _trace_neat_unbind(self.sim.trace, now, self.segment, message.subject.hex()[:16])
             self._mark_summary_dirty(now)
         elif isinstance(message, FilterSnapshot):
             self.remote_filters[message.segment] = message.snapshot
@@ -407,11 +429,10 @@ class AccessPointNode(ProtocolNode):
         try:
             table.insert(message.subject, message.locator)
         except (neat.SegmentMismatch, ValueError) as exc:
-            self.sim.trace.emit("neat-bind-refused", now, segment=self.segment, reason=str(exc))
+            _trace_neat_bind_refused(self.sim.trace, now, self.segment, str(exc))
             return
-        self.sim.trace.emit("neat-bind", now, segment=self.segment,
-                            key=message.subject.hex()[:16],
-                            device=message.locator.device_id)
+        _trace_neat_bind(self.sim.trace, now, self.segment, message.subject.hex()[:16],
+                         message.locator.device_id)
         self._mark_summary_dirty(now)
 
     def _handle_connect(self, client: str, request: ConnectRequest, now: int) -> None:
@@ -430,24 +451,24 @@ class AccessPointNode(ProtocolNode):
         if reason != session.ADMIT_OK:
             self._refuse(client, request, reason, now)
             return
-        self.sim.trace.emit("admit", now, router=self.name, client=client, decision=True)
+        _trace_admitted(self.sim.trace, now, self.name, client)
 
         found, probes = neat.lookup_global(
             self.world.tables, request.server_key, self.world.metrics.lookup_stats
         )
-        self.sim.trace.emit("lookup", now, key=request.server_key.hex()[:16],
-                            probes=probes, found=found is not None)
+        _trace_lookup(self.sim.trace, now, request.server_key.hex()[:16], probes,
+                      found is not None)
         if found is None:
             self.sim.send(self.name, client, ConnectRefused(request.server_key, "not-found"))
             return
         try:
             route = overlay.route_to_segment(self.world.graph, self.name, found.segment)
         except (overlay.Unresolvable, overlay.Disconnected) as exc:
-            self.sim.trace.emit("route-failed", now, reason=str(exc))
+            _trace_route_failed(self.sim.trace, now, str(exc))
             self.sim.send(self.name, client, ConnectRefused(request.server_key, "no-route"))
             return
         self.world.metrics.record_path(route.total_cost)
-        self.sim.trace.emit("route", now, hops=list(route.hops), cost=route.total_cost)
+        _trace_route(self.sim.trace, now, list(route.hops), route.total_cost)
         self.sim.send(self.name, client, ConnectGrant(
             server_key=request.server_key, route=route.hops,
             cost=route.total_cost, server_device=found.device_id,
@@ -455,8 +476,7 @@ class AccessPointNode(ProtocolNode):
 
     def _refuse(self, client: str, request: ConnectRequest, reason: str, now: int) -> None:
         self.world.metrics.reject_admission(reason)
-        self.sim.trace.emit("admit", now, router=self.name, client=client,
-                            decision=False, reason=reason)
+        _trace_admit_refused(self.sim.trace, now, self.name, client, reason)
         self.sim.send(self.name, client, ConnectRefused(request.server_key, reason))
 
 
@@ -526,8 +546,7 @@ class _SessionEnd(ProtocolNode):
         try:
             self.sim.send(self.name, route[0], Envelope(route, 0, self.name, dst, inner, now, cost))
         except UnknownTarget as exc:
-            self.sim.trace.emit("envelope-dropped", now, node=self.name,
-                                target=str(exc), reason="unknown-node")
+            _trace_end_dropped(self.sim.trace, now, self.name, str(exc))
 
     def send_in_session(self, held: _Held, message: Any) -> None:
         """Send message to the peer of a held session, along its route."""
@@ -541,13 +560,11 @@ class _SessionEnd(ProtocolNode):
         self._first_with.setdefault(peer, held)
         session.heartbeat(sess, now)
         self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, held.timer)
-        self.sim.trace.emit(
-            "handshake", now, phase="established", node=self.name,
-            session=sess.session_id.hex()[:16], key_check=sess.key_check().hex(),
-        )
+        _trace_established(self.sim.trace, now, self.name, sess.session_id.hex()[:16],
+                           sess.key_check().hex())
 
     def _handshake_failed(self, phase: str, reason: str, now: int) -> None:
-        self.sim.trace.emit("handshake-failed", now, node=self.name, phase=phase, reason=reason)
+        _trace_handshake_failed(self.sim.trace, now, self.name, phase, reason)
 
     def on_timer(self, tag, data, now):
         # Both heartbeat timers carry their held session's record.
@@ -612,7 +629,7 @@ class UserNode(_SessionEnd):
     def do_send_payloads(self, server: str, count: int, now: int) -> None:
         held = self._first_with.get(server)
         if held is None:
-            self.sim.trace.emit("payload-skip", now, node=self.name, reason="no-session")
+            _trace_payload_skip(self.sim.trace, now, self.name)
             return
         sess = held.session
         for _ in range(count):
@@ -657,8 +674,8 @@ class UserNode(_SessionEnd):
             if ahead.AHEAD.submitting:
                 identity.sign_linkage_ahead(self.secret, new_bcadd.epoch + 1, new_appid.service,
                                             session.next_rotation_nonce(sess))
-            self.sim.trace.emit("rotation-sent", now, node=self.name,
-                                session=session_id.hex()[:16], epoch=new_bcadd.epoch)
+            _trace_rotation_sent(self.sim.trace, now, self.name, session_id.hex()[:16],
+                                 new_bcadd.epoch)
 
     # -- inbound ----------------------------------------------------------------
 
@@ -666,8 +683,7 @@ class UserNode(_SessionEnd):
         if isinstance(message, ConnectGrant):
             self._start_handshake(message, now)
         elif isinstance(message, ConnectRefused):
-            self.sim.trace.emit("connect-refused", now, client=self.name,
-                                reason=message.reason)
+            _trace_connect_refused(self.sim.trace, now, self.name, message.reason)
         elif isinstance(message, HandshakeEnvelope):
             self._continue_handshake(message.message, now)
         elif isinstance(message, Heartbeat):
@@ -693,7 +709,7 @@ class UserNode(_SessionEnd):
         machine = ClientHandshake(creds, route, self.world.ledger, self.rng)
         self.pending[grant.server_key] = (service_id, machine, grant.server_device)
         hello = machine.hello()
-        self.sim.trace.emit("handshake", now, phase="hello", node=self.name)
+        _trace_hello(self.sim.trace, now, self.name)
         self.send_routed(grant.route, grant.server_device, HandshakeEnvelope(hello), grant.cost)
 
     def _continue_handshake(self, message: HandshakeMessage, now: int) -> None:
@@ -704,7 +720,7 @@ class UserNode(_SessionEnd):
         try:
             if message.phase == "challenge":
                 machine.on_challenge(message)
-                self.sim.trace.emit("handshake", now, phase="challenge", node=self.name)
+                _trace_challenge(self.sim.trace, now, self.name)
             elif message.phase == "response":
                 machine.on_response(message)
                 confirm = machine.confirm()
@@ -803,7 +819,7 @@ class AppServerNode(_SessionEnd):
         self.pending[message.sender_appid.id] = (machine, envelope.src)
         for out in (challenge, response):
             self.send_routed(reply, envelope.src, HandshakeEnvelope(out))
-        self.sim.trace.emit("handshake", now, phase="challenge", node=self.name)
+        _trace_challenge(self.sim.trace, now, self.name)
 
     def _handle_confirm(self, message: HandshakeMessage, now: int) -> None:
         entry = self.pending.get(message.sender_appid.id)
@@ -823,10 +839,8 @@ class AppServerNode(_SessionEnd):
 
     def evaluate_access(self, sess: Session, now: int, probe: bool = False):
         decision = session.authorize(sess, self.world.ledger)
-        self.sim.trace.emit("access", now, node=self.name,
-                            session=sess.session_id.hex()[:16],
-                            allowed=decision.allowed, reason=decision.reason,
-                            probe=probe)
+        _trace_access(self.sim.trace, now, self.name, sess.session_id.hex()[:16],
+                      decision.allowed, decision.reason, probe)
         return decision
 
     def _handle_payload(self, payload: AppPayload, now: int, sent_at: int) -> None:
@@ -844,14 +858,13 @@ class AppServerNode(_SessionEnd):
             decision = self.evaluate_access(sess, now)
             refused = None if decision.allowed else decision.reason
         if refused is not None:
-            self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq,
-                                accepted=False, reason=refused)
+            _trace_payload_refused(self.sim.trace, now, self.name, payload.seq, refused)
             self._queue_receipt(held, payload.seq, False, refused, now)
             return
         sess.payloads_accepted += 1
         sess.highest_seq = payload.seq
         session.record_delivery(sess, now - sent_at)
-        self.sim.trace.emit("payload", now, node=self.name, seq=payload.seq, accepted=True)
+        _trace_payload_accepted(self.sim.trace, now, self.name, payload.seq)
         self._queue_receipt(held, payload.seq, True, "ok", now)
 
     def _handle_rotation(self, envelope: RotationEnvelope, now: int) -> None:
@@ -862,11 +875,9 @@ class AppServerNode(_SessionEnd):
         try:
             session.rotate_session(sess, envelope.notice)
         except session.ContinuityRejected as exc:
-            self.sim.trace.emit("rotation-rejected", now, node=self.name, reason=str(exc))
+            _trace_rotation_rejected(self.sim.trace, now, self.name, str(exc))
             return
         session.heartbeat(sess, now)
         self.world.metrics.rotations_completed += 1
-        self.sim.trace.emit("rotation", now, node=self.name,
-                            session=envelope.session_id.hex()[:16],
-                            epoch=sess.client_appid.epoch,
-                            key_check=sess.key_check().hex())
+        _trace_rotation(self.sim.trace, now, self.name, envelope.session_id.hex()[:16],
+                        sess.client_appid.epoch, sess.key_check().hex())

@@ -35,7 +35,17 @@ from .nodes import (
 )
 from .overlay import OverlayGraph
 from .scenario import Action, Expectation, Scenario
-from .simnet import Simulator, Trace
+from .simnet import Simulator, Trace, record
+
+# Trace record writers, one per record shape; each is called as
+# writer(trace, time, *values), in the order of its fields.
+_trace_action = record("action", "action", "args")
+_trace_no_session = record("access", "node", "peer", allowed=False, reason="no-session",
+                           probe=True)
+_trace_probe = record("probe", "node", "peer", "label", "alive")
+_trace_ledger_entry = record("ledger-entry", "seq", "prev_hash", "payload_kind",
+                             "payload_hash", "entry_hash")
+_trace_summary = record("summary", "metrics", "expectations", "ledger_head", "state_hash")
 
 
 @dataclass
@@ -170,7 +180,7 @@ class _ActionDriver:
         if action.actor in sim.crashed:
             return
         now = sim.now
-        sim.trace.emit("action", now, action=action.kind, args=list(action.args))
+        _trace_action(sim.trace, now, action.kind, list(action.args))
         kind, values = action.kind, action.values
         if kind == "register":
             node = sim.nodes[action.actor]
@@ -218,8 +228,7 @@ def _probe_access(built: _Built, user: str, server: str) -> None:
     server_node = built.servers[server]
     sess = server_node.session_with(user)
     if sess is None:
-        sim.trace.emit("access", sim.now, node=server, peer=user,
-                       allowed=False, reason="no-session", probe=True)
+        _trace_no_session(sim.trace, sim.now, server, user)
     else:
         server_node.evaluate_access(sess, sim.now, probe=True)
 
@@ -231,7 +240,7 @@ def _probe_session(built: _Built, user: str, server: str, label: str) -> None:
         return
     sess = built.users[user].session_with(server)
     alive = sess is not None and session.check_alive(sess, sim.now).alive
-    sim.trace.emit("probe", sim.now, node=user, peer=server, label=label, alive=alive)
+    _trace_probe(sim.trace, sim.now, user, server, label, alive)
 
 
 def _schedule_probes(built: _Built, sc: Scenario) -> None:
@@ -324,18 +333,15 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
 
     # Close the trace stream with the chain dump (one entry per line),
     # the final overlay graph, and the summary record.
+    trace, now = built.sim.trace, built.sim.now
     for entry in built.world.ledger.entries:
-        built.sim.trace.emit("ledger-entry", built.sim.now, seq=entry.seq,
-                             prev_hash=entry.prev_hash.hex(),
-                             payload_kind=type(entry.payload).__name__,
-                             payload_hash=entry.payload_hash.hex(),
-                             entry_hash=entry.entry_hash.hex())
-    built.sim.trace.emit("graph", built.sim.now, **built.world.graph.dump())
-    built.sim.trace.emit("summary", built.sim.now,
-                         metrics=metrics.to_dict(),
-                         expectations=[{"text": t, "passed": p} for t, p, _ in checks],
-                         ledger_head=built.world.ledger.head_seq,
-                         state_hash=built.world.ledger.state_hash().hex()[:16])
+        _trace_ledger_entry(trace, now, entry.seq, entry.prev_hash.hex(),
+                            type(entry.payload).__name__, entry.payload_hash.hex(),
+                            entry.entry_hash.hex())
+    trace.emit("graph", now, **built.world.graph.dump())
+    _trace_summary(trace, now, metrics.to_dict(),
+                   [{"text": t, "passed": p} for t, p, _ in checks],
+                   built.world.ledger.head_seq, built.world.ledger.state_hash().hex()[:16])
     exit_code = 0 if all(p for _, p, _ in checks) else 1
     result = RunResult(built.sim.trace, metrics, checks, exit_code)
     # Each node holds the simulator (Node.attach); drop the simulator's

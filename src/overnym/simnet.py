@@ -104,13 +104,18 @@ class Trace:
     refused when it is emitted.
 
     Each record is encoded once, when it is emitted, and no dict of it is
-    kept. emit encodes a record with the one C encoder the trace owns. A
-    plain send record (emit_send) is written from its names, each quoted
-    once for the whole trace, in a map that grows with the number of
-    distinct names, not with the run. A send that repeats an earlier
-    (src, dst, msg) of the same int tick appends that send's line object
-    again; the map of the tick's lines is dropped when the time changes.
-    records and find read the lines back through json.loads.
+    kept. emit encodes a whole record with the one C encoder the trace
+    owns; in a run, only a fault, a graph and a send that emit_send cannot
+    write itself go through it. Every other record has field names fixed
+    where it is written, and goes through a writer that record built for
+    its shape, which hands that encoder only a value that is not a str,
+    an int or a bool. A plain send record (emit_send) is written from its
+    names, each quoted once for the whole trace, in a map that grows with
+    the number of distinct names, not with the run. A send that repeats
+    an earlier (src, dst, msg) of the same int tick appends that send's
+    line object again; the map of the tick's lines is dropped when the
+    time changes. records and find read the lines back through
+    json.loads.
 
     Only to_jsonl builds the whole trace as one string, for callers that
     want it. chunks gives it in pieces of TRACE_CHUNK_LINES lines, which
@@ -128,7 +133,7 @@ class Trace:
         # allow_nan=False, built once, by position, as
         # json.JSONEncoder.iterencode builds it. It notes the ids of the
         # containers it is inside in markers; a failed encode leaves them
-        # there, so emit clears them.
+        # there, so _encode_value clears them.
         self._markers: dict[int, Any] = {}
         self._encode = json.encoder.c_make_encoder(
             self._markers, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
@@ -143,12 +148,7 @@ class Trace:
         """Append a record's line. One that strict JSON cannot encode
         raises here, with the error json.dumps(..., allow_nan=False)
         gives, and leaves nothing behind."""
-        try:
-            chunks = self._encode({"kind": kind, "time": time, **fields}, 0)
-        except BaseException:
-            self._markers.clear()
-            raise
-        self._lines.append("".join(chunks) + "\n")
+        self._lines.append(_encode_value(self, {"kind": kind, "time": time, **fields}) + "\n")
 
     def emit_send(self, time: int, src: str, dst: str, msg: str) -> None:
         """Append a send record: the bytes emit("send", time, src=src,
@@ -205,6 +205,66 @@ class Trace:
                 if r["kind"] == kind and all(r.get(k) == v for k, v in match.items())]
 
 
+def _encode_value(trace: Trace, value: Any) -> str:
+    """value's JSON text from the trace's C encoder. A value strict JSON
+    cannot encode raises the encoder's error, and the encoder is left as
+    it was."""
+    try:
+        return "".join(trace._encode(value, 0))
+    except BaseException:
+        # The ids of the containers open when it failed stay in markers.
+        trace._markers.clear()
+        raise
+
+
+# The f-string part of a writer (record) that encodes its value v: by exact
+# type, with the C encoder (_other) for what is neither str, int nor bool.
+_VALUE = ("f'{{_str({v}) if (cls := type({v})) is str else _int({v}) if cls is int"
+          " else \"true\" if {v} is True else \"false\" if {v} is False"
+          " else _other(trace, {v})}}'")
+
+
+def record(kind: str, /, *fields: str, **constants: Any) -> Callable[..., None]:
+    """A writer of one record shape, write(trace, time, *values), which
+    appends the line trace.emit(kind, time, **dict(zip(fields, values)),
+    **constants) appends, or raises what that call raises and appends
+    nothing.
+
+    The writer is built here, once, as collections.namedtuple builds its
+    __new__: its body is one f-string whose constant text (the sorted
+    keys, the kind and the constants) is fixed now. Each value is
+    encoded by its exact type: a str by encode_basestring_ascii, an int
+    (not a bool or an int subclass) by int.__repr__, True and False as
+    true and false, and any other value by the trace's own C encoder.
+    The writer's kind and its field names, constants included, are its
+    kind and fields attributes."""
+    names = ("kind", "time", *fields, *constants)
+    if len(set(names)) != len(names):
+        raise ValueError(f"record {kind!r}: a field repeats, or is named kind or time")
+    texts = {name: json.dumps(value, sort_keys=True, separators=(",", ":"), allow_nan=False)
+             for name, value in (("kind", kind), *constants.items())}
+    params = ["time", *(f"v{i}" for i in range(len(fields)))]
+    variables = dict(zip(("time", *fields), params))
+    parts, text, comma = [], "{", ""
+    for name in sorted(names):
+        text += comma + json.encoder.encode_basestring_ascii(name) + ":"
+        comma = ","
+        if name in variables:
+            parts += [repr(text), _VALUE.format(v=variables[name])]
+            text = ""
+        else:
+            text += texts[name]
+    parts.append(repr(text + "}\n"))
+    source = f"def write(trace, {', '.join(params)}):\n    trace._lines.append({' '.join(parts)})\n"
+    namespace = {"_str": json.encoder.encode_basestring_ascii, "_int": int.__repr__,
+                 "_other": _encode_value, "__name__": __name__}
+    exec(source, namespace)
+    write = namespace["write"]
+    write.__qualname__ = write.__name__ = f"write_{kind}"
+    write.kind, write.fields = kind, (*fields, *constants)
+    return write
+
+
 class LinkModel:
     """Per-ordered-pair extra delay and drop probability. Distinct nodes
     are 1 tick apart plus their extra delay, and never less than 1.
@@ -248,6 +308,12 @@ class Node:
     def attach(self, sim: "Simulator") -> None:
         self.sim = sim
         self.rng = sim.fork_rng(self.name)
+
+
+# Trace record writers (record) for the event loop's fixed-shape records.
+_trace_noted_send = record("send", "src", "dst", "msg", "note")
+_trace_drop = record("drop", "src", "dst", "msg")
+_trace_discard = record("discard", "dst", "msg")
 
 
 class Simulator:
@@ -316,23 +382,23 @@ class Simulator:
         so LinkModel.link is not called; after that, every send asks it.
         Either way the delivery is queued through schedule.
 
-        A send with a note goes through Trace.emit; without one, through
-        Trace.emit_send. No caller in this package passes a note, but the
-        parameter stays: the benchmark's tracer (perfbench/tracer.py)
-        wraps send and passes note by position."""
+        A send with a note is written by its own record writer; without
+        one, by Trace.emit_send. No caller in this package passes a note,
+        but the parameter stays: the benchmark's tracer
+        (perfbench/tracer.py) wraps send and passes note by position."""
         if dst not in self.nodes:
             raise UnknownTarget(dst)
         now = self.now
         kind = type(message).__name__
         if note:
-            self.trace.emit("send", now, src=src, dst=dst, msg=kind, note=note)
+            _trace_noted_send(self.trace, now, src, dst, kind, note)
         else:
             self.trace.emit_send(now, src, dst, kind)
         links = self.links
         if links._extra or links._drop:
             latency, drop_p = links.link(src, dst)
             if drop_p > 0.0 and self._link_rng(src, dst).random() < drop_p:
-                self.trace.emit("drop", now, src=src, dst=dst, msg=kind)
+                _trace_drop(self.trace, now, src, dst, kind)
                 return
         else:
             latency = 0 if src == dst else 1
@@ -360,8 +426,7 @@ class Simulator:
                     continue
                 if target in crashed:
                     if isinstance(payload, Delivery):
-                        self.trace.emit("discard", now, dst=target,
-                                        msg=type(payload.message).__name__)
+                        _trace_discard(self.trace, now, target, type(payload.message).__name__)
                     continue
                 node = nodes.get(target)
                 if node is None:

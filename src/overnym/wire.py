@@ -90,6 +90,15 @@ def pack_field(name: str, value: bytes, size: int | None = None) -> bytes:
     return value
 
 
+def pack_count(name: str, items: tuple | list) -> bytes:
+    """The u32 item count that starts a sequence field of a record. A
+    value that is not a tuple or list is refused with WireError naming
+    the field."""
+    if not isinstance(items, (tuple, list)):
+        raise WireError(f"{name} must be a tuple or list, not {type(items).__name__}")
+    return pack_u32(len(items))
+
+
 def pack_str(text: str) -> bytes:
     try:
         data = text.encode("utf-8")

@@ -44,14 +44,18 @@ _spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" /
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
-VOCABULARY = ("acceptance gate", "wire contract", "benchmark", "refusal path", "helper", "safety")
+VOCABULARY = (
+    "acceptance gate", "wire contract", "benchmark", "refusal path", "helper", "safety", "import",
+)
 
 # Function -> what keeps it, for each function no shipped run calls.
 # `acceptance gate`: tests/test_acceptance.py calls it. `benchmark`:
 # perfbench calls it, or perfbench/tracer.py binds it by name. `wire
 # contract`: a decoder, or an encoder no run needs, of a format that
 # docs/wire-format.md defines. `refusal path`: only input that no
-# well-formed script gives reaches it. `item N`: ROADMAP.md item N decides.
+# well-formed script gives reaches it. `import`: it runs only while the
+# package is imported, before the census's profiler starts. `item N`:
+# ROADMAP.md item N decides.
 UNREACHED = {
     "ahead.VerifyAhead.__init__": "helper",  # runs once, on import
     "ahead.VerifyAhead._drop": "helper",
@@ -101,6 +105,7 @@ UNREACHED = {
     "session.RotationNotice.from_bytes": "wire contract",
     "session.RotationNotice.to_bytes": "wire contract",
     "session._Unproven.__init__": "refusal path",
+    "simnet.record": "import",  # builds the module-level record writers
     "simnet.Trace.digest": "acceptance gate",
     "simnet.Trace.to_jsonl": "benchmark",
     "simnet.TraceRecords.__getitem__": "benchmark",

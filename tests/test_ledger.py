@@ -104,6 +104,9 @@ UNENCODABLE = [
     RegistrationTx(kind="user", subject=bytes(32), public_key=b"k", epoch="1"),
     RegistrationTx(kind="user", subject=bytes(32), public_key=b"k", epoch=1.0),
     NftOwnership(token_id=bytes(32), owner=bytes(32), seq=None),
+    reg(9, access_control=None),
+    TopologyUpdate(links=None, origin="ap"),
+    TopologyUpdate(links=((1, 2),), origin="ap"),
 ]
 UNENCODABLE_IDS = ["registration epoch 2^64", "registration epoch -1",
                    "nft seq 2^64", "nft seq -1", "topology cost 2^64",
@@ -111,7 +114,9 @@ UNENCODABLE_IDS = ["registration epoch 2^64", "registration epoch -1",
                    "registration server surrogate", "topology origin surrogate",
                    "nft token_id str", "nft owner str", "registration subject 31 bytes",
                    "registration public_key int", "registration kind int",
-                   "registration epoch str", "registration epoch float", "nft seq None"]
+                   "registration epoch str", "registration epoch float", "nft seq None",
+                   "registration access_control None", "topology links None",
+                   "topology link of two values"]
 
 # Payloads that encode, but break a rule of their kind, so their bytes do
 # not decode.

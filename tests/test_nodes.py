@@ -170,7 +170,14 @@ class TestSequencer:
          "u64 must be an int, not float"),
         (NftOwnership(token_id=bytes(32), owner=bytes(32), seq=None),
          "u64 must be an int, not NoneType"),
-    ], ids=["seq 2^64", "surrogate origin", "kind int", "epoch str", "epoch float", "seq None"])
+        # malformed container fields: a bare TypeError or ValueError before
+        (RegistrationTx(kind="user", subject=bytes(32), public_key=b"k", access_control=None),
+         "access_control must be a tuple or list, not NoneType"),
+        (TopologyUpdate(links=None, origin="ap"), "links must be a tuple or list, not NoneType"),
+        (TopologyUpdate(links=((1, 2),), origin="ap"),
+         "links must hold (segment, segment, hop-cost) triples"),
+    ], ids=["seq 2^64", "surrogate origin", "kind int", "epoch str", "epoch float", "seq None",
+            "access_control None", "links None", "link of two values"])
     def test_an_unencodable_write_is_refused_and_the_run_goes_on(self, payload, reason):
         built = settled()
         user = built.users["u"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import overnym
-from overnym import simnet
+from overnym import ahead, simnet
 from overnym.cli import main
 from overnym.ledger import MAX_PAYLOAD_BYTES, NftOwnership, RegistrationTx, encode_payload
 from overnym.overlay import OverlayGraph
@@ -261,6 +261,21 @@ class TestRun:
             for values in {tuple(r.get(k) for k in keys) for r in scan(kind)}:
                 match = dict(zip(keys, values))
                 assert trace.find(kind, **match) == scan(kind, **match)
+
+    @pytest.mark.parametrize("workload", sorted(workloads.WORKLOADS))
+    def test_every_workload_line_is_canonical_strict_json(self, workload, monkeypatch):
+        # The census's runs (size 20, seed 31), with no verify-ahead helper.
+        monkeypatch.setattr(ahead, "_cpus", lambda: 1)
+        trace = run_scenario(parse_scenario(workloads.generate(workload, 31, 20))).trace
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        *lines, last = "".join(trace.chunks()).split("\n")
+        assert last == "" and len(lines) == len(trace.records) > 0
+        for line in lines:
+            record = json.loads(line, parse_constant=refuse)
+            assert json.dumps(record, sort_keys=True, separators=(",", ":")) == line
 
     def test_verdicts_read_each_kind_of_record_once(self, monkeypatch):
         passes = []

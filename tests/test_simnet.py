@@ -17,6 +17,7 @@ from overnym.simnet import (
     Timer,
     Trace,
     UnknownTarget,
+    record,
 )
 
 
@@ -571,6 +572,87 @@ def test_send_with_a_note_is_recorded_with_it():
         {"kind": "send", "time": 0, "src": "a", "dst": "b", "msg": "str"},
     ]
     assert sim.trace.find("send", note="why") == [sim.trace.records[0]]
+
+
+class Count(int):
+    """An int that is not of type int: json encodes it as the int it is,
+    whatever its repr says."""
+
+    def __repr__(self):
+        return f"Count({int(self)})"
+
+
+# What a writer may be handed: text with non-ASCII characters and lone
+# surrogates, ints past 64 bits either way, bools and an int subclass
+# (equal to ints, but no int), None, any float (NaN and the infinities
+# are refused), lists, nested dicts and bytes (refused).
+writer_text = st.text(st.characters() | st.integers(0xD800, 0xDFFF).map(chr), max_size=6)
+writer_scalars = (writer_text | st.integers() | st.integers(min_value=2**64, max_value=2**200)
+                  | st.integers(min_value=-2**200, max_value=-2**63) | st.booleans()
+                  | st.integers().map(Count) | st.none() | st.floats() | st.binary(max_size=3))
+writer_values = st.recursive(
+    writer_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(writer_text, children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def record_shapes(draw):
+    """(kind, field names, constants) of a record writer. No name is kind
+    or time, nor self, which Trace.emit cannot take as a keyword."""
+    names = draw(st.lists(writer_text.filter(lambda name: name not in ("kind", "time", "self")),
+                          unique=True, max_size=6))
+    split = draw(st.integers(min_value=0, max_value=len(names)))
+    constants = {name: draw(json_values) for name in names[split:]}
+    return draw(writer_text), names[:split], constants
+
+
+def dumps(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_shapes(), st.data())
+@example(("k", ["a", "b"], {"c": True}), None)
+def test_a_writer_appends_what_json_dumps_gives_or_raises_what_emit_raises(shape, data):
+    kind, fields, constants = shape
+    write = record(kind, *fields, **constants)
+    assert (write.kind, write.fields) == (kind, (*fields, *constants))
+    if data is None:  # the explicit example: one of each exact type's near misses
+        time, values = True, [Count(7), [1.5, None, -2**70]]
+    else:
+        time, *values = data.draw(st.lists(writer_values, min_size=len(fields) + 1,
+                                           max_size=len(fields) + 1))
+    rec = {"kind": kind, "time": time, **dict(zip(fields, values)), **constants}
+    trace = Trace()
+    trace.emit_send(0, "a", "b", "m")
+    before = list(trace._lines)
+    try:
+        expected = dumps(rec)
+    except (TypeError, ValueError):
+        with pytest.raises((TypeError, ValueError)) as emitted:
+            Trace().emit(kind, time, **dict(zip(fields, values)), **constants)
+        with pytest.raises((TypeError, ValueError)) as written:
+            write(trace, time, *values)
+        assert type(written.value) is type(emitted.value)
+        assert trace._lines == before and not trace._markers
+    else:
+        write(trace, time, *values)
+        assert trace._lines == before + [expected]
+    # The next record that strict JSON encodes is written normally.
+    values = [[name] for name in fields]
+    write(trace, 1, *values)
+    assert trace._lines[-1] == dumps({"kind": kind, "time": 1, **dict(zip(fields, values)),
+                                      **constants})
+
+
+def test_a_writer_refuses_a_repeated_or_reserved_field():
+    for fields, constants in [(("a", "a"), {}), (("a",), {"a": 1}), (("time",), {}),
+                              ((), {"kind": "x"})]:
+        with pytest.raises(ValueError, match="repeats"):
+            record("k", *fields, **constants)
 
 
 class ReferenceLinks:
