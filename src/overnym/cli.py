@@ -47,9 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_scenario(path: str):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8: {exc}", file=sys.stderr)
         return None
     try:
         return parse_scenario(text)

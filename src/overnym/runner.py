@@ -45,6 +45,7 @@ _trace_no_session = record("access", "node", "peer", allowed=False, reason="no-s
 _trace_probe = record("probe", "node", "peer", "label", "alive")
 _trace_ledger_entry = record("ledger-entry", "seq", "prev_hash", "payload_kind",
                              "payload_hash", "entry_hash")
+_trace_graph = record("graph", "segments", "links", "version")
 _trace_summary = record("summary", "metrics", "expectations", "ledger_head", "state_hash")
 
 
@@ -338,7 +339,8 @@ def run_scenario(sc: Scenario, *, seed: int | None = None) -> RunResult:
         _trace_ledger_entry(trace, now, entry.seq, entry.prev_hash.hex(),
                             type(entry.payload).__name__, entry.payload_hash.hex(),
                             entry.entry_hash.hex())
-    trace.emit("graph", now, **built.world.graph.dump())
+    graph = built.world.graph.dump()
+    _trace_graph(trace, now, graph["segments"], graph["links"], graph["version"])
     _trace_summary(trace, now, metrics.to_dict(),
                    [{"text": t, "passed": p} for t, p, _ in checks],
                    built.world.ledger.head_seq, built.world.ledger.state_hash().hex()[:16])

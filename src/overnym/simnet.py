@@ -105,17 +105,15 @@ class Trace:
 
     Each record is encoded once, when it is emitted, and no dict of it is
     kept. emit encodes a whole record with the one C encoder the trace
-    owns; in a run, only a fault, a graph and a send that emit_send cannot
-    write itself go through it. Every other record has field names fixed
-    where it is written, and goes through a writer that record built for
-    its shape, which hands that encoder only a value that is not a str,
-    an int or a bool. A plain send record (emit_send) is written from its
-    names, each quoted once for the whole trace, in a map that grows with
-    the number of distinct names, not with the run. A send that repeats
-    an earlier (src, dst, msg) of the same int tick appends that send's
-    line object again; the map of the tick's lines is dropped when the
-    time changes. records and find read the lines back through
-    json.loads.
+    owns; in a run, only a fault goes through it. Every other record has
+    field names fixed where it is written, and goes through a writer that
+    record built for its shape, which hands that encoder only a value
+    that is not a str, an int or a bool. emit_send, which writes a send
+    without a note, keeps the lines of the current int tick: a send that
+    repeats an earlier (src, dst, msg) of that tick appends that send's
+    line object again, and the send writer writes every other one. The
+    tick's lines are dropped when the time changes. records and find read
+    the lines back through json.loads.
 
     Only to_jsonl builds the whole trace as one string, for callers that
     want it. chunks gives it in pieces of TRACE_CHUNK_LINES lines, which
@@ -123,8 +121,6 @@ class Trace:
 
     def __init__(self):
         self._lines: list[str] = []
-        # Name -> its JSON string, for every name a send line holds.
-        self._quoted: dict[str, str] = {}
         # The int tick of the last send line written, and that tick's lines.
         self._tick: int | None = None
         self._tick_lines: dict[tuple[str, str, str], str] = {}
@@ -154,33 +150,18 @@ class Trace:
         """Append a send record: the bytes emit("send", time, src=src,
         dst=dst, msg=msg) would give."""
         # The exact types matter: True, 1 and 1.0 are equal and hash alike
-        # but encode differently. So only str names are quoted here, and
-        # only an int time reads or writes the tick's lines.
-        if type(time) is not int:
-            self.emit("send", time, src=src, dst=dst, msg=msg)
-            return
+        # but encode differently. So only an int time reads the tick's
+        # lines, and only a line of str names is kept in them.
         key = (src, dst, msg)
-        if time == self._tick:
-            line = self._tick_lines.get(key)
-            if line is not None:
+        if type(time) is int:
+            if time != self._tick:
+                self._tick, self._tick_lines = time, {}
+            elif (line := self._tick_lines.get(key)) is not None:
                 self._lines.append(line)
                 return
-        else:
-            self._tick, self._tick_lines = time, {}
-        quoted = self._quoted
-        try:
-            qsrc, qdst, qmsg = quoted[src], quoted[dst], quoted[msg]
-        except KeyError:
-            if not (type(src) is str and type(dst) is str and type(msg) is str):
-                self.emit("send", time, src=src, dst=dst, msg=msg)
-                return
-            for name in key:
-                if name not in quoted:
-                    quoted[name] = json.encoder.encode_basestring_ascii(name)
-            qsrc, qdst, qmsg = quoted[src], quoted[dst], quoted[msg]
-        line = self._tick_lines[key] = (
-            f'{{"dst":{qdst},"kind":"send","msg":{qmsg},"src":{qsrc},"time":{time}}}\n')
-        self._lines.append(line)
+        _trace_send(self, time, src, dst, msg)
+        if type(time) is int and type(src) is str and type(dst) is str and type(msg) is str:
+            self._tick_lines[key] = self._lines[-1]
 
     def chunks(self) -> Iterator[str]:
         """The trace's text in pieces of TRACE_CHUNK_LINES lines."""
@@ -311,6 +292,7 @@ class Node:
 
 
 # Trace record writers (record) for the event loop's fixed-shape records.
+_trace_send = record("send", "src", "dst", "msg")
 _trace_noted_send = record("send", "src", "dst", "msg", "note")
 _trace_drop = record("drop", "src", "dst", "msg")
 _trace_discard = record("discard", "dst", "msg")
@@ -382,10 +364,11 @@ class Simulator:
         so LinkModel.link is not called; after that, every send asks it.
         Either way the delivery is queued through schedule.
 
-        A send with a note is written by its own record writer; without
-        one, by Trace.emit_send. No caller in this package passes a note,
-        but the parameter stays: the benchmark's tracer
-        (perfbench/tracer.py) wraps send and passes note by position."""
+        A send is written by a record writer: with a note, by its own;
+        without one, by the send writer behind Trace.emit_send's tick
+        lines. No caller in this package passes a note, but the
+        parameter stays: the benchmark's tracer (perfbench/tracer.py)
+        wraps send and passes note by position."""
         if dst not in self.nodes:
             raise UnknownTarget(dst)
         now = self.now

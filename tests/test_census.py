@@ -15,7 +15,8 @@ is listed as `helper`.
 
 The same runs give the record kinds the fixtures' traces hold: each kind
 that docs/wire-format.md documents is in some fixture's trace, or
-UNEMITTED names why not.
+UNEMITTED names why not. They also give each workload's exact operation
+counts (COST_PINS), which, unlike timings, do not vary with the host.
 """
 
 import ast
@@ -26,14 +27,21 @@ import json
 import os
 import re
 import sys
+import types
+from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 import overnym
 from overnym import ahead, cli
+from overnym.hashing import owf
 from overnym.runner import run_scenario, write_outputs
 from overnym.scenario import parse_scenario
+from overnym.simnet import Simulator
 
 ROOT = Path(__file__).parent.parent
 SRC = Path(overnym.__file__).parent
@@ -129,6 +137,84 @@ UNEMITTED = {
 }
 
 
+# Operation -> what the profiler counts for it: a Python function's code,
+# or the qualified name of a C method. The crypto keys load through
+# Python class methods, and sign, verify and exchange are C methods.
+OPERATIONS = {
+    "events queued": Simulator.schedule.__code__,
+    "owf": owf.__code__,
+    "Ed25519 private key loads": Ed25519PrivateKey.from_private_bytes.__func__.__code__,
+    "Ed25519 public key loads": Ed25519PublicKey.from_public_bytes.__func__.__code__,
+    "Ed25519 signs": "Ed25519PrivateKey.sign",
+    "Ed25519 verifies": "Ed25519PublicKey.verify",
+    "X25519 private key loads": X25519PrivateKey.from_private_bytes.__func__.__code__,
+    "X25519 public key loads": X25519PublicKey.from_public_bytes.__func__.__code__,
+    "X25519 exchanges": "X25519PrivateKey.exchange",
+}
+
+# Workload -> its exact costs at size 20, seed 31, with the helper held
+# off: OPERATIONS' counts, the trace's lines, and its sends by message. A
+# change that moves a count re-pins it and says why in CHANGES.md.
+COST_PINS = {
+    "handshake_storm": {
+        "events queued": 829,
+        "owf": 1207,
+        "Ed25519 private key loads": 37,
+        "Ed25519 public key loads": 60,
+        "Ed25519 signs": 60,
+        "Ed25519 verifies": 60,
+        "X25519 private key loads": 40,
+        "X25519 public key loads": 40,
+        "X25519 exchanges": 40,
+        "trace lines": 1034,
+        "sends": {"BindRequest": 36, "ConnectGrant": 20, "ConnectRequest": 20, "Envelope": 456,
+                  "FilterSnapshot": 56, "SubmitTx": 45},
+    },
+    "wide_overlay": {
+        "events queued": 5101,
+        "owf": 2119,
+        "Ed25519 private key loads": 165,
+        "Ed25519 public key loads": 60,
+        "Ed25519 signs": 60,
+        "Ed25519 verifies": 60,
+        "X25519 private key loads": 40,
+        "X25519 public key loads": 40,
+        "X25519 exchanges": 40,
+        "trace lines": 5425,
+        "sends": {"BindRequest": 52, "ConnectGrant": 20, "ConnectRequest": 20, "Envelope": 900,
+                  "FilterSnapshot": 3683, "SubmitTx": 181},
+    },
+    "session_stream": {
+        "events queued": 38344,
+        "owf": 5601,
+        "Ed25519 private key loads": 28,
+        "Ed25519 public key loads": 60,
+        "Ed25519 signs": 60,
+        "Ed25519 verifies": 60,
+        "X25519 private key loads": 40,
+        "X25519 public key loads": 40,
+        "X25519 exchanges": 40,
+        "trace lines": 30406,
+        "sends": {"BindRequest": 28, "ConnectGrant": 20, "ConnectRequest": 20, "Envelope": 24288,
+                  "FilterSnapshot": 6, "SubmitTx": 32},
+    },
+    "rotation_churn": {
+        "events queued": 9073,
+        "owf": 6801,
+        "Ed25519 private key loads": 228,
+        "Ed25519 public key loads": 260,
+        "Ed25519 signs": 260,
+        "Ed25519 verifies": 260,
+        "X25519 private key loads": 40,
+        "X25519 public key loads": 40,
+        "X25519 exchanges": 40,
+        "trace lines": 8106,
+        "sends": {"BindRequest": 228, "ConnectGrant": 20, "ConnectRequest": 20, "Envelope": 4494,
+                  "FilterSnapshot": 228, "SubmitTx": 452, "UnbindRequest": 200},
+    },
+}
+
+
 def compare(universe: set[str], reached: set[str], listed: dict[str, str]) -> list[str]:
     """What is wrong with listed, given the names in universe and those a
     run reached: a name neither reached nor listed, a listed name that is
@@ -176,16 +262,33 @@ def documented_kinds() -> set[str]:
     return set(re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE))
 
 
+class Census(NamedTuple):
+    reached: set[str]  # dotted names of the package functions the shipped runs call
+    kinds: set[str]  # the record kinds the fixtures' traces hold
+    costs: dict[str, dict]  # workload -> its costs, in COST_PINS' form
+
+
+def costs(calls: Counter, trace) -> dict:
+    """A workload's costs, from the calls counted while it ran and its trace."""
+    return {**{operation: calls[key] for operation, key in OPERATIONS.items()},
+            "trace lines": len(trace.records),
+            "sends": dict(Counter(r["msg"] for r in trace.find("send")))}
+
+
 @pytest.fixture(scope="module")
 def census(tmp_path_factory):
-    """(dotted names of the package functions the shipped runs call, the
-    record kinds the fixtures' traces hold)."""
     out = tmp_path_factory.mktemp("census")
-    codes = set()
+    # profile counts into the Counter bound to calls when an event comes:
+    # a Python call by its code, a C call by its qualified name. Each
+    # workload gets a new one.
+    calls = fixture_calls = Counter()
+    runs = {}
 
     def profile(frame, event, arg):
         if event == "call":
-            codes.add(frame.f_code)
+            calls[frame.f_code] += 1
+        elif event == "c_call":
+            calls[arg.__qualname__] += 1
 
     previous = sys.getprofile()
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
@@ -198,28 +301,35 @@ def census(tmp_path_factory):
                                  "--metrics", str(out / "metrics.json")]) == 0
             assert cli.main(["fpr", "--m", "64", "--k", "3", "--n", "10", "--trials", "200"]) == 0
             for workload in workloads.WORKLOADS:
+                calls = Counter()
                 result = run_scenario(parse_scenario(workloads.generate(workload, 31, 20)))
                 write_outputs(result, str(out / "workload.jsonl"), str(out / "metrics.json"))
                 assert result.exit_code == 0, workload
+                runs[workload] = calls, result.trace
         finally:
             sys.setprofile(previous)
     names = definitions()
+    codes = {key for counted in (fixture_calls, *(c for c, _ in runs.values())) for key in counted
+             if isinstance(key, types.CodeType)}
     reached = {name_of(code, names) for code in codes} - {None}
     kinds = set()
     for path in FIXTURES:
         with open(out / f"{path.stem}.jsonl", encoding="utf-8") as trace:
             kinds.update(json.loads(line)["kind"] for line in trace)
-    return reached, kinds
+    return Census(reached, kinds, {w: costs(*run) for w, run in runs.items()})
 
 
 def test_every_function_runs_or_is_listed(census):
-    reached, _ = census
-    assert compare(set(definitions().values()), reached, UNREACHED) == []
+    assert compare(set(definitions().values()), census.reached, UNREACHED) == []
 
 
 def test_every_documented_kind_is_emitted_or_listed(census):
-    _, kinds = census
-    assert compare(documented_kinds(), kinds, UNEMITTED) == []
+    assert compare(documented_kinds(), census.kinds, UNEMITTED) == []
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_workload_costs_match_their_pins(census, workload):
+    assert census.costs[workload] == COST_PINS.get(workload)
 
 
 def test_names_follow_decorators_and_classes():

@@ -579,6 +579,34 @@ class TestCli:
         assert main(["run", "/nonexistent.scn"]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_a_file_that_is_not_utf8_is_refused(self, tmp_path, capsys, command):
+        scenario = tmp_path / "latin1.scn"
+        scenario.write_bytes(MINIMAL.replace("node ap ", "node apé ").encode("latin-1"))
+        assert main([command, str(scenario)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {scenario}: ") and err.count("\n") == 1
+
+    def test_a_utf8_scenario_reads_the_same_whatever_the_locale(self, tmp_path, capsys):
+        # In the C locale, with UTF-8 mode and locale coercion off, the
+        # locale's encoding is ASCII; the scenario is read as UTF-8 still.
+        scenario = tmp_path / "utf8.scn"
+        scenario.write_bytes(MINIMAL.replace("node ap ", "node apé ").encode("utf-8"))
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"
+        args = [str(scenario), "--trace", str(trace), "--metrics", str(metrics)]
+        code = ("import sys; from overnym.cli import main; "
+                "sys.exit(main(['check', sys.argv[1]]) or main(['run', *sys.argv[1:]]))")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(overnym.__file__).parents[1])}
+        c_locale = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                                text=True, timeout=60)
+        assert (c_locale.returncode, c_locale.stderr) == (0, "")
+        outputs = trace.read_bytes(), metrics.read_bytes()
+        assert b'"ap\\u00e9"' in outputs[0]
+        assert main(["check", str(scenario)]) == 0 and main(["run", *args]) == 0
+        assert capsys.readouterr().out == c_locale.stdout
+        assert (trace.read_bytes(), metrics.read_bytes()) == outputs
+
     def test_fpr_subcommand(self, capsys):
         assert main(["fpr", "--m", "9586", "--k", "7", "--n", "1000",
                      "--trials", "4000"]) == 0

@@ -485,11 +485,11 @@ def test_reads_follow_the_lines_not_the_emitted_objects():
     assert trace.to_jsonl() == text == '{"kind":"note","time":0,"value":[1]}\n'
 
 
-# Send-shaped records: most are written as a cached prefix by emit_send,
+# Send-shaped records: most go through emit_send and its tick lines,
 # and the rest are one key short, carry a note, hold a time that is not an
 # int, or hold values that are not strings. 1, True and 1.0 hash alike,
 # so a cache that skipped the type checks would mix them up. A small text
-# pool makes prefixes repeat.
+# pool makes (src, dst, msg) triples repeat.
 send_text = (st.sampled_from(["ap1", "u", 'q"uote', "back\\slash", "caf\u00e9", "\u2603"])
              | st.text(max_size=6))
 send_values = send_text | st.sampled_from([1, True, 1.0, None])

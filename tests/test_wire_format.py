@@ -74,7 +74,7 @@ def test_a_kind_only_writers_write_documents_exactly_their_fields():
     for writer in record_writers():
         fields.setdefault(writer.kind, set()).update(writer.fields)
     only_written = fields.keys() - emitted_kinds()
-    assert {"payload", "access", "handshake", "admit", "commit", "drop"} <= only_written
+    assert {"payload", "access", "handshake", "admit", "commit", "drop", "send", "graph"} <= only_written
     for kind in only_written:
         assert set(rows[kind]) == fields[kind], kind
 
