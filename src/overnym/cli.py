@@ -76,9 +76,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
 
+    # An expectation names nodes: what stdout cannot encode is escaped.
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
     for text, passed, detail in result.checks:
-        status = "ok" if passed else "FAILED"
-        print(f"{status:6} {text}  [{detail}]")
+        line = f"{'ok' if passed else 'FAILED':6} {text}  [{detail}]"
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
     print(f"trace   -> {trace_path}")
     print(f"metrics -> {metrics_path}")
     if result.exit_code != 0:

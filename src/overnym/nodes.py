@@ -304,13 +304,11 @@ class ProtocolNode(Node):
 
 
 class SequencerNode(ProtocolNode):
-    """Hosts the ledger; commits queued transactions every tick."""
+    """Hosts the ledger; commits the transactions delivered in a tick
+    before the horizon at the end of that tick, in one round."""
 
     kind = "sequencer"
-
-    def start(self) -> None:
-        for tick in range(1, self.world.horizon + 1):
-            self.sim.schedule(tick, self.name, _COMMIT)
+    _commit_due = False  # a commit is scheduled for this tick
 
     def on_message(self, src, message, now, sent_at):
         if isinstance(message, SubmitTx):
@@ -319,13 +317,18 @@ class SequencerNode(ProtocolNode):
                                          at_time=now, nonce=message.nonce)
             except InvalidTx as exc:  # refused, traced, dropped
                 _trace_tx_refused(self.sim.trace, now, src, str(exc))
+                return
+            if not self._commit_due and now < self.world.horizon:
+                self._commit_due = True
+                self.sim.schedule(now, self.name, _COMMIT)
 
     def on_timer(self, tag, data, now):
-        if tag == "commit":
-            entries = self.world.ledger.commit_round()
-            if entries:
-                _trace_commit(self.sim.trace, now, len(entries),
-                              entries[-1].entry_hash.hex()[:16], [entry.seq for entry in entries])
+        # The commit timer, the only one: it runs after the tick's deliveries.
+        self._commit_due = False
+        entries = self.world.ledger.commit_round()
+        if entries:
+            _trace_commit(self.sim.trace, now, len(entries),
+                          entries[-1].entry_hash.hex()[:16], [entry.seq for entry in entries])
 
 
 class RegulatorNode(ProtocolNode):
@@ -369,8 +372,9 @@ class AccessPointNode(ProtocolNode):
         return self.world.tables[self.segment]
 
     def _mark_summary_dirty(self, now: int) -> None:
-        """Push the table's summary once this tick's other events are done:
-        at most one push per tick, however many binds and unbinds."""
+        """Push the table's summary from a timer of this tick, which runs
+        after the tick's deliveries: at most one push per tick, however
+        many binds and unbinds."""
         if not self._summary_dirty:
             self._summary_dirty = True
             self.sim.schedule(now, self.name, _PUSH_SUMMARY)
@@ -482,21 +486,19 @@ class AccessPointNode(ProtocolNode):
 
 class _Held:
     """All a session end keeps per held session: the Session, its peer and
-    route hops, its two heartbeat timers (each carries this record) and
+    route hops, its heartbeat wake timer (which carries this record) and
     its Heartbeat, each built once, the tick of its last in-session send
     or queued send, from which the wake timer is re-armed, a user's next
     payload seq and a server's payload results queued this tick for one
     receipt."""
 
-    __slots__ = ("session", "peer", "hops", "timer", "beat_timer", "beat", "last_sent",
-                 "next_seq", "results")
+    __slots__ = ("session", "peer", "hops", "timer", "beat", "last_sent", "next_seq", "results")
 
     def __init__(self, sess: Session, peer: str):
         self.session = sess
         self.peer = peer
         self.hops = sess.route.hops
         self.timer = Timer("heartbeat", self)
-        self.beat_timer = Timer("beat", self)
         self.beat = Heartbeat(sess.session_id)
         self.last_sent: int | None = None
         self.next_seq = 0
@@ -514,12 +516,12 @@ class _SessionEnd(ProtocolNode):
 
     Liveness is the gap since the last accepted in-session message. A
     session's wake timer fires HEARTBEAT_PERIOD ticks after this end's
-    last in-session send (or after the session opens); a busy session's
-    finds a newer send and is re-armed from it. If the end has been silent
-    a whole period, the beat timer runs at the end of the tick and sends
-    a Heartbeat unless the tick's deliveries made the end send, or queue,
-    another in-session message for that session; the peer takes that
-    message as liveness."""
+    last in-session send (or after the session opens), after the tick's
+    deliveries; a busy session's finds a newer send and is re-armed from
+    it. If the end has been silent a whole period, the wake sends a
+    Heartbeat. A message that the tick's deliveries made the end send, or
+    queue, for that session is newer, and the peer takes it as
+    liveness."""
 
     def __init__(self, name: str, segment: int, world: World, access_point: str):
         super().__init__(name, segment, world)
@@ -567,21 +569,12 @@ class _SessionEnd(ProtocolNode):
         _trace_handshake_failed(self.sim.trace, now, self.name, phase, reason)
 
     def on_timer(self, tag, data, now):
-        # Both heartbeat timers carry their held session's record.
+        # The heartbeat wake, which carries its held session's record.
         held = data
-        if tag == "heartbeat" and now <= self.world.horizon:
+        if now <= self.world.horizon:
             if held.last_sent is None or now - held.last_sent >= HEARTBEAT_PERIOD:
-                # Silent for a period: decide once the deliveries already
-                # queued for this tick have run, so that a reply they cause
-                # stands in for the beat.
-                self.sim.schedule(now, self.name, held.beat_timer)
-                return
-        elif tag == "beat":
-            if held.last_sent != now:
                 self.send_in_session(held, held.beat)
-        else:
-            return
-        self.sim.schedule(held.last_sent + HEARTBEAT_PERIOD, self.name, held.timer)
+            self.sim.schedule(held.last_sent + HEARTBEAT_PERIOD, self.name, held.timer)
 
     def on_heartbeat(self, session_id: bytes, now: int, sent_at: int) -> None:
         held = self.held.get(session_id)
@@ -745,8 +738,8 @@ class AppServerNode(_SessionEnd):
         # Handshakes in flight: client APPID id -> (machine, client device).
         self.pending: dict[bytes, tuple[ServerHandshake, str]] = {}
         # The held sessions with payload results queued this tick, each
-        # answered with one receipt once the tick's other events are done,
-        # heartbeat timers included.
+        # answered with one receipt by a timer of this tick, after the
+        # tick's deliveries.
         self._unanswered: list[_Held] = []
 
     def attach(self, sim: Simulator) -> None:
@@ -796,9 +789,9 @@ class AppServerNode(_SessionEnd):
     def _queue_receipt(self, held: _Held, seq: int, accepted: bool,
                        reason: str, now: int) -> None:
         """Queue a payload's result for the tick's receipt to its session.
-        A queued receipt counts as sent, so the session's heartbeat timer
-        sends nothing if it fires later in the tick; the flush itself runs
-        after the tick's heartbeat timers."""
+        A queued receipt counts as sent, so the session's heartbeat wake
+        sends nothing in this tick, whether it runs before or after the
+        flush timer."""
         if not held.results:
             if not self._unanswered:
                 self.sim.schedule(now, self.name, _FLUSH_RECEIPTS)

@@ -134,9 +134,7 @@ def build_simulation(sc: Scenario, *, seed: int | None = None) -> _Built:
 
 
 def _schedule_actions(built: _Built, sc: Scenario) -> None:
-    sim, world = built.sim, built.world
-    sequencer = sim.nodes[world.sequencer]
-    sequencer.start()
+    sim = built.sim
 
     # Bootstrap at t=0: routers register themselves and publish the
     # declared inter-segment links as ledger topology updates.

@@ -1,22 +1,27 @@
 """Deterministic discrete-event network harness.
 
-Events execute from a single sequential loop in (time, schedule order)
-order: ticks ascend, and within a tick events run in the order they were
-scheduled. The queue is one FIFO per tick plus a heap of the ticks that
-have one, so the usual event, one tick ahead, costs O(1) (a calendar
-queue; R. Brown, CACM 1988). An event scheduled for the tick that is
-running joins the end of its FIFO: it runs in that tick, after every
-event already queued for it. All randomness comes from per-node and
-per-link streams forked from the scenario seed by name, so adding a node
-never perturbs anyone else's draws and a (scenario, seed) pair always
-yields a byte-identical trace.
+Ticks run in ascending order, and the order within a tick is:
+
+- a link is FIFO per (sender, receiver), with no promise across pairs;
+- ordinary events (deliveries and control events) run in the order they
+  were scheduled;
+- node timers (Timer payloads) run after every ordinary event of their
+  tick, in the order they were scheduled. An ordinary event that a timer
+  queues for its own tick (a self-send) runs before the remaining timers.
+
+An event scheduled for the running tick runs in that tick. The queue is
+those two FIFOs per tick plus a heap of the ticks that have events, so
+the usual event, one tick ahead, costs O(1) (a calendar queue; R. Brown,
+CACM 1988). All randomness comes from per-node and per-link streams
+forked from the scenario seed by name, so adding a node never perturbs
+anyone else's draws and a (scenario, seed) pair always yields a
+byte-identical trace.
 
 Sim-time is integer ticks. Message latency is at least 1 between
 distinct nodes and 0 for self-delivery.
 
-Besides deliveries and timers, which go to a node, the queue holds
-control events: harness callbacks scheduled with call_at. They enter no
-node and run even when every node has crashed. Faults (drop-link,
+Control events are harness callbacks scheduled with call_at. They enter
+no node and run even when every node has crashed. Faults (drop-link,
 delay-link, crash-node) activate through them, and a scenario's script
 runs as them.
 """
@@ -307,11 +312,9 @@ class Simulator:
         self.links = LinkModel()
         self.nodes: dict[str, Node] = {}
         self.crashed: set[str] = set()
-        # One FIFO of (target, payload) per tick with events, and a heap of
-        # exactly those ticks. schedule appends to its tick's FIFO, so a tick
-        # runs its events in the order they were scheduled, those scheduled
-        # while it runs included: the order one (time, seq) heap would give.
-        self._buckets: dict[int, deque[tuple[str, Any]]] = {}
+        # Per tick with events, its ordinary and its timer FIFO of (target,
+        # payload), and a heap of exactly those ticks.
+        self._buckets: dict[int, tuple[deque[tuple[str, Any]], deque[tuple[str, Any]]]] = {}
         self._ticks: list[int] = []
         self._link_rngs: dict[tuple[str, str], Random] = {}
 
@@ -340,20 +343,22 @@ class Simulator:
     # -- scheduling and delivery ---------------------------------------------
 
     def schedule(self, time: int, target: str, payload: Any) -> None:
+        """Queue payload for target at time: a Timer in the tick's timer
+        FIFO, anything else in its ordinary FIFO."""
         if time < self.now:
             raise ValueError(f"cannot schedule into the past ({time} < {self.now})")
         if target not in self.nodes and target != _CONTROL:
             raise UnknownTarget(target)
         bucket = self._buckets.get(time)
         if bucket is None:
-            self._buckets[time] = deque(((target, payload),))
+            bucket = self._buckets[time] = (deque(), deque())
             heapq.heappush(self._ticks, time)
-        else:
-            bucket.append((target, payload))
+        bucket[isinstance(payload, Timer)].append((target, payload))
 
     def call_at(self, time: int, fn: Callable[[], Any]) -> None:
-        """Run fn() at time as a control event: after the events already
-        queued for that tick, in no node, whichever nodes have crashed."""
+        """Run fn() at time as a control event: after the ordinary events
+        already queued for that tick, before its timers, in no node,
+        whichever nodes have crashed."""
         self.schedule(time, _CONTROL, fn)
 
     def send(self, src: str, dst: str, message: Any, note: str | None = None) -> None:
@@ -388,7 +393,8 @@ class Simulator:
         self.schedule(now + latency, dst, new_tuple(Delivery, (src, message, now)))
 
     def run_until_idle(self) -> Trace:
-        """Drain the queue in (time, schedule order) order. Raises
+        """Drain the queue: tick by tick, each tick's ordinary events in
+        schedule order, and a timer only once none is left. Raises
         StepCapExceeded if the scenario never settles. An event whose
         handler raises is spent; the events after it stay queued."""
         buckets, ticks, nodes, crashed = self._buckets, self._ticks, self.nodes, self.crashed
@@ -397,13 +403,13 @@ class Simulator:
         while ticks:
             now = ticks[0]
             self.now = now
-            bucket = buckets[now]
-            # Events scheduled for now while it runs join this bucket.
-            while bucket:
+            # Events scheduled for now while it runs join these FIFOs.
+            events, timers = buckets[now]
+            while events or timers:
                 steps += 1
                 if steps > step_cap:
                     raise StepCapExceeded(f"exceeded {step_cap} events")
-                target, payload = bucket.popleft()
+                target, payload = (events or timers).popleft()
                 if target == _CONTROL:
                     payload()
                     continue

@@ -3,11 +3,11 @@
 A session end sends a Heartbeat only after a whole heartbeat period P
 (nodes.HEARTBEAT_PERIOD, 2 ticks) with no other in-session message for
 that session: the peer takes any accepted in-session message as liveness.
-Its timer is re-armed P ticks after the last in-session send, and a beat
-that falls due waits for the end of its tick, so that a message sent
-later in the tick (a server's receipt) stands in for it. A server
-answers one tick's payloads of a session with one receipt, at the end of
-the tick. The peer reads a session alive while its last news is at most
+Its wake timer is re-armed P ticks after the last in-session send, and
+like every timer it runs after its tick's deliveries, so that a message
+they made the end send or queue (a server's receipt) stands in for the
+heartbeat. A server answers one tick's payloads of a session with one
+receipt, from a timer of that tick. The peer reads a session alive while its last news is at most
 session.HEARTBEAT_TIMEOUT (5) ticks old, so with P = 2 it tolerates one
 lost heartbeat, and two in a row make it read not-alive.
 
@@ -135,7 +135,8 @@ def check_liveness(built, sends):
     for record in trace.find("handshake", phase="established"):
         end = (record["node"], record["session"])
         ticks = sorted({record["time"], *by_end[end]})
-        # A crash takes effect at the end of its tick.
+        # An end need not send in its crash tick: the crash, a control
+        # event, runs before that tick's timers.
         last = min(horizon, crashed_at.get(end[0], horizon + 1) - 1)
         upto = [t for t in ticks if t <= last]
         gaps = [(a, b) for a, b in zip(upto, [*upto[1:], last + 1]) if b - a > period]
@@ -299,8 +300,8 @@ def test_an_end_busy_every_tick_sends_no_heartbeat_and_wakes_once_a_period(monke
     sess = built.users["ann"].session_with("echo")
     ticks = in_session_sends(sends)[("ann", sess.session_id.hex()[:16])]
     assert all(ticks[t] and all(isinstance(m, AppPayload) for m in ticks[t]) for t in BUSY)
-    # The timer wakes, finds the end busy and sends nothing: no beat is
-    # scheduled, and the next wake is a period after the last send.
+    # The timer wakes, finds the end busy and sends nothing, and the next
+    # wake is a period after the last send.
     busy = [(t, tag) for t, tag in fired if t in BUSY]
     assert {tag for _, tag in busy} == {"heartbeat"}
     assert len(busy) <= ceil(len(BUSY) / HEARTBEAT_PERIOD)

@@ -2,6 +2,7 @@ import gc
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -605,6 +606,27 @@ class TestCli:
         assert b'"ap\\u00e9"' in outputs[0]
         assert main(["check", str(scenario)]) == 0 and main(["run", *args]) == 0
         assert capsys.readouterr().out == c_locale.stdout
+        assert (trace.read_bytes(), metrics.read_bytes()) == outputs
+
+    def test_a_run_reports_a_name_its_locale_cannot_encode(self, tmp_path, capsys):
+        # In the C locale stdout is ASCII: the report escapes the user's
+        # name, and the trace and metrics bytes are as in a UTF-8 locale.
+        scenario = tmp_path / "u.scn"
+        scenario.write_bytes(re.sub(r"\bu\b", "\u00fc", MINIMAL).encode("utf-8"))
+        trace, metrics = tmp_path / "t.jsonl", tmp_path / "m.json"
+        args = ["run", str(scenario), "--trace", str(trace), "--metrics", str(metrics)]
+        code = "import sys; from overnym.cli import main; sys.exit(main(sys.argv[1:]))"
+        env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONPATH": str(Path(overnym.__file__).parents[1])}
+        c_locale = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                                  timeout=60)
+        assert (c_locale.returncode, c_locale.stderr) == (0, b"")
+        assert c_locale.stdout.splitlines()[0] == (
+            b"ok     expect handshake \\xfc s success  [session established]")
+        outputs = trace.read_bytes(), metrics.read_bytes()
+        assert main(args) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "ok     expect handshake \u00fc s success  [session established]")
         assert (trace.read_bytes(), metrics.read_bytes()) == outputs
 
     def test_fpr_subcommand(self, capsys):

@@ -2,6 +2,7 @@ import hashlib
 import heapq
 import json
 import math
+from itertools import chain, count
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,8 +53,9 @@ def two_node_sim(seed=1):
 
 class TestEventOrder:
     def test_equal_time_lower_seq_first(self):
-        # One tick holding timers, a fault arm and a delivery runs them in
-        # the order they were scheduled, whatever their kind.
+        # One tick holding timers, a fault arm and a delivery runs its
+        # ordinary events (the fault's control event and the delivery) in the
+        # order they were scheduled, then its timers in theirs.
         sim, a, _ = two_node_sim()
         sim.links.add_delay("a", "b", 4)
         a.handle = lambda payload, now: sim.trace.emit(
@@ -65,7 +67,7 @@ class TestEventOrder:
         sim.run_until_idle()
         order = [(r["time"], r.get("what", r.get("fault"))) for r in sim.trace.records
                  if r["kind"] in ("handled", "fault")]
-        assert order == [(5, "first"), (5, "delay-link"), (5, "ping"), (5, "second")]
+        assert order == [(5, "delay-link"), (5, "ping"), (5, "first"), (5, "second")]
 
     def test_time_orders_over_insertion(self):
         sim, a, _ = two_node_sim()
@@ -155,6 +157,11 @@ event_top = event_actions(st.lists(event_mid | event_leaf, max_size=3).map(tuple
 @given(st.lists(event_top | event_mid | event_leaf, max_size=6),
        st.none() | st.integers(0, 4),
        st.integers(1, 3), st.integers(1, 3))
+# A timer that sends to its own node at latency 0 queues an ordinary event
+# into the tick that is running: that delivery (e2) runs before the tick's
+# remaining timer (e1).
+@example([("schedule", "a", "a", 0, (("send", "a", "a", 0, ()),)), ("schedule", "b", "b", 0, ())],
+         None, 1, 1)
 def test_events_run_in_reference_time_seq_order(actions, crash_at, ab_latency, bc_latency):
     sim = Simulator(7)
     nodes = {name: sim.add_node(Recorder(name)) for name in "abc"}
@@ -162,13 +169,18 @@ def test_events_run_in_reference_time_seq_order(actions, crash_at, ab_latency, b
     sim.links.add_delay("b", "c", bc_latency - 1)
     plans = {}
 
-    # The reference: every accepted schedule call, keyed by (time, call
-    # order), popped from a heap of its own once the simulator is idle.
-    reference, schedule = [], sim.schedule
+    # The reference: every accepted schedule call, keyed by (time, phase,
+    # call order), where a Timer's phase is 1 and any other event's 0. It
+    # is replayed once the simulator is idle: an event enters the heap when
+    # the event whose run scheduled it is popped (those scheduled before the
+    # run, at once), so each pop takes the least key of the events queued
+    # at that point, as the simulator's loop does.
+    queued_by, running, calls, schedule = {}, [None], count(), sim.schedule
 
     def recording(time, target, payload):
         schedule(time, target, payload)
-        heapq.heappush(reference, (time, len(reference), target, payload))
+        queued_by.setdefault(running[0], []).append(
+            (time, isinstance(payload, Timer), next(calls), target, payload))
 
     sim.schedule = recording
 
@@ -182,6 +194,7 @@ def test_events_run_in_reference_time_seq_order(actions, crash_at, ab_latency, b
             sim.send(src, dst, label)
         else:
             def control():
+                running[0] = label
                 sim.trace.emit("control", sim.now, label=label)
                 for child in children:
                     perform(child, sim.now)
@@ -190,7 +203,7 @@ def test_events_run_in_reference_time_seq_order(actions, crash_at, ab_latency, b
 
     def handle(name):
         def run(payload, now):
-            label = payload.tag if isinstance(payload, Timer) else payload.message
+            label = running[0] = payload.tag if isinstance(payload, Timer) else payload.message
             sim.trace.emit("handled", now, node=name, label=label)
             for child in plans[label]:
                 perform(child, now)
@@ -204,9 +217,18 @@ def test_events_run_in_reference_time_seq_order(actions, crash_at, ab_latency, b
         perform(action, 0)
     sim.run_until_idle()
 
-    expected, crashed = [], False
-    while reference:
-        time, _, target, payload = heapq.heappop(reference)
+    def label_of(payload):
+        if isinstance(payload, Timer):
+            return payload.tag
+        # A fault's control event has no label and queues nothing.
+        return payload.message if isinstance(payload, Delivery) else getattr(payload, "label", "")
+
+    heap, expected, crashed = list(queued_by.get(None, ())), [], False
+    heapq.heapify(heap)
+    while heap:
+        time, _, _, target, payload = heapq.heappop(heap)
+        for key in queued_by.get(label_of(payload), ()):
+            heapq.heappush(heap, key)
         if target not in nodes:
             label = getattr(payload, "label", None)
             if label is None:  # the crash fault's control event
@@ -343,9 +365,9 @@ def test_every_queued_event_enters_through_schedule():
         (lambda: sim.send("b", "a", "dropped"), 0),
     ]
     for step, events in steps:
-        before = (sim.scheduled, sum(len(bucket) for bucket in sim._buckets.values()))
+        before = (sim.scheduled, sum(map(len, chain(*sim._buckets.values()))))
         step()
-        after = (sim.scheduled, sum(len(bucket) for bucket in sim._buckets.values()))
+        after = (sim.scheduled, sum(map(len, chain(*sim._buckets.values()))))
         assert (after[0] - before[0], after[1] - before[1]) == (events, events)
     sim.run_until_idle()
     assert ran == [2]
