@@ -9,7 +9,9 @@ Layers, bottom up:
   ledger    hash-chained registration / topology / token log
   neat      bloom-fronted per-segment address translation tables
   overlay   segment graph from ledger topology, deterministic routing
-  session   mutual-auth handshake, NFT access control, in-session rotation
+  session   mutual-auth handshake, NFT access control over the chain
+            addresses a session has proven, in-session rotation and
+            holding proofs
   simnet    discrete-event harness (with nodes for each network role)
   scenario / runner / cli   scripted end-to-end runs
 """

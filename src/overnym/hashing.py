@@ -40,6 +40,7 @@ TAG_REKEY = b"rekey:"
 TAG_KEYCHECK = b"keycheck:"
 TAG_ROT_NONCE = b"rot-nonce:"
 TAG_ROT_AUTH = b"rot-auth:"
+TAG_HOLD_NONCE = b"hold-nonce:"
 TAG_MSG_AUTH = b"msg-auth:"
 TAG_RNG = b"rng:"
 

@@ -24,7 +24,7 @@ from typing import Any, NamedTuple
 from . import ahead, identity, neat, overlay, session
 from .hashing import TAG_NFT, owf
 from .identity import APPID, BCADD, IdentitySecret, LinkageProof, ServiceProps
-from .ledger import InvalidTx, Ledger, NftOwnership, RegistrationTx
+from .ledger import InvalidTx, Ledger, RegistrationTx
 from .neat import LookupStats, NeatTable, NetworkLocator
 from .overlay import OverlayGraph, RoutePath
 from .session import (
@@ -60,9 +60,9 @@ _trace_neat_bind_refused = record("neat-bind-refused", "segment", "reason")
 _trace_neat_unbind = record("neat-unbind", "segment", "key")
 _trace_admitted = record("admit", "router", "client", decision=True)
 _trace_admit_refused = record("admit", "router", "client", "reason", decision=False)
-_trace_lookup = record("lookup", "key", "probes", "found")
-_trace_route = record("route", "hops", "cost")
-_trace_route_failed = record("route-failed", "reason")
+_trace_lookup = record("lookup", "router", "client", "key", "probes", "found")
+_trace_route = record("route", "router", "client", "hops", "cost")
+_trace_route_failed = record("route-failed", "router", "client", "reason")
 _trace_connect_refused = record("connect-refused", "client", "reason")
 _trace_hello = record("handshake", "node", phase="hello")
 _trace_challenge = record("handshake", "node", phase="challenge")
@@ -75,6 +75,8 @@ _trace_payload_accepted = record("payload", "node", "seq", accepted=True)
 _trace_payload_refused = record("payload", "node", "seq", "reason", accepted=False)
 _trace_rotation = record("rotation", "node", "session", "epoch", "key_check")
 _trace_rotation_rejected = record("rotation-rejected", "node", "reason")
+_trace_holding = record("holding", "node", "session", "epoch")
+_trace_holding_refused = record("holding-refused", "node", "session", "reason")
 
 
 def token_id_for(name: str) -> bytes:
@@ -251,6 +253,12 @@ class RotationEnvelope:
     notice: session.RotationNotice
 
 
+@dataclass(frozen=True)
+class HoldingEnvelope:
+    session_id: bytes
+    proof: session.HoldingProof
+
+
 # ---------------------------------------------------------------------------
 # Node base
 # ---------------------------------------------------------------------------
@@ -262,7 +270,9 @@ class ProtocolNode(Node):
         super().__init__(name, segment)
         self.world = world
         self._tx_counter = 0
-        self.tokens: set[bytes] = set()  # tokens this node's current address owns
+        # token -> the chain address of this node's that holds it: the one
+        # it was minted or transferred to, which a rotation leaves as it is
+        self.tokens: dict[bytes, BCADD] = {}
 
     def attach(self, sim: Simulator) -> None:
         super().attach(sim)
@@ -460,19 +470,19 @@ class AccessPointNode(ProtocolNode):
         found, probes = neat.lookup_global(
             self.world.tables, request.server_key, self.world.metrics.lookup_stats
         )
-        _trace_lookup(self.sim.trace, now, request.server_key.hex()[:16], probes,
-                      found is not None)
+        _trace_lookup(self.sim.trace, now, self.name, client, request.server_key.hex()[:16],
+                      probes, found is not None)
         if found is None:
             self.sim.send(self.name, client, ConnectRefused(request.server_key, "not-found"))
             return
         try:
             route = overlay.route_to_segment(self.world.graph, self.name, found.segment)
         except (overlay.Unresolvable, overlay.Disconnected) as exc:
-            _trace_route_failed(self.sim.trace, now, str(exc))
+            _trace_route_failed(self.sim.trace, now, self.name, client, str(exc))
             self.sim.send(self.name, client, ConnectRefused(request.server_key, "no-route"))
             return
         self.world.metrics.record_path(route.total_cost)
-        _trace_route(self.sim.trace, now, list(route.hops), route.total_cost)
+        _trace_route(self.sim.trace, now, self.name, client, list(route.hops), route.total_cost)
         self.sim.send(self.name, client, ConnectGrant(
             server_key=request.server_key, route=route.hops,
             cost=route.total_cost, server_device=found.device_id,
@@ -510,9 +520,15 @@ class _SessionEnd(ProtocolNode):
     session holds the route its messages take.
 
     Every session an end holds has a key: adopt_session takes only
-    sessions a handshake established. A session ends only by its end
-    dropping its _Held record; nothing in the simulator does so yet, so
-    an end tests only whether it holds the session.
+    sessions a handshake established. A session keeps the client chain
+    addresses proven in it (Session.proven), which the server's access
+    decisions read: the handshake's, each rotation's, and each address a
+    user proves with a holding proof right after the handshake, because a
+    token of its still sits there (UserNode._prove_holdings).
+
+    A session ends only by its end dropping its _Held record; nothing in
+    the simulator does so yet, so an end tests only whether it holds the
+    session.
 
     Liveness is the gap since the last accepted in-session message. A
     session's wake timer fires HEARTBEAT_PERIOD ticks after this end's
@@ -556,7 +572,7 @@ class _SessionEnd(ProtocolNode):
         self.sim.send(self.name, held.hops[0], new_tuple(
             Envelope, (held.hops, 0, self.name, held.peer, message, now, 0)))
 
-    def adopt_session(self, sess: Session, peer: str, now: int) -> None:
+    def adopt_session(self, sess: Session, peer: str, now: int) -> _Held:
         """Open an established session with peer and start its heartbeats."""
         held = self.held[sess.session_id] = _Held(sess, peer)
         self._first_with.setdefault(peer, held)
@@ -564,6 +580,7 @@ class _SessionEnd(ProtocolNode):
         self.sim.schedule(now + HEARTBEAT_PERIOD, self.name, held.timer)
         _trace_established(self.sim.trace, now, self.name, sess.session_id.hex()[:16],
                            sess.key_check().hex())
+        return held
 
     def _handshake_failed(self, phase: str, reason: str, now: int) -> None:
         _trace_handshake_failed(self.sim.trace, now, self.name, phase, reason)
@@ -634,18 +651,17 @@ class UserNode(_SessionEnd):
             self.send_in_session(held, AppPayload(sess.session_id, seq, body, tag))
 
     def do_rotate(self, now: int) -> None:
-        """Advance the epoch: register and bind the new chain address,
-        carry owned tokens over to it, announce the new APPID inside
-        each live session."""
+        """Advance the epoch: register and bind the new chain address and
+        announce the new APPID inside each live session. Tokens stay at
+        the addresses that hold them, so the chain shows no link between
+        the epochs: a live session has proven the old address already,
+        and a later one gets a holding proof for it (_prove_holdings)."""
         services = [ServiceProps(s) for s in sorted(self.appids)]
         old_bcadd = self.bcadd
         new_bcadd, new_appids = identity.rotate(self.secret, old_bcadd, services)
         self.bcadd = new_bcadd
         by_service = {a.service.service_id: a for a in new_appids}
         self._register("user")
-        for token in sorted(self.tokens):
-            # ledger-kept assets follow the holder across epochs
-            self.submit_tx(NftOwnership(token_id=token, owner=new_bcadd.address))
         if self.attributes:
             self.sim.send(self.name, self.world.regulator,
                           RegisterAttributes(new_bcadd.address, dict(self.attributes)))
@@ -721,11 +737,29 @@ class UserNode(_SessionEnd):
                 del self.pending[server_key]
                 self.send_routed(sess.route.hops, device, HandshakeEnvelope(confirm))
                 self.world.metrics.handshakes_succeeded += 1
-                self.adopt_session(sess, device, now)
+                self._prove_holdings(self.adopt_session(sess, device, now))
         except session.AuthFailed as exc:
             # The handshake stays open: a refused message proves nothing
             # about the server, since anyone can send one under its APPID.
             self._handshake_failed(exc.phase, exc.reason, now)
+
+    def _prove_holdings(self, held: _Held) -> None:
+        """In a session just opened, send a holding proof for each address
+        of this node that the session has not proven and that holds a
+        token the server's access-control list names."""
+        sess = held.session
+        unproven = [(token, bcadd) for token, bcadd in self.tokens.items()
+                    if bcadd.address not in sess.proven]
+        if not unproven:
+            return
+        registration = self.world.ledger.query_registration(sess.server_appid.id)
+        if registration is None:
+            return
+        named = {item for item in registration.access_control if isinstance(item, bytes)}
+        holdings = {bcadd.address: bcadd for token, bcadd in unproven if token in named}
+        for address in sorted(holdings):
+            proof = session.make_holding_proof(sess, self.secret, holdings[address])
+            self.send_in_session(held, HoldingEnvelope(sess.session_id, proof))
 
 
 class AppServerNode(_SessionEnd):
@@ -776,6 +810,8 @@ class AppServerNode(_SessionEnd):
             self.on_heartbeat(message.session_id, now, sent_at)
         elif isinstance(message, RotationEnvelope):
             self._handle_rotation(message, now)
+        elif isinstance(message, HoldingEnvelope):
+            self._handle_holding(message, now)
 
     def on_timer(self, tag, data, now):
         if tag == "flush-receipts":
@@ -874,3 +910,17 @@ class AppServerNode(_SessionEnd):
         self.world.metrics.rotations_completed += 1
         _trace_rotation(self.sim.trace, now, self.name, envelope.session_id.hex()[:16],
                         sess.client_appid.epoch, sess.key_check().hex())
+
+    def _handle_holding(self, envelope: HoldingEnvelope, now: int) -> None:
+        held = self.held.get(envelope.session_id)
+        if held is None:
+            return
+        sess = held.session
+        session_hex = envelope.session_id.hex()[:16]
+        try:
+            holding = session.take_holding_proof(sess, envelope.proof, self.world.ledger)
+        except session.HoldingRefused as exc:
+            _trace_holding_refused(self.sim.trace, now, self.name, session_hex, str(exc))
+            return
+        session.heartbeat(sess, now)
+        _trace_holding(self.sim.trace, now, self.name, session_hex, holding.epoch)

@@ -196,9 +196,9 @@ class _ActionDriver:
             owner_node = sim.nodes[owner]
             previous = self.token_owner.get(token)
             if previous is not None and previous in sim.nodes:
-                sim.nodes[previous].tokens.discard(token_id_for(token))
+                sim.nodes[previous].tokens.pop(token_id_for(token), None)
             self.token_owner[token] = owner
-            owner_node.tokens.add(token_id_for(token))
+            owner_node.tokens[token_id_for(token)] = owner_node.bcadd
             owner_node.submit_tx(NftOwnership(
                 token_id=token_id_for(token), owner=owner_node.bcadd.address,
             ))

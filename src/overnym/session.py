@@ -11,7 +11,9 @@ The session key is derived from an ephemeral X25519 exchange and the
 running transcript hash; no message field carries key material. APPID
 rotation rides inside the established session: the notice is
 authenticated with the old key, the key is re-derived, and the old
-key stops verifying anything.
+key stops verifying anything. A token stays at the chain address it was
+minted or transferred to, so a client proves an earlier address of its
+own in-session (a holding proof) when access control needs it.
 
 A session holds a key from the handshake on; rotation replaces it.
 """
@@ -28,6 +30,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 )
 
 from .hashing import (
+    TAG_HOLD_NONCE,
     TAG_HS_NONCE,
     TAG_KEYCHECK,
     TAG_MSG_AUTH,
@@ -45,6 +48,7 @@ from .identity import (
     NONCE_SIZE,
     IdentitySecret,
     LinkageProof,
+    appid_digest,
     make_linkage_proof,
     verify_linkage,
 )
@@ -122,7 +126,13 @@ class ServiceStatus:
 @dataclass
 class Session:
     """One endpoint's view of an established tunnel: the path its
-    messages take to the peer, and the client's proven chain address.
+    messages take to the peer, and the client's chain addresses.
+
+    client_bcadd is the address the client speaks from: the handshake's,
+    then each rotation's. proven holds every client address proven in
+    this session: the handshake's, each accepted rotation's and each
+    accepted holding proof's. Access control reads proven, and nothing
+    removes an address from it.
 
     Both endpoints hold equal keys after a successful handshake, and
     each rotation replaces both with the same re-derived key.
@@ -140,10 +150,17 @@ class Session:
     # highest accepted seq; a seq at or below it is a replay.
     payloads_accepted: int = 0
     highest_seq: int = -1
+    proven: set[bytes] = field(default_factory=set)
+    # Holding proofs made (client) or taken (server); the next one binds
+    # holding_nonce(session_id, holding_count + 1).
+    holding_count: int = 0
     # (rotation index, its rotation_nonce) once next_rotation_nonce has
     # computed it.
     _next_nonce: tuple[int, bytes] | None = field(
         default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.proven.add(self.client_bcadd.address)
 
     def key_check(self) -> bytes:
         """Safe-to-compare digest of the key; never put the key itself
@@ -460,15 +477,17 @@ def handshake(
 
 def authorize(session: Session, ledger: Ledger) -> AccessDecision:
     """Evaluate the server's access-control list against current ledger
-    state. Always re-reads the ledger: a token transfer between calls
-    changes the answer."""
+    state: nft-owned when the owner of one of its tokens is an address
+    proven in the session. Always re-reads the ledger: a token transfer
+    between calls changes the answer."""
     registration = ledger.query_registration(session.server_appid.id)
     if registration is None:
         return AccessDecision(False, "unregistered")
     if registration.open_access:
         return AccessDecision(True, "open-access")
+    proven = session.proven
     for item in registration.access_control:
-        if isinstance(item, bytes) and ledger.query_owner(item) == session.client_bcadd.address:
+        if isinstance(item, bytes) and ledger.query_owner(item) in proven:
             return AccessDecision(True, "nft-owned")
     return AccessDecision(False, "no-token")
 
@@ -574,9 +593,91 @@ def switch_session(session: Session, notice: RotationNotice, new_bcadd: BCADD) -
     through rotate_session."""
     session.client_appid = notice.new_appid
     session.client_bcadd = new_bcadd
+    session.proven.add(new_bcadd.address)
     session.key = owf(TAG_REKEY, session.key, owf(TAG_TRANSCRIPT, session.session_id, notice.body_bytes()))
     session.rotation_count += 1
     return session
+
+
+# ---------------------------------------------------------------------------
+# In-session proof of a token's holding address
+# ---------------------------------------------------------------------------
+
+class HoldingRefused(Exception):
+    """Holding proof refused; its text is the traced reason."""
+
+
+@dataclass(frozen=True)
+class HoldingProof:
+    """Client's proof, in-session, that it controls an earlier chain
+    address of its own, where a token the server's access-control list
+    names still sits.
+
+    proof is a linkage proof for an APPID under that address, bound to
+    the session's next holding nonce; auth_tag binds the body to the
+    session's current key, as a rotation notice's does.
+    """
+
+    appid: APPID
+    proof: LinkageProof
+    auth_tag: bytes
+
+    def body_bytes(self) -> bytes:
+        return pack_bytes(self.appid.to_bytes()) + pack_bytes(self.proof.to_bytes())
+
+
+def holding_nonce(session_id: bytes, index: int) -> bytes:
+    return owf(TAG_HOLD_NONCE, session_id, pack_u32(index))[:NONCE_SIZE]
+
+
+def make_holding_proof(session: Session, secret: IdentitySecret, holding: BCADD) -> HoldingProof:
+    """Client side: prove holding, a chain address of this secret, for
+    the session's service, bound to the session's next holding nonce,
+    and tag with the current key."""
+    session.holding_count += 1
+    nonce = holding_nonce(session.session_id, session.holding_count)
+    # Built from public values: an earlier epoch is not one the secret
+    # caches, so each derive_appid would load its key again. The proof
+    # checks that holding derives from the secret.
+    service = session.client_appid.service
+    appid = APPID(appid_digest(holding.address, service, holding.epoch), service, holding.epoch)
+    proof = make_linkage_proof(secret, holding, appid, nonce)
+    body = HoldingProof(appid, proof, b"").body_bytes()
+    return HoldingProof(appid, proof, rotation_tag(session.key, body))
+
+
+def take_holding_proof(session: Session, message: HoldingProof, ledger: Ledger) -> BCADD:
+    """Server side: add the chain address a holding proof proves to the
+    session's proven addresses, and return it. Raises HoldingRefused.
+
+    Checks, in order: the body encodes (malformed); the tag is the
+    body's under the session's current key (bad-tag); the proof binds
+    the session's next holding nonce (replay: a copy, or a proof made for
+    another session); the proof verifies (bad-proof, or malformed); the
+    ledger registers the address under the proof's key (unregistered, or
+    bad-proof for another key). A message that passes the nonce check
+    uses up its index whatever follows: only the session's client can
+    tag it, and the client has used the index up too."""
+    try:
+        body = message.body_bytes()
+    except WireError:  # a field with no canonical encoding
+        raise HoldingRefused("malformed") from None
+    if not hmac.compare_digest(message.auth_tag, rotation_tag(session.key, body)):
+        raise HoldingRefused("bad-tag")
+    index = session.holding_count + 1
+    nonce = holding_nonce(session.session_id, index)
+    if message.proof.session_nonce != nonce:
+        raise HoldingRefused("replay")
+    session.holding_count = index
+    try:
+        claimed = _proven_bcadd(message.appid, message.proof, nonce)
+    except _Unproven as exc:
+        raise HoldingRefused("malformed" if exc.malformed else "bad-proof") from None
+    anchored = _anchor(claimed, ledger)
+    if anchored != ADMIT_OK:
+        raise HoldingRefused(anchored)
+    session.proven.add(claimed.address)
+    return claimed
 
 
 # ---------------------------------------------------------------------------

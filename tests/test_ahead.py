@@ -326,8 +326,9 @@ def test_a_finished_run_leaves_no_entry(text, helper, frames):
     assert helper._proc is not None  # a proof was submitted
     assert helper._answers == {}
     assert len(helper._sent) <= ahead.WINDOW
-    # end_to_end rotates once: its one key and sign answers are never claimed.
-    rotates = text == (ROOT / "scenarios" / "end_to_end.scn").read_text()
+    # A fixture rotates at most once, inside one live session (end_to_end
+    # and rotate_then_connect): its one key and sign answers are never claimed.
+    rotates = sum(action.kind == "rotate" for action in parse_scenario(text).actions)
     assert frames.sent[KEY] == frames.sent[SIGN] == rotates
     assert frames.found[KEY] == frames.found[SIGN] == 0
 

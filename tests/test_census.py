@@ -125,8 +125,9 @@ UNREACHED = {
 
 # Record kind -> why no fixture's trace holds it. Each is emitted only for
 # a message that no well-formed script sends (a transaction, subject,
-# locator, route or rotation notice the sender cannot encode or name, or
-# a rotation notice delivered again); tests/test_nodes.py injects such
+# locator, route or rotation notice the sender cannot encode or name, a
+# rotation notice delivered again, or a holding proof that is forged,
+# copied or made for another session); tests/test_nodes.py injects such
 # messages for each.
 UNEMITTED = {
     "tx-refused": "refusal path",
@@ -134,6 +135,7 @@ UNEMITTED = {
     "neat-bind-refused": "refusal path",
     "envelope-dropped": "refusal path",
     "rotation-rejected": "refusal path",
+    "holding-refused": "refusal path",
 }
 
 
@@ -199,8 +201,8 @@ COST_PINS = {
                   "FilterSnapshot": 6, "SubmitTx": 32},
     },
     "rotation_churn": {
-        "events queued": 8007,
-        "owf": 6801,
+        "events queued": 7807,
+        "owf": 6201,
         "Ed25519 private key loads": 228,
         "Ed25519 public key loads": 260,
         "Ed25519 signs": 260,
@@ -208,9 +210,9 @@ COST_PINS = {
         "X25519 private key loads": 40,
         "X25519 public key loads": 40,
         "X25519 exchanges": 40,
-        "trace lines": 8106,
+        "trace lines": 7706,
         "sends": {"BindRequest": 228, "ConnectGrant": 20, "ConnectRequest": 20, "Envelope": 4494,
-                  "FilterSnapshot": 228, "SubmitTx": 452, "UnbindRequest": 200},
+                  "FilterSnapshot": 228, "SubmitTx": 252, "UnbindRequest": 200},
     },
 }
 

@@ -18,17 +18,19 @@ ROOT = Path(__file__).parent.parent
 
 # fixture -> (trace sha256, metrics.json sha256)
 PINS = {
-    "crash_server": ("e1a21f2fce39c0290dab945ab0f0e5ad29dec5188977c309007e2c4443795e1c",
+    "crash_server": ("aa5b0cb7fb8320d710c7be64faad04d42588a5d652fc8af5d6c77dd3239a1fcc",
                      "95af0d311f04446ffb084d7287c851f68dd98f5ee51ef584cfbbf3e54696f76a"),
-    "end_to_end": ("fb7708cdd811f91f7ff17e6e73b4bef368a76a856f47249b393c0d67cc107d4e",
+    "end_to_end": ("408893b476d31f99987274107beadeceaa936af3150f84aa173c29a13e087c08",
                    "6a90f9df5012c211aef74e069166ad50070505244ee76dc9ec391c35c70c92d0"),
-    "link_faults": ("5ae7a3a82d1071516de94ecabc3efd61e3dc48ff8a00cbdf6eb1b8bd28055da7",
+    "link_faults": ("1fba474623cfba32293705f0a819a6f5640f7b60080f5f277915ba3fe43d20b2",
                     "ae9c25754647142b7de8d123ce50d5fa5d85f5bb680110fb7b75ae6363a4fa04"),
-    "sequencer_crash": ("15b6c98769ab6e02ade12bdac40dac8be33a34a2358bacdf39336fc07e882957",
+    "sequencer_crash": ("9f1aaa1272e6387d63007a242e60081ea94ecbadd5b95d15e6d67b465d03bda3",
                         "7111d79f58443bbc4042502c2f5852ebd44250ab3bd206c069e783ce9de1729c"),
-    "refusals": ("a761965160acb3be7640da6140ad5e4f4f8c13e0cc9e768fa57090a52b3087c4",
+    "rotate_then_connect": ("042a7f583d4899fc336382939c779394a91545a2c185241e2ecf6bdf2cf91c04",
+                            "665efc535ab12284359b86df344ca855e97a0aad17c233ac61220a375cdc5357"),
+    "refusals": ("67e52778275936f43fe3740ca20750edd5d42c15c9fac898c06f56a66719b89e",
                  "593fcb7703472ecaaedd45f78da2aaf4ac261a7aef643ad5ea98294b93b95467"),
-    "strict_reject": ("ea46b7f95479af9ceeef634303b1f256f3a9ce45d04e48924aa58a7be4c1a0d0",
+    "strict_reject": ("4d9927523a79ebe4ac106d3db8ded33a449891233c277c7a0ce5aa9cafe178a1",
                       "1890c93feddaa00f7bcbacc8e0f4fceb6b8f41f9d0648e659d4d5f64e79d8daa"),
 }
 FIXTURES = sorted((ROOT / "scenarios").glob("*.scn"))

@@ -8,7 +8,7 @@ import pytest
 
 from overnym import identity, session
 from overnym.hashing import owf
-from overnym.identity import ServiceProps, derive_appid, make_linkage_proof
+from overnym.identity import LinkageProof, ServiceProps, derive_appid, make_linkage_proof
 from overnym.ledger import NftOwnership, RegistrationTx, TopologyUpdate
 from overnym.neat import NetworkLocator
 from overnym.nodes import (
@@ -21,6 +21,7 @@ from overnym.nodes import (
     Envelope,
     HandshakeEnvelope,
     Heartbeat,
+    HoldingEnvelope,
     Metrics,
     PayloadReceipt,
     RegisterAttributes,
@@ -30,7 +31,7 @@ from overnym.nodes import (
 )
 from overnym.runner import _schedule_actions, build_simulation
 from overnym.scenario import parse_scenario
-from overnym.session import HandshakeMessage
+from overnym.session import HandshakeMessage, HoldingProof, holding_nonce, rotation_tag
 from overnym.simnet import Delivery
 
 from conftest import forge_key_linkage, settle
@@ -388,6 +389,163 @@ class TestRotatingSender:
             "node": "s", "reason": "notice was not delivered inside this session"}
         assert built.world.metrics.rotations_completed == rotations
         assert user.session_with("s").key_check() == server.session_with("u").key_check()
+
+
+HOLDING = """
+seed 3
+segment 1
+node ap router 1
+node seq sequencer 1
+node u user 1
+node m user 1
+node s app-server 1 service=echo
+node t app-server 1 service=echo
+at 1 register u
+at 1 register m
+at 1 register s tokens pass
+at 1 register t tokens pass
+at 2 mint-nft pass u
+at 3 bind u
+at 3 bind s
+at 3 bind t
+at 5 rotate u
+"""
+
+
+def _tagged(sess, appid, proof):
+    """A holding proof of (appid, proof), tagged under sess's key."""
+    body = HoldingProof(appid, proof, b"").body_bytes()
+    return HoldingProof(appid, proof, rotation_tag(sess.key, body))
+
+
+def _another_key(built, sess, honest, other):
+    # The holder's address and APPID, signed by m's key.
+    m, nonce = built.users["m"], honest.proof.session_nonce
+    signed = make_linkage_proof(m.secret, m.bcadd,
+                                derive_appid(m.secret, m.bcadd, honest.appid.service), nonce)
+    return _tagged(sess, honest.appid, LinkageProof(honest.proof.commitment, signed.signature, nonce))
+
+
+def _unanchored(built, sess, honest, other):
+    # The holder's address under another key: the proof verifies, but the
+    # ledger registers the address under the holder's key.
+    _, appid, proof = forge_key_linkage(honest.proof.claimed_bcadd(), honest.appid.service,
+                                        honest.proof.session_nonce)
+    return _tagged(sess, appid, proof)
+
+
+def _unregistered(built, sess, honest, other):
+    # An address of u's that the ledger never registered.
+    u = built.users["u"]
+    bcadd = identity.derive_bcadd(u.secret, 7)
+    appid = derive_appid(u.secret, bcadd, honest.appid.service)
+    return _tagged(sess, appid, make_linkage_proof(u.secret, bcadd, appid,
+                                                   honest.proof.session_nonce))
+
+
+# case -> (the reason traced, whether it passed the nonce check and so
+# used up the session's first holding index, forge(built, s's session, u's
+# proof to s, u's proof to t))
+HOLDING_FORGERIES = {
+    "another key": ("bad-proof", True, _another_key),
+    "another key on the holder's address": ("bad-proof", True, _unanchored),
+    "unregistered address": ("unregistered", True, _unregistered),
+    "bad tag": ("bad-tag", False,
+                lambda built, sess, honest, other: replace(honest, auth_tag=bytes(32))),
+    "another session's, verbatim": ("bad-tag", False, lambda built, sess, honest, other: other),
+    "another session's, tagged in this one": (
+        "replay", False, lambda built, sess, honest, other: _tagged(sess, other.appid, other.proof)),
+    "malformed commitment": ("malformed", True, lambda built, sess, honest, other: _tagged(
+        sess, honest.appid, LinkageProof(b"junk", b"", honest.proof.session_nonce))),
+    "APPID epoch past u64": ("malformed", False, lambda built, sess, honest, other: replace(
+        honest, appid=replace(honest.appid, epoch=1 << 64))),
+}
+
+
+class TestHoldingProof:
+    """u's token stays at its epoch-0 address when u rotates, so each
+    session u opens afterwards with a server whose ACL names the token
+    gets one holding proof for that address. A refused proof is traced
+    with its reason and changes neither the session's proven addresses
+    nor the access decision."""
+
+    def opened(self, *servers):
+        """Sessions from u to each server, their holding proofs held back
+        from the network; returns (built, {server: its HoldingEnvelope})."""
+        built = settled(text=HOLDING)
+        user, kept, send = built.users["u"], {}, built.sim.send
+
+        def held_back(src, dst, message, note=None):
+            if isinstance(message, Envelope) and isinstance(message.inner, HoldingEnvelope):
+                kept[message.dst] = message.inner
+                return
+            send(src, dst, message, note)
+
+        built.sim.send = held_back
+        for name in servers:
+            user.do_connect(built.servers[name].appid.id, "echo", built.sim.now)
+        built.sim.run_until_idle()
+        built.sim.send = send
+        assert sorted(kept) == sorted(servers)
+        return built, kept
+
+    def state(self, built):
+        sess = built.servers["s"].session_with("u")
+        return sess.proven.copy(), session.authorize(sess, built.world.ledger)
+
+    def records(self, built):
+        return [(r["kind"], r.get("reason", r.get("epoch")))
+                for r in built.sim.trace.records if r["kind"] in ("holding", "holding-refused")]
+
+    def test_the_honest_proof_lets_the_new_session_in(self):
+        built, kept = self.opened("s")
+        user, sess = built.users["u"], built.servers["s"].session_with("u")
+        assert user.bcadd.epoch == 1 and sess.proven == {user.bcadd.address}
+        assert session.authorize(sess, built.world.ledger).reason == "no-token"
+        deliver_at_server(built, kept["s"])
+        (token_bcadd,) = user.tokens.values()
+        assert token_bcadd.epoch == 0
+        assert sess.proven == {user.bcadd.address, token_bcadd.address}
+        assert self.records(built) == [("holding", 0)]
+        decision = session.authorize(sess, built.world.ledger)
+        assert (decision.allowed, decision.reason) == (True, "nft-owned")
+
+    def test_an_open_access_server_gets_no_holding_proof(self):
+        built = settled(text=HOLDING.replace("register t tokens pass", "register t open-access"))
+        built.users["u"].do_connect(built.servers["t"].appid.id, "echo", built.sim.now)
+        built.sim.run_until_idle()
+        assert built.sim.trace.find("handshake", phase="established", node="t")
+        assert self.records(built) == []
+
+    @pytest.mark.parametrize("case", sorted(HOLDING_FORGERIES))
+    def test_a_refused_proof_changes_nothing(self, case):
+        reason, uses_index, forge = HOLDING_FORGERIES[case]
+        built, kept = self.opened("s", "t")
+        sess = built.servers["s"].session_with("u")
+        honest, other = kept["s"].proof, kept["t"].proof
+        assert honest.proof.session_nonce == holding_nonce(sess.session_id, 1)
+        before = self.state(built)
+        deliver_at_server(built, HoldingEnvelope(sess.session_id, forge(built, sess, honest, other)))
+        (refused,) = built.sim.trace.find("holding-refused")
+        assert refused == {"kind": "holding-refused", "time": refused["time"], "node": "s",
+                           "session": sess.session_id.hex()[:16], "reason": reason}
+        assert self.state(built) == before and not before[1].allowed
+        # A proof tagged under the session's key for its next nonce uses
+        # the index up: only the client can send one. Any other leaves it
+        # to the honest proof.
+        assert sess.holding_count == uses_index
+        if not uses_index:
+            deliver_at_server(built, kept["s"])
+            assert session.authorize(sess, built.world.ledger).reason == "nft-owned"
+
+    def test_a_second_copy_is_a_replay(self):
+        built, kept = self.opened("s")
+        deliver_at_server(built, kept["s"])
+        before = self.state(built)
+        assert before[1].allowed
+        deliver_at_server(built, kept["s"])
+        assert self.records(built) == [("holding", 0), ("holding-refused", "replay")]
+        assert self.state(built) == before
 
 
 class TestRefusedHandshakeMessage:

@@ -3,6 +3,9 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from overnym import identity, session
 from overnym.hashing import TAG_APPID, TAG_TRANSCRIPT, owf
@@ -23,6 +26,8 @@ from overnym.session import (
     AuthFailed,
     ClientHandshake,
     ContinuityRejected,
+    HoldingProof,
+    HoldingRefused,
     PeerCredentials,
     RotationNotice,
     ServerHandshake,
@@ -31,6 +36,8 @@ from overnym.session import (
     check_alive,
     handshake,
     heartbeat,
+    holding_nonce,
+    make_holding_proof,
     make_rotation_notice,
     message_tag,
     record_delivery,
@@ -38,6 +45,8 @@ from overnym.session import (
     rotation_nonce,
     rotation_tag,
     router_admit,
+    switch_session,
+    take_holding_proof,
     verify_message,
 )
 
@@ -508,3 +517,104 @@ def test_every_rotation_refusal(case, ledger, client, server):
     with pytest.raises(ContinuityRejected) as err:
         rotate_session(sess, make_notice(sess, client, new_bcadd, new_appid))
     assert str(err.value) == text
+
+
+GATED = peer(40)
+TOKENS = [bytes([i]) * 32 for i in range(3)]  # a server's ACL names the first two
+
+
+class HoldingModel(RuleBasedStateMachine):
+    """Sessions between two users and a token-gated server, under random
+    mints and transfers, rotations inside the open sessions, new sessions
+    and holding proofs, honest or forged. The model keeps each session's
+    proven addresses and each token's holder itself; the server's session
+    must prove the same addresses and allow access exactly when one of
+    them holds a token its ACL names."""
+
+    def __init__(self):
+        super().__init__()
+        self.ledger = Ledger()
+        register_server(self.ledger, GATED, access_control=tuple(TOKENS[:2]))
+        self.users = [peer(41), peer(42)]
+        for creds in self.users:
+            register_identity(self.ledger, creds.bcadd)
+        self.holder: dict[bytes, bytes] = {}
+        self.sessions = []  # [user index, client session, server session, proven]
+        self.clock = 0
+
+    def _write(self, payload):
+        self.clock += 1
+        self.ledger.submit(payload, submitter="t", at_time=self.clock,
+                           nonce=self.clock.to_bytes(16, "big"))
+        self.ledger.commit_round()
+
+    @rule(token=st.sampled_from(TOKENS), user=st.integers(0, 1))
+    def give(self, token, user):
+        # A mint, or a transfer, to the user's current address.
+        address = self.users[user].bcadd.address
+        self._write(NftOwnership(token, address))
+        self.holder[token] = address
+
+    @rule(user=st.integers(0, 1))
+    def connect(self, user):
+        result = handshake(self.users[user], GATED, ROUTE, self.ledger, random.Random(self.clock))
+        self.clock += 1
+        self.sessions.append([user, result.client, result.server,
+                              {self.users[user].bcadd.address}])
+
+    @rule(user=st.integers(0, 1))
+    def rotate(self, user):
+        creds = self.users[user]
+        new_bcadd, (new_appid,) = rotate(creds.secret, creds.bcadd, [SERVICE])
+        self._write(RegistrationTx(kind="user", subject=new_bcadd.address,
+                                   public_key=new_bcadd.public_key, epoch=new_bcadd.epoch))
+        self.users[user] = PeerCredentials(creds.secret, new_bcadd, new_appid)
+        for owner, client, server, proven in self.sessions:
+            if owner == user:
+                notice = make_rotation_notice(client, creds.secret, new_bcadd, new_appid)
+                switch_session(client, notice, new_bcadd)
+                rotate_session(server, notice)
+                proven.add(new_bcadd.address)
+
+    @precondition(lambda self: self.sessions)
+    @rule(pick=st.integers(0, 99), epoch=st.integers(0, 3))
+    def prove_holding(self, pick, epoch):
+        # The client proves one of its addresses; one past its current
+        # epoch is not registered, so it is refused.
+        user, client, server, proven = self.sessions[pick % len(self.sessions)]
+        creds = self.users[user]
+        holding = derive_bcadd(creds.secret, epoch)
+        proof = make_holding_proof(client, creds.secret, holding)
+        if epoch <= creds.bcadd.epoch:
+            assert take_holding_proof(server, proof, self.ledger) == holding
+            proven.add(holding.address)
+        else:
+            with pytest.raises(HoldingRefused, match="^unregistered$"):
+                take_holding_proof(server, proof, self.ledger)
+
+    @precondition(lambda self: self.sessions)
+    @rule(pick=st.integers(0, 99), victim=st.integers(0, 1))
+    def forge_holding(self, pick, victim):
+        # The client claims a current address of either user's under a key
+        # of its own: the ledger registers the address under another key.
+        _, client, server, _ = self.sessions[pick % len(self.sessions)]
+        client.holding_count += 1
+        nonce = holding_nonce(client.session_id, client.holding_count)
+        _, appid, proof = forge_key_linkage(self.users[victim].bcadd, SERVICE, nonce)
+        body = HoldingProof(appid, proof, b"").body_bytes()
+        with pytest.raises(HoldingRefused, match="^bad-proof$"):
+            take_holding_proof(server, HoldingProof(appid, proof, rotation_tag(client.key, body)),
+                               self.ledger)
+
+    @invariant()
+    def allowed_iff_a_token_holder_is_proven(self):
+        for _, _, server, proven in self.sessions:
+            assert server.proven == proven
+            wanted = any(self.holder.get(token) in proven for token in TOKENS[:2])
+            decision = authorize(server, self.ledger)
+            assert (decision.allowed, decision.reason) == (
+                (True, "nft-owned") if wanted else (False, "no-token"))
+
+
+HoldingModel.TestCase.settings = settings(max_examples=40, stateful_step_count=20, deadline=None)
+TestHoldingModel = HoldingModel.TestCase
